@@ -45,12 +45,14 @@ class InputError(Exception):
 
 
 def _load_json_arg(text: str):
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
     try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                return json.load(fh)
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InputError(f"cannot read {text[1:]!r}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
 
 
@@ -134,6 +136,8 @@ def cmd_ring(args) -> str:
 def cmd_homs(args) -> str:
     src_ring = _ring_from_arg(args.src)
     tgt_ring = _ring_from_arg(args.tgt)
+    if args.n1 < 1 or args.n2 < 1:
+        raise InputError(f"lengths must be >= 1, got n1={args.n1}, n2={args.n2}")
     src = residue_ring(src_ring, args.n1)
     tgt = residue_ring(tgt_ring, args.n2)
     homs = enumerate_isos(src, tgt) if args.iso else enumerate_homs(src, tgt)
@@ -159,7 +163,7 @@ def _parse_hom(src_ring, tgt_ring, obj, default_n1=None, default_n2=None):
             beta_elem = beta_elem.reduce_to(n2)
         beta = project(beta_elem, n2)
         return residue_hom(residue_ring(src_ring, n1), residue_ring(tgt_ring, n2), psi, beta)
-    except (KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad homomorphism JSON: {exc}") from exc
 
 

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InsufficientPrecision, NotEisenstein, RingMismatch, TooLarge
+from .errors import (
+    InsufficientPrecision,
+    InvalidSetting,
+    NotEisenstein,
+    RingMismatch,
+    TooLarge,
+)
 from .resfield import FieldSpec, FqElem, make_field
 from .witt import WittElem, WittRingSpec, make_witt, teichmuller, witt_unit_inv
 
@@ -27,7 +33,12 @@ DEFAULT_ENUM_CAP = 10 ** 7
 
 def enumeration_cap() -> int:
     value = os.environ.get("RAMLIFT_ENUM_CAP")
-    return int(value) if value else DEFAULT_ENUM_CAP
+    if not value:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidSetting(f"RAMLIFT_ENUM_CAP must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,18 @@ class MultipleRoots(RamliftError):
     """Internal inconsistency: the selection rule matched more than one root."""
 
 
+class InconsistentResult(RamliftError):
+    """Internal inconsistency: a correctness check on a computed result failed."""
+
+
+class NotMonic(RamliftError):
+    """A polynomial that must be monic is not."""
+
+
+class InvalidSetting(RamliftError):
+    """An environment setting (RAMLIFT_ENUM_CAP) has an unusable value."""
+
+
 class NotComposable(RamliftError):
     pass
 

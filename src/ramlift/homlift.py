@@ -4,14 +4,27 @@ A homomorphism R_{1,n1} -> R_{2,n2} is stored as a residue-field embedding
 psi together with the image beta of the uniformizer class: under the
 presentation W(k1)[x]/(f, x^n1) those two values determine the map, and the
 exhaustive-function oracle in the test suite guards this structural
-shortcut.
+shortcut.  The admissible betas are the truncated roots of F = f^psi: F(beta)
+= 0 mod m2^n2 and beta^n1 = 0.
 
-Lifting walks all roots of the mapped Eisenstein polynomial in the target
-ring by digit DFS.  A branch at level L survives only while the polynomial
-value has valuation >= L; at the certification depth t a branch is accepted
-exactly when nu(F(x)) >= t + nu(F'(x)) with t > nu(F'(x)), which pins a
-unique root agreeing with the branch to depth t.  The unique accepted root
-within Krasner distance of beta is the lift.
+One digit search serves both enumeration and lifting.  It grows pi-adic
+Teichmuller digit vectors level by level, in lexicographic order:
+
+- a prefix of length L survives only while F(prefix) = 0 mod m^L, since a
+  root mod m^n forces this at every level L <= n;
+- beta^n1 = 0 mod m^n2 holds exactly when the first ceil(n2/n1) digits
+  vanish, so enumeration fixes that zero prefix;
+- for L >= 2, F(x + u pi^(L-1)) = F(x) + F'(x) u pi^(L-1) mod m^L.  Whether
+  F'(x) lies in m depends only on the first digit; when it does, all q
+  children of a branch pass or fail together on the value F(x) already
+  known, and leaves need no element at all.  This is always the case for
+  homomorphisms with e1 >= 2; otherwise every child is evaluated.
+
+Enumeration takes the surviving vectors at depth n2 as the betas.  Lifting
+runs the search at a certification depth t and accepts a survivor exactly
+when nu(F(x)) >= t + nu(F'(x)) with t > nu(F'(x)), which pins a unique root
+agreeing with the branch to depth t.  The unique accepted root within
+Krasner distance of beta is the lift.
 """
 
 from __future__ import annotations
@@ -41,10 +54,12 @@ from .dvr import (
 )
 from .errors import (
     IncompatibleLengths,
+    InconsistentResult,
     InsufficientPrecision,
     MultipleRoots,
     NoRoot,
     NotComposable,
+    NotMonic,
     PrecisionTooLow,
     PreconditionBound,
     TooLarge,
@@ -199,30 +214,9 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
 def _root_dfs(providers, R: DvrSpec, t: int, margin: int):
     n_eval = t + margin
     consts = _materialize_poly(providers, R, n_eval)
-    field_elems = sorted(R.k.elements(), key=lambda a: a.coeffs)
-    wspec = R.wspec(n_eval)
-    pi_pows = [R.one(n_eval)]
-    pi = R.uniformizer(n_eval)
-    for _ in range(t):
-        pi_pows.append(pi_pows[-1] * pi)
-    teich = {a: R.from_witt(teichmuller(a, wspec), n_eval) for a in field_elems}
-
-    branches = [((), R.zero(n_eval))]
-    for level in range(1, t + 1):
-        nxt = []
-        for digits, x in branches:
-            for a in field_elems:
-                child_digits = digits + (a,)
-                child = x if a.is_zero() else x + teich[a] * pi_pows[level - 1]
-                v = _horner(consts, child, R, n_eval).valuation()
-                if (v.exact and v.value >= ValQ(level)) or not v.exact:
-                    nxt.append((child_digits, child))
-        branches = nxt
-        if not branches:
-            return []
-
     roots = []
-    for digits, x in branches:
+    for digits in _digit_dfs(consts, R, t, n_eval):
+        x = from_pi_digits(digits, R, n_eval)
         dv = _horner_derivative(consts, x, R, n_eval).valuation()
         if not dv.exact:
             raise _NeedMargin
@@ -239,6 +233,65 @@ def _root_dfs(providers, R: DvrSpec, t: int, margin: int):
             )
         roots.append(CertifiedRoot(from_pi_digits(digits, R, t), t, delta))
     return roots
+
+
+def _digit_dfs(consts, R: DvrSpec, depth: int, n_eval: int, zero_prefix: int = 0):
+    """Digit vectors (a_0, ..., a_{depth-1}) in lexicographic order whose
+    Teichmuller sum x satisfies F(x) = 0 mod m^depth and whose first
+    zero_prefix digits vanish; F is monic with constant terms consts, held
+    at precision n_eval >= depth.
+
+    A prefix of length L survives only while F(prefix) = 0 mod m^L.  For
+    L >= 2, F(x + u pi^(L-1)) = F(x) + F'(x) u pi^(L-1) mod m^L, so when
+    F'(x) lies in m (which depends on the first digit alone) the q children
+    of a branch all pass or all fail with the value F(x) already known.
+    Otherwise each child is evaluated.
+    """
+    field_elems = sorted(R.k.elements(), key=lambda a: a.coeffs)
+    zero_digit = [R.k.zero()]
+    wspec = R.wspec(n_eval)
+    pi = R.uniformizer(n_eval)
+    pi_pow = R.one(n_eval)
+    shared = {}  # first digit -> F'(x) lies in m
+    branches = [((), R.zero(n_eval), None)]  # (digits, x, F(x))
+    for level in range(1, depth + 1):
+        leaf = level == depth
+        allowed = zero_digit if level <= zero_prefix else field_elems
+        terms = {}  # digit a -> [a] pi^(level-1), built on first use
+
+        def child(x, a):
+            if a.is_zero():
+                return x
+            if a not in terms:
+                terms[a] = R.from_witt(teichmuller(a, wspec), n_eval) * pi_pow
+            return x + terms[a]
+
+        nxt = []
+        for digits, x, fx in branches:
+            if level >= 2 and shared[digits[0]]:
+                if fx.valuation().value.fraction < level:
+                    continue
+                for a in allowed:
+                    if leaf:
+                        nxt.append((digits + (a,), None, None))
+                    else:
+                        c = child(x, a)
+                        nxt.append((digits + (a,), c, _horner(consts, c, R, n_eval)))
+                continue
+            for a in allowed:
+                c = child(x, a)
+                fc = _horner(consts, c, R, n_eval)
+                if fc.valuation().value.fraction < level:
+                    continue
+                if level == 1:
+                    dv = _horner_derivative(consts, c, R, n_eval).valuation()
+                    shared[a] = dv.value.fraction >= 1
+                nxt.append((digits + (a,), c, fc))
+        branches = nxt
+        if not branches:
+            return []
+        pi_pow = pi_pow * pi
+    return [digits for digits, _, _ in branches]
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +373,14 @@ def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec, cap: int | None =
         cap = enumeration_cap()
     if tgt.cardinality > cap:
         raise TooLarge(f"{tgt.cardinality} target elements exceed the cap {cap}")
+    # beta^n1 = 0 mod m^n2 exactly when the first ceil(n2/n1) digits vanish
+    zero_prefix = -(-tgt.n // src.n)
     out = []
     for psi in embeddings(src.ring.k, tgt.ring.k):
-        for beta in enumerate_elements(tgt, cap):
-            if _beta_admissible(src, tgt, psi, beta):
-                out.append(ResidueHom(src, tgt, psi, beta))
+        providers = [MappedCoeff(c, psi) for c in src.ring.coeffs]
+        consts = _materialize_poly(providers, tgt.ring, tgt.n)
+        for digits in _digit_dfs(consts, tgt.ring, tgt.n, tgt.n, zero_prefix):
+            out.append(ResidueHom(src, tgt, psi, ResidueElt(tgt, digits)))
     return out
 
 
@@ -397,7 +453,8 @@ def same_hom(a: DvrHom, b: DvrHom) -> bool:
     if (a.source, a.target, a.psi) != (b.source, b.target, b.psi):
         return False
     depth = min(a.rho.n, b.rho.n)
-    assert depth > max(a.deriv_val, b.deriv_val), "certificates too shallow to compare"
+    if depth <= max(a.deriv_val, b.deriv_val):
+        raise PrecisionTooLow("certificates too shallow to compare")
     return pi_digits(a.rho, depth) == pi_digits(b.rho, depth)
 
 
@@ -423,7 +480,8 @@ def select_unique_root(roots, beta: DvrElem, M1: ValQ, e2: int) -> CertifiedRoot
         raise MultipleRoots("several roots within Krasner distance: inconsistent input")
     for r in others:
         v = (r.elem - beta).valuation()
-        assert v.exact and Fraction(v.value.fraction, e2) <= M1.fraction
+        if not (v.exact and Fraction(v.value.fraction, e2) <= M1.fraction):
+            raise InconsistentResult("a root could not be placed outside Krasner distance")
     return matches[0]
 
 
@@ -455,7 +513,8 @@ def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
     # the residue-field square commutes by construction; the image of the
     # uniformizer must again have the right valuation
     v = chosen.elem.valuation()
-    assert v.exact and v.value == ValQ(R2.e // R1.e)
+    if not (v.exact and v.value == ValQ(R2.e // R1.e)):
+        raise InconsistentResult(f"image of the uniformizer has valuation {v}")
     return DvrHom(R1, R2, phi.psi, chosen.elem, (chosen.t, chosen.deriv_val))
 
 
@@ -511,7 +570,7 @@ def _certify_at(providers, R: DvrSpec, approx: DvrElem) -> CertifiedRoot:
                     raise PrecisionTooLow("composition too shallow to certify")
                 return CertifiedRoot(from_pi_digits(digits, R, t), t, delta)
             if fv.exact:
-                raise AssertionError("composed image is not a root to its depth")
+                raise InconsistentResult("composed image is not a root to its depth")
         margin *= 2
         if margin > 4 * ESCALATION_CAP:
             raise PrecisionTooLow("cannot certify the composed homomorphism")
@@ -603,7 +662,8 @@ def _squarefree_part(coeffs):
         for j in range(len(g)):
             rem[i - (len(g) - 1) + j] -= c * g[j]
     quot.reverse()
-    assert all(c.denominator == 1 for c in quot)
+    if any(c.denominator != 1 for c in quot):
+        raise InconsistentResult("squarefree part is not integral")
     return [int(c) for c in quot]
 
 
@@ -612,7 +672,8 @@ def has_root(R: DvrSpec, F) -> HasRootResult:
     certified DFS at escalating precision; exhaustion of all digit branches
     is a proof of nonexistence."""
     coeffs = [int(c) for c in F]
-    assert coeffs and coeffs[-1] == 1, "polynomial must be monic"
+    if not coeffs or coeffs[-1] != 1:
+        raise NotMonic("polynomial must be monic")
     coeffs = _squarefree_part(coeffs)
     prec = max(4, R.e + nu_of_e(R.p, R.e) + 1)
     while True:

@@ -3,11 +3,46 @@
 The homomorphism oracle never trusts the (psi, beta) parameterization: it
 builds, for every pair of generator images, the full element map from ring
 expressions and checks both ring axioms pointwise on all element pairs.
+
+The scan oracle keeps the (psi, beta) parameterization but none of the
+search: it tests every beta in the target ring with the validator of
+``residue_hom``.
 """
 
 import itertools
 
-from ramlift.dvr import ResidueRingSpec, enumerate_elements
+from ramlift.dvr import ResidueRingSpec, enumerate_elements, residue_ring
+from ramlift.homlift import (
+    ResidueHom,
+    _beta_admissible,
+    _horner,
+    _materialize_poly,
+    _normalize_poly,
+)
+from ramlift.resfield import embeddings
+
+
+def scan_homs(src: ResidueRingSpec, tgt: ResidueRingSpec):
+    """All homomorphisms src -> tgt in the order of enumerate_homs, by testing
+    each of the q^n2 candidate betas for each embedding."""
+    return [
+        ResidueHom(src, tgt, psi, beta)
+        for psi in embeddings(src.ring.k, tgt.ring.k)
+        for beta in enumerate_elements(tgt)
+        if _beta_admissible(src, tgt, psi, beta)
+    ]
+
+
+def scan_truncated_roots(F, R, depth: int):
+    """Digit vectors of length depth whose Teichmuller sum is a root of the
+    monic F mod m^depth, by testing all q^depth of them."""
+    rn = residue_ring(R, depth)
+    consts = _materialize_poly(_normalize_poly(F, R.k), R, depth)
+    return [
+        x.digits
+        for x in enumerate_elements(rn)
+        if not _horner(consts, rn.lift(x), R, depth).valuation().exact
+    ]
 
 
 def _tables(rn: ResidueRingSpec):

@@ -199,3 +199,33 @@ def test_ring_with_teich_digit_coefficient(capsys):
     rc, out, _ = run(capsys, "ring", spec)
     obj = json.loads(out)
     assert rc == 0 and obj["M"] == "3/2" and obj["different"] == 3
+
+
+def _one_line_exit_2(rc, err):
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_ring_missing_file_exit_2(capsys, tmp_path):
+    rc, _, err = run(capsys, "ring", "@" + str(tmp_path / "missing.json"))
+    _one_line_exit_2(rc, err)
+    assert "missing.json" in err
+
+
+def test_lift_psi_not_object_exit_2(capsys):
+    hom = '{"psi":5,"beta":"pi:0,1,0","n1":3,"n2":3}'
+    rc, _, err = run(capsys, "lift", S3, S3, hom, "8")
+    _one_line_exit_2(rc, err)
+    assert "bad homomorphism JSON" in err
+
+
+def test_homs_zero_length_exit_2(capsys):
+    rc, _, err = run(capsys, "homs", S3, S3, "0", "3")
+    _one_line_exit_2(rc, err)
+
+
+def test_homs_bad_enum_cap_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "abc")
+    rc, _, err = run(capsys, "homs", S3, S3, "2", "2")
+    _one_line_exit_2(rc, err)
+    assert "RAMLIFT_ENUM_CAP" in err

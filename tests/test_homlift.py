@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import exhaustive_homs_as_tables, hom_as_table
+from oracles import exhaustive_homs_as_tables, hom_as_table, scan_homs, scan_truncated_roots
 from ramlift.dvr import (
     ValQ,
     enumerate_elements,
@@ -19,6 +19,9 @@ from ramlift.errors import (
     TooLarge,
 )
 from ramlift.homlift import (
+    _digit_dfs,
+    _materialize_poly,
+    _normalize_poly,
     compose_homs,
     dvr_isos,
     enumerate_homs,
@@ -101,6 +104,48 @@ def test_wild_pair_iso_at_6_none_at_7():
     src7 = residue_ring(Z2_SQRT2, 7)
     tgt7 = residue_ring(Z2_SQRT10, 7)
     assert enumerate_homs(src7, tgt7) == []
+
+
+W9 = make_dvr(F9, [-3, 0, 1])
+Z3_QUARTIC = make_dvr(F3, [-3, 0, 0, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "src, tgt",
+    [
+        (residue_ring(Z3_FLAT, 2), residue_ring(Z3_SQRT3, 4)),  # e1 = 1: unit derivative
+        (residue_ring(Z3_FLAT, 3), residue_ring(Z3_FLAT, 3)),
+        (residue_ring(Z3_SQRT3, 3), residue_ring(W9, 3)),  # F3 -> F9
+        (residue_ring(Z3_SQRT3, 3), residue_ring(Z3_QUARTIC, 6)),  # e = 2 -> e = 4
+        # roots of f^psi mod m^5 exist, but beta^2 = 0 needs three zero digits
+        (residue_ring(Z3_SQRT3, 2), residue_ring(Z3_QUARTIC, 5)),
+        (residue_ring(Z2_SQRT2, 6), residue_ring(Z2_SQRT10, 6)),  # wild
+        (residue_ring(Z2_SQRT2, 7), residue_ring(Z2_SQRT10, 7)),  # wild, empty
+        (residue_ring(Z3_SQRT3, 3), residue_ring(Z3_SQRTM3, 3)),  # empty
+    ],
+    ids=["e1-1", "e1-1-self", "F3-F9", "e2-e4", "zero-prefix", "wild", "wild-empty", "empty"],
+)
+def test_enumerate_homs_matches_scan(src, tgt):
+    # same homomorphisms in the same order as testing every beta
+    assert enumerate_homs(src, tgt) == scan_homs(src, tgt)
+
+
+@pytest.mark.parametrize(
+    "F, answer",
+    [([1, 0, 1], "no"), ([-1, 0, 1], "yes"), ([-3, 0, 1], "yes")],
+    ids=["unit-deriv-none", "unit-deriv", "deriv-in-m"],
+)
+def test_root_search_matches_scan(F, answer):
+    # the derivative of x^2 + 1 and x^2 - 1 at their would-be roots is a
+    # unit, so every child is tested; for x^2 - 3 it lies in m and children
+    # share their parent's value
+    assert has_root(Z3_SQRT3, F).kind == answer
+    providers = _normalize_poly(F, F3)
+    for depth in (1, 2, 4):
+        expected = scan_truncated_roots(F, Z3_SQRT3, depth)
+        for n_eval in (depth, depth + 3):
+            consts = _materialize_poly(providers, Z3_SQRT3, n_eval)
+            assert _digit_dfs(consts, Z3_SQRT3, depth, n_eval) == expected
 
 
 def test_enumerate_homs_too_large():
@@ -454,3 +499,70 @@ def test_tame_cubic_pair_is_isomorphic():
     assert compose_homs(g, inv).is_identity()
     assert has_root(B, [-2, 0, 0, 1]).kind == "yes"
     assert has_root(A, [-10, 0, 0, 1]).kind == "yes"
+
+
+_CHECKS_SCRIPT = """
+from fractions import Fraction
+
+from ramlift import homlift as h
+from ramlift.dvr import make_dvr, project, residue_ring
+from ramlift.errors import RamliftError
+from ramlift.ramification import krasner_bound
+from ramlift.resfield import identity_embedding, make_field
+
+F3 = make_field(3, 1)
+R = make_dvr(F3, [-3, 0, 1])
+ident = identity_embedding(F3)
+shallow = h.DvrHom(R, R, ident, R.uniformizer(1), (1, 1))
+unplaced = [h.CertifiedRoot(R.uniformizer(4), 4, 1), h.CertifiedRoot(R.zero(1), 1, 1)]
+phi = h.residue_hom(residue_ring(R, 3), residue_ring(R, 3), ident, project(R.uniformizer(3), 3))
+
+
+def lift_to_unit():
+    # a selection that returns a unit: the valuation check must catch it
+    h.select_unique_root = lambda roots, beta, M1, e2: h.CertifiedRoot(R.one(8), 8, 1)
+    h.lift_hom(phi)
+
+
+cases = {
+    "same_hom": lambda: h.same_hom(shallow, shallow),
+    "select_unique_root": lambda: h.select_unique_root(
+        unplaced, R.uniformizer(4), krasner_bound(R), 2),
+    "lift_hom": lift_to_unit,
+    "_squarefree_part": lambda: h._squarefree_part([Fraction(1, 4), -1, 1]),
+    "has_root": lambda: h.has_root(R, [1, 0, 2]),
+    "_certify_at": lambda: h._certify_at(h._normalize_poly([-3, 0, 1], F3), R, R.one(4)),
+}
+for name, run in cases.items():
+    try:
+        run()
+    except RamliftError as exc:
+        print(name, type(exc).__name__)
+    else:
+        print(name, "-")
+"""
+
+
+def test_correctness_checks_survive_python_O():
+    import os
+    import subprocess
+    import sys
+
+    import ramlift
+
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(ramlift.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CHECKS_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert dict(line.split() for line in proc.stdout.splitlines()) == {
+        "same_hom": "PrecisionTooLow",
+        "select_unique_root": "InconsistentResult",
+        "lift_hom": "InconsistentResult",
+        "_squarefree_part": "InconsistentResult",
+        "has_root": "NotMonic",
+        "_certify_at": "InconsistentResult",
+    }
