@@ -39,8 +39,6 @@ from .dvr import (
     ResidueRingSpec,
     ResidueElt,
     make_dvr,
-    dvr_arith,
-    dvr_val,
     pi_digits,
     from_pi_digits,
     residue_ring,

@@ -1,9 +1,17 @@
 """Eisenstein extensions R = W(k)[x]/(f) at finite precision.
 
-Elements are polynomials of degree < e over W(k)/p^Mc where Mc carries two
-guard digits beyond what the requested m-adic precision needs; pi-adic
-Teichmuller digits are the canonical form, and the n-th residue rings R/m^n
-are finite enumerable rings presented by digit vectors.
+An element known mod m^n is one flat tuple of e*d integers mod p^Mc, an
+element of (Z/p^Mc)[y,x]/(g(y), f(x,y)): g is the lifted defining polynomial
+of k, so (Z/p^Mc)[y]/(g) = W(k)/p^Mc, and Mc = ceil(n/e) plus two guard
+digits.  Each (ring, n) has one cached context holding the modulus, f as
+flat integers, the inverse of the unit w with a_0 = p*w, the powers of pi
+and the Teichmuller lifts of the digits; d = 1 is the plain integer case.
+WittElem values appear only at the boundary (from_witt, element,
+minimal_polynomial).
+
+Pi-adic Teichmuller digits are the canonical form, and the n-th residue
+rings R/m^n are finite enumerable rings presented by digit vectors; their
+operations lift once, compute in R at precision n and read digits once.
 
 Division by the uniformizer exists only inside the digit-extraction loop, on
 elements certified divisible; no fraction-field arithmetic is exposed.
@@ -15,11 +23,14 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import add, mul
 
 from .errors import (
     InsufficientPrecision,
+    InvalidArgument,
     InvalidSetting,
+    NotDivisible,
     NotEisenstein,
     RingMismatch,
     TooLarge,
@@ -269,6 +280,13 @@ class DvrSpec:
     k: FieldSpec
     coeffs: tuple  # ExactWittCoeff a_0..a_{e-1}; leading coefficient is 1
 
+    def __hash__(self):
+        # every context lookup hashes the spec; the field-wise hash is cached
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.k, self.coeffs))
+        return h
+
     @property
     def e(self) -> int:
         return len(self.coeffs)
@@ -297,50 +315,34 @@ class DvrSpec:
     # -- element constructors ------------------------------------------------
 
     def zero(self, n: int) -> "DvrElem":
-        w = self.wspec(n)
-        return DvrElem(self, n, w, tuple([w.zero()] * self.e))
+        ctx = _context(self, n)
+        return DvrElem(ctx, (0,) * ctx.size)
 
     def one(self, n: int) -> "DvrElem":
         return self.from_int(1, n)
 
     def from_int(self, c: int, n: int) -> "DvrElem":
-        w = self.wspec(n)
-        return DvrElem(self, n, w, tuple([w.from_int(c)] + [w.zero()] * (self.e - 1)))
+        ctx = _context(self, n)
+        return DvrElem(ctx, (c % ctx.mod,) + (0,) * (ctx.size - 1))
 
     def from_witt(self, w_elem: WittElem, n: int) -> "DvrElem":
-        w = self.wspec(n)
-        head = w.from_coeffs(w_elem.coeffs)
-        return DvrElem(self, n, w, tuple([head] + [w.zero()] * (self.e - 1)))
+        ctx = _context(self, n)
+        head = ctx.wspec.from_coeffs(w_elem.coeffs).coeffs
+        return DvrElem(ctx, head + (0,) * (ctx.size - ctx.d))
 
     def uniformizer(self, n: int) -> "DvrElem":
-        w = self.wspec(n)
-        coeffs = [w.zero()] * self.e
-        if self.e == 1:
-            # pi = -a_0 when f = x + a_0
-            a0 = self.coeffs[0].materialize(w)
-            coeffs[0] = -a0
-        else:
-            coeffs[1] = w.one()
-        return DvrElem(self, n, w, tuple(coeffs))
+        ctx = _context(self, n)
+        return DvrElem(ctx, ctx.pi)
 
     def element(self, witt_coeff_vectors, n: int) -> "DvrElem":
-        w = self.wspec(n)
-        coeffs = [w.from_coeffs(v) for v in witt_coeff_vectors]
-        coeffs += [w.zero()] * (self.e - len(coeffs))
-        return DvrElem(self, n, w, tuple(coeffs))
+        ctx = _context(self, n)
+        flat = [c for v in witt_coeff_vectors for c in ctx.wspec.from_coeffs(v).coeffs]
+        return DvrElem(ctx, tuple(flat) + (0,) * (ctx.size - len(flat)))
 
 
 @lru_cache(maxsize=4096)
 def _f_materialized_cached(spec: "DvrSpec", wspec: WittRingSpec):
     return tuple(c.materialize(wspec) for c in spec.coeffs)
-
-
-@lru_cache(maxsize=4096)
-def _pi_division_data(spec: "DvrSpec", wspec: WittRingSpec):
-    """(f materialized, inverse of the unit w with a_0 = p*w)."""
-    f = _f_materialized_cached(spec, wspec)
-    w_unit = spec.coeffs[0].divide_exact_by_p().materialize(wspec)
-    return f, witt_unit_inv(w_unit)
 
 
 def make_dvr(k: FieldSpec, f) -> DvrSpec:
@@ -365,48 +367,318 @@ def make_dvr(k: FieldSpec, f) -> DvrSpec:
 
 
 # ---------------------------------------------------------------------------
+# the flat core: R/p^Mc as (Z/p^Mc)[y,x]/(g(y), f(x,y))
+#
+# A flat vector holds e*d integers mod p^Mc: coordinate i (in the power basis
+# of W(k) over Z_p, where g is the lifted defining polynomial of k) of the
+# coefficient of x^j sits at index j*d + i.  For d = 1 it is just the e
+# integer coefficients.  Every operation reduces to the canonical
+# representative, so equal elements of R/p^Mc have equal vectors.
+
+
+class _DigitTable(dict):
+    """The elements of k keyed by their coordinate tuples."""
+
+    def __init__(self, k: FieldSpec):
+        super().__init__()
+        self.k = k
+
+    def __missing__(self, key):
+        a = self[key] = FqElem(self.k, key)
+        return a
+
+
+@lru_cache(maxsize=256)
+def _digit_table(k: FieldSpec) -> _DigitTable:
+    return _DigitTable(k)
+
+
+class _TermTable(dict):
+    """The flat vectors teichmuller(a) * pi^r for one r, keyed by the
+    coordinate tuple of the digit a and computed on first use; for r = 0
+    these are the Teichmuller lifts themselves."""
+
+    def __init__(self, ctx: "_Context", r: int):
+        super().__init__()
+        self.ctx, self.r = ctx, r
+
+    def __missing__(self, key):
+        ctx = self.ctx
+        if self.r == 0:
+            t = teichmuller(FqElem(ctx.ring.k, key), ctx.wspec).coeffs
+            v = t + (0,) * (ctx.size - ctx.d)
+        else:
+            v = _mul(ctx, ctx.terms[0][key], ctx.pi_powers[self.r])
+        self[key] = v
+        return v
+
+
+class _Context:
+    """Arithmetic data of R at precision n, shared by all its elements: the
+    modulus p^Mc, f as flat integers, -w^-1 for the unit w with a_0 = p*w,
+    the powers pi^r for r < n, and the tables of teichmuller(a) * pi^r.
+    For d > 1, multiplication by -w^-1 and by each nonzero coefficient of f
+    is kept as a d x d integer matrix."""
+
+    __slots__ = ("ring", "n", "wspec", "M", "mod", "p", "d", "e", "size", "g", "f",
+                 "neg_w_inv", "f_mats", "supported", "pi", "pi_powers", "terms", "digit")
+
+    def __init__(self, ring: DvrSpec, n: int):
+        wspec = ring.wspec(n)
+        self.ring, self.n, self.wspec, self.M = ring, n, wspec, wspec.M
+        self.mod, self.p, self.d, self.e = wspec.modulus, ring.p, ring.d, ring.e
+        self.size = self.e * self.d
+        self.g = wspec.lifted_poly
+        self.f = tuple(c for a in _f_materialized_cached(ring, wspec) for c in a.coeffs)
+        unit = ring.coeffs[0].divide_exact_by_p().materialize(wspec)  # a_0 = p*w
+        neg_w_inv = [(-c) % self.mod for c in witt_unit_inv(unit).coeffs]
+        self.neg_w_inv, self.f_mats = neg_w_inv[0], None
+        if self.d > 1:
+            d, mod = self.d, self.mod
+            self.neg_w_inv = _wmat(neg_w_inv, self.g, d, mod)
+            self.f_mats = [_wmat(self.f[j * d:(j + 1) * d], self.g, d, mod)
+                           if any(self.f[j * d:(j + 1) * d]) else None for j in range(self.e)]
+        self.supported = self.e * (self.M - GUARD_DIGITS)
+        self.digit = _digit_table(ring.k)
+        one = (1 % self.mod,) + (0,) * (self.size - 1)
+        # pi = x, which is -a_0 when e = 1
+        self.pi = _times_x(self, one)
+        powers = [one]
+        for _ in range(1, n):
+            powers.append(_times_x(self, powers[-1]))
+        self.pi_powers = powers
+        self.terms = [_TermTable(self, r) for r in range(n)]
+
+
+@lru_cache(maxsize=4096)
+def _context(ring: DvrSpec, n: int) -> _Context:
+    if n < 1:
+        raise InvalidArgument(f"precision must be at least 1, got {n}")
+    return _Context(ring, n)
+
+
+def _yreduce(row, g, d: int, mod: int):
+    """Reduce a coordinate list of length <= 2d-1 modulo (g(y), mod)."""
+    for i in range(len(row) - 1, d - 1, -1):
+        c = row[i]
+        if c:
+            for j in range(d):
+                row[i - d + j] -= c * g[j]
+    return [c % mod for c in row[:d]]
+
+
+def _wmat(a, g, d: int, mod: int):
+    """Rows of the matrix of multiplication by a on W(k)/p^M = (Z/p^M)[y]/(g)
+    in the basis 1, y, ..., y^(d-1)."""
+    cols = [_yreduce([0] * i + list(a) + [0] * (d - 1 - i), g, d, mod) for i in range(d)]
+    return [[col[r] for col in cols] for r in range(d)]
+
+
+def _apply(mat, vec):
+    """Matrix times vector, unreduced."""
+    return [sum(map(mul, row, vec)) for row in mat]
+
+
+def _times_x(ctx: _Context, u) -> tuple:
+    """x*u reduced by x^e = -(a_{e-1}x^{e-1} + ... + a_0); for e = 1 this is
+    multiplication by pi = -a_0."""
+    d, e, mod, f = ctx.d, ctx.e, ctx.mod, ctx.f
+    top = u[(e - 1) * d:]
+    if d == 1:
+        t = top[0]
+        return tuple([(x - t * y) % mod for x, y in zip((0,) + u[:-1], f)])
+    out = []
+    for j, fm in enumerate(ctx.f_mats):
+        prev = u[(j - 1) * d:j * d] if j else (0,) * d
+        out += prev if fm is None else [(x - y) % mod for x, y in zip(prev, _apply(fm, top))]
+    return tuple(out)
+
+
+def _mul(ctx: _Context, a, b) -> tuple:
+    """Product of two flat vectors, reduced modulo (g, f, p^Mc) of ctx."""
+    e, d = ctx.e, ctx.d
+    if d == 1:
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+    else:
+        width = 2 * d - 1
+        prod = [[0] * width for _ in range(2 * e - 1)]
+        for i in range(e):
+            ai = a[i * d:(i + 1) * d]
+            if any(ai):
+                for j in range(e):
+                    row, bj = prod[i + j], b[j * d:(j + 1) * d]
+                    for s, x in enumerate(ai):
+                        if x:
+                            for t, y in enumerate(bj):
+                                row[s + t] += x * y
+    return _reduce_mod_f(ctx, prod)
+
+
+def _reduce_mod_f(ctx: _Context, prod) -> tuple:
+    """Reduce a product of degree < 2e-1 in x modulo the monic Eisenstein f.
+
+    For d = 1, prod lists integers; otherwise it lists coordinate rows of
+    length 2d-1, reduced by g before they multiply into f."""
+    e, d, mod = ctx.e, ctx.d, ctx.mod
+    if d == 1:
+        f = ctx.f
+        for i in range(len(prod) - 1, e - 1, -1):
+            c = prod[i] % mod
+            if c:
+                for j in range(e):
+                    prod[i - e + j] -= c * f[j]
+        return tuple([c % mod for c in prod[:e]])
+    g = ctx.g
+    for i in range(len(prod) - 1, e - 1, -1):
+        c = _yreduce(prod[i], g, d, mod)
+        for j, fm in enumerate(ctx.f_mats):
+            if fm is not None:
+                row = prod[i - e + j]
+                for s, y in enumerate(_apply(fm, c)):
+                    row[s] -= y
+    return tuple([c for row in prod[:e] for c in _yreduce(row, g, d, mod)])
+
+
+def _divide_by_pi(ctx: _Context, v) -> list:
+    """Divide by the uniformizer a flat vector (d > 1) whose x^0 coefficient
+    p divides: one application of x*u = sum u_j x^(j+1) read backwards, with
+    u_{e-1} = -(v_0/p) * w^-1 and u_{j-1} = v_j + u_{e-1} a_j.
+
+    The x^0 coordinates must lie in [0, p^Mc); v_0/p is then only known mod
+    p^(Mc-1), and the guard digits absorb that choice.  _digits inlines the
+    same step for d = 1."""
+    p, d, e, mod = ctx.p, ctx.d, ctx.e, ctx.mod
+    if any([c % p for c in v[:d]]):
+        raise NotDivisible("the x^0 coefficient is not divisible by p")
+    top = [c % mod for c in _apply(ctx.neg_w_inv, [c // p for c in v[:d]])]
+    out = []
+    for j in range(1, e):
+        vj, fm = v[j * d:(j + 1) * d], ctx.f_mats[j]
+        out += vj if fm is None else [(x + y) % mod for x, y in zip(vj, _apply(fm, top))]
+    return out + top
+
+
+def _digits(ctx: _Context, v, n: int) -> tuple:
+    """The first n pi-adic Teichmuller digits of a flat vector: read the
+    residue of the x^0 coefficient, subtract its Teichmuller lift, divide by
+    pi, repeat."""
+    p, d, mod = ctx.p, ctx.d, ctx.mod
+    teich, digit = ctx.terms[0], ctx.digit
+    out = []
+    if d == 1:
+        w, f = ctx.neg_w_inv, ctx.f[1:]
+        for r in range(n):
+            c = v[0]
+            key = (c % p,)
+            out.append(digit[key])
+            if r < n - 1:
+                c = (c - teich[key][0]) % mod
+                if c % p:
+                    raise NotDivisible("the x^0 coefficient is not divisible by p")
+                top = c // p * w % mod  # u_{e-1} of _divide_by_pi
+                v = [(x + top * y) % mod for x, y in zip(v[1:], f)]
+                v.append(top)
+        return tuple(out)
+    v = list(v)
+    for r in range(n):
+        key = tuple([c % p for c in v[:d]])
+        out.append(digit[key])
+        if r < n - 1:
+            v[:d] = [(c - t) % mod for c, t in zip(v[:d], teich[key])]
+            v = _divide_by_pi(ctx, v)
+    return tuple(out)
+
+
+def _check_digit(ctx: _Context, a: FqElem) -> None:
+    if a.field is not ctx.ring.k and a.field != ctx.ring.k:
+        raise RingMismatch("element not in the residue field of this ring")
+
+
+def _lift(ctx: _Context, digits) -> tuple:
+    """Flat vector of sum teichmuller(a_r) pi^r over the given digits."""
+    if len(digits) > ctx.n:
+        raise InvalidArgument(f"{len(digits)} digits exceed the precision {ctx.n}")
+    k = ctx.ring.k
+    acc = [0] * ctx.size
+    for a, terms in zip(digits, ctx.terms):
+        key = a.coeffs
+        if any(key):
+            if a.field is not k:
+                _check_digit(ctx, a)
+            acc = list(map(add, acc, terms[key]))
+    mod = ctx.mod
+    return tuple([c % mod for c in acc])
+
+
+# ---------------------------------------------------------------------------
 # elements
 
 
 class DvrElem:
-    """Element of R known mod m^n; repr is a degree-<e polynomial over
-    W(k)/p^Mc with Mc = ceil(n/e) + guard."""
+    """Element of R known mod m^n.
 
-    __slots__ = ("ring", "n", "wspec", "coeffs")
+    v is the flat vector of e*d integers mod p^Mc (Mc = ceil(n/e) + guard):
+    the coefficient of x^j over W(k)/p^Mc sits at v[j*d:(j+1)*d].  ctx is
+    the shared context of (ring, n) that holds the modulus and f."""
 
-    def __init__(self, ring: DvrSpec, n: int, wspec: WittRingSpec, coeffs):
-        assert n >= 1
-        assert len(coeffs) == ring.e
-        self.ring = ring
-        self.n = n
-        self.wspec = wspec
-        self.coeffs = tuple(coeffs)
+    __slots__ = ("ring", "n", "ctx", "v")
+
+    def __init__(self, ctx: _Context, v: tuple):
+        if len(v) != ctx.size:
+            raise InvalidArgument(f"expected {ctx.size} coordinates, got {len(v)}")
+        self.ring = ctx.ring
+        self.n = ctx.n
+        self.ctx = ctx
+        self.v = v
+
+    @property
+    def wspec(self) -> WittRingSpec:
+        return self.ctx.wspec
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as WittElem values."""
+        d, w = self.ctx.d, self.ctx.wspec
+        return tuple(WittElem(w, self.v[j * d:(j + 1) * d]) for j in range(self.ctx.e))
 
     def __repr__(self):
-        return f"DvrElem({[list(c.coeffs) for c in self.coeffs]} mod m^{self.n})"
+        d = self.ctx.d
+        return f"DvrElem({[list(self.v[j * d:(j + 1) * d]) for j in range(self.ctx.e)]} mod m^{self.n})"
 
     def _check(self, other):
-        if not isinstance(other, DvrElem) or other.ring != self.ring:
+        if not isinstance(other, DvrElem) or (other.ring is not self.ring and other.ring != self.ring):
             raise RingMismatch("operands belong to different rings")
 
     def reduce_to(self, n: int) -> "DvrElem":
         """Forget precision down to mod m^n."""
         if n > self.n:
             raise InsufficientPrecision(f"element known mod m^{self.n}, requested m^{n}")
-        w = self.ring.wspec(n)
-        return DvrElem(self.ring, n, w, tuple(w.from_coeffs(c.coeffs) for c in self.coeffs))
+        ctx = _context(self.ring, n)
+        mod = ctx.mod
+        return DvrElem(ctx, tuple([c % mod for c in self.v]))
 
     def _val_units(self):
         """(value, exact): m-adic valuation in nu-units, exact below n."""
-        e = self.ring.e
-        best = None
-        for j, c in enumerate(self.coeffs):
-            v = c.p_val()
-            if v < c.ring.M:
-                term = e * v + j
-                if best is None or term < best:
-                    best = term
-        if best is not None and best < self.n:
+        ctx = self.ctx
+        p, d, e, M = ctx.p, ctx.d, ctx.e, ctx.M
+        best = self.n
+        for j in range(min(e, best)):  # the x^j term has valuation >= j
+            v = M  # p-adic valuation of the coefficient, capped at M
+            for c in self.v[j * d:(j + 1) * d]:
+                if c:
+                    k = 0
+                    while c % p == 0:
+                        c //= p
+                        k += 1
+                    if k < v:
+                        v = k
+            if v < M and e * v + j < best:
+                best = e * v + j
+        if best < self.n:
             return best, True
         return self.n, False
 
@@ -414,49 +686,44 @@ class DvrElem:
         v, exact = self._val_units()
         return ValInfo(ValQ(v), exact)
 
+    def _low(self, other) -> _Context:
+        return self.ctx if self.n <= other.n else other.ctx
+
     def __add__(self, other):
         self._check(other)
-        n = min(self.n, other.n)
-        w = self.ring.wspec(n)
-        a = [w.from_coeffs(c.coeffs) for c in self.coeffs]
-        b = [w.from_coeffs(c.coeffs) for c in other.coeffs]
-        return DvrElem(self.ring, n, w, tuple(x + y for x, y in zip(a, b)))
+        ctx = self._low(other)
+        mod = ctx.mod
+        return DvrElem(ctx, tuple([(x + y) % mod for x, y in zip(self.v, other.v)]))
 
     def __sub__(self, other):
         self._check(other)
-        n = min(self.n, other.n)
-        w = self.ring.wspec(n)
-        a = [w.from_coeffs(c.coeffs) for c in self.coeffs]
-        b = [w.from_coeffs(c.coeffs) for c in other.coeffs]
-        return DvrElem(self.ring, n, w, tuple(x - y for x, y in zip(a, b)))
+        ctx = self._low(other)
+        mod = ctx.mod
+        return DvrElem(ctx, tuple([(x - y) % mod for x, y in zip(self.v, other.v)]))
 
     def __neg__(self):
-        return DvrElem(self.ring, self.n, self.wspec, tuple(-c for c in self.coeffs))
+        mod = self.ctx.mod
+        return DvrElem(self.ctx, tuple([(-x) % mod for x in self.v]))
 
     def __mul__(self, other):
         self._check(other)
-        spec = self.ring
-        w = spec.wspec(min(self.n, other.n))
-        a = [w.from_coeffs(c.coeffs) for c in self.coeffs]
-        b = [w.from_coeffs(c.coeffs) for c in other.coeffs]
-        prod = [w.zero() for _ in range(2 * spec.e - 1)] if spec.e > 1 else [w.zero()]
-        for i, x in enumerate(a):
-            if not x.is_zero():
-                for j, y in enumerate(b):
-                    prod[i + j] = prod[i + j] + x * y
-        red = _reduce_mod_f(prod, spec, w)
         # precision propagation: min(n_a + nu(b), n_b + nu(a)), clamped to what
         # the working coefficient digits support
         va, _ = self._val_units()
         vb, _ = other._val_units()
-        n = min(self.n + vb, other.n + va)
-        supported = spec.e * (w.M - GUARD_DIGITS)
-        n = max(1, min(n, supported))
-        wr = spec.wspec(n)
-        return DvrElem(spec, n, wr, tuple(wr.from_coeffs(c.coeffs) for c in red))
+        low = self._low(other)
+        n = max(1, min(self.n + vb, other.n + va, low.supported))
+        if n == self.n:
+            ctx = self.ctx
+        elif n == other.n:
+            ctx = other.ctx
+        else:
+            ctx = _context(self.ring, n)
+        return DvrElem(ctx, _mul(ctx, self.v, other.v))
 
     def __pow__(self, k: int):
-        assert k >= 0
+        if k < 0:
+            raise InvalidArgument("negative exponent")
         result = self.ring.one(self.n)
         base = self
         while k:
@@ -467,7 +734,7 @@ class DvrElem:
         return result
 
     def residue(self) -> FqElem:
-        return self.coeffs[0].residue()
+        return FqElem(self.ring.k, self.v[:self.ctx.d])
 
     def __eq__(self, other):
         if not isinstance(other, DvrElem) or other.ring != self.ring or other.n != self.n:
@@ -478,50 +745,27 @@ class DvrElem:
         return hash((self.ring, self.n, pi_digits(self, self.n)))
 
 
-def _reduce_mod_f(coeffs, spec: DvrSpec, wspec: WittRingSpec):
-    """Reduce a list of WittElem coefficients modulo the monic Eisenstein f."""
-    f = spec.f_materialized(wspec)
-    e = spec.e
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, e - 1, -1):
-        c = coeffs[i]
-        if not c.is_zero():
-            for j in range(e):
-                coeffs[i - e + j] = coeffs[i - e + j] - c * f[j]
-        coeffs[i] = wspec.zero()
-    out = coeffs[:e]
-    out += [wspec.zero()] * (e - len(out))
-    return out
-
-
-def dvr_arith(a: DvrElem, b: DvrElem, op: str) -> DvrElem:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def dvr_val(a: DvrElem) -> ValInfo:
-    return a.valuation()
+def teich_series(digits, base: DvrElem, n: int) -> DvrElem:
+    """sum teichmuller(a_r) * base^r mod m^n, by Horner's rule in R at
+    precision n; with base the image of the uniformizer this applies a
+    homomorphism to a digit vector."""
+    if n > base.n:
+        raise InsufficientPrecision(f"base known mod m^{base.n}, series requested mod m^{n}")
+    ctx = _context(base.ring, n)
+    d, mod = ctx.d, ctx.mod
+    acc = (0,) * ctx.size
+    for a in reversed(digits):
+        if any(acc):
+            acc = _mul(ctx, acc, base.v)
+        if any(a.coeffs):
+            _check_digit(ctx, a)
+            t = ctx.terms[0][a.coeffs]
+            acc = tuple([(c + s) % mod for c, s in zip(acc[:d], t)]) + acc[d:]
+    return DvrElem(ctx, acc)
 
 
 # ---------------------------------------------------------------------------
 # pi-adic digits
-
-
-def _divide_by_pi(coeffs, spec: DvrSpec, wspec: WittRingSpec):
-    """Divide by the uniformizer an element whose bottom coefficient is
-    divisible by p; one application of x*u = sum u_j x^(j+1) read backwards."""
-    a, w_inv = _pi_division_data(spec, wspec)  # a_0 = p*w
-    top = -(coeffs[0].divide_exact_by_p() * w_inv)
-    out = []
-    for j in range(1, spec.e):
-        out.append(coeffs[j] + top * a[j])
-    out.append(top)
-    return out
 
 
 def pi_digits(x: DvrElem, n: int | None = None):
@@ -530,17 +774,7 @@ def pi_digits(x: DvrElem, n: int | None = None):
         n = x.n
     if n > x.n:
         raise InsufficientPrecision(f"element known mod m^{x.n}, digits to {n} requested")
-    spec = x.ring
-    wspec = x.wspec
-    coeffs = list(x.coeffs)
-    digits = []
-    for r in range(n):
-        a = coeffs[0].residue()
-        digits.append(a)
-        coeffs[0] = coeffs[0] - teichmuller(a, wspec)
-        if r < n - 1:
-            coeffs = _divide_by_pi(coeffs, spec, wspec)
-    return tuple(digits)
+    return _digits(x.ctx, x.v, n)
 
 
 def from_pi_digits(digits, ring: DvrSpec, n: int | None = None) -> DvrElem:
@@ -550,23 +784,8 @@ def from_pi_digits(digits, ring: DvrSpec, n: int | None = None) -> DvrElem:
         n = len(digits)
     if len(digits) > n:
         raise ValueError("more digits than the requested precision")
-    wspec = ring.wspec(n)
-    f = ring.f_materialized(wspec)
-    e = ring.e
-    acc = [wspec.zero()] * e
-    pipow = [wspec.one()] + [wspec.zero()] * (e - 1)
-    for r, a in enumerate(digits):
-        if not a.is_zero():
-            t = teichmuller(a, wspec)
-            acc = [ai + t * pj for ai, pj in zip(acc, pipow)]
-        if r < len(digits) - 1:
-            # multiply pipow by x, reducing x^e = -(a_{e-1}x^{e-1}+...+a_0)
-            top = pipow[e - 1]
-            new = [-(top * f[0])]
-            for j in range(1, e):
-                new.append(pipow[j - 1] - top * f[j])
-            pipow = new
-    return DvrElem(ring, n, wspec, tuple(acc))
+    ctx = _context(ring, n)
+    return DvrElem(ctx, _lift(ctx, digits))
 
 
 def dvr_elem_text(x: DvrElem) -> str:
@@ -661,33 +880,54 @@ class ResidueRingSpec:
 
     def from_digits(self, digits) -> "ResidueElt":
         digits = tuple(digits)
-        assert len(digits) == self.n
+        if len(digits) != self.n:
+            raise InvalidArgument(f"expected {self.n} digits, got {len(digits)}")
         return ResidueElt(self, digits)
 
     def lift(self, x: "ResidueElt") -> DvrElem:
         return from_pi_digits(x.digits, self.ring, self.n)
 
+    # The operations lift to flat vectors of R at precision n, compute there
+    # and read the digits back once: R -> R/m^n is a ring map, and every
+    # result is exact mod p^Mc, which determines the first n digits.
+
+    @cached_property
+    def _ctx(self) -> _Context:
+        return _context(self.ring, self.n)
+
+    def _project(self, v) -> "ResidueElt":
+        return ResidueElt(self, _digits(self._ctx, v, self.n))
+
     def add(self, x: "ResidueElt", y: "ResidueElt") -> "ResidueElt":
-        return project(self.lift(x) + self.lift(y), self.n)
+        ctx = self._ctx
+        mod = ctx.mod
+        return self._project([(a + b) % mod for a, b in zip(_lift(ctx, x.digits), _lift(ctx, y.digits))])
 
     def sub(self, x: "ResidueElt", y: "ResidueElt") -> "ResidueElt":
-        return project(self.lift(x) - self.lift(y), self.n)
+        ctx = self._ctx
+        mod = ctx.mod
+        return self._project([(a - b) % mod for a, b in zip(_lift(ctx, x.digits), _lift(ctx, y.digits))])
 
     def neg(self, x: "ResidueElt") -> "ResidueElt":
-        return project(-self.lift(x), self.n)
+        mod = self._ctx.mod
+        return self._project([(-a) % mod for a in _lift(self._ctx, x.digits)])
 
     def mul(self, x: "ResidueElt", y: "ResidueElt") -> "ResidueElt":
-        return project(self.lift(x) * self.lift(y), self.n)
+        ctx = self._ctx
+        return self._project(_mul(ctx, _lift(ctx, x.digits), _lift(ctx, y.digits)))
 
     def pow(self, x: "ResidueElt", k: int) -> "ResidueElt":
-        acc = self.one()
-        base = x
+        if k < 0:
+            raise InvalidArgument("negative exponent")
+        ctx = self._ctx
+        acc, base = ctx.pi_powers[0], _lift(ctx, x.digits)
         while k:
             if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = _mul(ctx, acc, base)
             k >>= 1
-        return acc
+            if k:
+                base = _mul(ctx, base, base)
+        return self._project(acc)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,15 @@ class InsufficientPrecision(RamliftError):
     pass
 
 
+class InvalidArgument(RamliftError):
+    """An argument outside an operation's domain: a coordinate or digit vector
+    of the wrong length, a precision below 1, or a negative exponent."""
+
+
+class NotDivisible(RamliftError):
+    """Exact division by p of an element that p does not divide."""
+
+
 class PrecisionTooLow(RamliftError):
     pass
 

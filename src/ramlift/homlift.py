@@ -18,7 +18,8 @@ Teichmuller digit vectors level by level, in lexicographic order:
   F'(x) lies in m depends only on the first digit; when it does, all q
   children of a branch pass or fail together on the value F(x) already
   known, and leaves need no element at all.  This is always the case for
-  homomorphisms with e1 >= 2; otherwise every child is evaluated.
+  homomorphisms with e1 >= 2.  Otherwise F'(x) is a unit and the one digit
+  that can pass is solved for (a Hensel step), so one child is evaluated.
 
 Enumeration takes the surviving vectors at depth n2 as the betas.  Lifting
 runs the search at a certification depth t and accepts a survivor exactly
@@ -51,6 +52,7 @@ from .dvr import (
     project_between,
     residue_ring,
     ring_spec_to_json,
+    teich_series,
 )
 from .errors import (
     IncompatibleLengths,
@@ -242,33 +244,33 @@ def _digit_dfs(consts, R: DvrSpec, depth: int, n_eval: int, zero_prefix: int = 0
     at precision n_eval >= depth.
 
     A prefix of length L survives only while F(prefix) = 0 mod m^L.  For
-    L >= 2, F(x + u pi^(L-1)) = F(x) + F'(x) u pi^(L-1) mod m^L, so when
-    F'(x) lies in m (which depends on the first digit alone) the q children
-    of a branch all pass or all fail with the value F(x) already known.
-    Otherwise each child is evaluated.
+    L >= 2, write F(x) = pi^(L-1) c; then F(x + u pi^(L-1)) = pi^(L-1)
+    (c + F'(x) u) mod m^L.  Whether F'(x) lies in m depends on the first
+    digit alone.  When it does, the q children of a branch all pass or all
+    fail with the value F(x) already known.  Otherwise F'(x) is a unit and
+    only the digit -c/F'(x) mod m can pass (Hensel); that one child is
+    evaluated.
     """
     field_elems = sorted(R.k.elements(), key=lambda a: a.coeffs)
-    zero_digit = [R.k.zero()]
-    wspec = R.wspec(n_eval)
-    pi = R.uniformizer(n_eval)
-    pi_pow = R.one(n_eval)
-    shared = {}  # first digit -> F'(x) lies in m
+    zero = R.k.zero()
+    deriv = {}  # first digit -> residue of F'(x), or None when F'(x) lies in m
     branches = [((), R.zero(n_eval), None)]  # (digits, x, F(x))
     for level in range(1, depth + 1):
         leaf = level == depth
-        allowed = zero_digit if level <= zero_prefix else field_elems
+        free = level > zero_prefix
+        allowed = field_elems if free else (zero,)
         terms = {}  # digit a -> [a] pi^(level-1), built on first use
 
         def child(x, a):
             if a.is_zero():
                 return x
             if a not in terms:
-                terms[a] = R.from_witt(teichmuller(a, wspec), n_eval) * pi_pow
+                terms[a] = from_pi_digits((zero,) * (level - 1) + (a,), R, n_eval)
             return x + terms[a]
 
         nxt = []
         for digits, x, fx in branches:
-            if level >= 2 and shared[digits[0]]:
+            if level >= 2 and deriv[digits[0]] is None:
                 if fx.valuation().value.fraction < level:
                     continue
                 for a in allowed:
@@ -278,19 +280,22 @@ def _digit_dfs(consts, R: DvrSpec, depth: int, n_eval: int, zero_prefix: int = 0
                         c = child(x, a)
                         nxt.append((digits + (a,), c, _horner(consts, c, R, n_eval)))
                 continue
-            for a in allowed:
+            candidates = allowed
+            if level >= 2:  # Hensel step: c is digit L-1 of F(x)
+                a = -(pi_digits(fx, level)[level - 1] / deriv[digits[0]])
+                candidates = (a,) if free or a.is_zero() else ()
+            for a in candidates:
                 c = child(x, a)
                 fc = _horner(consts, c, R, n_eval)
                 if fc.valuation().value.fraction < level:
                     continue
                 if level == 1:
-                    dv = _horner_derivative(consts, c, R, n_eval).valuation()
-                    shared[a] = dv.value.fraction >= 1
+                    dv = _horner_derivative(consts, c, R, n_eval)
+                    deriv[a] = None if dv.valuation().value.fraction >= 1 else dv.residue()
                 nxt.append((digits + (a,), c, fc))
         branches = nxt
         if not branches:
             return []
-        pi_pow = pi_pow * pi
     return [digits for digits, _, _ in branches]
 
 
@@ -310,18 +315,9 @@ class ResidueHom:
     def apply(self, x: ResidueElt) -> ResidueElt:
         if x.rspec != self.source:
             raise NotComposable("element not in the source ring")
-        tgt = self.target
-        n2 = tgt.n
-        beta_lift = tgt.lift(self.beta)
-        wspec = tgt.ring.wspec(n2)
-        acc = tgt.ring.zero(n2)
-        power = tgt.ring.one(n2)
-        for a in x.digits:
-            b = self.psi(a)
-            if not b.is_zero():
-                acc = acc + tgt.ring.from_witt(teichmuller(b, wspec), n2) * power
-            power = power * beta_lift
-        return project(acc, n2)
+        n2 = self.target.n
+        image = teich_series([self.psi(a) for a in x.digits], self.target.lift(self.beta), n2)
+        return project(image, n2)
 
     def as_table(self, cap: int | None = None) -> dict:
         return {x: self.apply(x) for x in enumerate_elements(self.source, cap)}
@@ -409,19 +405,8 @@ class DvrHom:
     def apply(self, x: DvrElem) -> DvrElem:
         if x.ring != self.source:
             raise NotComposable("element not in the source ring")
-        e1, e2 = self.source.e, self.target.e
-        prec = min(x.n * e2 // e1, self.rho.n)
-        tgt = self.target
-        wspec = tgt.wspec(prec)
-        rho = self.rho.reduce_to(prec)
-        acc = tgt.zero(prec)
-        power = tgt.one(prec)
-        for a in pi_digits(x, x.n):
-            b = self.psi(a)
-            if not b.is_zero():
-                acc = acc + tgt.from_witt(teichmuller(b, wspec), prec) * power
-            power = power * rho
-        return acc.reduce_to(prec)
+        prec = min(x.n * self.target.e // self.source.e, self.rho.n)
+        return teich_series([self.psi(a) for a in pi_digits(x, x.n)], self.rho, prec)
 
     @property
     def t(self) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .dvr import DvrElem, DvrSpec, ValInfo, ValQ, minimal_polynomial
-from .errors import PrecisionTooLow
+from .errors import InconsistentResult, PrecisionTooLow
 from .witt import WittElem, make_witt
 
 
@@ -206,7 +206,8 @@ def different_val(R: DvrSpec) -> int:
         term = e * (va + vj) + (j - 1)
         if best is None or term < best:
             best = term
-    assert best is not None
+    if best is None:
+        raise InconsistentResult("f' has no coefficient of finite valuation")
     return best
 
 
@@ -219,7 +220,8 @@ def discriminant_val(R: DvrSpec) -> int:
     """
     s = different_val(R)
     res_val = _resultant_val(R, bound=s + 4)
-    assert res_val == s, f"resultant valuation {res_val} != different {s}"
+    if res_val != s:
+        raise InconsistentResult(f"resultant valuation {res_val} != different {s}")
     return s
 
 
@@ -243,7 +245,8 @@ def _resultant_val(R: DvrSpec, bound: int) -> int:
         rows.append(row)
     det = _det(rows, wspec)
     v = det.p_val()
-    assert v < bound, "resultant vanished to working precision"
+    if v >= bound:
+        raise InconsistentResult("resultant vanished to working precision")
     return v
 
 

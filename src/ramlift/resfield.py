@@ -11,7 +11,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CharMismatch, DivisionByZero, FieldMismatch, NotPrime, Reducible
+from .errors import (
+    CharMismatch,
+    DivisionByZero,
+    FieldMismatch,
+    InconsistentResult,
+    InvalidArgument,
+    NotPrime,
+    Reducible,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -136,7 +144,7 @@ def make_field(p: int, d: int, poly=None) -> FieldSpec:
         cand = list(tail) + [1]
         if _is_irreducible(cand, p):
             return FieldSpec(p, d, tuple(cand))
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InconsistentResult("no irreducible polynomial found")  # unreachable
 
 
 class FqElem:
@@ -146,7 +154,8 @@ class FqElem:
 
     def __init__(self, field: FieldSpec, coeffs):
         coeffs = tuple(c % field.p for c in coeffs)
-        assert len(coeffs) == field.d
+        if len(coeffs) != field.d:
+            raise InvalidArgument(f"expected {field.d} coordinates, got {len(coeffs)}")
         self.field = field
         self.coeffs = coeffs
 
@@ -259,12 +268,16 @@ class FieldEmbedding:
     image_of_generator: FqElem
 
     def __call__(self, a: FqElem) -> FqElem:
-        if a.field != self.source:
+        if a.field is not self.source and a.field != self.source:
             raise FieldMismatch("element not in the source field")
-        acc = self.target.zero()
-        for c in reversed(a.coeffs):
-            acc = acc * self.image_of_generator + self.target.from_int(c)
-        return acc
+        images = self.__dict__.setdefault("_images", {})  # coordinates -> image
+        b = images.get(a.coeffs)
+        if b is None:
+            b = self.target.zero()
+            for c in reversed(a.coeffs):
+                b = b * self.image_of_generator + self.target.from_int(c)
+            images[a.coeffs] = b
+        return b
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.image_of_generator == self.source.generator()
@@ -281,7 +294,7 @@ class FieldEmbedding:
         for cand in embeddings(self.target, self.source):
             if cand.compose(self).is_identity():
                 return cand
-        raise AssertionError("bijective embedding without inverse")  # unreachable
+        raise InconsistentResult("bijective embedding without inverse")  # unreachable
 
 
 def identity_embedding(k: FieldSpec) -> FieldEmbedding:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotAUnit, RingMismatch
+from .errors import InconsistentResult, InvalidArgument, NotAUnit, NotDivisible, RingMismatch
 from .resfield import FieldSpec, FieldEmbedding, FqElem
 
 
@@ -82,7 +82,8 @@ class WittElem:
 
     def __init__(self, ring: WittRingSpec, coeffs):
         coeffs = tuple(c % ring.modulus for c in coeffs)
-        assert len(coeffs) == ring.d
+        if len(coeffs) != ring.d:
+            raise InvalidArgument(f"expected {ring.d} coordinates, got {len(coeffs)}")
         self.ring = ring
         self.coeffs = coeffs
 
@@ -127,7 +128,8 @@ class WittElem:
         return WittElem(self.ring, _reduce_poly(prod, self.ring.lifted_poly, self.ring.modulus))
 
     def __pow__(self, n: int):
-        assert n >= 0
+        if n < 0:
+            raise InvalidArgument("negative exponent")
         result = self.ring.one()
         base = self
         while n:
@@ -165,7 +167,8 @@ class WittElem:
         is an arbitrary representative choice.
         """
         p = self.ring.p
-        assert all(c % p == 0 for c in self.coeffs)
+        if any(c % p for c in self.coeffs):
+            raise NotDivisible("element is not divisible by p")
         return WittElem(self.ring, tuple(c // p for c in self.coeffs))
 
 
@@ -213,7 +216,7 @@ def teichmuller(a: FqElem, ring: WittRingSpec) -> WittElem:
         if nxt == x:
             return x
         x = nxt
-    raise AssertionError("Teichmuller iteration failed to stabilize")
+    raise InconsistentResult("Teichmuller iteration failed to stabilize")
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,14 @@ expressions and checks both ring axioms pointwise on all element pairs.
 The scan oracle keeps the (psi, beta) parameterization but none of the
 search: it tests every beta in the target ring with the validator of
 ``residue_hom``.
+
+The flat-ring oracle redoes the arithmetic of R/p^M, that is
+(Z/p^M)[y,x]/(g(y), f(x,y)), with sympy polynomial remainders.
 """
 
 import itertools
+
+import sympy
 
 from ramlift.dvr import ResidueRingSpec, enumerate_elements, residue_ring
 from ramlift.homlift import (
@@ -43,6 +48,39 @@ def scan_truncated_roots(F, R, depth: int):
         for x in enumerate_elements(rn)
         if not _horner(consts, rn.lift(x), R, depth).valuation().exact
     ]
+
+
+_X, _Y = sympy.symbols("x y")
+
+
+def flat_ring_op(spec, M: int, op: str, a, b):
+    """a op b (op in "add", "sub", "mul") for flat vectors a, b: the e*d
+    coordinates of elements of (Z/p^M)[y,x]/(g(y), f(x,y)), coordinate i of
+    the x^j coefficient at index j*d + i.
+
+    f must have integer-coordinate coefficients.  With lex order x > y the
+    leading terms x^e of f and y^d of g are coprime, so {f, g} is a Groebner
+    basis and the remainder is the unique normal form."""
+    e, d, mod = spec.e, spec.d, spec.p ** M
+
+    def poly(v):
+        return sum(c * _X ** (idx // d) * _Y ** (idx % d) for idx, c in enumerate(v))
+
+    g = sum(c * _Y ** i for i, c in enumerate(spec.k.defining_poly))
+    f = _X ** e
+    for j, coeff in enumerate(spec.coeffs):
+        if coeff.kind != "int":
+            raise ValueError("the oracle takes integer-coordinate coefficients only")
+        f += _X ** j * sum(c * _Y ** i for i, c in enumerate(coeff.payload))
+    expr = {"add": poly(a) + poly(b), "sub": poly(a) - poly(b), "mul": poly(a) * poly(b)}[op]
+    _, rem = sympy.reduced(sympy.expand(expr), [f, g], _X, _Y, order="lex")
+    out = [0] * (e * d)
+    for (j, i), c in sympy.Poly(rem, _X, _Y).as_dict().items():
+        c = sympy.Rational(c)
+        if c.q != 1 or j >= e or i >= d:
+            raise ValueError("remainder is not a normal form over Z")
+        out[j * d + i] = int(c.p) % mod
+    return tuple(out)
 
 
 def _tables(rn: ResidueRingSpec):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import exhaustive_homs_as_tables, hom_as_table, scan_homs, scan_truncated_roots
+from ramlift import homlift
 from ramlift.dvr import (
     ValQ,
     enumerate_elements,
@@ -137,8 +138,8 @@ def test_enumerate_homs_matches_scan(src, tgt):
 )
 def test_root_search_matches_scan(F, answer):
     # the derivative of x^2 + 1 and x^2 - 1 at their would-be roots is a
-    # unit, so every child is tested; for x^2 - 3 it lies in m and children
-    # share their parent's value
+    # unit, so each branch tests its one Hensel child; for x^2 - 3 it lies in
+    # m and children share their parent's value
     assert has_root(Z3_SQRT3, F).kind == answer
     providers = _normalize_poly(F, F3)
     for depth in (1, 2, 4):
@@ -146,6 +147,25 @@ def test_root_search_matches_scan(F, answer):
         for n_eval in (depth, depth + 3):
             consts = _materialize_poly(providers, Z3_SQRT3, n_eval)
             assert _digit_dfs(consts, Z3_SQRT3, depth, n_eval) == expected
+
+
+def test_unit_derivative_branches_evaluate_one_child(monkeypatch):
+    # W(F5)/p^4 with f = x - 5: F' = 1 is a unit, so below level 1 each
+    # branch evaluates only the digit solved for by the Hensel step
+    R = make_dvr(make_field(5, 1), [-5, 1])
+    rn = residue_ring(R, 4)
+    expected = scan_homs(rn, rn)
+    calls = []
+    horner = homlift._horner
+
+    def counted(*args):
+        calls.append(args)
+        return horner(*args)
+
+    monkeypatch.setattr(homlift, "_horner", counted)
+    homs = enumerate_homs(rn, rn)
+    assert homs == expected and len(homs) == 1
+    assert len(calls) <= R.q + (rn.n - 1)
 
 
 def test_enumerate_homs_too_large():
