@@ -69,7 +69,6 @@ from .homlift import (
     lift_hom,
     project_hom,
     compose_homs,
-    apply_hom,
     has_root,
     dvr_isos,
 )

@@ -494,6 +494,29 @@ def _times_x(ctx: _Context, u) -> tuple:
     return tuple(out)
 
 
+def _add(ctx: _Context, a, b) -> tuple:
+    """Sum of two flat vectors, reduced modulo p^Mc of ctx."""
+    mod = ctx.mod
+    return tuple([(x + y) % mod for x, y in zip(a, b)])
+
+
+def _raw_val(ctx: _Context, v, cap: int):
+    """(min(nu(v), cap), nu(v) < cap): the m-adic valuation in nu-units of a
+    flat vector of ctx, read only as far as cap <= n; exact means below cap."""
+    p, d, e = ctx.p, ctx.d, ctx.e
+    best = cap
+    for j in range(min(e, best)):  # the x^j term has valuation >= j
+        for c in v[j * d:(j + 1) * d]:
+            if c:  # c lies in (0, p^Mc), so its p-adic valuation is below Mc
+                k = 0  # stop dividing once e*k + j could not lower best
+                while c % p == 0 and e * (k + 1) + j < best:
+                    c //= p
+                    k += 1
+                if c % p and e * k + j < best:
+                    best = e * k + j
+    return best, best < cap
+
+
 def _mul(ctx: _Context, a, b) -> tuple:
     """Product of two flat vectors, reduced modulo (g, f, p^Mc) of ctx."""
     e, d = ctx.e, ctx.d
@@ -623,9 +646,10 @@ class DvrElem:
 
     v is the flat vector of e*d integers mod p^Mc (Mc = ceil(n/e) + guard):
     the coefficient of x^j over W(k)/p^Mc sits at v[j*d:(j+1)*d].  ctx is
-    the shared context of (ring, n) that holds the modulus and f."""
+    the shared context of (ring, n) that holds the modulus and f.  Elements
+    never change, so the valuation is read once, on first use."""
 
-    __slots__ = ("ring", "n", "ctx", "v")
+    __slots__ = ("ring", "n", "ctx", "v", "_val")
 
     def __init__(self, ctx: _Context, v: tuple):
         if len(v) != ctx.size:
@@ -634,6 +658,7 @@ class DvrElem:
         self.n = ctx.n
         self.ctx = ctx
         self.v = v
+        self._val = None
 
     @property
     def wspec(self) -> WittRingSpec:
@@ -663,24 +688,9 @@ class DvrElem:
 
     def _val_units(self):
         """(value, exact): m-adic valuation in nu-units, exact below n."""
-        ctx = self.ctx
-        p, d, e, M = ctx.p, ctx.d, ctx.e, ctx.M
-        best = self.n
-        for j in range(min(e, best)):  # the x^j term has valuation >= j
-            v = M  # p-adic valuation of the coefficient, capped at M
-            for c in self.v[j * d:(j + 1) * d]:
-                if c:
-                    k = 0
-                    while c % p == 0:
-                        c //= p
-                        k += 1
-                    if k < v:
-                        v = k
-            if v < M and e * v + j < best:
-                best = e * v + j
-        if best < self.n:
-            return best, True
-        return self.n, False
+        if self._val is None:
+            self._val = _raw_val(self.ctx, self.v, self.n)
+        return self._val
 
     def valuation(self) -> ValInfo:
         v, exact = self._val_units()
@@ -692,8 +702,7 @@ class DvrElem:
     def __add__(self, other):
         self._check(other)
         ctx = self._low(other)
-        mod = ctx.mod
-        return DvrElem(ctx, tuple([(x + y) % mod for x, y in zip(self.v, other.v)]))
+        return DvrElem(ctx, _add(ctx, self.v, other.v))
 
     def __sub__(self, other):
         self._check(other)
@@ -900,8 +909,7 @@ class ResidueRingSpec:
 
     def add(self, x: "ResidueElt", y: "ResidueElt") -> "ResidueElt":
         ctx = self._ctx
-        mod = ctx.mod
-        return self._project([(a + b) % mod for a, b in zip(_lift(ctx, x.digits), _lift(ctx, y.digits))])
+        return self._project(_add(ctx, _lift(ctx, x.digits), _lift(ctx, y.digits)))
 
     def sub(self, x: "ResidueElt", y: "ResidueElt") -> "ResidueElt":
         ctx = self._ctx

@@ -43,7 +43,8 @@ class InsufficientPrecision(RamliftError):
 
 class InvalidArgument(RamliftError):
     """An argument outside an operation's domain: a coordinate or digit vector
-    of the wrong length, a precision below 1, or a negative exponent."""
+    of the wrong length, a precision below 1, a negative exponent, or a
+    number too large for the exact primality test."""
 
 
 class NotDivisible(RamliftError):

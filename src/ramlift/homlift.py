@@ -26,6 +26,14 @@ runs the search at a certification depth t and accepts a survivor exactly
 when nu(F(x)) >= t + nu(F'(x)) with t > nu(F'(x)), which pins a unique root
 agreeing with the branch to depth t.  The unique accepted root within
 Krasner distance of beta is the lift.
+
+All polynomial evaluation (search nodes, certification, beta admissibility)
+runs on the flat vectors of one dvr context: F and the coefficients j*a_j of
+F' are materialized once per precision, _horner evaluates either, and
+_raw_val reads the valuations.  No DvrElem is built per node.  Each Horner
+result ends at the working precision because its last step adds a
+coefficient known to that precision, so the readouts equal those of DvrElem
+arithmetic.
 """
 
 from __future__ import annotations
@@ -34,8 +42,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dvr import (
+    _add,
+    _Context,
+    _context,
+    _digits,
+    _lift,
+    _mul,
+    _raw_val,
     DvrElem,
     DvrSpec,
     ExactWittCoeff,
@@ -67,7 +83,7 @@ from .errors import (
     TooLarge,
 )
 from .ramification import different_val, krasner_bound, lift_precision_bound, nu_of_e
-from .resfield import FieldEmbedding, embeddings
+from .resfield import FieldEmbedding, FqElem, embeddings
 from .witt import make_witt, teich_digits, teichmuller
 
 ESCALATION_CAP = 64  # hard cap on working precision, in nu-units
@@ -127,25 +143,39 @@ def _normalize_poly(F, k):
     return out
 
 
-def _materialize_poly(providers, R: DvrSpec, n: int):
-    wspec = R.wspec(n)
-    consts = [R.from_witt(c.materialize(wspec), n) for c in providers]
-    return consts
+class _Poly(NamedTuple):
+    """A monic F = x^deg + a_{deg-1} x^(deg-1) + ... + a_0 materialized as
+    flat vectors of one context: f lists a_0, ..., a_{deg-1}, and df the
+    coefficients 1*a_1, ..., (deg-1)*a_{deg-1} of F' below its lead deg."""
+
+    ctx: _Context
+    f: tuple
+    df: tuple
+
+    def value(self, x) -> tuple:
+        return _horner(self.ctx, self.f, x)
+
+    def deriv(self, x) -> tuple:
+        return _horner(self.ctx, self.df, x, len(self.f))
 
 
-def _horner(consts, x: DvrElem, R: DvrSpec, n: int):
-    """Evaluate the monic polynomial with constant terms consts at x."""
-    acc = R.one(n)
-    for c in reversed(consts):
-        acc = acc * x + c
-    return acc
+def _materialize_poly(providers, R: DvrSpec, n: int) -> _Poly:
+    ctx = _context(R, n)
+    f = tuple(R.from_witt(c.materialize(ctx.wspec), n).v for c in providers)
+    mod = ctx.mod
+    df = tuple(tuple([j * c % mod for c in f[j]]) for j in range(1, len(f)))
+    return _Poly(ctx, f, df)
 
 
-def _horner_derivative(consts, x: DvrElem, R: DvrSpec, n: int):
-    deg = len(consts)
-    acc = R.from_int(deg, n)
-    for j in range(deg - 1, 0, -1):
-        acc = acc * x + R.from_int(j, n) * consts[j]
+def _horner(ctx, coeffs, x, lead: int = 1) -> tuple:
+    """lead*x^m + coeffs[m-1]*x^(m-1) + ... + coeffs[0] at x, m = len(coeffs),
+    by Horner's rule on flat vectors of ctx."""
+    if not coeffs:
+        return (lead % ctx.mod,) + (0,) * (ctx.size - 1)
+    acc = x if lead == 1 else tuple([lead * c for c in x])
+    acc = _add(ctx, acc, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = _add(ctx, _mul(ctx, acc, x), c)
     return acc
 
 
@@ -215,19 +245,19 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
 
 def _root_dfs(providers, R: DvrSpec, t: int, margin: int):
     n_eval = t + margin
-    consts = _materialize_poly(providers, R, n_eval)
+    poly = _materialize_poly(providers, R, n_eval)
+    ctx = poly.ctx
     roots = []
-    for digits in _digit_dfs(consts, R, t, n_eval):
-        x = from_pi_digits(digits, R, n_eval)
-        dv = _horner_derivative(consts, x, R, n_eval).valuation()
-        if not dv.exact:
+    for digits in _digit_dfs(poly, t):
+        x = _lift(ctx, digits)
+        delta, exact = _raw_val(ctx, poly.deriv(x), n_eval)
+        if not exact:
             raise _NeedMargin
-        delta = int(dv.value.fraction)
-        fv = _horner(consts, x, R, n_eval).valuation()
         threshold = t + delta
-        if fv.exact and int(fv.value.fraction) < threshold:
-            continue  # no root agrees with this branch to depth t
-        if not fv.exact and fv.value < ValQ(threshold):
+        fv, exact = _raw_val(ctx, poly.value(x), n_eval)
+        if fv < threshold:
+            if exact:
+                continue  # no root agrees with this branch to depth t
             raise _NeedMargin  # readout capped below the acceptance line
         if t <= delta:
             raise PrecisionTooLow(
@@ -237,11 +267,11 @@ def _root_dfs(providers, R: DvrSpec, t: int, margin: int):
     return roots
 
 
-def _digit_dfs(consts, R: DvrSpec, depth: int, n_eval: int, zero_prefix: int = 0):
+def _digit_dfs(poly: _Poly, depth: int, zero_prefix: int = 0):
     """Digit vectors (a_0, ..., a_{depth-1}) in lexicographic order whose
     Teichmuller sum x satisfies F(x) = 0 mod m^depth and whose first
-    zero_prefix digits vanish; F is monic with constant terms consts, held
-    at precision n_eval >= depth.
+    zero_prefix digits vanish; F is the monic poly, materialized at a
+    precision n_eval >= depth.
 
     A prefix of length L survives only while F(prefix) = 0 mod m^L.  For
     L >= 2, write F(x) = pi^(L-1) c; then F(x + u pi^(L-1)) = pi^(L-1)
@@ -249,49 +279,54 @@ def _digit_dfs(consts, R: DvrSpec, depth: int, n_eval: int, zero_prefix: int = 0
     digit alone.  When it does, the q children of a branch all pass or all
     fail with the value F(x) already known.  Otherwise F'(x) is a unit and
     only the digit -c/F'(x) mod m can pass (Hensel); that one child is
-    evaluated.
+    evaluated.  Nodes are flat vectors; a child adds the table vector
+    teichmuller(a) pi^(L-1) to its parent.
     """
-    field_elems = sorted(R.k.elements(), key=lambda a: a.coeffs)
-    zero = R.k.zero()
-    deriv = {}  # first digit -> residue of F'(x), or None when F'(x) lies in m
-    branches = [((), R.zero(n_eval), None)]  # (digits, x, F(x))
+    ctx = poly.ctx
+    k = ctx.ring.k
+    cap = enumeration_cap()
+    if k.q > cap:
+        raise TooLarge(f"{k.q} digits per level exceed the enumeration cap {cap}")
+    field_elems = sorted(k.elements(), key=lambda a: a.coeffs)
+    zero = k.zero()
+    # first digit's coordinates -> -1/(residue of F'(x)), or None when F'(x)
+    # lies in m
+    neg_deriv_inv = {}
+    branches = [((), (0,) * ctx.size, None)]  # (digits, x, F(x))
     for level in range(1, depth + 1):
         leaf = level == depth
         free = level > zero_prefix
         allowed = field_elems if free else (zero,)
-        terms = {}  # digit a -> [a] pi^(level-1), built on first use
+        terms = ctx.terms[level - 1]
 
         def child(x, a):
-            if a.is_zero():
-                return x
-            if a not in terms:
-                terms[a] = from_pi_digits((zero,) * (level - 1) + (a,), R, n_eval)
-            return x + terms[a]
+            return _add(ctx, x, terms[a.coeffs]) if any(a.coeffs) else x
 
         nxt = []
         for digits, x, fx in branches:
-            if level >= 2 and deriv[digits[0]] is None:
-                if fx.valuation().value.fraction < level:
+            if level >= 2 and neg_deriv_inv[digits[0].coeffs] is None:
+                if _raw_val(ctx, fx, level)[1]:
                     continue
                 for a in allowed:
                     if leaf:
                         nxt.append((digits + (a,), None, None))
                     else:
                         c = child(x, a)
-                        nxt.append((digits + (a,), c, _horner(consts, c, R, n_eval)))
+                        nxt.append((digits + (a,), c, poly.value(c)))
                 continue
             candidates = allowed
             if level >= 2:  # Hensel step: c is digit L-1 of F(x)
-                a = -(pi_digits(fx, level)[level - 1] / deriv[digits[0]])
+                a = _digits(ctx, fx, level)[level - 1] * neg_deriv_inv[digits[0].coeffs]
                 candidates = (a,) if free or a.is_zero() else ()
             for a in candidates:
                 c = child(x, a)
-                fc = _horner(consts, c, R, n_eval)
-                if fc.valuation().value.fraction < level:
+                fc = poly.value(c)
+                if _raw_val(ctx, fc, level)[1]:
                     continue
                 if level == 1:
-                    dv = _horner_derivative(consts, c, R, n_eval)
-                    deriv[a] = None if dv.valuation().value.fraction >= 1 else dv.residue()
+                    dv = poly.deriv(c)
+                    unit = _raw_val(ctx, dv, 1)[1]
+                    neg_deriv_inv[a.coeffs] = -(FqElem(k, dv[:ctx.d]).inverse()) if unit else None
                 nxt.append((digits + (a,), c, fc))
         branches = nxt
         if not branches:
@@ -357,9 +392,9 @@ def _beta_admissible(source, target, psi, beta) -> bool:
     if beta.val_units() * n1 < n2:
         return False  # beta^n1 must vanish mod m2^n2
     providers = [MappedCoeff(c, psi) for c in source.ring.coeffs]
-    consts = _materialize_poly(providers, target.ring, n2)
-    value = _horner(consts, target.lift(beta), target.ring, n2)
-    return not value.valuation().exact  # f1^psi(beta) = 0 mod m2^n2
+    poly = _materialize_poly(providers, target.ring, n2)
+    value = poly.value(_lift(poly.ctx, beta.digits))
+    return not _raw_val(poly.ctx, value, n2)[1]  # f1^psi(beta) = 0 mod m2^n2
 
 
 def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec, cap: int | None = None):
@@ -374,8 +409,8 @@ def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec, cap: int | None =
     out = []
     for psi in embeddings(src.ring.k, tgt.ring.k):
         providers = [MappedCoeff(c, psi) for c in src.ring.coeffs]
-        consts = _materialize_poly(providers, tgt.ring, tgt.n)
-        for digits in _digit_dfs(consts, tgt.ring, tgt.n, tgt.n, zero_prefix):
+        poly = _materialize_poly(providers, tgt.ring, tgt.n)
+        for digits in _digit_dfs(poly, tgt.n, zero_prefix):
             out.append(ResidueHom(src, tgt, psi, ResidueElt(tgt, digits)))
     return out
 
@@ -544,29 +579,21 @@ def _certify_at(providers, R: DvrSpec, approx: DvrElem) -> CertifiedRoot:
     digits = pi_digits(approx, t)
     while True:
         n_eval = t + margin
-        consts = _materialize_poly(providers, R, n_eval)
-        x = from_pi_digits(digits, R, n_eval)
-        dv = _horner_derivative(consts, x, R, n_eval).valuation()
-        if dv.exact:
-            delta = int(dv.value.fraction)
-            fv = _horner(consts, x, R, n_eval).valuation()
-            if fv.value >= ValQ(t + delta):  # exact or lower bound, both conclusive
+        poly = _materialize_poly(providers, R, n_eval)
+        ctx = poly.ctx
+        x = _lift(ctx, digits)
+        delta, exact = _raw_val(ctx, poly.deriv(x), n_eval)
+        if exact:
+            fv, exact = _raw_val(ctx, poly.value(x), n_eval)
+            if fv >= t + delta:  # exact or lower bound, both conclusive
                 if t <= delta:
                     raise PrecisionTooLow("composition too shallow to certify")
                 return CertifiedRoot(from_pi_digits(digits, R, t), t, delta)
-            if fv.exact:
+            if exact:
                 raise InconsistentResult("composed image is not a root to its depth")
         margin *= 2
         if margin > 4 * ESCALATION_CAP:
             raise PrecisionTooLow("cannot certify the composed homomorphism")
-
-
-def apply_hom(h, x):
-    if isinstance(h, ResidueHom):
-        return h.apply(x)
-    if isinstance(h, DvrHom):
-        return h.apply(x)
-    raise ValueError(f"not a homomorphism: {h!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Exact arithmetic in finite fields F_{p^d}.
 
 Fields are described by a monic irreducible defining polynomial over F_p and
-elements by their coordinate vectors in the power basis.  Everything here is
-brute force on purpose: the degrees in play stay small (d <= 6), and explicit
-enumeration keeps embeddings and roots fully deterministic.
+elements by their coordinate vectors in the power basis.  Embeddings and
+roots are found by brute force on purpose: the fields in play stay small, and
+explicit enumeration keeps them fully deterministic.  Building a field never
+enumerates it: primality (deterministic Miller-Rabin) and irreducibility
+(Rabin's test) cost a few modular powers, so a huge p is accepted.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     CharMismatch,
@@ -22,16 +25,37 @@ from .errors import (
 )
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, 2015); above it primality is not decided.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin, for n < 3.3e24."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise InvalidArgument(
+            f"cannot decide whether {n} is prime: only p < {_MR_LIMIT} are supported"
+        )
+    s, m = 0, n - 1
+    while m % 2 == 0:
+        m //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, m, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -68,18 +92,52 @@ def _poly_divmod_p(num, den, p):
     return quot, _poly_trim(num)
 
 
+def _poly_powmod_p(base, k, mod, p):
+    """base^k mod (mod, p) by square-and-multiply."""
+    result, base = [1], _poly_divmod_p(base, mod, p)[1]
+    while k:
+        if k & 1:
+            result = _poly_divmod_p(_poly_mulmod_p(result, base, p), mod, p)[1]
+        base = _poly_divmod_p(_poly_mulmod_p(base, base, p), mod, p)[1]
+        k >>= 1
+    return result
+
+
+def _poly_gcd_is_one(a, b, p):
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_divmod_p(a, b, p)[1]
+    return len(a) == 1
+
+
 def _is_irreducible(poly, p):
-    """Trial division by every monic polynomial of degree <= deg/2."""
+    """Rabin's test: the monic poly of degree d is irreducible over F_p iff
+    x^(p^d) = x mod poly and gcd(x^(p^(d/r)) - x, poly) = 1 for every prime
+    r dividing d."""
     d = len(poly) - 1
     if d < 1:
         return False
-    for deg in range(1, d // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            div = list(tail) + [1]
-            _, rem = _poly_divmod_p(poly, div, p)
-            if not rem:
-                return False
-    return True
+
+    def x_frob_minus_x(i):  # x^(p^i) - x mod poly
+        h = _poly_powmod_p([0, 1], p ** i, poly, p) + [0, 0]
+        h[1] = (h[1] - 1) % p
+        return _poly_divmod_p(h, poly, p)[1]
+
+    if x_frob_minus_x(d):
+        return False
+    primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
+    return all(_poly_gcd_is_one(x_frob_minus_x(d // r), poly, p) for r in primes)
+
+
+def _monic_tails(p, d, first=0):
+    """Coefficient tuples (c_0, ..., c_{d-1}) with c_0 >= first, in
+    lexicographic order, generated lazily (range(p) is never materialized)."""
+    if d == 0:
+        yield ()
+        return
+    for c in range(first, p):
+        for rest in _monic_tails(p, d - 1):
+            yield (c,) + rest
 
 
 @dataclass(frozen=True)
@@ -140,7 +198,10 @@ def make_field(p: int, d: int, poly=None) -> FieldSpec:
         if not _is_irreducible(poly, p):
             raise Reducible(f"polynomial {poly} factors over F_{p}")
         return FieldSpec(p, d, tuple(poly))
-    for tail in itertools.product(range(p), repeat=d):
+    if d == 1:
+        return FieldSpec(p, 1, (0, 1))
+    # for d >= 2 a zero constant term makes x a factor
+    for tail in _monic_tails(p, d, first=1):
         cand = list(tail) + [1]
         if _is_irreducible(cand, p):
             return FieldSpec(p, d, tuple(cand))
@@ -308,6 +369,11 @@ def embeddings(k1: FieldSpec, k2: FieldSpec) -> list:
     """
     if k1.p != k2.p:
         raise CharMismatch(f"characteristics differ: {k1.p} vs {k2.p}")
+    return list(_embeddings(k1, k2))
+
+
+@lru_cache(maxsize=256)
+def _embeddings(k1: FieldSpec, k2: FieldSpec) -> tuple:
     roots = [x for x in k2.elements() if eval_poly(k1.defining_poly, x).is_zero()]
     roots.sort(key=lambda r: r.coeffs)
-    return [FieldEmbedding(k1, k2, r) for r in roots]
+    return tuple(FieldEmbedding(k1, k2, r) for r in roots)

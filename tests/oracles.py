@@ -16,11 +16,10 @@ import itertools
 
 import sympy
 
-from ramlift.dvr import ResidueRingSpec, enumerate_elements, residue_ring
+from ramlift.dvr import DvrElem, ResidueRingSpec, enumerate_elements, residue_ring
 from ramlift.homlift import (
     ResidueHom,
     _beta_admissible,
-    _horner,
     _materialize_poly,
     _normalize_poly,
 )
@@ -42,11 +41,11 @@ def scan_truncated_roots(F, R, depth: int):
     """Digit vectors of length depth whose Teichmuller sum is a root of the
     monic F mod m^depth, by testing all q^depth of them."""
     rn = residue_ring(R, depth)
-    consts = _materialize_poly(_normalize_poly(F, R.k), R, depth)
+    poly = _materialize_poly(_normalize_poly(F, R.k), R, depth)
     return [
         x.digits
         for x in enumerate_elements(rn)
-        if not _horner(consts, rn.lift(x), R, depth).valuation().exact
+        if not DvrElem(poly.ctx, poly.value(rn.lift(x).v)).valuation().exact
     ]
 
 

@@ -229,3 +229,56 @@ def test_homs_bad_enum_cap_exit_2(capsys, monkeypatch):
     rc, _, err = run(capsys, "homs", S3, S3, "2", "2")
     _one_line_exit_2(rc, err)
     assert "RAMLIFT_ENUM_CAP" in err
+
+
+def _run_limited(*argv):
+    """The CLI in a child process limited to 512 MiB of address space and a
+    60 s timeout, so a crash or a hang fails the test and nothing else."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import ramlift
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(ramlift.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ramlift", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit,
+    )
+
+
+P_HUGE = 1000000007  # a ten-digit prime
+S_HUGE = '{"p":%d,"eisenstein":[-%d,0,1]}' % (P_HUGE, P_HUGE)
+
+
+def test_ring_huge_prime_summarizes():
+    proc = _run_limited("ring", S_HUGE)
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["q"] == P_HUGE and obj["residue"] == {"d": 1, "poly": [0, 1]}
+
+
+def test_ring_huge_prime_extension_summarizes():
+    spec = '{"p":%d,"residue":{"d":2},"eisenstein":[[-%d,0],[0,0],1]}' % (P_HUGE, P_HUGE)
+    proc = _run_limited("ring", spec)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["q"] == P_HUGE ** 2
+
+
+def test_ring_prime_beyond_exact_test_exit_2():
+    p = 10 ** 30 + 57  # prime, above the deterministic Miller-Rabin range
+    proc = _run_limited("ring", '{"p":%d,"eisenstein":[-%d,0,1]}' % (p, p))
+    _one_line_exit_2(proc.returncode, proc.stderr)
+    assert "prime" in proc.stderr
+
+
+def test_hasroot_huge_prime_exit_3():
+    proc = _run_limited("hasroot", S_HUGE, "x^2-2")
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1 and "TooLarge" in proc.stderr

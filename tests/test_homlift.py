@@ -5,6 +5,7 @@ import pytest
 from oracles import exhaustive_homs_as_tables, hom_as_table, scan_homs, scan_truncated_roots
 from ramlift import homlift
 from ramlift.dvr import (
+    DvrElem,
     ValQ,
     enumerate_elements,
     from_pi_digits,
@@ -15,6 +16,7 @@ from ramlift.dvr import (
 )
 from ramlift.errors import (
     IncompatibleLengths,
+    InconsistentResult,
     NotComposable,
     PreconditionBound,
     TooLarge,
@@ -145,8 +147,8 @@ def test_root_search_matches_scan(F, answer):
     for depth in (1, 2, 4):
         expected = scan_truncated_roots(F, Z3_SQRT3, depth)
         for n_eval in (depth, depth + 3):
-            consts = _materialize_poly(providers, Z3_SQRT3, n_eval)
-            assert _digit_dfs(consts, Z3_SQRT3, depth, n_eval) == expected
+            poly = _materialize_poly(providers, Z3_SQRT3, n_eval)
+            assert _digit_dfs(poly, depth) == expected
 
 
 def test_unit_derivative_branches_evaluate_one_child(monkeypatch):
@@ -158,14 +160,57 @@ def test_unit_derivative_branches_evaluate_one_child(monkeypatch):
     calls = []
     horner = homlift._horner
 
-    def counted(*args):
-        calls.append(args)
-        return horner(*args)
+    def counted(ctx, coeffs, x, lead=1):
+        calls.append(len(coeffs))
+        return horner(ctx, coeffs, x, lead)
 
     monkeypatch.setattr(homlift, "_horner", counted)
     homs = enumerate_homs(rn, rn)
     assert homs == expected and len(homs) == 1
-    assert len(calls) <= R.q + (rn.n - 1)
+    # F = x + a_0 has one coefficient below its lead, F' = 1 none: F is
+    # evaluated once per level (the zero prefix fixes level 1 to the digit
+    # 0), F' once, at the first digit
+    assert calls.count(1) == rn.n
+    assert calls.count(0) == 1
+    assert len(calls) == rn.n + 1
+
+
+def test_horner_matches_element_arithmetic():
+    # F(x) and F'(x) on flat vectors against the same sums in DvrElem
+    # arithmetic, vector for vector; every coefficient of F is nonzero so
+    # each j*a_j of F' matters
+    rng = random.Random(11)
+    F4 = make_field(2, 2)
+    rings = [Z3_SQRT3, Z3_FLAT, Z2_SQRT2, make_dvr(F3, [-3, 0, 0, 1]),
+             make_dvr(F2, [-2, 0, 0, 0, 1]), make_dvr(F9, [[-3, 0], [0, 0], 1]),
+             make_dvr(F4, [[2, 0], [0, 0], [2, 2], 1])]
+    for R in rings:
+        for deg in (1, 2, 3, 4):
+            for n in (1, 3, 7):
+                coeffs = [[rng.randrange(1, 50) for _ in range(R.d)] for _ in range(deg)]
+                poly = _materialize_poly(_normalize_poly(coeffs + [1], R.k), R, n)
+                a = [DvrElem(poly.ctx, v) for v in poly.f]
+                for _ in range(3):
+                    x = from_pi_digits([rng.choice(list(R.k.elements())) for _ in range(n)], R, n)
+                    value, deriv = x ** deg, R.from_int(deg, n) * x ** (deg - 1)
+                    for j in range(deg):
+                        value = value + a[j] * x ** j
+                        if j:
+                            deriv = deriv + R.from_int(j, n) * a[j] * x ** (j - 1)
+                    assert poly.value(x.v) == value.reduce_to(n).v
+                    assert poly.deriv(x.v) == deriv.reduce_to(n).v
+
+
+def test_certify_at_rejects_an_approximation_one_digit_short():
+    # x = pi + pi^3 has F(x) = 2 pi^4 + pi^6 for F = x^2 - 3 and nu(F'(x)) =
+    # 1, so it agrees with the root pi to depth 3 only: certification at
+    # depth 4 needs nu(F(x)) >= 5 and must fail
+    providers = _normalize_poly([-3, 0, 1], F3)
+    pi = Z3_SQRT3.uniformizer(4)
+    with pytest.raises(InconsistentResult):
+        homlift._certify_at(providers, Z3_SQRT3, pi + pi ** 3)
+    cert = homlift._certify_at(providers, Z3_SQRT3, pi)
+    assert (cert.t, cert.deriv_val) == (4, 1) and pi_digits(cert.elem) == pi_digits(pi)
 
 
 def test_enumerate_homs_too_large():

@@ -46,6 +46,53 @@ def test_default_poly_irreducible_and_lex_smallest():
     assert k5.defining_poly == (1, 1, 1)
 
 
+def test_irreducibility_matches_sympy():
+    import sympy
+
+    from ramlift.resfield import _is_irreducible
+
+    x = sympy.Symbol("x")
+    for p, dmax in ((2, 6), (3, 4), (5, 3), (7, 2)):
+        for d in range(1, dmax + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                poly = list(tail) + [1]
+                expected = sympy.Poly(list(reversed(poly)), x, modulus=p).is_irreducible
+                assert _is_irreducible(poly, p) == expected, (p, poly)
+
+
+def test_is_prime_matches_sympy():
+    import random
+
+    import sympy
+
+    from ramlift.errors import InvalidArgument
+    from ramlift.resfield import is_prime
+
+    assert [n for n in range(-3, 3000) if is_prime(n)] == list(sympy.primerange(3000))
+    rng = random.Random(7)
+    for bits in (31, 64, 81):
+        for _ in range(300):
+            n = rng.getrandbits(bits) | 1
+            assert is_prime(n) == sympy.isprime(n)
+    # strong pseudoprimes to the first several prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    with pytest.raises(InvalidArgument):
+        is_prime(10 ** 30 + 57)
+
+
+def test_default_poly_of_a_huge_prime():
+    assert make_field(1000000007, 1).defining_poly == (0, 1)
+    assert make_field(1000000007, 2).defining_poly[-1] == 1
+
+
+def test_embeddings_cached_as_fresh_lists():
+    first = embeddings(F9, F9)
+    first.append(None)
+    assert len(embeddings(F9, F9)) == 2
+    assert embeddings(F9, F9)[0] is embeddings(F9, F9)[0]
+
+
 def test_arith_examples():
     two = F3.from_int(2)
     assert field_arith(two, two, "add") == F3.from_int(1)
