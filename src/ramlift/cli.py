@@ -15,6 +15,8 @@ import re
 import sys
 
 from .dvr import (
+    _json_int,
+    _json_list,
     dvr_elem_text,
     parse_ring_spec,
     project,
@@ -152,7 +154,12 @@ def _parse_hom(src_ring, tgt_ring, obj, default_n1=None, default_n2=None):
         n2 = obj.get("n2") or (obj.get("target") or {}).get("n") or default_n2
         if n1 is None or n2 is None:
             raise InputError("homomorphism JSON must carry n1/n2 lengths")
-        image = tgt_ring.k.from_coeffs(obj["psi"]["image_of_generator"])
+        _json_int(n1, "n1")
+        _json_int(n2, "n2")
+        coords = _json_list(obj["psi"]["image_of_generator"], "psi.image_of_generator")
+        for c in coords:
+            _json_int(c, "a psi.image_of_generator entry")
+        image = tgt_ring.k.from_coeffs(coords)
         if not eval_poly(src_ring.k.defining_poly, image).is_zero():
             raise InputError("psi image is not a root of the source defining polynomial")
         psi = FieldEmbedding(src_ring.k, tgt_ring.k, image)
@@ -213,8 +220,15 @@ def cmd_demo(args) -> str:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one line on stderr, exit 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramlift",
         description="Exact arithmetic and homomorphism lifting for finitely "
         "ramified complete DVRs of mixed characteristic.",
@@ -261,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         out = args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

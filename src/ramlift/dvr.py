@@ -9,9 +9,13 @@ and the Teichmuller lifts of the digits; d = 1 is the plain integer case.
 WittElem values appear only at the boundary (from_witt, element,
 minimal_polynomial).
 
-Pi-adic Teichmuller digits are the canonical form, and the n-th residue
-rings R/m^n are finite enumerable rings presented by digit vectors; their
-operations lift once, compute in R at precision n and read digits once.
+Pi-adic Teichmuller digits are the canonical text form; an element reads
+its n digits once and keeps them.  The n-th residue rings R/m^n are finite
+enumerable rings whose elements are canonical flat vectors: since x is a
+uniformizer, m^n is spanned by p^ceil((n-j)/e) x^j for j < e, so reducing
+each x^j coordinate mod p^ceil((n-j)/e) picks one vector per class.  Their
+operations compute on these vectors and reduce; digits are read only at the
+text/JSON boundary and where a homomorphism is applied digitwise.
 
 Division by the uniformizer exists only inside the digit-extraction loop, on
 elements certified divisible; no fraction-field arithmetic is exposed.
@@ -421,7 +425,8 @@ class _Context:
     is kept as a d x d integer matrix."""
 
     __slots__ = ("ring", "n", "wspec", "M", "mod", "p", "d", "e", "size", "g", "f",
-                 "neg_w_inv", "f_mats", "supported", "pi", "pi_powers", "terms", "digit")
+                 "neg_w_inv", "f_mats", "supported", "pi", "pi_powers", "terms", "digit",
+                 "res_mods")
 
     def __init__(self, ring: DvrSpec, n: int):
         wspec = ring.wspec(n)
@@ -448,6 +453,10 @@ class _Context:
             powers.append(_times_x(self, powers[-1]))
         self.pi_powers = powers
         self.terms = [_TermTable(self, r) for r in range(n)]
+        # m^n = sum of p^ceil((n-j)/e) W(k) x^j over j < e (see _canon)
+        e, p = self.e, self.p
+        self.res_mods = tuple(p ** -(-(n - j) // e) if j < n else 1
+                              for j in range(e) for _ in range(self.d))
 
 
 @lru_cache(maxsize=4096)
@@ -616,6 +625,19 @@ def _digits(ctx: _Context, v, n: int) -> tuple:
     return tuple(out)
 
 
+def _canon(ctx: _Context, v) -> tuple:
+    """The canonical vector of v mod m^n, n = ctx.n: the x^j coordinates
+    reduced mod p^ceil((n-j)/e), and zero for j >= n.
+
+    f is Eisenstein, so x is a uniformizer and the terms c_j x^j (j < e)
+    have pairwise distinct valuations mod e: nu(sum c_j x^j) = min_j
+    (e*v_p(c_j) + j).  Hence m^n = sum_j p^ceil((n-j)/e) W(k) x^j, and two
+    vectors are congruent mod m^n exactly when their canonical vectors are
+    equal.  v may come from any context of the ring at precision >= n: each
+    of these moduli divides its p^Mc."""
+    return tuple([c % m for c, m in zip(v, ctx.res_mods)])
+
+
 def _check_digit(ctx: _Context, a: FqElem) -> None:
     if a.field is not ctx.ring.k and a.field != ctx.ring.k:
         raise RingMismatch("element not in the residue field of this ring")
@@ -647,9 +669,10 @@ class DvrElem:
     v is the flat vector of e*d integers mod p^Mc (Mc = ceil(n/e) + guard):
     the coefficient of x^j over W(k)/p^Mc sits at v[j*d:(j+1)*d].  ctx is
     the shared context of (ring, n) that holds the modulus and f.  Elements
-    never change, so the valuation is read once, on first use."""
+    never change, so the valuation and the n pi-adic digits are each read
+    once, on first use."""
 
-    __slots__ = ("ring", "n", "ctx", "v", "_val")
+    __slots__ = ("ring", "n", "ctx", "v", "_val", "_digits")
 
     def __init__(self, ctx: _Context, v: tuple):
         if len(v) != ctx.size:
@@ -659,6 +682,7 @@ class DvrElem:
         self.ctx = ctx
         self.v = v
         self._val = None
+        self._digits = None
 
     @property
     def wspec(self) -> WittRingSpec:
@@ -778,12 +802,15 @@ def teich_series(digits, base: DvrElem, n: int) -> DvrElem:
 
 
 def pi_digits(x: DvrElem, n: int | None = None):
-    """Canonical expansion x = sum teichmuller(a_r) pi^r mod m^n."""
+    """Canonical expansion x = sum teichmuller(a_r) pi^r mod m^n: a prefix
+    of the n = x.n digits, which are read once per element."""
     if n is None:
         n = x.n
     if n > x.n:
         raise InsufficientPrecision(f"element known mod m^{x.n}, digits to {n} requested")
-    return _digits(x.ctx, x.v, n)
+    if x._digits is None:
+        x._digits = _digits(x.ctx, x.v, x.n)
+    return x._digits if n == x.n else x._digits[:n]
 
 
 def from_pi_digits(digits, ring: DvrSpec, n: int | None = None) -> DvrElem:
@@ -868,8 +895,9 @@ def minimal_polynomial(x: DvrElem):
 
 @dataclass(frozen=True)
 class ResidueRingSpec:
-    """R_n = R/m^n presented as W(k)[x]/(f(x), x^n); elements are digit
-    vectors in k^n."""
+    """R_n = R/m^n presented as W(k)[x]/(f(x), x^n).  An element is a
+    canonical flat vector of R at precision n (see _canon), and its digit
+    vector in k^n is read only when asked for."""
 
     ring: DvrSpec
     n: int
@@ -878,14 +906,29 @@ class ResidueRingSpec:
     def cardinality(self) -> int:
         return self.ring.q ** self.n
 
+    def check_size(self, cap: int, what: str) -> None:
+        """Raise TooLarge when the q^n elements exceed cap.  Beyond the bit
+        length of cap, n alone decides, and q^n, which could have millions
+        of digits, is neither formed nor printed."""
+        q, n = self.ring.q, self.n
+        if n > max(cap, 1).bit_length():
+            raise TooLarge(f"{q}^{n} {what} exceed the enumeration cap {cap}")
+        if q ** n > cap:
+            raise TooLarge(f"{q ** n} {what} exceed the enumeration cap {cap}")
+
+    @cached_property
+    def _ctx(self) -> _Context:
+        return _context(self.ring, self.n)
+
     def zero(self) -> "ResidueElt":
-        return ResidueElt(self, (self.ring.k.zero(),) * self.n)
+        return ResidueElt(self, (self.ring.k.zero(),) * self.n, (0,) * self._ctx.size)
 
     def one(self) -> "ResidueElt":
         return self.from_int(1)
 
     def from_int(self, c: int) -> "ResidueElt":
-        return project(self.ring.from_int(c, self.n), self.n)
+        ctx = self._ctx
+        return ResidueElt(self, None, _canon(ctx, (c,) + (0,) * (ctx.size - 1)))
 
     def from_digits(self, digits) -> "ResidueElt":
         digits = tuple(digits)
@@ -894,66 +937,95 @@ class ResidueRingSpec:
         return ResidueElt(self, digits)
 
     def lift(self, x: "ResidueElt") -> DvrElem:
-        return from_pi_digits(x.digits, self.ring, self.n)
+        return DvrElem(self._ctx, self._vec(x))
 
-    # The operations lift to flat vectors of R at precision n, compute there
-    # and read the digits back once: R -> R/m^n is a ring map, and every
-    # result is exact mod p^Mc, which determines the first n digits.
+    # The operations act on canonical vectors: R -> R/m^n is a ring map, so
+    # an operation on any representatives, reduced by _canon, gives the
+    # canonical vector of the result.
 
-    @cached_property
-    def _ctx(self) -> _Context:
-        return _context(self.ring, self.n)
-
-    def _project(self, v) -> "ResidueElt":
-        return ResidueElt(self, _digits(self._ctx, v, self.n))
+    def _vec(self, x: "ResidueElt") -> tuple:
+        if x.rspec is not self and x.rspec != self:
+            raise RingMismatch("element not in this residue ring")
+        return x.v
 
     def add(self, x: "ResidueElt", y: "ResidueElt") -> "ResidueElt":
-        ctx = self._ctx
-        return self._project(_add(ctx, _lift(ctx, x.digits), _lift(ctx, y.digits)))
+        terms = zip(self._vec(x), self._vec(y), self._ctx.res_mods)
+        return ResidueElt(self, None, tuple([(a + b) % m for a, b, m in terms]))
 
     def sub(self, x: "ResidueElt", y: "ResidueElt") -> "ResidueElt":
-        ctx = self._ctx
-        mod = ctx.mod
-        return self._project([(a - b) % mod for a, b in zip(_lift(ctx, x.digits), _lift(ctx, y.digits))])
+        terms = zip(self._vec(x), self._vec(y), self._ctx.res_mods)
+        return ResidueElt(self, None, tuple([(a - b) % m for a, b, m in terms]))
 
     def neg(self, x: "ResidueElt") -> "ResidueElt":
-        mod = self._ctx.mod
-        return self._project([(-a) % mod for a in _lift(self._ctx, x.digits)])
+        terms = zip(self._vec(x), self._ctx.res_mods)
+        return ResidueElt(self, None, tuple([(-a) % m for a, m in terms]))
 
     def mul(self, x: "ResidueElt", y: "ResidueElt") -> "ResidueElt":
         ctx = self._ctx
-        return self._project(_mul(ctx, _lift(ctx, x.digits), _lift(ctx, y.digits)))
+        return ResidueElt(self, None, _canon(ctx, _mul(ctx, self._vec(x), self._vec(y))))
 
     def pow(self, x: "ResidueElt", k: int) -> "ResidueElt":
         if k < 0:
             raise InvalidArgument("negative exponent")
         ctx = self._ctx
-        acc, base = ctx.pi_powers[0], _lift(ctx, x.digits)
+        acc, base = ctx.pi_powers[0], self._vec(x)
         while k:
             if k & 1:
                 acc = _mul(ctx, acc, base)
             k >>= 1
             if k:
                 base = _mul(ctx, base, base)
-        return self._project(acc)
+        return ResidueElt(self, None, _canon(ctx, acc))
 
 
-@dataclass(frozen=True)
 class ResidueElt:
-    """Element of R/m^n in canonical digit-vector form."""
+    """Element of R/m^n, held as its canonical flat vector v, its digit
+    vector, or both; whichever is missing is derived once, on first use.
+    Equality and hashing use (rspec, v)."""
 
-    rspec: ResidueRingSpec
-    digits: tuple
+    __slots__ = ("rspec", "_digits", "_v")
+
+    def __init__(self, rspec: ResidueRingSpec, digits: tuple | None = None, v: tuple | None = None):
+        if digits is None and v is None:
+            raise InvalidArgument("a residue-ring element needs its digits or its vector")
+        self.rspec = rspec
+        self._digits = digits
+        self._v = v
+
+    @property
+    def v(self) -> tuple:
+        if self._v is None:
+            ctx = self.rspec._ctx
+            self._v = _canon(ctx, _lift(ctx, self._digits))
+        return self._v
+
+    @property
+    def digits(self) -> tuple:
+        if self._digits is None:
+            self._digits = _digits(self.rspec._ctx, self._v, self.rspec.n)
+        return self._digits
 
     def val_units(self) -> int:
         """m-adic valuation: index of the first nonzero digit, or n for 0."""
-        for i, a in enumerate(self.digits):
+        if self._digits is None:
+            return _raw_val(self.rspec._ctx, self._v, self.rspec.n)[0]
+        for i, a in enumerate(self._digits):
             if not a.is_zero():
                 return i
         return self.rspec.n
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.digits)
+        if self._v is None:
+            return all(a.is_zero() for a in self._digits)
+        return not any(self._v)
+
+    def __eq__(self, other):
+        if not isinstance(other, ResidueElt):
+            return NotImplemented
+        return (self.rspec is other.rspec or self.rspec == other.rspec) and self.v == other.v
+
+    def __hash__(self):
+        return hash((self.rspec, self.v))
 
     def text(self) -> str:
         return "π:" + ",".join(a.text() for a in self.digits)
@@ -962,7 +1034,9 @@ class ResidueElt:
         return f"ResidueElt({self.text()})"
 
 
+@lru_cache(maxsize=4096)
 def residue_ring(R: DvrSpec, n: int) -> ResidueRingSpec:
+    """The one spec of R/m^n per (R, n), so its context is looked up once."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return ResidueRingSpec(R, n)
@@ -971,21 +1045,24 @@ def residue_ring(R: DvrSpec, n: int) -> ResidueRingSpec:
 def project(x: DvrElem, n: int) -> ResidueElt:
     if n > x.n:
         raise InsufficientPrecision(f"element known mod m^{x.n} cannot project to length {n}")
-    return ResidueElt(residue_ring(x.ring, n), pi_digits(x, n))
+    rspec = residue_ring(x.ring, n)
+    return ResidueElt(rspec, pi_digits(x, n), _canon(rspec._ctx, x.v))
 
 
 def project_between(x: ResidueElt, n: int) -> ResidueElt:
     if n > x.rspec.n:
         raise InsufficientPrecision("cannot project to a longer residue ring")
-    return ResidueElt(residue_ring(x.rspec.ring, n), x.digits[:n])
+    rspec = residue_ring(x.rspec.ring, n)
+    digits = None if x._digits is None else x._digits[:n]
+    v = None if x._v is None else _canon(rspec._ctx, x._v)
+    return ResidueElt(rspec, digits, v)
 
 
 def enumerate_elements(Rn: ResidueRingSpec, cap: int | None = None):
     """All q^n digit vectors in lexicographic order."""
     if cap is None:
         cap = enumeration_cap()
-    if Rn.cardinality > cap:
-        raise TooLarge(f"{Rn.cardinality} elements exceed the enumeration cap {cap}")
+    Rn.check_size(cap, "elements")
     field_elems = sorted(Rn.ring.k.elements(), key=lambda a: a.coeffs)
     for digits in itertools.product(field_elems, repeat=Rn.n):
         yield ResidueElt(Rn, digits)
@@ -1003,10 +1080,35 @@ def ring_spec_to_json(R: DvrSpec) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; floats and booleans are refused, so that
+    none reaches the output."""
+    if type(value) is not int:
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidArgument(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def parse_ring_spec(obj: dict) -> DvrSpec:
-    p = obj["p"]
+    if not isinstance(obj, dict):
+        raise InvalidArgument("a ring spec must be a JSON object")
+    p = _json_int(obj["p"], "p")
     res = obj.get("residue", {"d": 1, "poly": None})
-    d = res.get("d", 1)
+    if not isinstance(res, dict):
+        raise InvalidArgument(f"residue must be a JSON object, got {res!r}")
+    d = _json_int(res.get("d", 1), "residue.d")
     poly = res.get("poly")
-    k = make_field(p, d, poly)
-    return make_dvr(k, obj["eisenstein"])
+    if poly is not None:
+        for c in _json_list(poly, "residue.poly"):
+            _json_int(c, "a residue.poly entry")
+    f = _json_list(obj["eisenstein"], "eisenstein")
+    for c in f:
+        if not isinstance(c, str):  # "t:..." digit strings are parsed by make_dvr
+            for x in c if isinstance(c, list) else [c]:
+                _json_int(x, "an eisenstein coefficient")
+    return make_dvr(make_field(p, d, poly), f)

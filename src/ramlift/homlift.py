@@ -46,6 +46,7 @@ from typing import NamedTuple
 
 from .dvr import (
     _add,
+    _canon,
     _Context,
     _context,
     _digits,
@@ -124,9 +125,10 @@ def _mapped_materialize(coeff: ExactWittCoeff, psi: FieldEmbedding, wspec):
     return acc
 
 
-def _normalize_poly(F, k):
+def _normalize_poly(F, k) -> tuple:
     """Coefficient list (ints / vectors / ExactWittCoeff / MappedCoeff) into
-    providers a_0..a_{deg-1}; a trailing integer 1 is the implied monic lead."""
+    the tuple of providers a_0..a_{deg-1}; a trailing integer 1 is the
+    implied monic lead."""
     entries = list(F)
     if entries and isinstance(entries[-1], int) and entries[-1] == 1 and len(entries) >= 2:
         entries = entries[:-1]
@@ -140,7 +142,7 @@ def _normalize_poly(F, k):
             out.append(ExactWittCoeff.from_ints(k, c))
         else:
             raise ValueError(f"cannot interpret coefficient {c!r}")
-    return out
+    return tuple(out)
 
 
 class _Poly(NamedTuple):
@@ -159,7 +161,8 @@ class _Poly(NamedTuple):
         return _horner(self.ctx, self.df, x, len(self.f))
 
 
-def _materialize_poly(providers, R: DvrSpec, n: int) -> _Poly:
+@lru_cache(maxsize=1024)
+def _materialize_poly(providers: tuple, R: DvrSpec, n: int) -> _Poly:
     ctx = _context(R, n)
     f = tuple(R.from_witt(c.materialize(ctx.wspec), n).v for c in providers)
     mod = ctx.mod
@@ -350,9 +353,9 @@ class ResidueHom:
     def apply(self, x: ResidueElt) -> ResidueElt:
         if x.rspec != self.source:
             raise NotComposable("element not in the source ring")
-        n2 = self.target.n
-        image = teich_series([self.psi(a) for a in x.digits], self.target.lift(self.beta), n2)
-        return project(image, n2)
+        tgt = self.target
+        image = teich_series([self.psi(a) for a in x.digits], tgt.lift(self.beta), tgt.n)
+        return ResidueElt(tgt, None, _canon(tgt._ctx, image.v))
 
     def as_table(self, cap: int | None = None) -> dict:
         return {x: self.apply(x) for x in enumerate_elements(self.source, cap)}
@@ -391,9 +394,9 @@ def _beta_admissible(source, target, psi, beta) -> bool:
     n1, n2 = source.n, target.n
     if beta.val_units() * n1 < n2:
         return False  # beta^n1 must vanish mod m2^n2
-    providers = [MappedCoeff(c, psi) for c in source.ring.coeffs]
+    providers = tuple(MappedCoeff(c, psi) for c in source.ring.coeffs)
     poly = _materialize_poly(providers, target.ring, n2)
-    value = poly.value(_lift(poly.ctx, beta.digits))
+    value = poly.value(beta.v)
     return not _raw_val(poly.ctx, value, n2)[1]  # f1^psi(beta) = 0 mod m2^n2
 
 
@@ -402,13 +405,12 @@ def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec, cap: int | None =
     image of the generator, beta by digit-vector lexicographic order."""
     if cap is None:
         cap = enumeration_cap()
-    if tgt.cardinality > cap:
-        raise TooLarge(f"{tgt.cardinality} target elements exceed the cap {cap}")
+    tgt.check_size(cap, "target elements")
     # beta^n1 = 0 mod m^n2 exactly when the first ceil(n2/n1) digits vanish
     zero_prefix = -(-tgt.n // src.n)
     out = []
     for psi in embeddings(src.ring.k, tgt.ring.k):
-        providers = [MappedCoeff(c, psi) for c in src.ring.coeffs]
+        providers = tuple(MappedCoeff(c, psi) for c in src.ring.coeffs)
         poly = _materialize_poly(providers, tgt.ring, tgt.n)
         for digits in _digit_dfs(poly, tgt.n, zero_prefix):
             out.append(ResidueHom(src, tgt, psi, ResidueElt(tgt, digits)))
@@ -418,7 +420,8 @@ def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec, cap: int | None =
 def enumerate_isos(src: ResidueRingSpec, tgt: ResidueRingSpec, cap: int | None = None):
     """Bijective homomorphisms: psi bijective, beta of valuation one, equal
     cardinalities."""
-    if src.ring.d != tgt.ring.d or src.cardinality != tgt.cardinality:
+    # with equal d, q1^n1 = q2^n2 exactly when q1 = q2 and n1 = n2
+    if src.ring.d != tgt.ring.d or (src.ring.q, src.n) != (tgt.ring.q, tgt.n):
         return []
     return [h for h in enumerate_homs(src, tgt, cap) if h.beta.val_units() == 1]
 
@@ -524,9 +527,12 @@ def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
     M1 = krasner_bound(R1)
     s1 = different_val(R1)
     prec = n2 + 2 * math.ceil(Fraction(R2.e * s1, R1.e)) + GUARD_DIGITS
+    # the root must be certified beyond its valuation e2/e1 for the exact
+    # readout checked below
+    prec = max(prec, R2.e // R1.e + 1)
     if min_prec is not None:
         prec = max(prec, min_prec)
-    providers = [MappedCoeff(c, phi.psi) for c in R1.coeffs]
+    providers = tuple(MappedCoeff(c, phi.psi) for c in R1.coeffs)
     roots = roots_in_dvr(providers, R2, prec)
     beta_lift = phi.target.lift(phi.beta)
     chosen = select_unique_root(roots, beta_lift, M1, R2.e)
@@ -566,7 +572,7 @@ def compose_homs(f2, f1):
             raise NotComposable("rings do not chain")
         psi = f2.psi.compose(f1.psi)
         rho = f2.apply(f1.rho)
-        providers = [MappedCoeff(c, psi) for c in f1.source.coeffs]
+        providers = tuple(MappedCoeff(c, psi) for c in f1.source.coeffs)
         cert = _certify_at(providers, f2.target, rho)
         return DvrHom(f1.source, f2.target, psi, cert.elem, (cert.t, cert.deriv_val))
     raise NotComposable("homomorphisms from different categories")
@@ -610,7 +616,7 @@ def dvr_isos(R1: DvrSpec, R2: DvrSpec, prec: int | None = None):
         prec = max(2 * s + 2, 4)
     out = []
     for psi in embeddings(R1.k, R2.k):
-        providers = [MappedCoeff(c, psi) for c in R1.coeffs]
+        providers = tuple(MappedCoeff(c, psi) for c in R1.coeffs)
         for root in roots_in_dvr(providers, R2, prec):
             out.append(DvrHom(R1, R2, psi, root.elem, (root.t, root.deriv_val)))
     return out
@@ -634,18 +640,22 @@ class HasRootResult:
         return self.kind == "yes"
 
 
-def _squarefree_part(coeffs):
-    """Squarefree part of a monic integer polynomial (same root set)."""
-    from fractions import Fraction as Fr
+def _squarefree_part(coeffs) -> list:
+    """Squarefree part of a monic integer polynomial (same root set), as a
+    fresh list; computed once per coefficient tuple."""
+    return list(_squarefree_cached(tuple(coeffs)))
 
+
+@lru_cache(maxsize=1024)
+def _squarefree_cached(coeffs: tuple) -> tuple:
     def trim(c):
         while c and c[-1] == 0:
             c.pop()
         return c
 
     def polymod(a, b):
-        a = [Fr(x) for x in a]
-        b = [Fr(x) for x in b]
+        a = [Fraction(x) for x in a]
+        b = [Fraction(x) for x in b]
         while len(a) >= len(b) and trim(a):
             f = a[-1] / b[-1]
             for i in range(len(b)):
@@ -655,19 +665,19 @@ def _squarefree_part(coeffs):
         return a
 
     def gcd(a, b):
-        a, b = [Fr(x) for x in a], [Fr(x) for x in b]
+        a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
         while trim(b):
             a, b = b, polymod(a, b)
         if not a:
-            return [Fr(1)]
+            return [Fraction(1)]
         return [x / a[-1] for x in a]
 
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
     g = gcd(list(coeffs), deriv)
     if len(g) <= 1:
-        return list(coeffs)
+        return coeffs
     # exact division of monic integer polynomials: quotient is integral
-    quot, rem = [], [Fr(c) for c in coeffs]
+    quot, rem = [], [Fraction(c) for c in coeffs]
     for i in range(len(coeffs) - 1, len(g) - 2, -1):
         c = rem[i] / g[-1]
         quot.append(c)
@@ -676,7 +686,7 @@ def _squarefree_part(coeffs):
     quot.reverse()
     if any(c.denominator != 1 for c in quot):
         raise InconsistentResult("squarefree part is not integral")
-    return [int(c) for c in quot]
+    return tuple(int(c) for c in quot)
 
 
 def has_root(R: DvrSpec, F) -> HasRootResult:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .dvr import DvrElem, DvrSpec, ValInfo, ValQ, minimal_polynomial
-from .errors import InconsistentResult, PrecisionTooLow
+from .errors import InconsistentResult, InvalidArgument, NotPrime, PrecisionTooLow
+from .resfield import is_prime
 from .witt import WittElem, make_witt
 
 
@@ -135,6 +137,7 @@ def _spec_coeff_vals(R: DvrSpec):
     return [c.p_val() for c in R.coeffs]
 
 
+@lru_cache(maxsize=1024)
 def krasner_bound(R: DvrSpec) -> ValQ:
     """M(R): the largest normalized valuation of a difference pi - sigma(pi)
     over nontrivial conjugates of the uniformizer; 0 for e = 1, where the
@@ -191,6 +194,7 @@ def krasner_bound_of_uniformizer(x: DvrElem) -> ValQ:
     return _krasner_from_coeff_vals(a_vals, spec.e, spec.p, exactness)
 
 
+@lru_cache(maxsize=1024)
 def different_val(R: DvrSpec) -> int:
     """nu(f'(pi)) in nu-units; the different of R over W(k) is (f'(pi))."""
     e, p = R.e, R.p
@@ -284,6 +288,7 @@ def _det(rows, wspec) -> WittElem:
 # bound formulas
 
 
+@lru_cache(maxsize=1024)
 def lift_precision_bound(R1: DvrSpec, e2: int) -> int:
     """Smallest n2 with n2 > M(R1) * e1 * e2: the target-side residue length
     from which homomorphisms lift uniquely."""
@@ -297,8 +302,10 @@ def lift_precision_bound(R1: DvrSpec, e2: int) -> int:
 
 def generic_bounds(p: int, e: int) -> dict:
     """Lifting-number bounds depending only on (p, e)."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if e < 1:
-        raise ValueError("e must be >= 1")
+        raise InvalidArgument(f"e must be >= 1, got {e}")
     nu_e = nu_of_e(p, e)
     out = {
         "upper": e + e * nu_e + 1,

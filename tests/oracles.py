@@ -10,13 +10,23 @@ search: it tests every beta in the target ring with the validator of
 
 The flat-ring oracle redoes the arithmetic of R/p^M, that is
 (Z/p^M)[y,x]/(g(y), f(x,y)), with sympy polynomial remainders.
+
+The digit-route oracle redoes residue-ring arithmetic without canonical
+vectors: lift the digit vectors to R, compute there, read the digits back.
 """
 
 import itertools
 
 import sympy
 
-from ramlift.dvr import DvrElem, ResidueRingSpec, enumerate_elements, residue_ring
+from ramlift.dvr import (
+    DvrElem,
+    ResidueRingSpec,
+    enumerate_elements,
+    from_pi_digits,
+    pi_digits,
+    residue_ring,
+)
 from ramlift.homlift import (
     ResidueHom,
     _beta_admissible,
@@ -47,6 +57,23 @@ def scan_truncated_roots(F, R, depth: int):
         for x in enumerate_elements(rn)
         if not DvrElem(poly.ctx, poly.value(rn.lift(x).v)).valuation().exact
     ]
+
+
+def digit_route_op(rn: ResidueRingSpec, op: str, x, y=None):
+    """The digits of rn.op(x, y) for op in add, sub, neg, mul, or of x^y for
+    op = pow, by DvrElem arithmetic on the Teichmuller sums of the digit
+    vectors at precision n; pow multiplies y times."""
+    a = from_pi_digits(x.digits, rn.ring, rn.n)
+    if op == "neg":
+        r = -a
+    elif op == "pow":
+        r = rn.ring.one(rn.n)
+        for _ in range(y):
+            r = r * a
+    else:
+        b = from_pi_digits(y.digits, rn.ring, rn.n)
+        r = {"add": a + b, "sub": a - b, "mul": a * b}[op]
+    return pi_digits(r, rn.n)
 
 
 _X, _Y = sympy.symbols("x y")

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramlift.cli import main, parse_poly_text
 
@@ -73,6 +75,15 @@ def test_homs_too_large(capsys, monkeypatch):
     assert "TooLarge" in err
 
 
+def test_homs_huge_length_exit_3(capsys):
+    # q^n2 has 47713 digits: it is neither formed nor printed
+    rc, _, err = run(capsys, "homs", S3, S3, "1", "100000")
+    assert rc == 3
+    assert err == "error: TooLarge: 3^100000 target elements exceed the enumeration cap 10000000\n"
+    rc, out, err = run(capsys, "homs", S3, S3, "1", "100000", "--iso")
+    assert (rc, out, err) == (0, "[]\n", "")
+
+
 def test_lift_identity(capsys):
     hom = '{"psi":{"image_of_generator":[0]},"beta":"pi:0,1,0","n1":3,"n2":3}'
     rc, out, _ = run(capsys, "lift", S3, S3, hom, "6")
@@ -89,6 +100,15 @@ def test_lift_twist_warns(capsys):
     obj = json.loads(out)
     assert obj["warning"] == "projection differs from input hom"
     assert obj["rho"] == "π:0,1,0,0,0,0,0,0"
+
+
+def test_lift_into_a_more_ramified_ring(capsys):
+    src = '{"p":2,"eisenstein":[-2,1]}'
+    tgt = '{"p":2,"eisenstein":[-2,0,0,0,1]}'
+    hom = '{"psi":{"image_of_generator":[0]},"beta":"π:0,0","n1":1,"n2":2}'
+    rc, out, err = run(capsys, "lift", src, tgt, hom, "1")
+    assert rc == 0, err
+    assert json.loads(out)["rho"] == "π:0,0,0,0,1"
 
 
 def test_lift_below_bound_exit_4(capsys):
@@ -162,6 +182,19 @@ def test_text_mode(capsys):
     assert "M: 1/2" in out
 
 
+def _child_env() -> dict:
+    """The environment with this ramlift's source directory on PYTHONPATH,
+    so a child process imports the same package as the tests."""
+    import os
+
+    import ramlift
+
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(ramlift.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entry_point_subprocess():
     import subprocess
     import sys
@@ -170,6 +203,7 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "ramlift", "demo", "tame-atlas"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "PASS"
@@ -234,22 +268,16 @@ def test_homs_bad_enum_cap_exit_2(capsys, monkeypatch):
 def _run_limited(*argv):
     """The CLI in a child process limited to 512 MiB of address space and a
     60 s timeout, so a crash or a hang fails the test and nothing else."""
-    import os
     import resource
     import subprocess
     import sys
 
-    import ramlift
-
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
-    env = dict(os.environ)
-    src_dir = os.path.dirname(os.path.dirname(ramlift.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ramlift", *argv],
-        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit,
+        capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=limit,
     )
 
 
@@ -282,3 +310,127 @@ def test_hasroot_huge_prime_exit_3():
     proc = _run_limited("hasroot", S_HUGE, "x^2-2")
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1 and "TooLarge" in proc.stderr
+
+
+@pytest.mark.parametrize("spec", [
+    '{"p":3.0,"eisenstein":[-3,0,1]}',
+    '{"p":true,"eisenstein":[-3,0,1]}',
+    '{"p":3,"residue":{"d":1.0},"eisenstein":[-3,0,1]}',
+    '{"p":3,"residue":{"d":2,"poly":[1.0,0,1]},"eisenstein":[-3,0,1]}',
+    '{"p":3,"eisenstein":[[-3.0],0,1]}',
+    '{"p":3,"eisenstein":[-3,0,1.0]}',
+    '{"p":3,"eisenstein":"x^2-3"}',
+    '[3]',
+])
+def test_ring_spec_json_types_exit_2(capsys, spec):
+    rc, out, err = run(capsys, "ring", spec)
+    _one_line_exit_2(rc, err)
+    assert out == ""
+
+
+def test_lift_hom_json_needs_integers(capsys):
+    for hom in ('{"psi":{"image_of_generator":[0.0]},"beta":"pi:0,1,0","n1":3,"n2":3}',
+                '{"psi":{"image_of_generator":[0]},"beta":"pi:0,1,0","n1":3.0,"n2":3}'):
+        rc, _, err = run(capsys, "lift", S3, S3, hom, "6")
+        _one_line_exit_2(rc, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "1", "1"),  # p = 1 used to loop in the p-adic valuation
+    ("bounds", "0", "2"),
+    ("bounds", "3", "0"),
+    ("bounds", "3", "-2"),
+    ("bounds", "4", "2"),  # not prime
+    ("ring", '{"p":3,"residue":null,"eisenstein":[-3,0,1]}'),
+])
+def test_malformed_input_exits_2_in_a_child(argv):
+    proc = _run_limited(*argv)
+    _one_line_exit_2(proc.returncode, proc.stderr)
+
+
+# -- fuzzing the JSON inputs ----------------------------------------------------
+# Mostly valid Eisenstein rings and homomorphisms, mixed with malformed specs:
+# wrong types, floats, booleans, null, missing keys, non-prime p, bad digits.
+
+_INT = st.integers(-6, 12)
+_LEAF = st.one_of(st.none(), st.booleans(), _INT, st.floats(-4, 4), st.text(max_size=3))
+_COEFF = st.one_of(
+    st.sampled_from([-6, -3, -2, 0, 2, 3, 5, 6, 9]),
+    st.lists(_INT, max_size=3),
+    st.sampled_from(["t:0,1", "t:(1,0),0,1", "t:", "t:x", "3"]),
+    _LEAF,
+)
+_RESIDUE = st.one_of(
+    _LEAF,
+    st.fixed_dictionaries({}, optional={
+        "d": st.one_of(st.integers(0, 3), _LEAF),
+        "poly": st.one_of(st.lists(st.integers(-2, 3), max_size=4), _LEAF),
+    }),
+)
+_EISENSTEIN_RING = st.builds(
+    lambda p, e, unit, tail: {"p": p, "eisenstein": [p * unit] + [p * c for c in tail[:e - 1]] + [1]},
+    st.sampled_from([2, 3, 5]), st.integers(1, 3), st.sampled_from([-1, 1, 7]), st.lists(_INT, min_size=2, max_size=2),
+)
+_RING = st.one_of(
+    _EISENSTEIN_RING,
+    _EISENSTEIN_RING.map(lambda r: {**r, "residue": {"d": 2}}),
+    _LEAF,
+    st.lists(_INT, max_size=2),
+    st.fixed_dictionaries({"p": st.one_of(st.sampled_from([2, 3, 5]), _LEAF)}, optional={
+        "residue": _RESIDUE,
+        "eisenstein": st.one_of(
+            st.lists(_COEFF, min_size=1, max_size=4).map(lambda c: c + [1]),
+            st.lists(_COEFF, max_size=3),
+            _LEAF,
+        ),
+    }),
+)
+_BETA = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "2", "(1,0)", "x"]), max_size=5).map(lambda d: "π:" + ",".join(d)),
+    _LEAF,
+)
+_HOM = st.one_of(
+    st.fixed_dictionaries({
+        "psi": st.sampled_from([{"image_of_generator": [0]}, {"image_of_generator": [0, 1]}]),
+        "beta": st.lists(st.sampled_from(["0", "1", "2"]), min_size=1, max_size=6).map(lambda d: "π:" + ",".join(d)),
+        "n1": st.integers(1, 4),
+        "n2": st.integers(1, 6),
+    }),
+    _LEAF,
+    st.fixed_dictionaries({}, optional={
+        "psi": st.one_of(st.fixed_dictionaries({"image_of_generator": st.one_of(st.lists(_INT, max_size=3), _LEAF)}), _LEAF),
+        "beta": _BETA,
+        "n1": st.one_of(st.integers(-1, 5), _LEAF),
+        "n2": st.one_of(st.integers(-1, 5), _LEAF),
+    }),
+)
+_J = json.dumps
+_N = st.integers(-1, 5).map(str)
+_ARGV = st.one_of(
+    st.tuples(st.just("ring"), _RING.map(_J)),
+    st.tuples(st.just("homs"), _RING.map(_J), _RING.map(_J), _N, _N),
+    st.tuples(st.just("hasroot"), _RING.map(_J), st.sampled_from(["x^2-3", "x-2", "x^2+1", "x^3-3"])),
+    st.tuples(st.just("lift"), _RING.map(_J), _RING.map(_J), _HOM.map(_J), st.integers(-1, 8).map(str)),
+    st.tuples(st.just("bounds"), st.integers(-3, 12).map(str), st.integers(-3, 5).map(str)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_fuzzed_json_inputs_exit_cleanly(argv):
+    import contextlib
+    import io
+    from unittest import mock
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict("os.environ", {"RAMLIFT_ENUM_CAP": "40"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    assert rc in (0, 2, 3, 4), (argv, rc, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    if rc == 0:
+        json.loads(out.getvalue(), parse_float=_no_float)
+
+
+def _no_float(text):
+    raise AssertionError(f"float {text} in the output")

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flat_ring_op
+from oracles import digit_route_op, flat_ring_op
+from ramlift import dvr
 from ramlift.dvr import (
+    ResidueElt,
     ValQ,
     dvr_elem_text,
     enumerate_elements,
@@ -22,6 +24,7 @@ from ramlift.dvr import (
     ring_spec_to_json,
 )
 from ramlift.errors import InsufficientPrecision, NotEisenstein, RingMismatch, TooLarge
+from ramlift.homlift import ResidueHom, enumerate_isos
 from ramlift.resfield import make_field
 from ramlift.witt import make_witt, teich_digits
 
@@ -332,8 +335,8 @@ def test_digit_roundtrip_matches_input(case, data):
     assert pi_digits(from_pi_digits(digits, spec)) == digits
 
 
-def test_lift_project_identity_exhaustive():
-    # every element of every residue ring with at most 729 elements
+def _small_residue_rings():
+    """Every residue ring with at most 729 elements of seven rings."""
     F4 = make_field(2, 2)
     specs = [
         Z3_SQRT3,
@@ -347,11 +350,92 @@ def test_lift_project_identity_exhaustive():
     for spec in specs:
         n = 1
         while spec.q ** n <= 729:
-            rn = residue_ring(spec, n)
-            for x in enumerate_elements(rn):
-                back = project(rn.lift(rn.from_digits(x.digits)), n)
-                assert back.digits == x.digits
+            yield residue_ring(spec, n)
             n += 1
+
+
+def test_lift_project_identity_exhaustive():
+    # every element of every residue ring with at most 729 elements
+    for rn in _small_residue_rings():
+        n = rn.n
+        for x in enumerate_elements(rn):
+            back = project(rn.lift(rn.from_digits(x.digits)), n)
+            assert back.digits == x.digits
+
+
+def test_canonical_vectors_biject_with_digit_vectors_exhaustive():
+    for rn in _small_residue_rings():
+        mods = rn._ctx.res_mods
+        seen = set()
+        for x in enumerate_elements(rn):
+            v = x.v
+            assert all(0 <= c < m for c, m in zip(v, mods))
+            assert ResidueElt(rn, v=v).digits == x.digits  # digits -> v -> digits
+            seen.add(v)
+        assert len(seen) == rn.cardinality  # distinct digits, distinct vectors
+
+
+@st.composite
+def residue_cases(draw):
+    """A ring of flat_cases, a length n in 1..12, two elements of R/m^n (one
+    from digits, one by reducing a flat vector) and an exponent."""
+    spec, a, _ = draw(flat_cases())
+    n = draw(st.integers(1, 12))
+    rn = residue_ring(spec, n)
+    elems = sorted(spec.k.elements(), key=lambda c: c.coeffs)
+    x = rn.from_digits(draw(st.lists(st.sampled_from(elems), min_size=n, max_size=n)))
+    y = project(a, n) if a.n >= n else rn.from_digits(pi_digits(a) + (spec.k.zero(),) * (n - a.n))
+    y = ResidueElt(rn, v=y.v)  # vector only
+    return rn, x, y, draw(st.integers(0, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_cases())
+def test_residue_ops_match_the_digit_route(case):
+    rn, x, y, k = case
+    for a, b in ((x, y), (y, x)):
+        assert rn.add(a, b).digits == digit_route_op(rn, "add", a, b)
+        assert rn.sub(a, b).digits == digit_route_op(rn, "sub", a, b)
+        assert rn.mul(a, b).digits == digit_route_op(rn, "mul", a, b)
+        assert rn.neg(a).digits == digit_route_op(rn, "neg", a)
+        assert rn.pow(a, k).digits == digit_route_op(rn, "pow", a, k)
+        assert a.val_units() == ResidueElt(rn, a.digits).val_units() == ResidueElt(rn, v=a.v).val_units()
+
+
+@settings(max_examples=120, deadline=None)
+@given(flat_cases(), st.randoms(use_true_random=False))
+def test_pi_digits_are_prefixes_of_one_readout(case, rng):
+    _, a, _ = case
+    lengths = list(range(1, a.n + 1))
+    rng.shuffle(lengths)
+    for m in lengths:
+        assert pi_digits(a, m) == dvr._digits(a.ctx, a.v, m)
+
+
+def test_digit_and_vector_routes_compare_and_hash_equal():
+    for spec, n in ((Z3_SQRT3, 3), (make_dvr(F9, [[-3, 0], [0, 0], 1]), 2), (Z3_CBRT3, 4)):
+        rn = residue_ring(spec, n)
+        zero = rn.zero()
+        for x in enumerate_elements(rn):
+            y = rn.add(x, zero)  # vector route: no digits until asked
+            assert x == y and hash(x) == hash(y) and y.digits == x.digits
+            for m in range(1, n + 1):
+                down = residue_ring(spec, m).from_digits(x.digits[:m])
+                fresh = rn.add(x, zero)
+                for cut in (project_between(x, m), project_between(fresh, m), project(rn.lift(y), m)):
+                    assert cut == down and hash(cut) == hash(down) and cut.digits == down.digits
+        homs = enumerate_isos(rn, rn)  # betas from the digit search
+        again = [ResidueHom(h.source, h.target, h.psi, rn.add(h.beta, zero)) for h in homs]
+        assert homs and frozenset(homs) == frozenset(again)
+        assert all(h in frozenset(homs) for h in again)
+
+
+def test_residue_ops_refuse_other_rings():
+    x = residue_ring(Z3_SQRT3, 3).one()
+    with pytest.raises(RingMismatch):
+        residue_ring(Z3_SQRT3, 2).add(x, x)
+    with pytest.raises(RingMismatch):
+        residue_ring(Z3_SQRTM3, 3).mul(x, x)
 
 
 _ARITH_CHECKS_SCRIPT = """

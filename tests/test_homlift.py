@@ -7,6 +7,7 @@ from ramlift import homlift
 from ramlift.dvr import (
     DvrElem,
     ValQ,
+    dvr_elem_text,
     enumerate_elements,
     from_pi_digits,
     make_dvr,
@@ -468,6 +469,13 @@ def test_has_root_finds_unit_roots():
     assert sq == Z3_FLAT.one(sq.n)
 
 
+def test_squarefree_part_cached_as_fresh_lists():
+    first = homlift._squarefree_part([4, -4, 1])  # (x - 2)^2
+    assert first == [-2, 1]
+    first.append(7)
+    assert homlift._squarefree_part((4, -4, 1)) == [-2, 1]
+
+
 def test_has_root_squarefree_reduction():
     # (x - 1)^2: double root still decided via the squarefree part
     res = has_root(Z3_SQRT3, [1, -2, 1])
@@ -507,6 +515,18 @@ def test_lift_across_ramification_indices():
         assert v.exact and v.value == ValQ(2)  # image of p-like uniformizer
         back = project_hom(g, 2, 4)
         assert back.psi == phi.psi
+
+
+def test_lift_certifies_past_the_valuation_of_the_image():
+    # W(F2) -> Z2[2^(1/4)]: the image of 2 has valuation e2/e1 = 4, which the
+    # working precision n2 + 2 = 4 alone would read only as ">= 4"
+    Z2_ROOT4 = make_dvr(F2, [-2, 0, 0, 0, 1])
+    for n1 in (1, 2):
+        (phi,) = enumerate_homs(residue_ring(make_dvr(F2, [-2, 1]), n1), residue_ring(Z2_ROOT4, 2))
+        g = lift_hom(phi)
+        v = g.rho.valuation()
+        assert v.exact and v.value == ValQ(4)
+        assert dvr_elem_text(g.rho) == "π:0,0,0,0,1"
 
 
 def test_lift_frobenius_twisted_automorphism():
