@@ -13,7 +13,6 @@ from .resfield import (
     FqElem,
     FieldEmbedding,
     make_field,
-    field_arith,
     frobenius,
     pth_root,
     embeddings,
@@ -22,9 +21,7 @@ from .resfield import (
 from .witt import (
     WittRingSpec,
     WittElem,
-    TeichDigits,
     make_witt,
-    witt_arith,
     witt_unit_inv,
     teichmuller,
     teich_digits,
@@ -32,7 +29,6 @@ from .witt import (
     witt_functor,
 )
 from .dvr import (
-    ValQ,
     ValInfo,
     DvrSpec,
     DvrElem,

@@ -7,7 +7,9 @@ digits.  Each (ring, n) has one cached context holding the modulus, f as
 flat integers, the inverse of the unit w with a_0 = p*w, the powers of pi
 and the Teichmuller lifts of the digits; d = 1 is the plain integer case.
 WittElem values appear only at the boundary (from_witt, element,
-minimal_polynomial).
+minimal_polynomial) and where exact coefficients are materialized, which
+uses the Teichmuller sum of witt (from_digits); the reduction mod g(y) is
+witt's _yreduce.
 
 Pi-adic Teichmuller digits are the canonical text form; an element reads
 its n digits once and keeps them.  The n-th residue rings R/m^n are finite
@@ -40,7 +42,7 @@ from .errors import (
     TooLarge,
 )
 from .resfield import FieldSpec, FqElem, make_field
-from .witt import WittElem, WittRingSpec, make_witt, teichmuller, witt_unit_inv
+from .witt import WittElem, WittRingSpec, _yreduce, from_digits, make_witt, teichmuller, witt_unit_inv
 
 GUARD_DIGITS = 2
 DEFAULT_ENUM_CAP = 10 ** 7
@@ -57,101 +59,16 @@ def enumeration_cap() -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact valuation values
-
-
-class ValQ:
-    """Nonnegative rational valuation value, or +infinity; exact arithmetic."""
-
-    __slots__ = ("_frac",)
-
-    def __init__(self, num, den: int = 1):
-        if num is None:  # infinity marker
-            self._frac = None
-        else:
-            f = Fraction(num, den)
-            if f < 0:
-                raise ValueError("valuations are nonnegative")
-            self._frac = f
-
-    @classmethod
-    def infinity(cls) -> "ValQ":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._frac is None
-
-    @property
-    def fraction(self) -> Fraction:
-        if self._frac is None:
-            raise ValueError("infinite valuation has no finite value")
-        return self._frac
-
-    @property
-    def numerator(self):
-        return None if self._frac is None else self._frac.numerator
-
-    @property
-    def denominator(self) -> int:
-        return 1 if self._frac is None else self._frac.denominator
-
-    def __eq__(self, other):
-        if not isinstance(other, ValQ):
-            return NotImplemented
-        return self._frac == other._frac
-
-    def __hash__(self):
-        return hash(self._frac)
-
-    def __lt__(self, other):
-        if other.is_infinite:
-            return not self.is_infinite
-        if self.is_infinite:
-            return False
-        return self._frac < other._frac
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
-
-    def __add__(self, other):
-        if self.is_infinite or other.is_infinite:
-            return ValQ.infinity()
-        return ValQ(self._frac + other._frac)
-
-    def __str__(self):
-        if self._frac is None:
-            return "inf"
-        if self._frac.denominator == 1:
-            return str(self._frac.numerator)
-        return f"{self._frac.numerator}/{self._frac.denominator}"
-
-    def __repr__(self):
-        return f"ValQ({self})"
-
-    @classmethod
-    def parse(cls, s: str) -> "ValQ":
-        s = s.strip()
-        if s == "inf":
-            return cls.infinity()
-        if "/" in s:
-            a, b = s.split("/")
-            return cls(int(a), int(b))
-        return cls(int(s))
+# valuation readouts
 
 
 @dataclass(frozen=True)
 class ValInfo:
     """A valuation readout: exact, or only the lower bound "value" (the
-    precision to which the element was seen to vanish)."""
+    precision to which the element was seen to vanish).  None is +infinity,
+    the valuation of a zero coefficient."""
 
-    value: ValQ
+    value: Fraction | None
     exact: bool
 
     def __str__(self):
@@ -207,15 +124,7 @@ class ExactWittCoeff:
             raise RingMismatch("coefficient belongs to a different residue field")
         if self.kind == "int":
             return wspec.from_coeffs(self.payload)
-        acc = wspec.zero()
-        pw = 1
-        for a in self.payload:
-            if pw % wspec.modulus == 0:
-                break
-            if not a.is_zero():
-                acc = acc + teichmuller(a, wspec) * wspec.from_int(pw)
-            pw *= wspec.p
-        return acc
+        return from_digits(self.payload, wspec)
 
     def divide_exact_by_p(self) -> "ExactWittCoeff":
         v = self.p_val()
@@ -312,9 +221,6 @@ class DvrSpec:
 
     def wspec(self, n: int) -> WittRingSpec:
         return make_witt(self.k, self.coeff_precision(n))
-
-    def f_materialized(self, wspec: WittRingSpec):
-        return list(_f_materialized_cached(self, wspec))
 
     # -- element constructors ------------------------------------------------
 
@@ -464,16 +370,6 @@ def _context(ring: DvrSpec, n: int) -> _Context:
     if n < 1:
         raise InvalidArgument(f"precision must be at least 1, got {n}")
     return _Context(ring, n)
-
-
-def _yreduce(row, g, d: int, mod: int):
-    """Reduce a coordinate list of length <= 2d-1 modulo (g(y), mod)."""
-    for i in range(len(row) - 1, d - 1, -1):
-        c = row[i]
-        if c:
-            for j in range(d):
-                row[i - d + j] -= c * g[j]
-    return [c % mod for c in row[:d]]
 
 
 def _wmat(a, g, d: int, mod: int):
@@ -718,7 +614,7 @@ class DvrElem:
 
     def valuation(self) -> ValInfo:
         v, exact = self._val_units()
-        return ValInfo(ValQ(v), exact)
+        return ValInfo(Fraction(v), exact)
 
     def _low(self, other) -> _Context:
         return self.ctx if self.n <= other.n else other.ctx

@@ -59,7 +59,6 @@ from .dvr import (
     GUARD_DIGITS,
     ResidueElt,
     ResidueRingSpec,
-    ValQ,
     dvr_elem_text,
     enumerate_elements,
     enumeration_cap,
@@ -81,11 +80,12 @@ from .errors import (
     NotMonic,
     PrecisionTooLow,
     PreconditionBound,
+    RingMismatch,
     TooLarge,
 )
 from .ramification import different_val, krasner_bound, lift_precision_bound, nu_of_e
 from .resfield import FieldEmbedding, FqElem, embeddings
-from .witt import make_witt, teich_digits, teichmuller
+from .witt import WittMap
 
 ESCALATION_CAP = 64  # hard cap on working precision, in nu-units
 
@@ -113,16 +113,10 @@ class MappedCoeff:
 
 @lru_cache(maxsize=8192)
 def _mapped_materialize(coeff: ExactWittCoeff, psi: FieldEmbedding, wspec):
-    src = make_witt(psi.source, wspec.M)
-    digits = teich_digits(coeff.materialize(src))
-    acc = wspec.zero()
-    pw = 1
-    for a in digits:
-        b = psi(a)
-        if not b.is_zero():
-            acc = acc + teichmuller(b, wspec) * wspec.from_int(pw)
-        pw *= wspec.p
-    return acc
+    w_psi = WittMap(psi, wspec.M)
+    if w_psi.target != wspec:
+        raise RingMismatch("the embedding does not map into this coefficient ring")
+    return w_psi(coeff.materialize(w_psi.source))
 
 
 def _normalize_poly(F, k) -> tuple:
@@ -481,14 +475,14 @@ def same_hom(a: DvrHom, b: DvrHom) -> bool:
     return pi_digits(a.rho, depth) == pi_digits(b.rho, depth)
 
 
-def _nu_tilde_exceeds(x: DvrElem, bound: ValQ, e: int) -> bool:
+def _nu_tilde_exceeds(x: DvrElem, bound: Fraction, e: int) -> bool:
     """Decide nu-tilde(x) > bound; an inexact readout is a valuation lower
     bound, so clearing the threshold is conclusive either way."""
     v = x.valuation()
-    return Fraction(v.value.fraction, e) > bound.fraction
+    return Fraction(v.value, e) > bound
 
 
-def select_unique_root(roots, beta: DvrElem, M1: ValQ, e2: int) -> CertifiedRoot:
+def select_unique_root(roots, beta: DvrElem, M1: Fraction, e2: int) -> CertifiedRoot:
     """The root within Krasner distance of beta: nu-tilde(rho - beta) > M(R1);
     exactly one exists above the precision bound."""
     matches, others = [], []
@@ -503,7 +497,7 @@ def select_unique_root(roots, beta: DvrElem, M1: ValQ, e2: int) -> CertifiedRoot
         raise MultipleRoots("several roots within Krasner distance: inconsistent input")
     for r in others:
         v = (r.elem - beta).valuation()
-        if not (v.exact and Fraction(v.value.fraction, e2) <= M1.fraction):
+        if not (v.exact and Fraction(v.value, e2) <= M1):
             raise InconsistentResult("a root could not be placed outside Krasner distance")
     return matches[0]
 
@@ -539,7 +533,7 @@ def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
     # the residue-field square commutes by construction; the image of the
     # uniformizer must again have the right valuation
     v = chosen.elem.valuation()
-    if not (v.exact and v.value == ValQ(R2.e // R1.e)):
+    if not (v.exact and v.value == R2.e // R1.e):
         raise InconsistentResult(f"image of the uniformizer has valuation {v}")
     return DvrHom(R1, R2, phi.psi, chosen.elem, (chosen.t, chosen.deriv_val))
 

@@ -14,10 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dvr import DvrElem, DvrSpec, ValInfo, ValQ, minimal_polynomial
+from .dvr import DvrElem, DvrSpec, ValInfo, _f_materialized_cached, minimal_polynomial
 from .errors import InconsistentResult, InvalidArgument, NotPrime, PrecisionTooLow
 from .resfield import is_prime
-from .witt import WittElem, make_witt
+from .witt import make_witt, witt_unit_inv
 
 
 def _vp_int(n: int, p: int) -> int | None:
@@ -45,7 +45,7 @@ class NewtonPolygon:
     """Lower convex hull of (i, val(c_i)); slopes are the negated segment
     gradients, listed ascending with multiplicities (= segment widths)."""
 
-    vertices: tuple  # ((index, ValQ), ...)
+    vertices: tuple  # ((index, Fraction), ...)
     slopes: tuple  # ((Fraction, multiplicity), ...)
 
     def max_slope(self) -> Fraction:
@@ -58,16 +58,12 @@ class NewtonPolygon:
 def _as_valinfo(v) -> ValInfo:
     if isinstance(v, ValInfo):
         return v
-    if isinstance(v, ValQ):
-        return ValInfo(v, True)
-    if v is None:
-        return ValInfo(ValQ.infinity(), True)
-    return ValInfo(ValQ(v), True)
+    return ValInfo(None if v is None else Fraction(v), True)
 
 
 def newton_polygon(coeff_vals) -> NewtonPolygon:
-    """Build the polygon from per-coefficient valuations (exact ValQ/ValInfo,
-    or lower bounds via ValInfo(exact=False); None or infinity marks a zero
+    """Build the polygon from per-coefficient valuations (exact rationals or
+    ValInfo, or lower bounds via ValInfo(exact=False); None marks a zero
     coefficient).
 
     Raises PrecisionTooLow when a hull vertex rests on a coefficient whose
@@ -76,13 +72,13 @@ def newton_polygon(coeff_vals) -> NewtonPolygon:
     vals = [_as_valinfo(v) for v in coeff_vals]
     if not vals or not vals[-1].exact:
         raise PrecisionTooLow("leading coefficient valuation must be exactly known")
-    points = [(i, v) for i, v in enumerate(vals) if not v.value.is_infinite]
+    points = [(i, v) for i, v in enumerate(vals) if v.value is not None]
     if len(points) < 2:
         raise ValueError("degenerate polygon: fewer than two finite points")
     # Graham-style scan of the lower hull with exact rational turns
     hull = []
     for i, v in points:
-        x, y = Fraction(i), v.value.fraction
+        x, y = Fraction(i), v.value
         while len(hull) >= 2:
             (x0, y0, _), (x1, y1, _) = hull[-2], hull[-1]
             if (x1 - x0) * (y - y0) - (x - x0) * (y1 - y0) <= 0:
@@ -95,10 +91,10 @@ def newton_polygon(coeff_vals) -> NewtonPolygon:
             raise PrecisionTooLow(
                 f"hull vertex at index {x} rests on a valuation lower bound"
             )
-    vertices = tuple((int(x), ValQ(y)) for x, y, _ in hull)
+    vertices = tuple((int(x), y) for x, y, _ in hull)
     slopes = []
     for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-        grad = Fraction(y1.fraction - y0.fraction, x1 - x0)
+        grad = Fraction(y1 - y0, x1 - x0)
         slopes.append((-grad, x1 - x0))
     slopes.sort(key=lambda sm: sm[0])
     return NewtonPolygon(vertices, tuple(slopes))
@@ -138,16 +134,16 @@ def _spec_coeff_vals(R: DvrSpec):
 
 
 @lru_cache(maxsize=1024)
-def krasner_bound(R: DvrSpec) -> ValQ:
+def krasner_bound(R: DvrSpec) -> Fraction:
     """M(R): the largest normalized valuation of a difference pi - sigma(pi)
     over nontrivial conjugates of the uniformizer; 0 for e = 1, where the
     maximum is empty."""
     if R.e == 1:
-        return ValQ(0)
+        return Fraction(0)
     return _krasner_from_coeff_vals(_spec_coeff_vals(R), R.e, R.p)
 
 
-def _krasner_from_coeff_vals(a_vals, e: int, p: int, exactness=None) -> ValQ:
+def _krasner_from_coeff_vals(a_vals, e: int, p: int, exactness=None) -> Fraction:
     """Maximal polygon slope of f(pi+T)/T given f's coefficient valuations.
 
     exactness, when given, marks which of a_vals are mere lower bounds; the
@@ -157,16 +153,15 @@ def _krasner_from_coeff_vals(a_vals, e: int, p: int, exactness=None) -> ValQ:
     vals = []
     for i, v in enumerate(shifted):
         if v is None:
-            vals.append(ValInfo(ValQ.infinity(), True))
+            vals.append(ValInfo(None, True))
             continue
         exact = True
         if exactness is not None:
             # the minimum is exact only when achieved by an exact term below
             # every lower-bound term
             exact = _min_is_exact(a_vals, exactness, e, p, i + 1, v)
-        vals.append(ValInfo(ValQ(Fraction(v, e)), exact))
-    poly = newton_polygon(vals)
-    return ValQ(poly.max_slope())
+        vals.append(ValInfo(Fraction(v, e), exact))
+    return newton_polygon(vals).max_slope()
 
 
 def _min_is_exact(a_vals, exactness, e, p, i, minimum) -> bool:
@@ -181,13 +176,13 @@ def _min_is_exact(a_vals, exactness, e, p, i, minimum) -> bool:
     return True
 
 
-def krasner_bound_of_uniformizer(x: DvrElem) -> ValQ:
+def krasner_bound_of_uniformizer(x: DvrElem) -> Fraction:
     """Recompute M by re-deriving the minimal polynomial of an alternative
     uniformizer x; coefficient valuations are read at working precision and
     carried as lower bounds where they are not settled."""
     spec = x.ring
     if spec.e == 1:
-        return ValQ(0)
+        return Fraction(0)
     coeffs = minimal_polynomial(x)
     a_vals = [c.p_val() for c in coeffs]
     exactness = [v < c.ring.M for v, c in zip(a_vals, coeffs)]
@@ -233,7 +228,7 @@ def _resultant_val(R: DvrSpec, bound: int) -> int:
     """v_p(Res(f, f')) via the Sylvester determinant at precision p^bound."""
     e = R.e
     wspec = make_witt(R.k, bound)
-    f = R.f_materialized(wspec) + [wspec.one()]
+    f = [*_f_materialized_cached(R, wspec), wspec.one()]
     fprime = [f[j] * wspec.from_int(j) for j in range(1, e + 1)]
     size = 2 * e - 1
     rows = []
@@ -247,41 +242,34 @@ def _resultant_val(R: DvrSpec, bound: int) -> int:
         for j in range(e):
             row[shift + j] = fprime[e - 1 - j]
         rows.append(row)
-    det = _det(rows, wspec)
-    v = det.p_val()
+    v = _det_val(rows, wspec)
     if v >= bound:
         raise InconsistentResult("resultant vanished to working precision")
     return v
 
 
-def _det(rows, wspec) -> WittElem:
-    """Determinant by minor expansion with memoization on column subsets;
-    division-free, so it works over W(k)/p^B."""
-    n = len(rows)
-    if n == 0:
-        return wspec.one()
-    memo = {0: wspec.one()}
-
-    # recursion keyed on the set of still-available columns: the row index is
-    # determined by its popcount
-    def minor(cols):
-        if cols in memo:
-            return memo[cols]
-        row = n - bin(cols).count("1")
-        acc = wspec.zero()
-        sign = 0
-        for c in range(n):
-            if cols & (1 << c):
-                entry = rows[row][c]
-                if not entry.is_zero():
-                    sub = minor(cols & ~(1 << c))
-                    term = entry * sub
-                    acc = acc + term if sign % 2 == 0 else acc - term
-                sign += 1
-        memo[cols] = acc
-        return acc
-
-    return minor((1 << n) - 1)
+def _det_val(rows, wspec) -> int:
+    """p-adic valuation of the determinant over W(k)/p^B, B = wspec.M, by
+    elimination with full pivoting on an entry of least valuation v.  Every
+    entry of the pivot row then has valuation >= v, so the pivot row divided
+    by p^v is known mod p^(B-v), and the multipliers, of valuation >= v,
+    carry that error past p^B: the eliminated matrix is exact mod p^B, and
+    v_p(det) is the sum of the pivot valuations.  Returns B when the
+    determinant vanishes mod p^B."""
+    p, B = wspec.p, wspec.M
+    total = 0
+    while rows:
+        v, i, j = min((x.p_val(), i, j) for i, row in enumerate(rows) for j, x in enumerate(row))
+        total += v
+        if total >= B:
+            return B
+        scale = p ** v
+        pivot = [wspec.from_coeffs([c // scale for c in x.coeffs]) for x in rows.pop(i)]
+        inv = witt_unit_inv(pivot[j])
+        pivot = [x * inv for x in pivot]
+        rows = [[x - row[j] * y for k, (x, y) in enumerate(zip(row, pivot)) if k != j]
+                for row in rows]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +283,7 @@ def lift_precision_bound(R1: DvrSpec, e2: int) -> int:
     if e2 < 1:
         raise ValueError("e2 must be >= 1")
     m = krasner_bound(R1)
-    threshold = m.fraction * R1.e * e2
+    threshold = m * R1.e * e2
     n = int(threshold) + 1
     return n
 
@@ -334,7 +322,7 @@ def n0_threshold(R1: DvrSpec, R2: DvrSpec) -> int:
 class RamificationReport:
     e: int
     tame: bool
-    M: ValQ
+    M: Fraction
     different_val: int
     discriminant_val: int
 

@@ -289,18 +289,6 @@ class FqElem:
         return result
 
 
-def field_arith(a: FqElem, b: FqElem, op: str) -> FqElem:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def frobenius(a: FqElem) -> FqElem:
     return a ** a.field.p
 

@@ -5,6 +5,11 @@ where lifted_poly carries the same integer coefficients as the defining
 polynomial of the residue field k.  Teichmuller digits are a derived
 canonical form: the universal Witt addition polynomials are never needed
 because multiplication here is ordinary polynomial arithmetic.
+
+Each job on W(k) has one implementation here: _yreduce reduces modulo
+(g(y), p^M), and the flat core of dvr uses it too; from_digits forms the
+Teichmuller sum sum teichmuller(a_r) p^r; WittMap is the map W(psi) induced
+by a residue-field embedding psi.
 """
 
 from __future__ import annotations
@@ -60,19 +65,14 @@ def make_witt(k: FieldSpec, M: int) -> WittRingSpec:
     return WittRingSpec(k, M, tuple(int(c) for c in k.defining_poly))
 
 
-def _reduce_poly(coeffs, lifted_poly, modulus):
-    """Reduce an ascending coefficient list modulo (lifted_poly, modulus)."""
-    d = len(lifted_poly) - 1
-    coeffs = [c % modulus for c in coeffs]
-    for i in range(len(coeffs) - 1, d - 1, -1):
-        c = coeffs[i]
+def _yreduce(row, g, d: int, mod: int):
+    """Reduce a coordinate list of length <= 2d-1 modulo (g(y), mod)."""
+    for i in range(len(row) - 1, d - 1, -1):
+        c = row[i]
         if c:
-            coeffs[i] = 0
             for j in range(d):
-                coeffs[i - d + j] = (coeffs[i - d + j] - c * lifted_poly[j]) % modulus
-    coeffs = coeffs[:d]
-    coeffs += [0] * (d - len(coeffs))
-    return coeffs
+                row[i - d + j] -= c * g[j]
+    return [c % mod for c in row[:d]]
 
 
 class WittElem:
@@ -125,7 +125,8 @@ class WittElem:
             if a:
                 for j, b in enumerate(other.coeffs):
                     prod[i + j] += a * b
-        return WittElem(self.ring, _reduce_poly(prod, self.ring.lifted_poly, self.ring.modulus))
+        ring = self.ring
+        return WittElem(ring, _yreduce(prod, ring.lifted_poly, ring.d, ring.modulus))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -172,16 +173,6 @@ class WittElem:
         return WittElem(self.ring, tuple(c // p for c in self.coeffs))
 
 
-def witt_arith(a: WittElem, b: WittElem, op: str) -> WittElem:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def witt_unit_inv(a: WittElem) -> WittElem:
     """Inverse of a unit: invert the residue, then lift the inverse p-adically
     by x <- x(2 - ax), doubling the correct digits each step."""
@@ -219,23 +210,7 @@ def teichmuller(a: FqElem, ring: WittRingSpec) -> WittElem:
     raise InconsistentResult("Teichmuller iteration failed to stabilize")
 
 
-@dataclass(frozen=True)
-class TeichDigits:
-    """Canonical digit form a_0..a_{M-1}: x = sum teichmuller(a_r) p^r."""
-
-    digits: tuple  # M FqElem values
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __len__(self):
-        return len(self.digits)
-
-    def __getitem__(self, i):
-        return self.digits[i]
-
-
-def teich_digits(x: WittElem) -> TeichDigits:
+def teich_digits(x: WittElem) -> tuple:
     """Expand x in Teichmuller digits: a_0 = residue(x), then peel
     (x - teichmuller(a_0))/p and repeat M times."""
     ring = x.ring
@@ -245,21 +220,26 @@ def teich_digits(x: WittElem) -> TeichDigits:
         a = cur.residue()
         digits.append(a)
         cur = (cur - teichmuller(a, ring)).divide_exact_by_p()
-    return TeichDigits(tuple(digits))
+    return tuple(digits)
 
 
-def from_digits(d: TeichDigits, ring: WittRingSpec) -> WittElem:
+def from_digits(digits, ring: WittRingSpec) -> WittElem:
+    """sum teichmuller(a_r) p^r over the digits a_0, a_1, ...; zero digits
+    add nothing, and digits from position M on vanish mod p^M."""
     acc = ring.zero()
     pw = 1
-    for a in d.digits:
-        acc = acc + teichmuller(a, ring) * ring.from_int(pw)
+    for a in digits:
+        if pw % ring.modulus == 0:
+            break
+        if not a.is_zero():
+            acc = acc + teichmuller(a, ring) * ring.from_int(pw)
         pw *= ring.p
     return acc
 
 
 def witt_elem_text(x: WittElem) -> str:
     """Digit string "t:a_0,a_1,...,a_{M-1}" in the field's coefficient form."""
-    return "t:" + ",".join(a.text() for a in teich_digits(x).digits)
+    return "t:" + ",".join(a.text() for a in teich_digits(x))
 
 
 class WittMap:
@@ -274,8 +254,7 @@ class WittMap:
     def __call__(self, x: WittElem) -> WittElem:
         if x.ring != self.source:
             raise RingMismatch("element not in the source Witt ring")
-        mapped = TeichDigits(tuple(self.psi(a) for a in teich_digits(x).digits))
-        return from_digits(mapped, self.target)
+        return from_digits(map(self.psi, teich_digits(x)), self.target)
 
 
 def witt_functor(psi: FieldEmbedding, M: int) -> WittMap:

@@ -265,9 +265,9 @@ def test_homs_bad_enum_cap_exit_2(capsys, monkeypatch):
     assert "RAMLIFT_ENUM_CAP" in err
 
 
-def _run_limited(*argv):
+def _run_limited(*argv, timeout=60):
     """The CLI in a child process limited to 512 MiB of address space and a
-    60 s timeout, so a crash or a hang fails the test and nothing else."""
+    timeout, so a crash or a hang fails the test and nothing else."""
     import resource
     import subprocess
     import sys
@@ -277,7 +277,7 @@ def _run_limited(*argv):
 
     return subprocess.run(
         [sys.executable, "-m", "ramlift", *argv],
-        capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=limit,
+        capture_output=True, text=True, env=_child_env(), timeout=timeout, preexec_fn=limit,
     )
 
 
@@ -290,6 +290,15 @@ def test_ring_huge_prime_summarizes():
     assert proc.returncode == 0, proc.stderr
     obj = json.loads(proc.stdout)
     assert obj["q"] == P_HUGE and obj["residue"] == {"d": 1, "poly": [0, 1]}
+
+
+def test_ring_large_e_summarizes():
+    # x^16 + 2x^15 + ... + 2x - 2 over Z_2: the resultant cross-check must
+    # not grow exponentially with the 31 x 31 Sylvester matrix
+    spec = json.dumps({"p": 2, "eisenstein": [-2] + [2] * 15 + [1]})
+    proc = _run_limited("ring", spec, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["discriminant"] == 16
 
 
 def test_ring_huge_prime_extension_summarizes():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramlift.dvr import ValInfo, ValQ, make_dvr
+from ramlift.dvr import ValInfo, make_dvr
 from ramlift.errors import PrecisionTooLow
 from ramlift.ramification import (
     different_val,
@@ -35,34 +35,34 @@ Z3_FLAT = make_dvr(F3, [-3, 1])
 # -- newton polygon ----------------------------------------------------------
 
 def test_polygon_eisenstein_quadratic():
-    np = newton_polygon([ValQ(1), None, ValQ(0)])
+    np = newton_polygon([Fraction(1), None, Fraction(0)])
     assert np.slopes == ((Fraction(1, 2), 2),)
-    assert np.vertices == ((0, ValQ(1)), (2, ValQ(0)))
+    assert np.vertices == ((0, Fraction(1)), (2, Fraction(0)))
 
 
 def test_polygon_single_segment():
-    np = newton_polygon([ValQ(3, 2), ValQ(0)])
+    np = newton_polygon([Fraction(3, 2), Fraction(0)])
     assert np.slopes == ((Fraction(3, 2), 1),)
 
 
 def test_polygon_degenerate_constant():
     with pytest.raises(ValueError):
-        newton_polygon([ValQ(1)])
+        newton_polygon([Fraction(1)])
 
 
 def test_polygon_lower_bound_vertex_rejected():
     # index-1 value is only a bound and would sit under the hull
     with pytest.raises(PrecisionTooLow):
-        newton_polygon([ValQ(2), ValInfo(ValQ(0), False), ValQ(1)])
+        newton_polygon([Fraction(2), ValInfo(Fraction(0), False), Fraction(1)])
 
 
 def test_polygon_lower_bound_above_hull_tolerated():
-    np = newton_polygon([ValQ(1), ValInfo(ValQ(5), False), ValQ(0)])
+    np = newton_polygon([Fraction(1), ValInfo(Fraction(5), False), Fraction(0)])
     assert np.slopes == ((Fraction(1, 2), 2),)
 
 
 def test_polygon_multi_segment():
-    np = newton_polygon([ValQ(3), ValQ(1), ValQ(1), ValQ(0)])
+    np = newton_polygon([Fraction(3), Fraction(1), Fraction(1), Fraction(0)])
     assert np.slopes == ((Fraction(1, 2), 2), (Fraction(2), 1))
     assert np.slope_sum() == Fraction(3)
 
@@ -70,17 +70,17 @@ def test_polygon_multi_segment():
 # -- krasner bound -----------------------------------------------------------
 
 def test_krasner_examples():
-    assert krasner_bound(Z3_SQRT3) == ValQ(1, 2)
-    assert krasner_bound(Z3_CBRT3) == ValQ(5, 6)
-    assert krasner_bound(Z2_SQRT2) == ValQ(3, 2)
-    assert krasner_bound(Z3_FLAT) == ValQ(0)
+    assert krasner_bound(Z3_SQRT3) == Fraction(1, 2)
+    assert krasner_bound(Z3_CBRT3) == Fraction(5, 6)
+    assert krasner_bound(Z2_SQRT2) == Fraction(3, 2)
+    assert krasner_bound(Z3_FLAT) == Fraction(0)
 
 
 def test_krasner_tame_is_one_over_e():
     for p, e in [(3, 2), (5, 2), (5, 4), (7, 3), (2, 3)]:
         k = make_field(p, 1)
         spec = make_dvr(k, [p, 0] + [0] * (e - 2) + [1])
-        assert krasner_bound(spec) == ValQ(1, e)
+        assert krasner_bound(spec) == Fraction(1, e)
 
 
 def test_krasner_upper_bound():
@@ -92,7 +92,7 @@ def test_krasner_upper_bound():
             f = [c0] + [p * rng.randrange(3) for _ in range(e - 1)] + [1]
             spec = make_dvr(k, f)
             m = krasner_bound(spec)
-            assert m <= ValQ(1 + nu_of_e(p, e), e)
+            assert m <= Fraction(1 + nu_of_e(p, e), e)
 
 
 # -- different / discriminant -------------------------------------------------
@@ -114,6 +114,27 @@ def test_discriminant_cross_check_named_rings():
     assert discriminant_val(Z2_SQRT2) == 3  # v_2(disc(x^2-2)) = v_2(8)
     assert discriminant_val(Z3_CBRT3) == 5
     assert discriminant_val(Z3_FLAT) == 0
+
+
+@pytest.mark.parametrize("e", range(1, 11))
+def test_discriminant_matches_sympy_oracle(e):
+    # v_p(disc f) from sympy's integer discriminant, against the different
+    # and the Sylvester-determinant cross-check inside discriminant_val
+    import sympy
+
+    x = sympy.symbols("x")
+    rng = random.Random(1000 + e)
+    for p in (2, 3, 5):
+        k = make_field(p, 1)
+        for _ in range(3):
+            c0 = p * rng.choice([c for c in range(-p * p + 1, p * p) if c % p])
+            f = [c0] + [p * rng.randrange(p * p) for _ in range(e - 1)] + [1]
+            disc = int(sympy.discriminant(sympy.Poly(f[::-1], x)))
+            v = 0
+            while disc % p == 0:
+                disc //= p
+                v += 1
+            assert discriminant_val(make_dvr(k, f)) == v, (p, f)
 
 
 def test_tame_iff_different_e_minus_1_random():
@@ -144,7 +165,7 @@ def test_slope_sum_equals_different_over_e():
             spec = make_dvr(k, f)
             vals = _shifted_coeff_vals(_spec_coeff_vals(spec), e, p)
             poly = newton_polygon(
-                [ValQ(Fraction(v, e)) if v is not None else None for v in vals]
+                [Fraction(v, e) if v is not None else None for v in vals]
             )
             assert poly.slope_sum() == Fraction(different_val(spec), e)
 
@@ -153,7 +174,7 @@ def test_quartic_wild_ring_by_hand():
     # x^4 - 2 over Z2: conjugate differences pi(1 -+ i) and 2pi have
     # normalized valuations 3/4, 3/4, 5/4
     spec = make_dvr(F2, [-2, 0, 0, 0, 1])
-    assert krasner_bound(spec) == ValQ(5, 4)
+    assert krasner_bound(spec) == Fraction(5, 4)
     assert different_val(spec) == 11  # nu(4 pi^3) = 8 + 3, top of the wild range
     assert discriminant_val(spec) == 11
     assert 11 == spec.e - 1 + nu_of_e(2, 4)
@@ -168,7 +189,7 @@ def test_quadratic_krasner_is_half_the_different():
         for _ in range(20):
             c0 = p * rng.choice([c for c in range(1, 3 * p) if c % p])
             spec = make_dvr(k, [c0, p * rng.randrange(5), 1])
-            assert krasner_bound(spec) == ValQ(different_val(spec), 2)
+            assert krasner_bound(spec) == Fraction(different_val(spec), 2)
 
 
 # -- uniformizer invariance ----------------------------------------------------
@@ -222,21 +243,15 @@ def test_n0_threshold():
 def test_report_fields():
     rep = ramification_report(Z2_SQRT2)
     assert rep.e == 2 and not rep.tame
-    assert rep.M == ValQ(3, 2)
+    assert rep.M == Fraction(3, 2)
     assert rep.different_val == 3 and rep.discriminant_val == 3
     j = rep.to_json()
     assert set(j) == {"e", "tame", "M", "different_val", "discriminant_val"}
     assert j["M"] == "3/2"
     rep2 = ramification_report(Z3_SQRT3)
-    assert rep2.tame and rep2.M == ValQ(1, 2)
+    assert rep2.tame and rep2.M == Fraction(1, 2)
 
 
 def test_polygon_inexact_leading_coefficient_rejected():
     with pytest.raises(PrecisionTooLow):
-        newton_polygon([ValQ(1), ValQ(0), ValInfo(ValQ(0), False)])
-
-
-def test_valq_parse_str_roundtrip():
-    for text in ("0", "1/2", "5/6", "3/2", "inf", "7"):
-        assert str(ValQ.parse(text)) == text
-    assert ValQ.parse("1/2") < ValQ.parse("5/6") < ValQ.parse("inf")
+        newton_polygon([Fraction(1), Fraction(0), ValInfo(Fraction(0), False)])

@@ -10,7 +10,6 @@ from ramlift.witt import (
     make_witt,
     teich_digits,
     teichmuller,
-    witt_arith,
     witt_elem_text,
     witt_functor,
     witt_unit_inv,
@@ -58,7 +57,7 @@ def test_unit_inverse_rejects_non_units():
 
 def test_ring_mismatch():
     with pytest.raises(RingMismatch):
-        witt_arith(Z27.one(), make_witt(F3, 2).one(), "add")
+        Z27.one() + make_witt(F3, 2).one()
 
 
 def test_teichmuller_zero_one():
