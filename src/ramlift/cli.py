@@ -71,14 +71,19 @@ def parse_poly_text(s: str):
     s = s.replace(" ", "")
     if not s:
         raise InputError("empty polynomial")
-    s = s.replace("-", "+-")
+    # every term after the first opens with its sign, the first may too
+    terms = re.split(r"(?=[+-])", s)
+    if not terms[0]:
+        terms.pop(0)
     coeffs: dict[int, int] = {}
-    for term in filter(None, s.split("+")):
-        m = re.fullmatch(r"(-)?(\d+)?\*?(x(?:\^(\d+))?)?", term)
+    for term in terms:
+        if term in ("+", "-"):
+            raise InputError(f"empty term in polynomial {s!r}")
+        m = re.fullmatch(r"([+-])?(\d+)?\*?(x(?:\^(\d+))?)?", term)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise InputError(f"cannot parse term {term!r}")
         c = int(m.group(2)) if m.group(2) is not None else 1
-        if m.group(1):
+        if m.group(1) == "-":
             c = -c
         exp = 0
         if m.group(3):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul
@@ -41,6 +40,7 @@ from .errors import (
     RingMismatch,
     TooLarge,
 )
+from .record import Record, set_field
 from .resfield import FieldSpec, FqElem, make_field
 from .witt import WittElem, WittRingSpec, _yreduce, from_digits, make_witt, teichmuller, witt_unit_inv
 
@@ -62,14 +62,16 @@ def enumeration_cap() -> int:
 # valuation readouts
 
 
-@dataclass(frozen=True)
-class ValInfo:
+class ValInfo(Record):
     """A valuation readout: exact, or only the lower bound "value" (the
     precision to which the element was seen to vanish).  None is +infinity,
     the valuation of a zero coefficient."""
 
-    value: Fraction | None
-    exact: bool
+    _fields = ("value", "exact")
+
+    def __init__(self, value: Fraction | None, exact: bool):
+        set_field(self, "value", value)
+        set_field(self, "exact", exact)
 
     def __str__(self):
         return str(self.value) if self.exact else f"≥ {self.value}"
@@ -79,15 +81,18 @@ class ValInfo:
 # exact coefficient descriptions (materializable at any Witt precision)
 
 
-@dataclass(frozen=True)
-class ExactWittCoeff:
+class ExactWittCoeff(Record):
     """An element of W(k) specified exactly: either integer power-basis
     coordinates, or a finite Teichmuller-digit polynomial.  Either form
     determines the element at every precision simultaneously."""
 
-    field: FieldSpec
-    kind: str  # "int" or "teich"
-    payload: tuple
+    _fields = ("field", "kind", "payload")
+
+    def __init__(self, field: FieldSpec, kind: str, payload: tuple):
+        # kind: "int" or "teich"
+        set_field(self, "field", field)
+        set_field(self, "kind", kind)
+        set_field(self, "payload", payload)
 
     @classmethod
     def from_ints(cls, field: FieldSpec, coords) -> "ExactWittCoeff":
@@ -186,12 +191,15 @@ def parse_coeff(field: FieldSpec, value) -> ExactWittCoeff:
 # ring spec
 
 
-@dataclass(frozen=True)
-class DvrSpec:
+class DvrSpec(Record):
     """R = W(k)[x]/(f) for a monic Eisenstein f of degree e = ramification index."""
 
-    k: FieldSpec
-    coeffs: tuple  # ExactWittCoeff a_0..a_{e-1}; leading coefficient is 1
+    _fields = ("k", "coeffs")
+
+    def __init__(self, k: FieldSpec, coeffs: tuple):
+        # coeffs: ExactWittCoeff a_0..a_{e-1}; the leading coefficient is 1
+        set_field(self, "k", k)
+        set_field(self, "coeffs", coeffs)
 
     def __hash__(self):
         # every context lookup hashes the spec; the field-wise hash is cached
@@ -789,14 +797,16 @@ def minimal_polynomial(x: DvrElem):
 # finite residue rings R/m^n
 
 
-@dataclass(frozen=True)
-class ResidueRingSpec:
+class ResidueRingSpec(Record):
     """R_n = R/m^n presented as W(k)[x]/(f(x), x^n).  An element is a
     canonical flat vector of R at precision n (see _canon), and its digit
     vector in k^n is read only when asked for."""
 
-    ring: DvrSpec
-    n: int
+    _fields = ("ring", "n")
+
+    def __init__(self, ring: DvrSpec, n: int):
+        set_field(self, "ring", ring)
+        set_field(self, "n", n)
 
     @property
     def cardinality(self) -> int:
@@ -990,10 +1000,16 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _ring_spec_field(obj: dict, key: str):
+    if key not in obj:
+        raise InvalidArgument(f'the ring spec is missing "{key}"')
+    return obj[key]
+
+
 def parse_ring_spec(obj: dict) -> DvrSpec:
     if not isinstance(obj, dict):
         raise InvalidArgument("a ring spec must be a JSON object")
-    p = _json_int(obj["p"], "p")
+    p = _json_int(_ring_spec_field(obj, "p"), "p")
     res = obj.get("residue", {"d": 1, "poly": None})
     if not isinstance(res, dict):
         raise InvalidArgument(f"residue must be a JSON object, got {res!r}")
@@ -1002,7 +1018,7 @@ def parse_ring_spec(obj: dict) -> DvrSpec:
     if poly is not None:
         for c in _json_list(poly, "residue.poly"):
             _json_int(c, "a residue.poly entry")
-    f = _json_list(obj["eisenstein"], "eisenstein")
+    f = _json_list(_ring_spec_field(obj, "eisenstein"), "eisenstein")
     for c in f:
         if not isinstance(c, str):  # "t:..." digit strings are parsed by make_dvr
             for x in c if isinstance(c, list) else [c]:

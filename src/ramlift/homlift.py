@@ -39,10 +39,8 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .dvr import (
     _add,
@@ -84,6 +82,7 @@ from .errors import (
     TooLarge,
 )
 from .ramification import different_val, krasner_bound, lift_precision_bound, nu_of_e
+from .record import Record, set_field
 from .resfield import FieldEmbedding, FqElem, embeddings
 from .witt import WittMap
 
@@ -94,13 +93,15 @@ ESCALATION_CAP = 64  # hard cap on working precision, in nu-units
 # polynomial coefficients that can be materialized at any precision
 
 
-@dataclass(frozen=True)
-class MappedCoeff:
+class MappedCoeff(Record):
     """The image under W(psi) of an exactly known W(k1) coefficient; exact at
     every precision because the digit expansion maps digitwise."""
 
-    coeff: ExactWittCoeff
-    psi: FieldEmbedding
+    _fields = ("coeff", "psi")
+
+    def __init__(self, coeff: ExactWittCoeff, psi: FieldEmbedding):
+        set_field(self, "coeff", coeff)
+        set_field(self, "psi", psi)
 
     def p_val(self):
         # W(psi) preserves p-adic valuations: the first nonzero digit maps to
@@ -122,9 +123,9 @@ def _mapped_materialize(coeff: ExactWittCoeff, psi: FieldEmbedding, wspec):
 def _normalize_poly(F, k) -> tuple:
     """Coefficient list (ints / vectors / ExactWittCoeff / MappedCoeff) into
     the tuple of providers a_0..a_{deg-1}; a trailing integer 1 is the
-    implied monic lead."""
+    implied monic lead, so [1] is the constant 1 and gives no providers."""
     entries = list(F)
-    if entries and isinstance(entries[-1], int) and entries[-1] == 1 and len(entries) >= 2:
+    if entries and isinstance(entries[-1], int) and entries[-1] == 1:
         entries = entries[:-1]
     out = []
     for c in entries:
@@ -139,14 +140,15 @@ def _normalize_poly(F, k) -> tuple:
     return tuple(out)
 
 
-class _Poly(NamedTuple):
+class _Poly:
     """A monic F = x^deg + a_{deg-1} x^(deg-1) + ... + a_0 materialized as
     flat vectors of one context: f lists a_0, ..., a_{deg-1}, and df the
     coefficients 1*a_1, ..., (deg-1)*a_{deg-1} of F' below its lead deg."""
 
-    ctx: _Context
-    f: tuple
-    df: tuple
+    __slots__ = ("ctx", "f", "df")
+
+    def __init__(self, ctx: _Context, f: tuple, df: tuple):
+        self.ctx, self.f, self.df = ctx, f, df
 
     def value(self, x) -> tuple:
         return _horner(self.ctx, self.f, x)
@@ -180,14 +182,16 @@ def _horner(ctx, coeffs, x, lead: int = 1) -> tuple:
 # certified roots by digit DFS
 
 
-@dataclass(frozen=True)
-class CertifiedRoot:
+class CertifiedRoot(Record):
     """A root approximation exact mod m^t: the acceptance inequality
     nu(F(x)) >= t + deriv_val forces a unique exact root in that ball."""
 
-    elem: DvrElem
-    t: int
-    deriv_val: int
+    _fields = ("elem", "t", "deriv_val")
+
+    def __init__(self, elem: DvrElem, t: int, deriv_val: int):
+        set_field(self, "elem", elem)
+        set_field(self, "t", t)
+        set_field(self, "deriv_val", deriv_val)
 
 
 class _NeedMargin(Exception):
@@ -335,14 +339,18 @@ def _digit_dfs(poly: _Poly, depth: int, zero_prefix: int = 0):
 # residue-ring homomorphisms
 
 
-@dataclass(frozen=True)
-class ResidueHom:
+class ResidueHom(Record):
     """Homomorphism R_{1,n1} -> R_{2,n2} as (psi, beta)."""
 
-    source: ResidueRingSpec
-    target: ResidueRingSpec
-    psi: FieldEmbedding
-    beta: ResidueElt
+    _fields = ("source", "target", "psi", "beta")
+
+    def __init__(
+        self, source: ResidueRingSpec, target: ResidueRingSpec, psi: FieldEmbedding, beta: ResidueElt
+    ):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "psi", psi)
+        set_field(self, "beta", beta)
 
     def apply(self, x: ResidueElt) -> ResidueElt:
         if x.rspec != self.source:
@@ -424,15 +432,20 @@ def enumerate_isos(src: ResidueRingSpec, tgt: ResidueRingSpec, cap: int | None =
 # lifted homomorphisms
 
 
-@dataclass(frozen=True)
-class DvrHom:
+class DvrHom(Record):
     """Homomorphism R1 -> R2: psi plus the certified image of the uniformizer."""
 
-    source: DvrSpec
-    target: DvrSpec
-    psi: FieldEmbedding
-    rho: DvrElem
-    certificate: tuple  # (t, deriv_val)
+    _fields = ("source", "target", "psi", "rho", "certificate")
+
+    def __init__(
+        self, source: DvrSpec, target: DvrSpec, psi: FieldEmbedding, rho: DvrElem, certificate: tuple
+    ):
+        # certificate: (t, deriv_val)
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "psi", psi)
+        set_field(self, "rho", rho)
+        set_field(self, "certificate", certificate)
 
     def apply(self, x: DvrElem) -> DvrElem:
         if x.ring != self.source:
@@ -624,11 +637,14 @@ def hom_inverse(g: DvrHom) -> DvrHom:
     raise NoRoot("homomorphism has no inverse")
 
 
-@dataclass(frozen=True)
-class HasRootResult:
-    kind: str  # "yes" | "no" | "undecided"
-    root: DvrElem | None
-    precision: int
+class HasRootResult(Record):
+    _fields = ("kind", "root", "precision")
+
+    def __init__(self, kind: str, root: DvrElem | None, precision: int):
+        # kind: "yes" | "no" | "undecided"
+        set_field(self, "kind", kind)
+        set_field(self, "root", root)
+        set_field(self, "precision", precision)
 
     def __bool__(self):
         return self.kind == "yes"
@@ -692,6 +708,8 @@ def has_root(R: DvrSpec, F) -> HasRootResult:
         raise NotMonic("polynomial must be monic")
     coeffs = _squarefree_part(coeffs)
     prec = max(4, R.e + nu_of_e(R.p, R.e) + 1)
+    if len(coeffs) == 1:
+        return HasRootResult("no", None, prec)  # the constant 1 has no root
     while True:
         try:
             roots = roots_in_dvr(coeffs, R, prec)

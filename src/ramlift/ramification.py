@@ -9,13 +9,13 @@ truncated element arithmetic enters the hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .dvr import DvrElem, DvrSpec, ValInfo, _f_materialized_cached, minimal_polynomial
 from .errors import InconsistentResult, InvalidArgument, NotPrime, PrecisionTooLow
+from .record import Record, set_field
 from .resfield import is_prime
 from .witt import make_witt, witt_unit_inv
 
@@ -40,13 +40,16 @@ def nu_of_e(p: int, e: int) -> int:
 # Newton polygons
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Lower convex hull of (i, val(c_i)); slopes are the negated segment
     gradients, listed ascending with multiplicities (= segment widths)."""
 
-    vertices: tuple  # ((index, Fraction), ...)
-    slopes: tuple  # ((Fraction, multiplicity), ...)
+    _fields = ("vertices", "slopes")
+
+    def __init__(self, vertices: tuple, slopes: tuple):
+        # vertices: ((index, Fraction), ...); slopes: ((Fraction, multiplicity), ...)
+        set_field(self, "vertices", vertices)
+        set_field(self, "slopes", slopes)
 
     def max_slope(self) -> Fraction:
         return self.slopes[-1][0]
@@ -318,13 +321,15 @@ def n0_threshold(R1: DvrSpec, R2: DvrSpec) -> int:
 # report
 
 
-@dataclass(frozen=True)
-class RamificationReport:
-    e: int
-    tame: bool
-    M: Fraction
-    different_val: int
-    discriminant_val: int
+class RamificationReport(Record):
+    _fields = ("e", "tame", "M", "different_val", "discriminant_val")
+
+    def __init__(self, e: int, tame: bool, M: Fraction, different_val: int, discriminant_val: int):
+        set_field(self, "e", e)
+        set_field(self, "tame", tame)
+        set_field(self, "M", M)
+        set_field(self, "different_val", different_val)
+        set_field(self, "discriminant_val", discriminant_val)
 
     def to_json(self) -> dict:
         return {

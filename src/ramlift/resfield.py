@@ -11,7 +11,6 @@ enumerates it: primality (deterministic Miller-Rabin) and irreducibility
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -23,6 +22,7 @@ from .errors import (
     NotPrime,
     Reducible,
 )
+from .record import Record, set_field
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound
@@ -140,13 +140,16 @@ def _monic_tails(p, d, first=0):
             yield (c,) + rest
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """F_{p^d} presented as F_p[x]/(defining_poly)."""
 
-    p: int
-    d: int
-    defining_poly: tuple  # ascending coefficients, length d+1, monic
+    _fields = ("p", "d", "defining_poly")
+
+    def __init__(self, p: int, d: int, defining_poly: tuple):
+        # defining_poly: ascending coefficients, length d+1, monic
+        set_field(self, "p", p)
+        set_field(self, "d", d)
+        set_field(self, "defining_poly", defining_poly)
 
     @property
     def q(self) -> int:
@@ -308,13 +311,15 @@ def eval_poly(poly, x: FqElem) -> FqElem:
     return acc
 
 
-@dataclass(frozen=True)
-class FieldEmbedding:
+class FieldEmbedding(Record):
     """Ring homomorphism k1 -> k2, pinned down by the image of the generator."""
 
-    source: FieldSpec
-    target: FieldSpec
-    image_of_generator: FqElem
+    _fields = ("source", "target", "image_of_generator")
+
+    def __init__(self, source: FieldSpec, target: FieldSpec, image_of_generator: FqElem):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "image_of_generator", image_of_generator)
 
     def __call__(self, a: FqElem) -> FqElem:
         if a.field is not self.source and a.field != self.source:

@@ -14,20 +14,24 @@ by a residue-field embedding psi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InconsistentResult, InvalidArgument, NotAUnit, NotDivisible, RingMismatch
+from .record import Record, set_field
 from .resfield import FieldSpec, FieldEmbedding, FqElem
 
 
-@dataclass(frozen=True)
-class WittRingSpec:
+class WittRingSpec(Record):
     """W(k)/p^M as (Z/p^M)[y]/(lifted_poly)."""
 
-    k: FieldSpec
-    M: int  # absolute p-adic precision
-    lifted_poly: tuple  # ascending, length d+1, integer coefficients mod p^M
+    _fields = ("k", "M", "lifted_poly")
+
+    def __init__(self, k: FieldSpec, M: int, lifted_poly: tuple):
+        # M: absolute p-adic precision; lifted_poly: ascending, length d+1,
+        # integer coefficients mod p^M
+        set_field(self, "k", k)
+        set_field(self, "M", M)
+        set_field(self, "lifted_poly", lifted_poly)
 
     @property
     def p(self) -> int:

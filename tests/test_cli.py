@@ -23,7 +23,16 @@ def test_parse_poly_text():
     assert parse_poly_text("x^3 - 3") == [-3, 0, 0, 1]
     assert parse_poly_text("x^2+0*x-2") == [-2, 0, 1]
     assert parse_poly_text("-x+1") == [1, -1]
+    assert parse_poly_text("+x^2-1") == [-1, 0, 1]
     assert parse_poly_text("x") == [0, 1]
+    assert parse_poly_text("1") == [1]
+
+
+@pytest.mark.parametrize("poly", ["x^2+", "x^2++1", "x^2+-1", "x^2-", "+"])
+def test_hasroot_empty_term_exit_2(capsys, poly):
+    rc, out, err = run(capsys, "hasroot", S3, poly)
+    _one_line_exit_2(rc, err)
+    assert out == "" and "empty term" in err
 
 
 def test_ring_summary(capsys):
@@ -133,6 +142,9 @@ def test_hasroot(capsys):
     assert rc == 0 and json.loads(out)["answer"] == "yes"
     rc, out, _ = run(capsys, "hasroot", W10, "x^2-2")
     assert rc == 0 and json.loads(out)["answer"] == "no"
+    # the constant 1 has no root; it is not read as x + 1
+    rc, out, _ = run(capsys, "hasroot", S3, "1")
+    assert rc == 0 and json.loads(out) == {"answer": "no", "precision": 4}
 
 
 @pytest.mark.parametrize("fid", ["ex-2-13-1", "ex-2-13-2", "wild-2-2", "ex-4-12", "tame-atlas"])
@@ -337,6 +349,13 @@ def test_ring_spec_json_types_exit_2(capsys, spec):
     assert out == ""
 
 
+@pytest.mark.parametrize("spec, key", [("{}", "p"), ('{"p":3}', "eisenstein")])
+def test_ring_spec_missing_field_exit_2(capsys, spec, key):
+    rc, _, err = run(capsys, "ring", spec)
+    _one_line_exit_2(rc, err)
+    assert f'the ring spec is missing "{key}"' in err
+
+
 def test_lift_hom_json_needs_integers(capsys):
     for hom in ('{"psi":{"image_of_generator":[0.0]},"beta":"pi:0,1,0","n1":3,"n2":3}',
                 '{"psi":{"image_of_generator":[0]},"beta":"pi:0,1,0","n1":3.0,"n2":3}'):
@@ -418,7 +437,7 @@ _N = st.integers(-1, 5).map(str)
 _ARGV = st.one_of(
     st.tuples(st.just("ring"), _RING.map(_J)),
     st.tuples(st.just("homs"), _RING.map(_J), _RING.map(_J), _N, _N),
-    st.tuples(st.just("hasroot"), _RING.map(_J), st.sampled_from(["x^2-3", "x-2", "x^2+1", "x^3-3"])),
+    st.tuples(st.just("hasroot"), _RING.map(_J), st.sampled_from(["x^2-3", "x-2", "x^2+1", "x^3-3", "1", "x^2+", "x^2++1"])),
     st.tuples(st.just("lift"), _RING.map(_J), _RING.map(_J), _HOM.map(_J), st.integers(-1, 8).map(str)),
     st.tuples(st.just("bounds"), st.integers(-3, 12).map(str), st.integers(-3, 5).map(str)),
 )

@@ -462,6 +462,14 @@ def test_has_root_examples():
     assert has_root(Z2_SQRT10, [-2, 0, 1]).kind == "no"
 
 
+def test_constant_polynomial_has_no_root():
+    # [1] is the constant 1, not x + 1, whose root is -1
+    res = has_root(Z3_SQRT3, [1])
+    assert (res.kind, res.root) == ("no", None)
+    with pytest.raises(ValueError, match="degree >= 1"):
+        roots_in_dvr([1], Z3_SQRT3, 4)
+
+
 def test_has_root_finds_unit_roots():
     res = has_root(Z3_FLAT, [-1, 0, 1])
     assert res.kind == "yes"

@@ -142,6 +142,32 @@ def test_embedding_counts():
     assert len(embeddings(F9, F27)) == 0
 
 
+def test_embedding_counts_match_sympy_root_counts():
+    # the roots in k2 = F_p[y]/(g2) of k1's defining polynomial, counted by
+    # evaluating it at each of the q2 elements with sympy's galoistools
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_compose_mod, gf_strip
+
+    F4, F25 = make_field(2, 2), make_field(5, 2)
+    F8b = make_field(2, 3, [1, 0, 1, 1])  # x^3 + x^2 + 1, not the default
+    F9b = make_field(3, 2, [2, 1, 1])  # x^2 + x + 2
+    fields = [make_field(2, 1), F4, F8, F8b, F3, F9, F9b, F27, make_field(5, 1), F25]
+    nonempty = 0
+    for k1, k2 in itertools.product(fields, repeat=2):
+        if k1.p != k2.p:
+            continue
+        p = k1.p
+        f = ZZ.map(list(reversed(k1.defining_poly)))  # galoistools lists descend
+        g = ZZ.map(list(reversed(k2.defining_poly)))
+        roots = 0
+        for coords in itertools.product(range(p), repeat=k2.d):
+            y = gf_strip(ZZ.map(list(reversed(coords))))
+            roots += not gf_compose_mod(f, y, g, p, ZZ)
+        assert roots == len(embeddings(k1, k2)), (k1, k2)
+        nonempty += roots > 0
+    assert nonempty == 21  # the pairs with d1 | d2
+
+
 def test_embeddings_char_mismatch():
     with pytest.raises(CharMismatch):
         embeddings(F8, F9)

@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps ramlift functions and methods by name; a
-name it lists must keep existing, or traced benchmark runs break."""
+"""Tooling contracts.  The benchmark's tracer wraps ramlift functions and
+methods by name; a name it lists must keep existing, or traced benchmark
+runs break.  Importing ramlift stays free of code-generation modules."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,3 +31,20 @@ def test_tracer_installs_on_every_target(monkeypatch):
     finally:
         tr.uninstall()
     assert (mods["witt"].teichmuller, mods["witt"].WittElem.__dict__["__mul__"]) == originals
+
+
+def test_import_loads_no_code_generation_modules():
+    """Every command-line call imports ramlift afresh, so the import must not
+    pull in dataclasses (with inspect, ast and dis behind it) or typing."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import ramlift.cli\n"
+        "heavy = {'dataclasses', 'inspect', 'typing', 'ast', 'dis'}\n"
+        "print(sorted(heavy & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
