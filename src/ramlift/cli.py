@@ -18,6 +18,7 @@ from .dvr import (
     _json_int,
     _json_list,
     dvr_elem_text,
+    parse_dvr_elem_text,
     parse_ring_spec,
     project,
     residue_ring,
@@ -153,10 +154,10 @@ def cmd_homs(args) -> str:
     return _emit(args, [h.to_json() for h in homs])
 
 
-def _parse_hom(src_ring, tgt_ring, obj, default_n1=None, default_n2=None):
+def _parse_hom(src_ring, tgt_ring, obj):
     try:
-        n1 = obj.get("n1") or (obj.get("source") or {}).get("n") or default_n1
-        n2 = obj.get("n2") or (obj.get("target") or {}).get("n") or default_n2
+        n1 = obj.get("n1") or (obj.get("source") or {}).get("n")
+        n2 = obj.get("n2") or (obj.get("target") or {}).get("n")
         if n1 is None or n2 is None:
             raise InputError("homomorphism JSON must carry n1/n2 lengths")
         _json_int(n1, "n1")
@@ -168,8 +169,6 @@ def _parse_hom(src_ring, tgt_ring, obj, default_n1=None, default_n2=None):
         if not eval_poly(src_ring.k.defining_poly, image).is_zero():
             raise InputError("psi image is not a root of the source defining polynomial")
         psi = FieldEmbedding(src_ring.k, tgt_ring.k, image)
-        from .dvr import parse_dvr_elem_text
-
         beta_elem = parse_dvr_elem_text(tgt_ring, obj["beta"])
         if beta_elem.n != n2:
             beta_elem = beta_elem.reduce_to(n2)
@@ -230,6 +229,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
+
+    def _parse_optional(self, arg_string):
+        # no option opens with "-" and a digit or x: "-3+x^2" is a polynomial
+        return None if re.match(r"-[\dx]", arg_string) else super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

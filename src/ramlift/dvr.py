@@ -812,11 +812,11 @@ class ResidueRingSpec(Record):
     def cardinality(self) -> int:
         return self.ring.q ** self.n
 
-    def check_size(self, cap: int, what: str) -> None:
-        """Raise TooLarge when the q^n elements exceed cap.  Beyond the bit
-        length of cap, n alone decides, and q^n, which could have millions
-        of digits, is neither formed nor printed."""
-        q, n = self.ring.q, self.n
+    def check_size(self, what: str) -> None:
+        """Raise TooLarge when the q^n elements exceed the enumeration cap.
+        Beyond the bit length of the cap, n alone decides, and q^n, which
+        could have millions of digits, is neither formed nor printed."""
+        q, n, cap = self.ring.q, self.n, enumeration_cap()
         if n > max(cap, 1).bit_length():
             raise TooLarge(f"{q}^{n} {what} exceed the enumeration cap {cap}")
         if q ** n > cap:
@@ -964,11 +964,9 @@ def project_between(x: ResidueElt, n: int) -> ResidueElt:
     return ResidueElt(rspec, digits, v)
 
 
-def enumerate_elements(Rn: ResidueRingSpec, cap: int | None = None):
+def enumerate_elements(Rn: ResidueRingSpec):
     """All q^n digit vectors in lexicographic order."""
-    if cap is None:
-        cap = enumeration_cap()
-    Rn.check_size(cap, "elements")
+    Rn.check_size("elements")
     field_elems = sorted(Rn.ring.k.elements(), key=lambda a: a.coeffs)
     for digits in itertools.product(field_elems, repeat=Rn.n):
         yield ResidueElt(Rn, digits)

@@ -22,10 +22,12 @@ Teichmuller digit vectors level by level, in lexicographic order:
   that can pass is solved for (a Hensel step), so one child is evaluated.
 
 Enumeration takes the surviving vectors at depth n2 as the betas.  Lifting
-runs the search at a certification depth t and accepts a survivor exactly
-when nu(F(x)) >= t + nu(F'(x)) with t > nu(F'(x)), which pins a unique root
-agreeing with the branch to depth t.  The unique accepted root within
-Krasner distance of beta is the lift.
+runs the search at a certification depth t.  One rule, _certify, accepts a
+survivor or a composed image x exactly when nu(F(x)) >= t + nu(F'(x)) with
+t > nu(F'(x)), which pins a unique root agreeing with x to depth t; one
+loop, _escalate, doubles the working margin while a readout is capped, up
+to 4*(t + ESCALATION_CAP).  The unique accepted root within Krasner
+distance of beta is the lift.
 
 All polynomial evaluation (search nodes, certification, beta admissibility)
 runs on the flat vectors of one dvr context: F and the coefficients j*a_j of
@@ -61,6 +63,7 @@ from .dvr import (
     enumerate_elements,
     enumeration_cap,
     from_pi_digits,
+    parse_coeff,
     pi_digits,
     project,
     project_between,
@@ -81,12 +84,18 @@ from .errors import (
     RingMismatch,
     TooLarge,
 )
-from .ramification import different_val, krasner_bound, lift_precision_bound, nu_of_e
+from .ramification import (
+    deriv_val_at_uniformizer,
+    different_val,
+    krasner_bound,
+    lift_precision_bound,
+    nu_of_e,
+)
 from .record import Record, set_field
 from .resfield import FieldEmbedding, FqElem, embeddings
 from .witt import WittMap
 
-ESCALATION_CAP = 64  # hard cap on working precision, in nu-units
+ESCALATION_CAP = 64  # nu-units: caps has_root's depth, and the margin at 4*(t + cap)
 
 
 # ---------------------------------------------------------------------------
@@ -121,23 +130,13 @@ def _mapped_materialize(coeff: ExactWittCoeff, psi: FieldEmbedding, wspec):
 
 
 def _normalize_poly(F, k) -> tuple:
-    """Coefficient list (ints / vectors / ExactWittCoeff / MappedCoeff) into
+    """Coefficient list (MappedCoeff or anything dvr.parse_coeff reads) into
     the tuple of providers a_0..a_{deg-1}; a trailing integer 1 is the
     implied monic lead, so [1] is the constant 1 and gives no providers."""
     entries = list(F)
     if entries and isinstance(entries[-1], int) and entries[-1] == 1:
         entries = entries[:-1]
-    out = []
-    for c in entries:
-        if isinstance(c, (ExactWittCoeff, MappedCoeff)):
-            out.append(c)
-        elif isinstance(c, int):
-            out.append(ExactWittCoeff.from_ints(k, [c]))
-        elif isinstance(c, (list, tuple)):
-            out.append(ExactWittCoeff.from_ints(k, c))
-        else:
-            raise ValueError(f"cannot interpret coefficient {c!r}")
-    return tuple(out)
+    return tuple(c if isinstance(c, MappedCoeff) else parse_coeff(k, c) for c in entries)
 
 
 class _Poly:
@@ -198,26 +197,6 @@ class _NeedMargin(Exception):
     pass
 
 
-def _poly_deriv_bound(providers, e: int, p: int) -> int:
-    """Crude bound on nu(F'(x)) at a root, from coefficient valuations."""
-    deg = len(providers)
-    best = None
-    vals = [c.p_val() for c in providers] + [0]
-    for j in range(1, deg + 1):
-        va = vals[j]
-        if va is None:
-            continue
-        vj = 0
-        jj = j
-        while jj % p == 0:
-            jj //= p
-            vj += 1
-        term = e * (va + vj) + (j - 1)
-        if best is None or term < best:
-            best = term
-    return best if best is not None else e * deg
-
-
 def roots_in_dvr(F, R: DvrSpec, prec: int):
     """All roots of the monic polynomial F in R, refined to depth >= prec and
     carrying Hensel-style certificates.
@@ -231,41 +210,49 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
     providers = _normalize_poly(F, R.k)
     if not providers:
         raise ValueError("polynomial must have degree >= 1")
-    margin = _poly_deriv_bound(providers, R.e, R.p) + R.e * GUARD_DIGITS + 2
-    max_margin = 4 * (prec + ESCALATION_CAP)
+
+    def search(poly):
+        certs = (_certify(poly, digits, prec) for digits in _digit_dfs(poly, prec))
+        return [c for c in certs if c is not None]
+
+    return _escalate(providers, R, prec, search)
+
+
+def _escalate(providers, R: DvrSpec, t: int, search):
+    """search(F materialized at t + margin), doubling the margin while the
+    search raises _NeedMargin, up to 4*(t + ESCALATION_CAP)."""
+    vals = [c.p_val() for c in providers]
+    margin = deriv_val_at_uniformizer(vals, R.e, R.p) + R.e * GUARD_DIGITS + 2
     while True:
         try:
-            return _root_dfs(providers, R, prec, margin)
+            return search(_materialize_poly(providers, R, t + margin))
         except _NeedMargin:
             margin *= 2
-            if margin > max_margin:
-                raise PrecisionTooLow(
-                    f"cannot certify or exclude a root branch at depth {prec}"
-                )
+            if margin > 4 * (t + ESCALATION_CAP):
+                raise PrecisionTooLow(f"cannot certify or exclude a root branch at depth {t}")
 
 
-def _root_dfs(providers, R: DvrSpec, t: int, margin: int):
-    n_eval = t + margin
-    poly = _materialize_poly(providers, R, n_eval)
+def _certify(poly: _Poly, digits, t: int) -> CertifiedRoot | None:
+    """The acceptance test on the branch x with these t digits: certified
+    when nu(F(x)) >= t + nu(F'(x)) with t > nu(F'(x)); None when the readout
+    of F(x) is exact below that line, so no root agrees with x to depth t.
+    Raises _NeedMargin when the working precision cannot tell, and
+    PrecisionTooLow when t does not exceed nu(F'(x))."""
     ctx = poly.ctx
-    roots = []
-    for digits in _digit_dfs(poly, t):
-        x = _lift(ctx, digits)
-        delta, exact = _raw_val(ctx, poly.deriv(x), n_eval)
-        if not exact:
-            raise _NeedMargin
-        threshold = t + delta
-        fv, exact = _raw_val(ctx, poly.value(x), n_eval)
-        if fv < threshold:
-            if exact:
-                continue  # no root agrees with this branch to depth t
-            raise _NeedMargin  # readout capped below the acceptance line
-        if t <= delta:
-            raise PrecisionTooLow(
-                f"depth {t} does not separate a root with derivative valuation {delta}"
-            )
-        roots.append(CertifiedRoot(from_pi_digits(digits, R, t), t, delta))
-    return roots
+    x = _lift(ctx, digits)
+    delta, exact = _raw_val(ctx, poly.deriv(x), ctx.n)
+    if not exact:
+        raise _NeedMargin
+    fv, exact = _raw_val(ctx, poly.value(x), ctx.n)
+    if fv < t + delta:
+        if exact:
+            return None
+        raise _NeedMargin  # readout capped below the acceptance line
+    if t <= delta:
+        raise PrecisionTooLow(
+            f"depth {t} does not separate a root with derivative valuation {delta}"
+        )
+    return CertifiedRoot(from_pi_digits(digits, ctx.ring, t), t, delta)
 
 
 def _digit_dfs(poly: _Poly, depth: int, zero_prefix: int = 0):
@@ -359,8 +346,8 @@ class ResidueHom(Record):
         image = teich_series([self.psi(a) for a in x.digits], tgt.lift(self.beta), tgt.n)
         return ResidueElt(tgt, None, _canon(tgt._ctx, image.v))
 
-    def as_table(self, cap: int | None = None) -> dict:
-        return {x: self.apply(x) for x in enumerate_elements(self.source, cap)}
+    def as_table(self) -> dict:
+        return {x: self.apply(x) for x in enumerate_elements(self.source)}
 
     def is_identity(self) -> bool:
         return (
@@ -402,12 +389,10 @@ def _beta_admissible(source, target, psi, beta) -> bool:
     return not _raw_val(poly.ctx, value, n2)[1]  # f1^psi(beta) = 0 mod m2^n2
 
 
-def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec, cap: int | None = None):
+def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec):
     """All homomorphisms src -> tgt in deterministic order: embeddings by
     image of the generator, beta by digit-vector lexicographic order."""
-    if cap is None:
-        cap = enumeration_cap()
-    tgt.check_size(cap, "target elements")
+    tgt.check_size("target elements")
     # beta^n1 = 0 mod m^n2 exactly when the first ceil(n2/n1) digits vanish
     zero_prefix = -(-tgt.n // src.n)
     out = []
@@ -419,13 +404,13 @@ def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec, cap: int | None =
     return out
 
 
-def enumerate_isos(src: ResidueRingSpec, tgt: ResidueRingSpec, cap: int | None = None):
+def enumerate_isos(src: ResidueRingSpec, tgt: ResidueRingSpec):
     """Bijective homomorphisms: psi bijective, beta of valuation one, equal
     cardinalities."""
     # with equal d, q1^n1 = q2^n2 exactly when q1 = q2 and n1 = n2
     if src.ring.d != tgt.ring.d or (src.ring.q, src.n) != (tgt.ring.q, tgt.n):
         return []
-    return [h for h in enumerate_homs(src, tgt, cap) if h.beta.val_units() == 1]
+    return [h for h in enumerate_homs(src, tgt) if h.beta.val_units() == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -588,25 +573,11 @@ def compose_homs(f2, f1):
 def _certify_at(providers, R: DvrSpec, approx: DvrElem) -> CertifiedRoot:
     """Re-certify a composed root approximation at its own precision."""
     t = approx.n
-    margin = _poly_deriv_bound(providers, R.e, R.p) + R.e * GUARD_DIGITS + 2
     digits = pi_digits(approx, t)
-    while True:
-        n_eval = t + margin
-        poly = _materialize_poly(providers, R, n_eval)
-        ctx = poly.ctx
-        x = _lift(ctx, digits)
-        delta, exact = _raw_val(ctx, poly.deriv(x), n_eval)
-        if exact:
-            fv, exact = _raw_val(ctx, poly.value(x), n_eval)
-            if fv >= t + delta:  # exact or lower bound, both conclusive
-                if t <= delta:
-                    raise PrecisionTooLow("composition too shallow to certify")
-                return CertifiedRoot(from_pi_digits(digits, R, t), t, delta)
-            if exact:
-                raise InconsistentResult("composed image is not a root to its depth")
-        margin *= 2
-        if margin > 4 * ESCALATION_CAP:
-            raise PrecisionTooLow("cannot certify the composed homomorphism")
+    cert = _escalate(providers, R, t, lambda poly: _certify(poly, digits, t))
+    if cert is None:
+        raise InconsistentResult("composed image is not a root to its depth")
+    return cert
 
 
 # ---------------------------------------------------------------------------

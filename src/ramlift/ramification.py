@@ -192,25 +192,20 @@ def krasner_bound_of_uniformizer(x: DvrElem) -> Fraction:
     return _krasner_from_coeff_vals(a_vals, spec.e, spec.p, exactness)
 
 
+def deriv_val_at_uniformizer(a_vals, e: int, p: int) -> int:
+    """min over j >= 1 of e*(v_p(a_j) + v_p(j)) + (j-1): the least term
+    valuation, in nu-units of a ring with ramification index e, of F'(x) at
+    a uniformizer x, for the monic F with non-leading coefficient valuations
+    a_vals (None = zero).  For deg F = e the terms are pairwise distinct mod
+    e, so this is nu(F'(x)) exactly."""
+    full = list(a_vals) + [0]
+    return min(e * (v + _vp_int(j, p)) + j - 1 for j, v in enumerate(full) if j and v is not None)
+
+
 @lru_cache(maxsize=1024)
 def different_val(R: DvrSpec) -> int:
     """nu(f'(pi)) in nu-units; the different of R over W(k) is (f'(pi))."""
-    e, p = R.e, R.p
-    full = _spec_coeff_vals(R) + [0]
-    best = None
-    for j in range(1, e + 1):
-        va = full[j]
-        if va is None:
-            continue
-        vj = _vp_int(j, p)
-        if vj is None:
-            continue
-        term = e * (va + vj) + (j - 1)
-        if best is None or term < best:
-            best = term
-    if best is None:
-        raise InconsistentResult("f' has no coefficient of finite valuation")
-    return best
+    return deriv_val_at_uniformizer(_spec_coeff_vals(R), R.e, R.p)
 
 
 def discriminant_val(R: DvrSpec) -> int:

@@ -147,6 +147,18 @@ def test_hasroot(capsys):
     assert rc == 0 and json.loads(out) == {"answer": "no", "precision": 4}
 
 
+@pytest.mark.parametrize("poly, rc", [("-3+x^2", 0), ("-x+1", 2)])
+def test_hasroot_leading_minus(capsys, poly, rc):
+    # a polynomial that opens with a minus sign is not read as an option; -x+1
+    # is refused as not monic, as it is after "--"
+    got = run(capsys, "hasroot", S3, poly)
+    assert got == run(capsys, "hasroot", S3, "--", poly)
+    assert got[0] == rc
+    assert run(capsys, "--text", "hasroot", S3, poly)[0] == rc
+    help_rc, out, _ = run(capsys, "hasroot", "--help")
+    assert help_rc == 0 and "poly" in out
+
+
 @pytest.mark.parametrize("fid", ["ex-2-13-1", "ex-2-13-2", "wild-2-2", "ex-4-12", "tame-atlas"])
 def test_demo_fixtures_pass(capsys, fid):
     rc, out, _ = run(capsys, "demo", fid)

@@ -188,10 +188,11 @@ def test_enumerate_elements():
     assert len(list(enumerate_elements(residue_ring(spec9, 2)))) == 81
 
 
-def test_enumerate_too_large():
+def test_enumerate_too_large(monkeypatch):
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "10")
     Rn = residue_ring(Z3_SQRT3, 4)
     with pytest.raises(TooLarge):
-        list(enumerate_elements(Rn, cap=10))
+        list(enumerate_elements(Rn))
 
 
 def test_project_between_truncates():

@@ -19,6 +19,7 @@ from ramlift.errors import (
     IncompatibleLengths,
     InconsistentResult,
     NotComposable,
+    PrecisionTooLow,
     PreconditionBound,
     TooLarge,
 )
@@ -214,10 +215,43 @@ def test_certify_at_rejects_an_approximation_one_digit_short():
     assert (cert.t, cert.deriv_val) == (4, 1) and pi_digits(cert.elem) == pi_digits(pi)
 
 
-def test_enumerate_homs_too_large():
+@pytest.mark.parametrize(
+    "R, F",
+    [
+        (Z3_SQRT3, [-3, 0, 1]),
+        (Z3_SQRTM3, [3, 0, 1]),
+        (Z2_SQRT2, [7, 0, 1]),
+        (make_dvr(F9, [-3, 0, 1]), [1, 0, 1]),
+    ],
+    ids=["Z3[sqrt3]:x2-3", "Z3[sqrt-3]:x2+3", "Z2[sqrt2]:x2+7", "W(F9)[sqrt3]:x2+1"],
+)
+def test_certify_at_reproduces_every_root_certificate(R, F):
+    # roots_in_dvr and _certify_at share one acceptance test: re-certifying a
+    # returned root at its own depth gives the same element and certificate
+    providers = _normalize_poly(F, R.k)
+    roots = roots_in_dvr(F, R, 6)
+    assert roots
+    for root in roots:
+        cert = homlift._certify_at(providers, R, root.elem)
+        assert (cert.t, cert.deriv_val) == (root.t, root.deriv_val)
+        assert dvr_elem_text(cert.elem) == dvr_elem_text(root.elem)
+
+
+def test_double_roots_refused_by_both_entry_points():
+    # (x^2 - 3)^2 has the double roots pi and -pi: F' vanishes there, so no
+    # depth certifies them
+    F = [9, 0, -6, 0, 1]
+    with pytest.raises(PrecisionTooLow):
+        roots_in_dvr(F, Z3_SQRT3, 4)
+    with pytest.raises(PrecisionTooLow):
+        homlift._certify_at(_normalize_poly(F, F3), Z3_SQRT3, Z3_SQRT3.uniformizer(8))
+
+
+def test_enumerate_homs_too_large(monkeypatch):
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "10")
     src = residue_ring(Z3_SQRT3, 4)
     with pytest.raises(TooLarge):
-        enumerate_homs(src, src, cap=10)
+        enumerate_homs(src, src)
 
 
 def test_hom_tables_match_exhaustive_oracle():
