@@ -26,7 +26,6 @@ from .witt import (
     teichmuller,
     teich_digits,
     from_digits,
-    witt_functor,
 )
 from .dvr import (
     ValInfo,

@@ -18,6 +18,7 @@ from .dvr import (
     _json_int,
     _json_list,
     dvr_elem_text,
+    enumeration_cap,
     parse_dvr_elem_text,
     parse_ring_spec,
     project,
@@ -68,7 +69,8 @@ def _ring_from_arg(text: str):
 
 
 def parse_poly_text(s: str):
-    """Ascending integer coefficients of expressions like "x^2-3"."""
+    """Ascending integer coefficients of expressions like "x^2-3", without
+    zero top coefficients; the zero polynomial gives []."""
     s = s.replace(" ", "")
     if not s:
         raise InputError("empty polynomial")
@@ -90,7 +92,11 @@ def parse_poly_text(s: str):
         if m.group(3):
             exp = int(m.group(4)) if m.group(4) else 1
         coeffs[exp] = coeffs.get(exp, 0) + c
-    deg = max(coeffs)
+    # terms that cancel do not count towards the degree
+    deg = max((exp for exp, c in coeffs.items() if c), default=-1)
+    cap = enumeration_cap()
+    if deg > cap:
+        raise TooLarge(f"polynomial degree {deg} exceeds the enumeration cap {cap}")
     return [coeffs.get(i, 0) for i in range(deg + 1)]
 
 

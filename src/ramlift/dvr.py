@@ -16,8 +16,8 @@ its n digits once and keeps them.  The n-th residue rings R/m^n are finite
 enumerable rings whose elements are canonical flat vectors: since x is a
 uniformizer, m^n is spanned by p^ceil((n-j)/e) x^j for j < e, so reducing
 each x^j coordinate mod p^ceil((n-j)/e) picks one vector per class.  Their
-operations compute on these vectors and reduce; digits are read only at the
-text/JSON boundary and where a homomorphism is applied digitwise.
+operations compute on these vectors and reduce; digits are read only for
+text and JSON, pi_digits and the digit search.
 
 Division by the uniformizer exists only inside the digit-extraction loop, on
 elements certified divisible; no fraction-field arithmetic is exposed.
@@ -41,7 +41,7 @@ from .errors import (
     TooLarge,
 )
 from .record import Record, set_field
-from .resfield import FieldSpec, FqElem, make_field
+from .resfield import FieldSpec, FqElem, make_field, power
 from .witt import WittElem, WittRingSpec, _yreduce, from_digits, make_witt, teichmuller, witt_unit_inv
 
 GUARD_DIGITS = 2
@@ -659,16 +659,7 @@ class DvrElem:
         return DvrElem(ctx, _mul(ctx, self.v, other.v))
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise InvalidArgument("negative exponent")
-        result = self.ring.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, self.ring.one(self.n), mul)
 
     def residue(self) -> FqElem:
         return FqElem(self.ring.k, self.v[:self.ctx.d])
@@ -680,25 +671,6 @@ class DvrElem:
 
     def __hash__(self):
         return hash((self.ring, self.n, pi_digits(self, self.n)))
-
-
-def teich_series(digits, base: DvrElem, n: int) -> DvrElem:
-    """sum teichmuller(a_r) * base^r mod m^n, by Horner's rule in R at
-    precision n; with base the image of the uniformizer this applies a
-    homomorphism to a digit vector."""
-    if n > base.n:
-        raise InsufficientPrecision(f"base known mod m^{base.n}, series requested mod m^{n}")
-    ctx = _context(base.ring, n)
-    d, mod = ctx.d, ctx.mod
-    acc = (0,) * ctx.size
-    for a in reversed(digits):
-        if any(acc):
-            acc = _mul(ctx, acc, base.v)
-        if any(a.coeffs):
-            _check_digit(ctx, a)
-            t = ctx.terms[0][a.coeffs]
-            acc = tuple([(c + s) % mod for c, s in zip(acc[:d], t)]) + acc[d:]
-    return DvrElem(ctx, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -871,16 +843,8 @@ class ResidueRingSpec(Record):
         return ResidueElt(self, None, _canon(ctx, _mul(ctx, self._vec(x), self._vec(y))))
 
     def pow(self, x: "ResidueElt", k: int) -> "ResidueElt":
-        if k < 0:
-            raise InvalidArgument("negative exponent")
         ctx = self._ctx
-        acc, base = ctx.pi_powers[0], self._vec(x)
-        while k:
-            if k & 1:
-                acc = _mul(ctx, acc, base)
-            k >>= 1
-            if k:
-                base = _mul(ctx, base, base)
+        acc = power(self._vec(x), k, ctx.pi_powers[0], lambda a, b: _mul(ctx, a, b))
         return ResidueElt(self, None, _canon(ctx, acc))
 
 

@@ -5,7 +5,10 @@ psi together with the image beta of the uniformizer class: under the
 presentation W(k1)[x]/(f, x^n1) those two values determine the map, and the
 exhaustive-function oracle in the test suite guards this structural
 shortcut.  The admissible betas are the truncated roots of F = f^psi: F(beta)
-= 0 mod m2^n2 and beta^n1 = 0.
+= 0 mod m2^n2 and beta^n1 = 0.  Applying a homomorphism (residue or lifted)
+reads no digits: each x^j coefficient block of the argument's flat vector
+goes through the linear map W(psi) (witt.WittMap), and Horner's rule sums
+the images against the powers of beta.
 
 One digit search serves both enumeration and lifting.  It grows pi-adic
 Teichmuller digit vectors level by level, in lexicographic order:
@@ -60,7 +63,6 @@ from .dvr import (
     ResidueElt,
     ResidueRingSpec,
     dvr_elem_text,
-    enumerate_elements,
     enumeration_cap,
     from_pi_digits,
     parse_coeff,
@@ -69,7 +71,6 @@ from .dvr import (
     project_between,
     residue_ring,
     ring_spec_to_json,
-    teich_series,
 )
 from .errors import (
     IncompatibleLengths,
@@ -104,7 +105,7 @@ ESCALATION_CAP = 64  # nu-units: caps has_root's depth, and the margin at 4*(t +
 
 class MappedCoeff(Record):
     """The image under W(psi) of an exactly known W(k1) coefficient; exact at
-    every precision because the digit expansion maps digitwise."""
+    every precision because W(psi) commutes with reduction mod p^M."""
 
     _fields = ("coeff", "psi")
 
@@ -121,9 +122,12 @@ class MappedCoeff(Record):
         return _mapped_materialize(self.coeff, self.psi, wspec)
 
 
+_witt_map = lru_cache(maxsize=1024)(WittMap)  # one W(psi) per (psi, M)
+
+
 @lru_cache(maxsize=8192)
 def _mapped_materialize(coeff: ExactWittCoeff, psi: FieldEmbedding, wspec):
-    w_psi = WittMap(psi, wspec.M)
+    w_psi = _witt_map(psi, wspec.M)
     if w_psi.target != wspec:
         raise RingMismatch("the embedding does not map into this coefficient ring")
     return w_psi(coeff.materialize(w_psi.source))
@@ -326,6 +330,23 @@ def _digit_dfs(poly: _Poly, depth: int, zero_prefix: int = 0):
 # residue-ring homomorphisms
 
 
+def _image(psi: FieldEmbedding, v, ctx: _Context, beta) -> tuple:
+    """The image of the source flat vector v under the homomorphism (psi,
+    beta), as a flat vector of the target context ctx: sum_j W(psi)(c_j)
+    beta^j over the x^j coefficient blocks c_j of v, by Horner's rule.  Any
+    representatives of v and of the flat vector beta give the image to the
+    precision the homomorphism is defined to."""
+    w_psi = _witt_map(psi, ctx.M)
+    d1 = w_psi.source.d
+    pad = (0,) * (ctx.size - ctx.d)
+    acc = (0,) * ctx.size
+    for j in range(len(v) // d1 - 1, -1, -1):
+        if any(acc):
+            acc = _mul(ctx, acc, beta)
+        acc = _add(ctx, acc, w_psi.map_coords(v[j * d1:(j + 1) * d1]) + pad)
+    return acc
+
+
 class ResidueHom(Record):
     """Homomorphism R_{1,n1} -> R_{2,n2} as (psi, beta)."""
 
@@ -342,12 +363,8 @@ class ResidueHom(Record):
     def apply(self, x: ResidueElt) -> ResidueElt:
         if x.rspec != self.source:
             raise NotComposable("element not in the source ring")
-        tgt = self.target
-        image = teich_series([self.psi(a) for a in x.digits], tgt.lift(self.beta), tgt.n)
-        return ResidueElt(tgt, None, _canon(tgt._ctx, image.v))
-
-    def as_table(self) -> dict:
-        return {x: self.apply(x) for x in enumerate_elements(self.source)}
+        ctx = self.target._ctx
+        return ResidueElt(self.target, None, _canon(ctx, _image(self.psi, x.v, ctx, self.beta.v)))
 
     def is_identity(self) -> bool:
         return (
@@ -435,8 +452,8 @@ class DvrHom(Record):
     def apply(self, x: DvrElem) -> DvrElem:
         if x.ring != self.source:
             raise NotComposable("element not in the source ring")
-        prec = min(x.n * self.target.e // self.source.e, self.rho.n)
-        return teich_series([self.psi(a) for a in pi_digits(x, x.n)], self.rho, prec)
+        ctx = _context(self.target, min(x.n * self.target.e // self.source.e, self.rho.n))
+        return DvrElem(ctx, _image(self.psi, x.v, ctx, self.rho.v))
 
     @property
     def t(self) -> int:
@@ -584,14 +601,13 @@ def _certify_at(providers, R: DvrSpec, approx: DvrElem) -> CertifiedRoot:
 # ring-level isomorphism search and root existence
 
 
-def dvr_isos(R1: DvrSpec, R2: DvrSpec, prec: int | None = None):
+def dvr_isos(R1: DvrSpec, R2: DvrSpec):
     """All ring homomorphisms R1 -> R2 that are isomorphisms, via the roots of
     the mapped Eisenstein polynomial; empty unless (d, e) agree."""
     if R1.d != R2.d or R1.e != R2.e or R1.p != R2.p:
         return []
-    if prec is None:
-        s = R2.e - 1 + nu_of_e(R2.p, R2.e)
-        prec = max(2 * s + 2, 4)
+    s = R2.e - 1 + nu_of_e(R2.p, R2.e)
+    prec = max(2 * s + 2, 4)
     out = []
     for psi in embeddings(R1.k, R2.k):
         providers = tuple(MappedCoeff(c, psi) for c in R1.coeffs)

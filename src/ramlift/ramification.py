@@ -108,27 +108,22 @@ def newton_polygon(coeff_vals) -> NewtonPolygon:
 
 
 def _shifted_coeff_vals(a_vals, e: int, p: int):
-    """Valuations of the T^1..T^e coefficients of f(pi+T), from the
-    valuations a_vals[j] (nu-units, None = infinity) of f's coefficients.
+    """Valuations of the T^1..T^deg coefficients of F(pi+T), deg =
+    len(a_vals), for the monic F whose non-leading coefficients have the
+    valuations a_vals[j] (p-adic, None = zero), in nu-units of a ring with
+    ramification index e.
 
-    b_i = sum_{j>=i} C(j,i) a_j pi^(j-i); for i >= 1 the term valuations
-    e*v_p(C(j,i) a_j) + (j-i) are pairwise distinct mod e, so each b_i's
-    valuation is an exact minimum.
+    b_i = sum_{j>=i} C(j,i) a_j pi^(j-i): each entry is the least term
+    valuation e*v_p(C(j,i) a_j) + (j-i).  For deg = e these terms are
+    pairwise distinct mod e, so each entry is b_i's valuation exactly.
     """
     out = []
-    full = list(a_vals) + [0]  # leading coefficient a_e = 1 has valuation 0
-    for i in range(1, e + 1):
-        best = None
-        for j in range(i, e + 1):
-            va = full[j]
-            if va is None:
-                continue
-            vc = _vp_int(comb(j, i), p)
-            term = e * (va + vc) + (j - i)
-            if best is None or term < best:
-                best = term
-        out.append(best)
-    return out  # nu-units of coefficients c_0..c_{e-1} of f(pi+T)/T
+    full = list(a_vals) + [0]  # the leading coefficient 1 has valuation 0
+    for i in range(1, len(full)):
+        terms = [e * (va + _vp_int(comb(j, i), p)) + (j - i)
+                 for j, va in enumerate(full) if j >= i and va is not None]
+        out.append(min(terms, default=None))
+    return out  # nu-units of coefficients c_0..c_{deg-1} of F(pi+T)/T
 
 
 def _spec_coeff_vals(R: DvrSpec):
@@ -149,34 +144,19 @@ def krasner_bound(R: DvrSpec) -> Fraction:
 def _krasner_from_coeff_vals(a_vals, e: int, p: int, exactness=None) -> Fraction:
     """Maximal polygon slope of f(pi+T)/T given f's coefficient valuations.
 
-    exactness, when given, marks which of a_vals are mere lower bounds; the
-    induced per-point uncertainty feeds the polygon's lower-bound handling.
+    exactness, when given, marks which of a_vals are mere lower bounds.  The
+    terms of each minimum are pairwise distinct, so a minimum is exact
+    exactly when the exact terms alone reach it.
     """
     shifted = _shifted_coeff_vals(a_vals, e, p)
-    vals = []
-    for i, v in enumerate(shifted):
-        if v is None:
-            vals.append(ValInfo(None, True))
-            continue
-        exact = True
-        if exactness is not None:
-            # the minimum is exact only when achieved by an exact term below
-            # every lower-bound term
-            exact = _min_is_exact(a_vals, exactness, e, p, i + 1, v)
-        vals.append(ValInfo(Fraction(v, e), exact))
+    if exactness is None:
+        exact_only = shifted
+    else:
+        exact_only = _shifted_coeff_vals(
+            [v if ex else None for v, ex in zip(a_vals, exactness)], e, p)
+    vals = [ValInfo(None if v is None else Fraction(v, e), v == w)
+            for v, w in zip(shifted, exact_only)]
     return newton_polygon(vals).max_slope()
-
-
-def _min_is_exact(a_vals, exactness, e, p, i, minimum) -> bool:
-    full_vals = list(a_vals) + [0]
-    full_exact = list(exactness) + [True]
-    for j in range(i, e + 1):
-        if full_vals[j] is None or full_exact[j]:
-            continue
-        vc = _vp_int(comb(j, i), p)
-        if e * (full_vals[j] + vc) + (j - i) <= minimum:
-            return False
-    return True
 
 
 def krasner_bound_of_uniformizer(x: DvrElem) -> Fraction:
@@ -193,13 +173,9 @@ def krasner_bound_of_uniformizer(x: DvrElem) -> Fraction:
 
 
 def deriv_val_at_uniformizer(a_vals, e: int, p: int) -> int:
-    """min over j >= 1 of e*(v_p(a_j) + v_p(j)) + (j-1): the least term
-    valuation, in nu-units of a ring with ramification index e, of F'(x) at
-    a uniformizer x, for the monic F with non-leading coefficient valuations
-    a_vals (None = zero).  For deg F = e the terms are pairwise distinct mod
-    e, so this is nu(F'(x)) exactly."""
-    full = list(a_vals) + [0]
-    return min(e * (v + _vp_int(j, p)) + j - 1 for j, v in enumerate(full) if j and v is not None)
+    """The least term valuation of F'(x) at a uniformizer x: the T^1 entry
+    of _shifted_coeff_vals, exact for deg F = e."""
+    return _shifted_coeff_vals(a_vals, e, p)[0]
 
 
 @lru_cache(maxsize=1024)
@@ -286,18 +262,19 @@ def lift_precision_bound(R1: DvrSpec, e2: int) -> int:
     return n
 
 
+def _upper_bound(p: int, e: int) -> int:
+    """e + e*nu(e) + 1: the generic upper bound on the lifting number."""
+    return e + e * nu_of_e(p, e) + 1
+
+
 def generic_bounds(p: int, e: int) -> dict:
     """Lifting-number bounds depending only on (p, e)."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if e < 1:
         raise InvalidArgument(f"e must be >= 1, got {e}")
-    nu_e = nu_of_e(p, e)
-    out = {
-        "upper": e + e * nu_e + 1,
-        "lower": 1 if e == 1 else e + 1,
-        "basarab_upper": e * (1 + nu_e) + 1,
-    }
+    upper = _upper_bound(p, e)
+    out = {"upper": upper, "lower": 1 if e == 1 else e + 1, "basarab_upper": upper}
     if e >= 2 and e % p != 0:
         out["tame_exact"] = e + 1
     return out
@@ -306,10 +283,7 @@ def generic_bounds(p: int, e: int) -> dict:
 def n0_threshold(R1: DvrSpec, R2: DvrSpec) -> int:
     """Smallest residue length that decides elementary equivalence questions
     for the pair: max over both rings of e + e*nu(e), plus one."""
-    def side(R):
-        return R.e + R.e * nu_of_e(R.p, R.e)
-
-    return max(side(R1), side(R2)) + 1
+    return max(_upper_bound(R1.p, R1.e), _upper_bound(R2.p, R2.e))
 
 
 # ---------------------------------------------------------------------------

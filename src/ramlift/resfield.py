@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     CharMismatch,
@@ -92,15 +93,25 @@ def _poly_divmod_p(num, den, p):
     return quot, _poly_trim(num)
 
 
-def _poly_powmod_p(base, k, mod, p):
-    """base^k mod (mod, p) by square-and-multiply."""
-    result, base = [1], _poly_divmod_p(base, mod, p)[1]
+def power(x, k: int, one, times):
+    """x^k by square-and-multiply in the ring given by its one and its
+    product times; the one square-and-multiply loop of the package."""
+    if k < 0:
+        raise InvalidArgument("negative exponent")
+    result = one
     while k:
         if k & 1:
-            result = _poly_divmod_p(_poly_mulmod_p(result, base, p), mod, p)[1]
-        base = _poly_divmod_p(_poly_mulmod_p(base, base, p), mod, p)[1]
+            result = times(result, x)
         k >>= 1
+        if k:
+            x = times(x, x)
     return result
+
+
+def _poly_powmod_p(base, k, mod, p):
+    """base^k mod (mod, p)."""
+    return power(_poly_divmod_p(base, mod, p)[1], k, [1],
+                 lambda a, b: _poly_divmod_p(_poly_mulmod_p(a, b, p), mod, p)[1])
 
 
 def _poly_gcd_is_one(a, b, p):
@@ -282,14 +293,7 @@ class FqElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.field.one(), mul)
 
 
 def frobenius(a: FqElem) -> FqElem:
@@ -327,10 +331,7 @@ class FieldEmbedding(Record):
         images = self.__dict__.setdefault("_images", {})  # coordinates -> image
         b = images.get(a.coeffs)
         if b is None:
-            b = self.target.zero()
-            for c in reversed(a.coeffs):
-                b = b * self.image_of_generator + self.target.from_int(c)
-            images[a.coeffs] = b
+            b = images[a.coeffs] = eval_poly(a.coeffs, self.image_of_generator)
         return b
 
     def is_identity(self) -> bool:

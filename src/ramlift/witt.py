@@ -9,16 +9,18 @@ because multiplication here is ordinary polynomial arithmetic.
 Each job on W(k) has one implementation here: _yreduce reduces modulo
 (g(y), p^M), and the flat core of dvr uses it too; from_digits forms the
 Teichmuller sum sum teichmuller(a_r) p^r; WittMap is the map W(psi) induced
-by a residue-field embedding psi.
+by a residue-field embedding psi, linear on coordinates, and the only code
+that maps W(k) coordinates by psi.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .errors import InconsistentResult, InvalidArgument, NotAUnit, NotDivisible, RingMismatch
 from .record import Record, set_field
-from .resfield import FieldSpec, FieldEmbedding, FqElem
+from .resfield import FieldSpec, FieldEmbedding, FqElem, power
 
 
 class WittRingSpec(Record):
@@ -133,16 +135,7 @@ class WittElem:
         return WittElem(ring, _yreduce(prod, ring.lifted_poly, ring.d, ring.modulus))
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise InvalidArgument("negative exponent")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one(), mul)
 
     def residue(self) -> FqElem:
         """Image in k = W(k)/p."""
@@ -247,19 +240,35 @@ def witt_elem_text(x: WittElem) -> str:
 
 
 class WittMap:
-    """The ring homomorphism W(k1)/p^M -> W(k2)/p^M induced digitwise by a
-    residue-field embedding; it is the unique homomorphism inducing it."""
+    """The ring homomorphism W(psi): W(k1)/p^M -> W(k2)/p^M induced by a
+    residue-field embedding psi; it is the unique homomorphism inducing psi.
+
+    W(psi) is Z_p-linear in power-basis coordinates, so it is kept as the
+    images of 1, y, ..., y^(d1-1); the image of y is the Teichmuller sum of
+    psi applied to y's digits, and the rest are its powers."""
 
     def __init__(self, psi: FieldEmbedding, M: int):
         self.psi = psi
         self.source = make_witt(psi.source, M)
         self.target = make_witt(psi.target, M)
+        images = [self.target.one()]
+        if self.source.d > 1:
+            y = from_digits(map(psi, teich_digits(self.source.from_coeffs([0, 1]))), self.target)
+            for _ in range(self.source.d - 1):
+                images.append(images[-1] * y)
+        self.images = tuple(b.coeffs for b in images)
+
+    def map_coords(self, coords) -> tuple:
+        """Target coordinates of W(psi)(sum coords[i] y^i), for any integers
+        coords[0..d1-1], reduced mod p^M."""
+        out = [0] * self.target.d
+        for c, image in zip(coords, self.images):
+            if c:
+                out = [s + c * t for s, t in zip(out, image)]
+        mod = self.target.modulus
+        return tuple([s % mod for s in out])
 
     def __call__(self, x: WittElem) -> WittElem:
         if x.ring != self.source:
             raise RingMismatch("element not in the source Witt ring")
-        return from_digits(map(self.psi, teich_digits(x)), self.target)
-
-
-def witt_functor(psi: FieldEmbedding, M: int) -> WittMap:
-    return WittMap(psi, M)
+        return WittElem(self.target, self.map_coords(x.coeffs))

@@ -13,6 +13,7 @@ The flat-ring oracle redoes the arithmetic of R/p^M, that is
 
 The digit-route oracle redoes residue-ring arithmetic without canonical
 vectors: lift the digit vectors to R, compute there, read the digits back.
+Its homomorphism counterpart applies (psi, beta) digit by digit.
 """
 
 import itertools
@@ -34,6 +35,7 @@ from ramlift.homlift import (
     _normalize_poly,
 )
 from ramlift.resfield import embeddings
+from ramlift.witt import teichmuller
 
 
 def scan_homs(src: ResidueRingSpec, tgt: ResidueRingSpec):
@@ -74,6 +76,19 @@ def digit_route_op(rn: ResidueRingSpec, op: str, x, y=None):
         b = from_pi_digits(y.digits, rn.ring, rn.n)
         r = {"add": a + b, "sub": a - b, "mul": a * b}[op]
     return pi_digits(r, rn.n)
+
+
+def digit_route_apply(psi, digits, beta: DvrElem) -> DvrElem:
+    """sum teichmuller(psi(a_r)) beta^r over the pi-adic digits a_r, by
+    DvrElem arithmetic at the precision of beta: the image of the element
+    with these digits under the homomorphism (psi, beta), read digitwise."""
+    R, n = beta.ring, beta.n
+    wspec = R.wspec(n)
+    acc, power = R.zero(n), R.one(n)
+    for a in digits:
+        acc = acc + R.from_witt(teichmuller(psi(a), wspec), n) * power
+        power = power * beta
+    return acc
 
 
 _X, _Y = sympy.symbols("x y")

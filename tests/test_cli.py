@@ -159,6 +159,13 @@ def test_hasroot_leading_minus(capsys, poly, rc):
     assert help_rc == 0 and "poly" in out
 
 
+@pytest.mark.parametrize("poly", ["x^3-x^3+x^2-3", "x^2-3+0x^5"])
+def test_hasroot_zero_top_terms_do_not_count(capsys, poly):
+    # both are x^2 - 3: terms that cancel or vanish do not raise the degree
+    assert parse_poly_text(poly) == [-3, 0, 1]
+    assert run(capsys, "hasroot", S3, poly) == run(capsys, "hasroot", S3, "x^2-3")
+
+
 @pytest.mark.parametrize("fid", ["ex-2-13-1", "ex-2-13-2", "wild-2-2", "ex-4-12", "tame-atlas"])
 def test_demo_fixtures_pass(capsys, fid):
     rc, out, _ = run(capsys, "demo", fid)
@@ -341,6 +348,14 @@ def test_ring_prime_beyond_exact_test_exit_2():
 
 def test_hasroot_huge_prime_exit_3():
     proc = _run_limited("hasroot", S_HUGE, "x^2-2")
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1 and "TooLarge" in proc.stderr
+
+
+def test_hasroot_huge_degree_exit_3():
+    # the degree is checked against the enumeration cap before any
+    # coefficient list is built
+    proc = _run_limited("hasroot", S3, "x^99999999999")
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1 and "TooLarge" in proc.stderr
 

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import exhaustive_homs_as_tables, hom_as_table, scan_homs, scan_truncated_roots
+from oracles import (
+    digit_route_apply,
+    exhaustive_homs_as_tables,
+    hom_as_table,
+    scan_homs,
+    scan_truncated_roots,
+)
 from ramlift import homlift
 from ramlift.dvr import (
     DvrElem,
@@ -24,6 +30,7 @@ from ramlift.errors import (
     TooLarge,
 )
 from ramlift.homlift import (
+    DvrHom,
     _digit_dfs,
     _materialize_poly,
     _normalize_poly,
@@ -40,7 +47,7 @@ from ramlift.homlift import (
     same_hom,
     select_unique_root,
 )
-from ramlift.ramification import krasner_bound
+from ramlift.ramification import different_val, krasner_bound, lift_precision_bound
 from ramlift.resfield import identity_embedding, make_field
 from ramlift.witt import teichmuller
 
@@ -590,6 +597,69 @@ def test_lift_frobenius_twisted_automorphism():
     assert pi_digits(img, 1)[0] == frob(F9.generator())
 
 
+# (source, target) pairs for the digit-route oracle of apply: d1 = d2 = 1;
+# d1 = 1 < d2 = 2; F9 with its Frobenius; F9 presented by y^2 + 2y + 2;
+# a wild F4 ring whose constant term involves y
+F9_B = make_field(3, 2, [2, 2, 1])
+F4 = make_field(2, 2)
+Z9_SQRT3 = make_dvr(F9, [-3, 0, 1])
+Z9B_RING = make_dvr(F9_B, [-3, [0, 3], 1])
+Z4_WILD = make_dvr(F4, [[2, 2], 0, 0, 0, 1])
+APPLY_CASES = {
+    "F3-F3": (Z3_SQRT3, Z3_SQRT3),
+    "F3-F9": (Z3_SQRT3, Z9_SQRT3),
+    "F9-frobenius": (Z9_SQRT3, Z9_SQRT3),
+    "F9-y2+2y+2": (Z9B_RING, Z9B_RING),
+    "F4-x4+2+2y": (Z4_WILD, Z4_WILD),
+}
+
+
+def _per_psi(homs, count: int) -> list:
+    """The first count homomorphisms of each embedding."""
+    kept = {}
+    for h in homs:
+        if len(kept.setdefault(h.psi, [])) < count:
+            kept[h.psi].append(h)
+    return [h for group in kept.values() for h in group]
+
+
+@pytest.mark.parametrize("case", sorted(APPLY_CASES))
+def test_residue_hom_apply_matches_digit_route(case):
+    # W(psi) on the coefficient blocks plus Horner in beta against
+    # sum teichmuller(psi(a_r)) beta^r, on every source element
+    R1, R2 = APPLY_CASES[case]
+    src, tgt = residue_ring(R1, 3), residue_ring(R2, 3)
+    homs = _per_psi(enumerate_homs(src, tgt), 3)
+    assert len({h.psi for h in homs}) == (2 if R1.d == R2.d == 2 else 1)
+    elems = list(enumerate_elements(src))
+    for h in homs:
+        beta = tgt.lift(h.beta)
+        for x in elems:
+            assert h.apply(x) == project(digit_route_apply(h.psi, x.digits, beta), tgt.n)
+
+
+def _lifts(R1, R2) -> list:
+    if R1 is Z4_WILD:  # its lifting bound is 21: take the identity, rho = pi
+        return [DvrHom(R1, R1, identity_embedding(F4), R1.uniformizer(16), (16, different_val(R1)))]
+    n2 = lift_precision_bound(R1, R2.e)
+    src, tgt = residue_ring(R1, -(-n2 * R1.e // R2.e)), residue_ring(R2, n2)
+    return [lift_hom(h) for h in _per_psi(enumerate_homs(src, tgt), 1)]
+
+
+@pytest.mark.parametrize("case", sorted(APPLY_CASES))
+def test_dvr_hom_apply_matches_digit_route(case):
+    R1, R2 = APPLY_CASES[case]
+    rng = random.Random(31)
+    digits = sorted(R1.k.elements(), key=lambda a: a.coeffs)
+    for g in _lifts(R1, R2):
+        for n in (1, R1.e + 1, 2 * R1.e + 3):
+            for _ in range(4):
+                x = from_pi_digits([rng.choice(digits) for _ in range(n)], R1, n)
+                for z in (x, x * x + x):  # the second vector is not built from digits
+                    img = g.apply(z)
+                    assert img == digit_route_apply(g.psi, pi_digits(z), g.rho.reduce_to(img.n))
+
+
 def test_hom_tables_match_oracle_random_rings():
     # randomized cross-check of the (psi, beta) parameterization on small
     # random Eisenstein quotients, including mixed source/target polynomials
@@ -634,7 +704,7 @@ from fractions import Fraction
 from ramlift import homlift as h
 from ramlift.dvr import make_dvr, project, residue_ring
 from ramlift.errors import RamliftError
-from ramlift.ramification import krasner_bound
+from ramlift.ramification import different_val, krasner_bound, lift_precision_bound
 from ramlift.resfield import identity_embedding, make_field
 
 F3 = make_field(3, 1)

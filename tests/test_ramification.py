@@ -213,6 +213,18 @@ def test_krasner_uniformizer_invariance(spec):
         assert krasner_bound_of_uniformizer(pi2) == m
 
 
+def test_krasner_of_uniformizer_refuses_a_minimum_on_a_lower_bound():
+    # x^8 - 2 over Z2: at n <= 8 the coefficients are read mod 2^3, so the
+    # zero a_1 contributes the lower bound 8*3 = 24 to the T^1 coefficient,
+    # below the exact term 8*v_2(8) + 7 = 31 of the lead: the hull's first
+    # vertex is not determined.  From n = 9 on (mod 2^4) it is.
+    spec = make_dvr(F2, [-2] + [0] * 7 + [1])
+    for n in (4, 8):
+        with pytest.raises(PrecisionTooLow):
+            krasner_bound_of_uniformizer(spec.uniformizer(n))
+    assert krasner_bound_of_uniformizer(spec.uniformizer(9)) == krasner_bound(spec) == Fraction(9, 8)
+
+
 # -- numeric bound formulas ----------------------------------------------------
 
 def test_lift_precision_bound_named():

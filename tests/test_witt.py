@@ -6,12 +6,12 @@ import pytest
 from ramlift.errors import NotAUnit, RingMismatch
 from ramlift.resfield import embeddings, frobenius, identity_embedding, make_field, pth_root
 from ramlift.witt import (
+    WittMap,
     from_digits,
     make_witt,
     teich_digits,
     teichmuller,
     witt_elem_text,
-    witt_functor,
     witt_unit_inv,
 )
 
@@ -121,14 +121,14 @@ def test_teichmuller_is_pn_th_power(ring):
 
 
 def test_witt_functor_identity():
-    ident = witt_functor(identity_embedding(F3), 3)
+    ident = WittMap(identity_embedding(F3), 3)
     for c in range(27):
         assert ident(Z27.from_int(c)) == Z27.from_int(c)
 
 
 def test_witt_functor_frobenius_on_f9():
     frob = [e for e in embeddings(F9, F9) if not e.is_identity()][0]
-    wmap = witt_functor(frob, 2)
+    wmap = WittMap(frob, 2)
     i = F9.generator()
     assert wmap(teichmuller(i, W9)) == teichmuller(-i, W9)
     rng = random.Random(11)
@@ -148,9 +148,9 @@ def test_witt_functor_composition():
     F16 = make_field(2, 4)
     e1 = embeddings(F4, F16)[1]
     e2 = embeddings(F16, F16)[1]
-    composed = witt_functor(e2.compose(e1), 3)
-    m1 = witt_functor(e1, 3)
-    m2 = witt_functor(e2, 3)
+    composed = WittMap(e2.compose(e1), 3)
+    m1 = WittMap(e1, 3)
+    m2 = WittMap(e2, 3)
     ring = make_witt(F4, 3)
     rng = random.Random(13)
     for _ in range(25):
@@ -179,6 +179,17 @@ def test_witt_functor_is_unique_hom_inducing_psi():
                 if value.is_zero() and u.residue() == psi(F9.generator()):
                     candidates.append(u)
         assert len(candidates) == 1
-        wmap = witt_functor(psi, M)
+        wmap = WittMap(psi, M)
         y = ring.from_coeffs([0, 1])
         assert wmap(y) == candidates[0]
+
+
+@pytest.mark.parametrize("k", [F9, make_field(2, 3)])
+def test_witt_map_matches_teichmuller_digits_mapped_by_psi(k):
+    # W(psi) on coordinates against its digitwise form, on every element of
+    # W(k)/p^2
+    for psi in embeddings(k, k):
+        wmap = WittMap(psi, 2)
+        for coords in itertools.product(range(k.p ** 2), repeat=k.d):
+            x = wmap.source.from_coeffs(coords)
+            assert wmap(x) == from_digits(map(psi, teich_digits(x)), wmap.target)
