@@ -58,6 +58,19 @@ def _load_json_arg(text: str):
         raise InputError(f"cannot read {text[1:]!r}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise InputError(f"not valid JSON: {_too_many_digits()}") from exc
+
+
+def _too_many_digits() -> str:
+    return f"integer literals are limited to {sys.get_int_max_str_digits()} digits"
+
+
+def _int_literal(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise InputError(_too_many_digits()) from None
 
 
 def _ring_from_arg(text: str):
@@ -85,12 +98,12 @@ def parse_poly_text(s: str):
         m = re.fullmatch(r"([+-])?(\d+)?\*?(x(?:\^(\d+))?)?", term)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise InputError(f"cannot parse term {term!r}")
-        c = int(m.group(2)) if m.group(2) is not None else 1
+        c = _int_literal(m.group(2)) if m.group(2) is not None else 1
         if m.group(1) == "-":
             c = -c
         exp = 0
         if m.group(3):
-            exp = int(m.group(4)) if m.group(4) else 1
+            exp = _int_literal(m.group(4)) if m.group(4) else 1
         coeffs[exp] = coeffs.get(exp, 0) + c
     # terms that cancel do not count towards the degree
     deg = max((exp for exp, c in coeffs.items() if c), default=-1)

@@ -4,8 +4,9 @@ An element known mod m^n is one flat tuple of e*d integers mod p^Mc, an
 element of (Z/p^Mc)[y,x]/(g(y), f(x,y)): g is the lifted defining polynomial
 of k, so (Z/p^Mc)[y]/(g) = W(k)/p^Mc, and Mc = ceil(n/e) plus two guard
 digits.  Each (ring, n) has one cached context holding the modulus, f as
-flat integers, the inverse of the unit w with a_0 = p*w, the powers of pi
-and the Teichmuller lifts of the digits; d = 1 is the plain integer case.
+flat integers, the residue of -w^-1 for the unit w with a_0 = p*w, the
+powers of pi and the Teichmuller lifts of the digits; d = 1 is the plain
+integer case.
 WittElem values appear only at the boundary (from_witt, element,
 minimal_polynomial) and where exact coefficients are materialized, which
 uses the Teichmuller sum of witt (from_digits); the reduction mod g(y) is
@@ -19,8 +20,14 @@ each x^j coordinate mod p^ceil((n-j)/e) picks one vector per class.  Their
 operations compute on these vectors and reduce; digits are read only for
 text and JSON, pi_digits and the digit search.
 
-Division by the uniformizer exists only inside the digit-extraction loop, on
-elements certified divisible; no fraction-field arithmetic is exposed.
+Digits are read without dividing by the uniformizer.  Let z_0 = v and
+z_(r+1) = z_r - teichmuller(a_r) pi^r, so z_r lies in m^r; write r = e*k + j
+with 0 <= j < e and c_j for the x^j coefficient of z_r.  The terms c_i x^i
+have valuations e*v_p(c_i) + i distinct mod e, so z_r = c_j x^j mod m^(r+1);
+and f(pi) = 0 with a_0 = p*w gives p/pi^e = eps mod m for eps the residue of
+-w^-1.  Hence a_r = (c_j/p^k mod p) * eps^k: each digit is one coefficient
+block read and one table vector subtracted.  No fraction-field arithmetic
+is exposed.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import itertools
 import os
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import (
     InsufficientPrecision,
@@ -295,20 +302,26 @@ def make_dvr(k: FieldSpec, f) -> DvrSpec:
 
 
 class _DigitTable(dict):
-    """The elements of k keyed by their coordinate tuples."""
+    """The digits of one block exponent k: keyed by the coordinates c of an
+    x^j block reduced mod p^(k+1), the digit (c/p^k) * eps^k, computed on
+    first use (see _digit_at).  A key that p^k does not divide raises
+    NotDivisible."""
 
-    def __init__(self, k: FieldSpec):
+    def __init__(self, scale: FqElem, pk: int):
         super().__init__()
-        self.k = k
+        self.scale, self.pk = scale, pk
 
     def __missing__(self, key):
-        a = self[key] = FqElem(self.k, key)
+        pk = self.pk
+        if any([c % pk for c in key]):
+            raise NotDivisible(f"a coefficient block is not divisible by {pk}")
+        a = self[key] = FqElem(self.scale.field, [c // pk for c in key]) * self.scale
         return a
 
 
-@lru_cache(maxsize=256)
-def _digit_table(k: FieldSpec) -> _DigitTable:
-    return _DigitTable(k)
+@lru_cache(maxsize=1024)
+def _digit_table(scale: FqElem, pk: int) -> _DigitTable:
+    return _DigitTable(scale, pk)
 
 
 class _TermTable(dict):
@@ -333,13 +346,15 @@ class _TermTable(dict):
 
 class _Context:
     """Arithmetic data of R at precision n, shared by all its elements: the
-    modulus p^Mc, f as flat integers, -w^-1 for the unit w with a_0 = p*w,
-    the powers pi^r for r < n, and the tables of teichmuller(a) * pi^r.
-    For d > 1, multiplication by -w^-1 and by each nonzero coefficient of f
-    is kept as a d x d integer matrix."""
+    modulus p^Mc, f as flat integers, the powers pi^r for r < n, the tables
+    of teichmuller(a) * pi^r, and for each r < n how digit r is read: its
+    x^j block, the reduction mod p^(k+1) and the table of digits u * eps^k,
+    eps the residue of -w^-1 for the unit w with a_0 = p*w (see _digit_at).
+    For d > 1, multiplication by each nonzero coefficient of f is kept as a
+    d x d integer matrix."""
 
     __slots__ = ("ring", "n", "wspec", "M", "mod", "p", "d", "e", "size", "g", "f",
-                 "neg_w_inv", "f_mats", "supported", "pi", "pi_powers", "terms", "digit",
+                 "f_mats", "supported", "pi", "pi_powers", "terms", "reads",
                  "res_mods")
 
     def __init__(self, ring: DvrSpec, n: int):
@@ -349,16 +364,22 @@ class _Context:
         self.size = self.e * self.d
         self.g = wspec.lifted_poly
         self.f = tuple(c for a in _f_materialized_cached(ring, wspec) for c in a.coeffs)
-        unit = ring.coeffs[0].divide_exact_by_p().materialize(wspec)  # a_0 = p*w
-        neg_w_inv = [(-c) % self.mod for c in witt_unit_inv(unit).coeffs]
-        self.neg_w_inv, self.f_mats = neg_w_inv[0], None
+        self.f_mats = None
         if self.d > 1:
             d, mod = self.d, self.mod
-            self.neg_w_inv = _wmat(neg_w_inv, self.g, d, mod)
             self.f_mats = [_wmat(self.f[j * d:(j + 1) * d], self.g, d, mod)
                            if any(self.f[j * d:(j + 1) * d]) else None for j in range(self.e)]
         self.supported = self.e * (self.M - GUARD_DIGITS)
-        self.digit = _digit_table(ring.k)
+        # digit r = e*k + j is read off the x^j block mod p^(k+1) (_digit_at);
+        # (p^(k+1)).__rmod__ maps c to c % p^(k+1)
+        w = ring.coeffs[0].divide_exact_by_p().materialize(make_witt(ring.k, 1))  # a_0 = p*w
+        eps = -FqElem(ring.k, w.coeffs).inverse()  # the residue of p/pi^e
+        d, e, p = self.d, self.e, self.p
+        self.reads, scale = [], ring.k.one()  # scale = eps^k
+        for k in range(-(-n // e)):
+            rem, table = (p ** (k + 1)).__rmod__, _digit_table(scale, p ** k)
+            self.reads += [(j * d, (j + 1) * d, rem, table) for j in range(min(e, n - e * k))]
+            scale = scale * eps
         one = (1 % self.mod,) + (0,) * (self.size - 1)
         # pi = x, which is -a_0 when e = 1
         self.pi = _times_x(self, one)
@@ -368,9 +389,8 @@ class _Context:
         self.pi_powers = powers
         self.terms = [_TermTable(self, r) for r in range(n)]
         # m^n = sum of p^ceil((n-j)/e) W(k) x^j over j < e (see _canon)
-        e, p = self.e, self.p
         self.res_mods = tuple(p ** -(-(n - j) // e) if j < n else 1
-                              for j in range(e) for _ in range(self.d))
+                              for j in range(e) for _ in range(d))
 
 
 @lru_cache(maxsize=4096)
@@ -479,53 +499,27 @@ def _reduce_mod_f(ctx: _Context, prod) -> tuple:
     return tuple([c for row in prod[:e] for c in _yreduce(row, g, d, mod)])
 
 
-def _divide_by_pi(ctx: _Context, v) -> list:
-    """Divide by the uniformizer a flat vector (d > 1) whose x^0 coefficient
-    p divides: one application of x*u = sum u_j x^(j+1) read backwards, with
-    u_{e-1} = -(v_0/p) * w^-1 and u_{j-1} = v_j + u_{e-1} a_j.
-
-    The x^0 coordinates must lie in [0, p^Mc); v_0/p is then only known mod
-    p^(Mc-1), and the guard digits absorb that choice.  _digits inlines the
-    same step for d = 1."""
-    p, d, e, mod = ctx.p, ctx.d, ctx.e, ctx.mod
-    if any([c % p for c in v[:d]]):
-        raise NotDivisible("the x^0 coefficient is not divisible by p")
-    top = [c % mod for c in _apply(ctx.neg_w_inv, [c // p for c in v[:d]])]
-    out = []
-    for j in range(1, e):
-        vj, fm = v[j * d:(j + 1) * d], ctx.f_mats[j]
-        out += vj if fm is None else [(x + y) % mod for x, y in zip(vj, _apply(fm, top))]
-    return out + top
+def _digit_at(ctx: _Context, v, r: int) -> FqElem:
+    """Pi-adic digit r of a flat vector v in m^r: with r = e*k + j, v = c_j
+    x^j mod m^(r+1) and the digit is (c_j/p^k mod p) * eps^k (see the module
+    docstring), looked up by c_j mod p^(k+1).  The coordinates of v may be
+    any integers representing it mod p^Mc, negative ones included."""
+    lo, hi, rem, table = ctx.reads[r]
+    return table[tuple(map(rem, v[lo:hi]))]
 
 
 def _digits(ctx: _Context, v, n: int) -> tuple:
-    """The first n pi-adic Teichmuller digits of a flat vector: read the
-    residue of the x^0 coefficient, subtract its Teichmuller lift, divide by
-    pi, repeat."""
-    p, d, mod = ctx.p, ctx.d, ctx.mod
-    teich, digit = ctx.terms[0], ctx.digit
+    """The first n pi-adic Teichmuller digits of a flat vector: read digit
+    r off one coefficient block, subtract teichmuller(a_r) pi^r, repeat.
+    The differences are not reduced: _digit_at reads them exactly."""
+    terms = ctx.terms
     out = []
-    if d == 1:
-        w, f = ctx.neg_w_inv, ctx.f[1:]
-        for r in range(n):
-            c = v[0]
-            key = (c % p,)
-            out.append(digit[key])
-            if r < n - 1:
-                c = (c - teich[key][0]) % mod
-                if c % p:
-                    raise NotDivisible("the x^0 coefficient is not divisible by p")
-                top = c // p * w % mod  # u_{e-1} of _divide_by_pi
-                v = [(x + top * y) % mod for x, y in zip(v[1:], f)]
-                v.append(top)
-        return tuple(out)
-    v = list(v)
     for r in range(n):
-        key = tuple([c % p for c in v[:d]])
-        out.append(digit[key])
-        if r < n - 1:
-            v[:d] = [(c - t) % mod for c, t in zip(v[:d], teich[key])]
-            v = _divide_by_pi(ctx, v)
+        a = _digit_at(ctx, v, r)
+        out.append(a)
+        key = a.coeffs
+        if r < n - 1 and any(key):
+            v = list(map(sub, v, terms[r][key]))
     return tuple(out)
 
 
@@ -665,12 +659,13 @@ class DvrElem:
         return FqElem(self.ring.k, self.v[:self.ctx.d])
 
     def __eq__(self, other):
+        # congruence mod m^n is equality of canonical vectors (see _canon)
         if not isinstance(other, DvrElem) or other.ring != self.ring or other.n != self.n:
             return False
-        return pi_digits(self, self.n) == pi_digits(other, other.n)
+        return _canon(self.ctx, self.v) == _canon(other.ctx, other.v)
 
     def __hash__(self):
-        return hash((self.ring, self.n, pi_digits(self, self.n)))
+        return hash((self.ring, self.n, _canon(self.ctx, self.v)))
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +695,12 @@ def from_pi_digits(digits, ring: DvrSpec, n: int | None = None) -> DvrElem:
     return DvrElem(ctx, _lift(ctx, digits))
 
 
+def _digits_text(digits) -> str:
+    return "π:" + ",".join(a.text() for a in digits)
+
+
 def dvr_elem_text(x: DvrElem) -> str:
-    return "π:" + ",".join(a.text() for a in pi_digits(x))
+    return _digits_text(pi_digits(x))
 
 
 def parse_dvr_elem_text(ring: DvrSpec, s: str) -> DvrElem:
@@ -898,7 +897,7 @@ class ResidueElt:
         return hash((self.rspec, self.v))
 
     def text(self) -> str:
-        return "π:" + ",".join(a.text() for a in self.digits)
+        return _digits_text(self.digits)
 
     def __repr__(self):
         return f"ResidueElt({self.text()})"

@@ -52,7 +52,7 @@ from .dvr import (
     _canon,
     _Context,
     _context,
-    _digits,
+    _digit_at,
     _lift,
     _mul,
     _raw_val,
@@ -308,7 +308,7 @@ def _digit_dfs(poly: _Poly, depth: int, zero_prefix: int = 0):
                 continue
             candidates = allowed
             if level >= 2:  # Hensel step: c is digit L-1 of F(x)
-                a = _digits(ctx, fx, level)[level - 1] * neg_deriv_inv[digits[0].coeffs]
+                a = _digit_at(ctx, fx, level - 1) * neg_deriv_inv[digits[0].coeffs]
                 candidates = (a,) if free or a.is_zero() else ()
             for a in candidates:
                 c = child(x, a)

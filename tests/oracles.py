@@ -14,6 +14,9 @@ The flat-ring oracle redoes the arithmetic of R/p^M, that is
 The digit-route oracle redoes residue-ring arithmetic without canonical
 vectors: lift the digit vectors to R, compute there, read the digits back.
 Its homomorphism counterpart applies (psi, beta) digit by digit.
+
+The division oracle reads pi-adic digits by dividing by the uniformizer, in
+WittElem arithmetic, instead of reading them off one coefficient each.
 """
 
 import itertools
@@ -35,7 +38,7 @@ from ramlift.homlift import (
     _normalize_poly,
 )
 from ramlift.resfield import embeddings
-from ramlift.witt import teichmuller
+from ramlift.witt import teichmuller, witt_unit_inv
 
 
 def scan_homs(src: ResidueRingSpec, tgt: ResidueRingSpec):
@@ -89,6 +92,27 @@ def digit_route_apply(psi, digits, beta: DvrElem) -> DvrElem:
         acc = acc + R.from_witt(teichmuller(psi(a), wspec), n) * power
         power = power * beta
     return acc
+
+
+def divide_by_pi_digits(ring, v, n: int):
+    """The first n pi-adic Teichmuller digits of the flat vector v of ring at
+    precision n: take the residue a of the x^0 coefficient, subtract
+    teichmuller(a), divide by pi = x, repeat.  x*u = z is solved from the
+    top: u_{e-1} = -(z_0/p) w^-1 for a_0 = p*w, then u_{j-1} = z_j + u_{e-1}
+    a_j.  Each division leaves the top p-adic digit free; the guard digits
+    of the precision absorb that choice."""
+    wspec = ring.wspec(n)
+    d, e = ring.d, ring.e
+    f = [c.materialize(wspec) for c in ring.coeffs]
+    neg_w_inv = -witt_unit_inv(ring.coeffs[0].divide_exact_by_p().materialize(wspec))
+    z = [wspec.from_coeffs(v[j * d:(j + 1) * d]) for j in range(e)]
+    digits = []
+    for _ in range(n):
+        a = z[0].residue()
+        digits.append(a)
+        top = (z[0] - teichmuller(a, wspec)).divide_exact_by_p() * neg_w_inv
+        z = [z[j] + top * f[j] for j in range(1, e)] + [top]
+    return tuple(digits)
 
 
 _X, _Y = sympy.symbols("x y")

@@ -360,6 +360,20 @@ def test_hasroot_huge_degree_exit_3():
     assert len(proc.stderr.splitlines()) == 1 and "TooLarge" in proc.stderr
 
 
+_NINES = "9" * 5000  # beyond the interpreter's limit for int(str)
+
+
+@pytest.mark.parametrize("argv", [
+    ("hasroot", S3, "x^" + _NINES),
+    ("hasroot", S3, _NINES + "x^2-3"),
+    ("ring", '{"p":3,"eisenstein":[-%s,0,1]}' % _NINES),
+])
+def test_huge_integer_literal_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    _one_line_exit_2(rc, err)
+    assert out == "" and "digits" in err
+
+
 @pytest.mark.parametrize("spec", [
     '{"p":3.0,"eisenstein":[-3,0,1]}',
     '{"p":true,"eisenstein":[-3,0,1]}',

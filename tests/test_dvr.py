@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import digit_route_op, flat_ring_op
+from oracles import digit_route_op, divide_by_pi_digits, flat_ring_op
 from ramlift import dvr
 from ramlift.dvr import (
     ResidueElt,
@@ -292,12 +292,12 @@ def test_deep_digit_roundtrip_guard_holds():
 
 
 @st.composite
-def flat_cases(draw):
-    """A ring (d in {1, 2}, e in {1, ..., 4}, p in {2, 3, 5}: tame and wild)
+def flat_cases(draw, dims=(1, 2)):
+    """A ring (d in dims, e in {1, ..., 4}, p in {2, 3, 5}: tame and wild)
     with integer Eisenstein coefficients, and two elements at random
     precisions."""
     p = draw(st.sampled_from([2, 3, 5]))
-    d = draw(st.sampled_from([1, 2]))
+    d = draw(st.sampled_from(dims))
     e = draw(st.integers(1, 4))
     k = make_field(p, d)
     coord = st.integers(0, 3 * p)
@@ -412,6 +412,47 @@ def test_pi_digits_are_prefixes_of_one_readout(case, rng):
         assert pi_digits(a, m) == dvr._digits(a.ctx, a.v, m)
 
 
+@settings(max_examples=150, deadline=None)
+@given(flat_cases(dims=(1, 2, 3)))
+def test_pi_digits_match_the_division_oracle(case):
+    # arbitrary flat vectors, not only Teichmuller sums of digit vectors
+    spec, a, b = case
+    for x in (a, b):
+        assert pi_digits(x) == divide_by_pi_digits(spec, x.v, x.n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_cases(dims=(1, 2, 3)), st.randoms(use_true_random=False))
+def test_digit_at_reads_one_digit_of_m_r(case, rng):
+    _, a, b = case
+    ctx = a.ctx
+    u = b.reduce_to(a.n).v if b.n >= a.n else a.v
+    for r in range(a.n):
+        v = dvr._mul(ctx, u, ctx.pi_powers[r])  # in m^r
+        digit = dvr._digit_at(ctx, v, r)
+        assert digit == dvr._digits(ctx, v, r + 1)[r]
+        assert digit == divide_by_pi_digits(ctx.ring, v, ctx.n)[r]
+        # any representative mod p^Mc reads the same digit
+        shifted = [c + rng.randint(-3, 3) * ctx.mod for c in v]
+        assert dvr._digit_at(ctx, shifted, r) == digit
+
+
+def test_dvr_elem_equality_is_digit_equality():
+    rng = random.Random(5)
+    for spec, n in ((Z3_SQRT3, 3), (make_dvr(make_field(2, 2), [[-2, 0], [0, 0], 1]), 2)):
+        ctx = dvr._context(spec, n)
+        elems = []
+        for x in enumerate_elements(residue_ring(spec, n)):
+            a = from_pi_digits(x.digits, spec, n)
+            # another vector of the same class: add an element of m^n
+            v = tuple((c + rng.randrange(ctx.mod) * m) % ctx.mod for c, m in zip(a.v, ctx.res_mods))
+            elems += [a, dvr.DvrElem(ctx, v)]
+        for x in elems:
+            for y in elems:
+                assert (x == y) == (pi_digits(x) == pi_digits(y))
+                assert x != y or hash(x) == hash(y)
+
+
 def test_digit_and_vector_routes_compare_and_hash_equal():
     for spec, n in ((Z3_SQRT3, 3), (make_dvr(F9, [[-3, 0], [0, 0], 1]), 2), (Z3_CBRT3, 4)):
         rn = residue_ring(spec, n)
@@ -462,13 +503,20 @@ def digits_of_d1():
     dvr._digits(ctx, (1, 0), 3)
 
 
+def digits_of_d2():
+    # the same over W(F9): a wrong lift of the digit 1 leaves x^0 undivisible
+    ctx = dvr._context(R9, 3)
+    ctx.terms[0][(1, 0)] = (0, 0, 0, 0)
+    dvr._digits(ctx, (1, 0, 0, 0), 3)
+
+
 cases = {
     "from_digits": lambda: dvr.residue_ring(R, 3).from_digits([F3.one()]),
     "DvrElem": lambda: dvr.DvrElem(dvr._context(R, 3), (1, 0, 0)),
     "DvrElem.__pow__": lambda: R.one(3) ** -1,
     "precision": lambda: R.zero(0),
-    "_divide_by_pi": lambda: dvr._divide_by_pi(dvr._context(R9, 3), [1, 0, 0, 0]),
     "_digits": digits_of_d1,
+    "_digits_d2": digits_of_d2,
     "WittElem": lambda: WittElem(W, (1, 2)),
     "WittElem.__pow__": lambda: W.one() ** -1,
     "divide_exact_by_p": lambda: W.one().divide_exact_by_p(),
@@ -506,8 +554,8 @@ def test_arithmetic_checks_survive_python_O():
         "DvrElem": "InvalidArgument",
         "DvrElem.__pow__": "InvalidArgument",
         "precision": "InvalidArgument",
-        "_divide_by_pi": "NotDivisible",
         "_digits": "NotDivisible",
+        "_digits_d2": "NotDivisible",
         "WittElem": "InvalidArgument",
         "WittElem.__pow__": "InvalidArgument",
         "divide_exact_by_p": "NotDivisible",
