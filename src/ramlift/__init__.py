@@ -59,6 +59,7 @@ from .homlift import (
     ResidueHom,
     DvrHom,
     roots_in_dvr,
+    count_homs,
     enumerate_homs,
     enumerate_isos,
     lift_hom,

@@ -27,6 +27,7 @@ from .dvr import (
 )
 from .errors import PreconditionBound, RamliftError, TooLarge
 from .homlift import (
+    count_homs,
     enumerate_homs,
     enumerate_isos,
     has_root,
@@ -167,6 +168,8 @@ def cmd_homs(args) -> str:
         raise InputError(f"lengths must be >= 1, got n1={args.n1}, n2={args.n2}")
     src = residue_ring(src_ring, args.n1)
     tgt = residue_ring(tgt_ring, args.n2)
+    if args.count and not args.iso:
+        return _emit(args, {"count": count_homs(src, tgt)})
     homs = enumerate_isos(src, tgt) if args.iso else enumerate_homs(src, tgt)
     if args.count:
         return _emit(args, {"count": len(homs)})

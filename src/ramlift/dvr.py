@@ -18,7 +18,7 @@ enumerable rings whose elements are canonical flat vectors: since x is a
 uniformizer, m^n is spanned by p^ceil((n-j)/e) x^j for j < e, so reducing
 each x^j coordinate mod p^ceil((n-j)/e) picks one vector per class.  Their
 operations compute on these vectors and reduce; digits are read only for
-text and JSON, pi_digits and the digit search.
+text and JSON, pi_digits and the root search.
 
 Digits are read without dividing by the uniformizer.  Let z_0 = v and
 z_(r+1) = z_r - teichmuller(a_r) pi^r, so z_r lies in m^r; write r = e*k + j
@@ -39,6 +39,7 @@ from functools import cached_property, lru_cache
 from operator import add, mul, sub
 
 from .errors import (
+    InconsistentResult,
     InsufficientPrecision,
     InvalidArgument,
     InvalidSetting,
@@ -433,6 +434,55 @@ def _add(ctx: _Context, a, b) -> tuple:
     return tuple([(x + y) % mod for x, y in zip(a, b)])
 
 
+def _sub(ctx: _Context, a, b) -> tuple:
+    """Difference of two flat vectors, reduced modulo p^Mc of ctx."""
+    mod = ctx.mod
+    return tuple([(x - y) % mod for x, y in zip(a, b)])
+
+
+def _unit_inv(ctx: _Context, u) -> tuple:
+    """The inverse of a unit flat vector u mod p^Mc: y <- y(2 - uy) from
+    the Teichmuller lift of the inverse residue.  Each step squares 1 - uy,
+    so it doubles the m-adic precision of uy = 1 until it is exact."""
+    one = ctx.pi_powers[0]
+    two = _add(ctx, one, one)
+    y = ctx.terms[0][FqElem(ctx.ring.k, u[:ctx.d]).inverse().coeffs]
+    for _ in range((ctx.e * ctx.M).bit_length() + 1):
+        uy = _mul(ctx, u, y)
+        if uy == one:
+            return y
+        y = _mul(ctx, y, _sub(ctx, two, uy))
+    raise InconsistentResult("the unit inverse did not converge")
+
+
+@lru_cache(maxsize=1024)
+def _eps_inv_power(ctx: _Context, s: int) -> tuple:
+    """eps^-s for the unit eps = pi^e / p.  pi^e = -(a_(e-1) x^(e-1) + ... +
+    a_0) has every coordinate divisible by p, so eps is known mod p^(Mc-1),
+    which is all _div_pi_power needs for s >= 1."""
+    p, mod = ctx.p, ctx.mod
+    eps_inv = _unit_inv(ctx, tuple([(-c) % mod // p for c in ctx.f]))
+    return power(eps_inv, s, ctx.pi_powers[0], lambda a, b: _mul(ctx, a, b))
+
+
+def _div_pi_power(ctx: _Context, v, delta: int) -> tuple:
+    """v / pi^delta for a flat vector v in m^delta.  With s = ceil(delta/e),
+    v * pi^(es - delta) = (v / pi^delta) * p^s * eps^s, where pi^e = p*eps:
+    multiply, divide the coordinates by p^s and multiply by eps^-s.  The
+    quotient is known mod p^(Mc - s), that is, to es >= delta nu-units
+    less than v."""
+    if not delta:
+        return v
+    s = -(-delta // ctx.e)
+    w = v
+    for _ in range(ctx.e * s - delta):
+        w = _times_x(ctx, w)
+    ps = ctx.p ** s
+    if any([c % ps for c in w]):
+        raise NotDivisible(f"the vector does not lie in m^{delta}")
+    return _mul(ctx, tuple([c // ps for c in w]), _eps_inv_power(ctx, s))
+
+
 def _raw_val(ctx: _Context, v, cap: int):
     """(min(nu(v), cap), nu(v) < cap): the m-adic valuation in nu-units of a
     flat vector of ctx, read only as far as cap <= n; exact means below cap."""
@@ -629,8 +679,7 @@ class DvrElem:
     def __sub__(self, other):
         self._check(other)
         ctx = self._low(other)
-        mod = ctx.mod
-        return DvrElem(ctx, tuple([(x - y) % mod for x, y in zip(self.v, other.v)]))
+        return DvrElem(ctx, _sub(ctx, self.v, other.v))
 
     def __neg__(self):
         mod = self.ctx.mod

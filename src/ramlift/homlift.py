@@ -10,42 +10,47 @@ reads no digits: each x^j coefficient block of the argument's flat vector
 goes through the linear map W(psi) (witt.WittMap), and Horner's rule sums
 the images against the powers of beta.
 
-One digit search serves both enumeration and lifting.  It grows pi-adic
-Teichmuller digit vectors level by level, in lexicographic order:
+One ball search serves enumeration, counting and lifting.  A ball a + m^r
+holds the elements whose first r pi-adic digits are those of a.  At a ball,
+G(T) = F(a + pi^r T) = sum_i F_i(a) pi^(ir) T^i (F_i the Hasse
+derivatives) has a content c, and gbar = G/pi^c mod m is a polynomial over
+the residue field k:
 
-- a prefix of length L survives only while F(prefix) = 0 mod m^L, since a
-  root mod m^n forces this at every level L <= n;
+- an element a + pi^r T can satisfy nu(F) > c only when the first digit of
+  T is a root of gbar in k, so the search branches on those roots alone, at
+  most deg F of them, and a nonzero constant gbar ends the branch;
+- when c >= n2, F vanishes mod m^n2 on the whole ball: enumeration expands
+  the ball lexicographically, and count_homs adds q^(n2 - r);
 - beta^n1 = 0 mod m^n2 holds exactly when the first ceil(n2/n1) digits
-  vanish, so enumeration fixes that zero prefix;
-- for L >= 2, F(x + u pi^(L-1)) = F(x) + F'(x) u pi^(L-1) mod m^L.  Whether
-  F'(x) lies in m depends only on the first digit; when it does, all q
-  children of a branch pass or fail together on the value F(x) already
-  known, and leaves need no element at all.  This is always the case for
-  homomorphisms with e1 >= 2.  Otherwise F'(x) is a unit and the one digit
-  that can pass is solved for (a Hensel step), so one child is evaluated.
+  vanish, so enumeration starts from the ball 0 + m^ceil(n2/n1).
 
-Enumeration takes the surviving vectors at depth n2 as the betas.  Lifting
-runs the search at a certification depth t.  One rule, _certify, accepts a
-survivor or a composed image x exactly when nu(F(x)) >= t + nu(F'(x)) with
-t > nu(F'(x)), which pins a unique root agreeing with x to depth t; one
-loop, _escalate, doubles the working margin while a readout is capped, up
-to 4*(t + ESCALATION_CAP).  The unique accepted root within Krasner
-distance of beta is the lift.
+Lifting runs the search down to a certification depth t.  A simple root of
+gbar isolates exactly one root of F in the child ball, which Newton's
+iteration refines (each step doubles the depth); a ball that reaches radius
+t unseparated is taken as it is.  One rule, _certify, accepts a refined
+root, a ball of radius t or a composed image x exactly when nu(F(x)) >= t +
+nu(F'(x)) with t > nu(F'(x)), which pins a unique root agreeing with x to
+depth t; one loop, _escalate, doubles the working margin while a readout is
+capped, up to 4*(t + ESCALATION_CAP).  The unique accepted root within
+Krasner distance of beta is the lift.
 
-All polynomial evaluation (search nodes, certification, beta admissibility)
-runs on the flat vectors of one dvr context: F and the coefficients j*a_j of
-F' are materialized once per precision, _horner evaluates either, and
-_raw_val reads the valuations.  No DvrElem is built per node.  Each Horner
-result ends at the working precision because its last step adds a
+All polynomial evaluation (search balls, Newton steps, certification, beta
+admissibility) runs on the flat vectors of one dvr context: F and its Hasse
+derivatives are materialized once per precision, _horner evaluates them,
+and _raw_val reads the valuations.  No DvrElem is built per ball.  Each
+Horner result ends at the working precision because its last step adds a
 coefficient known to that precision, so the readouts equal those of DvrElem
 arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .dvr import (
     _add,
@@ -53,9 +58,14 @@ from .dvr import (
     _Context,
     _context,
     _digit_at,
+    _digits,
+    _digits_text,
+    _div_pi_power,
     _lift,
     _mul,
     _raw_val,
+    _sub,
+    _unit_inv,
     DvrElem,
     DvrSpec,
     ExactWittCoeff,
@@ -144,29 +154,39 @@ def _normalize_poly(F, k) -> tuple:
 
 
 class _Poly:
-    """A monic F = x^deg + a_{deg-1} x^(deg-1) + ... + a_0 materialized as
-    flat vectors of one context: f lists a_0, ..., a_{deg-1}, and df the
-    coefficients 1*a_1, ..., (deg-1)*a_{deg-1} of F' below its lead deg."""
+    """A monic F = x^m + a_{m-1} x^(m-1) + ... + a_0 materialized as flat
+    vectors of one context: f lists a_0, ..., a_{m-1}, and hasse[i] holds
+    the coefficients C(j, i) a_j (i <= j < m) of the i-th Hasse derivative
+    F_i below its lead C(m, i), so that F(x + u) = sum_i F_i(x) u^i.  F_0 is
+    F and F_1 is F'."""
 
-    __slots__ = ("ctx", "f", "df")
+    __slots__ = ("ctx", "f", "m", "hasse", "reduced_roots")
 
-    def __init__(self, ctx: _Context, f: tuple, df: tuple):
-        self.ctx, self.f, self.df = ctx, f, df
+    def __init__(self, ctx: _Context, f: tuple):
+        self.ctx, self.f, self.m = ctx, f, len(f)
+        self.reduced_roots = {}  # gbar -> _roots_mod_m(k, gbar)
+        mod, m = ctx.mod, len(f)
+        self.hasse = tuple(
+            (tuple(tuple([comb(j, i) * c % mod for c in f[j]]) for j in range(i, m)), comb(m, i))
+            for i in range(m + 1)
+        )
 
     def value(self, x) -> tuple:
         return _horner(self.ctx, self.f, x)
 
     def deriv(self, x) -> tuple:
-        return _horner(self.ctx, self.df, x, len(self.f))
+        coeffs, lead = self.hasse[1]
+        return _horner(self.ctx, coeffs, x, lead)
+
+    def hasse_value(self, i: int, x) -> tuple:
+        coeffs, lead = self.hasse[i]
+        return _horner(self.ctx, coeffs, x, lead)
 
 
 @lru_cache(maxsize=1024)
 def _materialize_poly(providers: tuple, R: DvrSpec, n: int) -> _Poly:
     ctx = _context(R, n)
-    f = tuple(R.from_witt(c.materialize(ctx.wspec), n).v for c in providers)
-    mod = ctx.mod
-    df = tuple(tuple([j * c % mod for c in f[j]]) for j in range(1, len(f)))
-    return _Poly(ctx, f, df)
+    return _Poly(ctx, tuple(R.from_witt(c.materialize(ctx.wspec), n).v for c in providers))
 
 
 def _horner(ctx, coeffs, x, lead: int = 1) -> tuple:
@@ -182,7 +202,155 @@ def _horner(ctx, coeffs, x, lead: int = 1) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# certified roots by digit DFS
+# the ball search
+
+
+@lru_cache(maxsize=256)
+def _residues(k) -> tuple:
+    """The elements of k in lexicographic order of their coordinates."""
+    return tuple(sorted(k.elements(), key=lambda a: a.coeffs))
+
+
+def _ball_text(digits) -> str:
+    return f"the ball {_digits_text(digits)} + m^{len(digits)}"
+
+
+def _reduce_at(poly: _Poly, x, r: int, cap: int, vals: dict):
+    """The content c and the reduction of G(T) = F(x + pi^r T) =
+    sum_i F_i(x) pi^(ir) T^i.  Returns (c, gbar) with gbar the coordinate
+    tuples of the coefficients in k of G/pi^c mod m, by degree, or
+    (cap, None) when c >= cap.  vals caches the values F_i(x) by i; a term
+    whose i*r already exceeds the least valuation found is not evaluated."""
+    ctx, m = poly.ctx, poly.m
+    best = min(cap, m * r)  # the lead term is pi^(mr)
+    level = []  # the terms (i, F_i(x)) of valuation best
+    for i in range(m):
+        ir = i * r
+        if ir > best or ir == best == cap:
+            break
+        v = vals.get(i)
+        if v is None:
+            v = vals[i] = poly.hasse_value(i, x)
+        # read to best - ir + 1 once best is known to be below cap, so that a
+        # term of valuation exactly best is seen
+        nu, exact = _raw_val(ctx, v, best - ir + (best < cap))
+        if exact:
+            if nu + ir < best:
+                best, level = nu + ir, []
+            level.append((i, v))
+    if best >= cap:
+        return cap, None
+    zero = (0,) * ctx.d
+    gbar = [zero] * (m + 1)
+    for i, v in level:
+        gbar[i] = _digit_at(ctx, v, best - i * r).coeffs
+    if m * r == best:
+        gbar[m] = (1,) + zero[1:]
+    return best, tuple(gbar)
+
+
+def _roots_mod_m(k, gbar: tuple) -> tuple:
+    """The roots b in k of the reduced polynomial with these coefficient
+    coordinates (by degree, not all zero), in lexicographic order, each
+    with whether it is a simple root; a nonzero constant has none, and a
+    linear polynomial is solved without trying every residue."""
+    while not any(gbar[-1]):
+        gbar = gbar[:-1]
+    g = [FqElem(k, c) for c in gbar]
+    if len(g) == 1:
+        return ()
+    if len(g) == 2:
+        return ((-(g[0] * g[1].inverse()), True),)
+    dg = [k.from_int(i) * g[i] for i in range(1, len(g))]
+    return tuple((b, not _eval_k(dg, b).is_zero()) for b in _residues(k) if _eval_k(g, b).is_zero())
+
+
+def _eval_k(coeffs, b):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * b + c
+    return acc
+
+
+def _ball_search(poly: _Poly, depth: int, start: int = 0, refine: bool = False):
+    """Depth-first search over the balls a + m^r (a given by its r digits)
+    that can hold roots of F mod m^depth, from the ball 0 + m^start, in
+    lexicographic order of the digits.  Yields (digits, x, delta), x the
+    flat vector of the centre.
+
+    At a ball, G(T) = F(a + pi^r T) has content c; gbar = G/pi^c mod m.
+    x = a + pi^r T can satisfy nu(F(x)) > c only when the first digit of T
+    is a root of gbar in k, so the search branches on those roots alone
+    (at most deg F) and a nonzero constant gbar ends the branch.
+
+    Enumeration (refine false) yields each ball with c >= depth, on which F
+    vanishes mod m^depth everywhere; delta is None.  Root finding (refine
+    true) descends below those: a simple root b of gbar isolates exactly
+    one root of F, which lies in R, in the ball a + teichmuller(b) pi^r +
+    m^(r+1), and F' has valuation delta = c - r on all of that ball; it is
+    yielded with its delta.  A ball reaching radius depth on which F
+    vanishes mod m^depth is yielded with delta None.  Root finding reads
+    valuations to the working precision of the context and raises
+    _NeedMargin when c reaches it."""
+    ctx = poly.ctx
+    k = ctx.ring.k
+    cap = enumeration_cap()
+    if k.q > cap:
+        raise TooLarge(f"{k.q} digits per level exceed the enumeration cap {cap}")
+    limit = ctx.n if refine else depth
+    stack = [((k.zero(),) * start, (0,) * ctx.size, {}, None)]
+    while stack:
+        digits, x, vals, delta = stack.pop()
+        r = len(digits)
+        if delta is not None:
+            yield digits, x, delta
+            continue
+        if refine and r == depth:
+            fx = vals[0] if 0 in vals else poly.value(x)
+            if not _raw_val(ctx, fx, depth)[1]:
+                yield digits, x, None
+            continue
+        c, gbar = _reduce_at(poly, x, r, limit, vals)
+        if gbar is None:
+            if refine:
+                raise _NeedMargin(_ball_text(digits))
+            yield digits, x, None
+            continue
+        children = []
+        roots = poly.reduced_roots.get(gbar)
+        if roots is None:
+            roots = poly.reduced_roots[gbar] = _roots_mod_m(k, gbar)
+        for b, simple in roots:
+            if any(b.coeffs):
+                child = (_add(ctx, x, ctx.terms[r][b.coeffs]), {})
+            else:
+                child = (x, vals)  # same centre, same values
+            children.append((digits + (b,),) + child + (c - r if refine and simple else None,))
+        stack.extend(reversed(children))
+
+
+def _newton(poly: _Poly, x, delta: int, t: int) -> tuple:
+    """The root of F in the isolated ball of x, to depth t, by Newton's
+    x <- x - F(x)/F'(x).  On that ball nu(F'(x)) = delta and nu(F(x)) =
+    delta + nu(x - root), so F(x)/F'(x) is (F(x)/pi^delta) times the inverse
+    of the unit F'(x)/pi^delta, and the readout of F(x) says when x agrees
+    with the root to depth t.  In the scaled variable T of the ball the
+    iteration is Newton's for a simple root mod m, so each step doubles the
+    depth.  Raises _NeedMargin below the working precision t + delta."""
+    ctx = poly.ctx
+    if t + delta > ctx.n:
+        raise _NeedMargin
+    for _ in range(t.bit_length() + 1):
+        fx = poly.value(x)
+        if not _raw_val(ctx, fx, t + delta)[1]:
+            return x
+        unit = _div_pi_power(ctx, poly.deriv(x), delta)
+        x = _sub(ctx, x, _mul(ctx, _div_pi_power(ctx, fx, delta), _unit_inv(ctx, unit)))
+    raise InconsistentResult("Newton's iteration left its isolated ball")
+
+
+# ---------------------------------------------------------------------------
+# certified roots
 
 
 class CertifiedRoot(Record):
@@ -198,16 +366,19 @@ class CertifiedRoot(Record):
 
 
 class _NeedMargin(Exception):
-    pass
+    """The working precision cannot decide; args may name the ball."""
 
 
 def roots_in_dvr(F, R: DvrSpec, prec: int):
     """All roots of the monic polynomial F in R, refined to depth >= prec and
-    carrying Hensel-style certificates.
+    carrying Hensel-style certificates, in lexicographic order of digits.
 
-    Raises PrecisionTooLow when a surviving branch can be neither certified
-    nor excluded at the working precision cap (multiple roots, or prec too
-    small to separate).
+    The ball search isolates each simple root of the reduced polynomial,
+    Newton's iteration refines it to depth prec, and _certify accepts it.
+    Raises PrecisionTooLow, naming the ball, when a ball of radius prec can
+    be neither certified nor excluded at the working precision cap, or
+    when prec does not exceed the derivative valuation of an isolated root
+    (multiple roots, or prec too small to separate).
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
@@ -216,8 +387,25 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
         raise ValueError("polynomial must have degree >= 1")
 
     def search(poly):
-        certs = (_certify(poly, digits, prec) for digits in _digit_dfs(poly, prec))
-        return [c for c in certs if c is not None]
+        roots = []
+        for ball, x, delta in _ball_search(poly, prec, refine=True):
+            if delta is not None and delta >= prec:
+                raise PrecisionTooLow(
+                    f"depth {prec} does not separate the root in {_ball_text(ball)}: "
+                    f"its derivative valuation is {delta}"
+                )
+            try:
+                digits = ball
+                if len(ball) < prec:  # an isolated root: refine it
+                    digits = _digits(poly.ctx, _newton(poly, x, delta, prec), prec)
+                cert = _certify(poly, digits, prec)
+            except _NeedMargin:
+                raise _NeedMargin(_ball_text(ball)) from None
+            except PrecisionTooLow as exc:
+                raise PrecisionTooLow(f"{exc}, in {_ball_text(ball)}") from None
+            if cert is not None:
+                roots.append(cert)
+        return roots
 
     return _escalate(providers, R, prec, search)
 
@@ -230,10 +418,11 @@ def _escalate(providers, R: DvrSpec, t: int, search):
     while True:
         try:
             return search(_materialize_poly(providers, R, t + margin))
-        except _NeedMargin:
+        except _NeedMargin as exc:
             margin *= 2
             if margin > 4 * (t + ESCALATION_CAP):
-                raise PrecisionTooLow(f"cannot certify or exclude a root branch at depth {t}")
+                where = exc.args[0] if exc.args else "a root branch"
+                raise PrecisionTooLow(f"cannot certify or exclude {where} at depth {t}") from None
 
 
 def _certify(poly: _Poly, digits, t: int) -> CertifiedRoot | None:
@@ -257,73 +446,6 @@ def _certify(poly: _Poly, digits, t: int) -> CertifiedRoot | None:
             f"depth {t} does not separate a root with derivative valuation {delta}"
         )
     return CertifiedRoot(from_pi_digits(digits, ctx.ring, t), t, delta)
-
-
-def _digit_dfs(poly: _Poly, depth: int, zero_prefix: int = 0):
-    """Digit vectors (a_0, ..., a_{depth-1}) in lexicographic order whose
-    Teichmuller sum x satisfies F(x) = 0 mod m^depth and whose first
-    zero_prefix digits vanish; F is the monic poly, materialized at a
-    precision n_eval >= depth.
-
-    A prefix of length L survives only while F(prefix) = 0 mod m^L.  For
-    L >= 2, write F(x) = pi^(L-1) c; then F(x + u pi^(L-1)) = pi^(L-1)
-    (c + F'(x) u) mod m^L.  Whether F'(x) lies in m depends on the first
-    digit alone.  When it does, the q children of a branch all pass or all
-    fail with the value F(x) already known.  Otherwise F'(x) is a unit and
-    only the digit -c/F'(x) mod m can pass (Hensel); that one child is
-    evaluated.  Nodes are flat vectors; a child adds the table vector
-    teichmuller(a) pi^(L-1) to its parent.
-    """
-    ctx = poly.ctx
-    k = ctx.ring.k
-    cap = enumeration_cap()
-    if k.q > cap:
-        raise TooLarge(f"{k.q} digits per level exceed the enumeration cap {cap}")
-    field_elems = sorted(k.elements(), key=lambda a: a.coeffs)
-    zero = k.zero()
-    # first digit's coordinates -> -1/(residue of F'(x)), or None when F'(x)
-    # lies in m
-    neg_deriv_inv = {}
-    branches = [((), (0,) * ctx.size, None)]  # (digits, x, F(x))
-    for level in range(1, depth + 1):
-        leaf = level == depth
-        free = level > zero_prefix
-        allowed = field_elems if free else (zero,)
-        terms = ctx.terms[level - 1]
-
-        def child(x, a):
-            return _add(ctx, x, terms[a.coeffs]) if any(a.coeffs) else x
-
-        nxt = []
-        for digits, x, fx in branches:
-            if level >= 2 and neg_deriv_inv[digits[0].coeffs] is None:
-                if _raw_val(ctx, fx, level)[1]:
-                    continue
-                for a in allowed:
-                    if leaf:
-                        nxt.append((digits + (a,), None, None))
-                    else:
-                        c = child(x, a)
-                        nxt.append((digits + (a,), c, poly.value(c)))
-                continue
-            candidates = allowed
-            if level >= 2:  # Hensel step: c is digit L-1 of F(x)
-                a = _digit_at(ctx, fx, level - 1) * neg_deriv_inv[digits[0].coeffs]
-                candidates = (a,) if free or a.is_zero() else ()
-            for a in candidates:
-                c = child(x, a)
-                fc = poly.value(c)
-                if _raw_val(ctx, fc, level)[1]:
-                    continue
-                if level == 1:
-                    dv = poly.deriv(c)
-                    unit = _raw_val(ctx, dv, 1)[1]
-                    neg_deriv_inv[a.coeffs] = -(FqElem(k, dv[:ctx.d]).inverse()) if unit else None
-                nxt.append((digits + (a,), c, fc))
-        branches = nxt
-        if not branches:
-            return []
-    return [digits for digits, _, _ in branches]
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +528,45 @@ def _beta_admissible(source, target, psi, beta) -> bool:
     return not _raw_val(poly.ctx, value, n2)[1]  # f1^psi(beta) = 0 mod m2^n2
 
 
+def _hom_balls(src: ResidueRingSpec, tgt: ResidueRingSpec):
+    """(psi, digits) for the balls of admissible betas, embeddings by image
+    of the generator and each embedding's balls in lexicographic order: the
+    betas of a ball are its digits followed by any n2 - len(digits) more."""
+    # beta^n1 = 0 mod m^n2 exactly when the first ceil(n2/n1) digits vanish,
+    # so the search starts from the ball 0 + m^ceil(n2/n1)
+    zero_prefix = -(-tgt.n // src.n)
+    for psi in embeddings(src.ring.k, tgt.ring.k):
+        providers = tuple(MappedCoeff(c, psi) for c in src.ring.coeffs)
+        poly = _materialize_poly(providers, tgt.ring, tgt.n)
+        for digits, _, _ in _ball_search(poly, tgt.n, zero_prefix):
+            yield psi, digits
+
+
 def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec):
     """All homomorphisms src -> tgt in deterministic order: embeddings by
     image of the generator, beta by digit-vector lexicographic order."""
     tgt.check_size("target elements")
-    # beta^n1 = 0 mod m^n2 exactly when the first ceil(n2/n1) digits vanish
-    zero_prefix = -(-tgt.n // src.n)
+    residues = _residues(tgt.ring.k)
     out = []
-    for psi in embeddings(src.ring.k, tgt.ring.k):
-        providers = tuple(MappedCoeff(c, psi) for c in src.ring.coeffs)
-        poly = _materialize_poly(providers, tgt.ring, tgt.n)
-        for digits in _digit_dfs(poly, tgt.n, zero_prefix):
-            out.append(ResidueHom(src, tgt, psi, ResidueElt(tgt, digits)))
+    for psi, digits in _hom_balls(src, tgt):
+        for tail in itertools.product(residues, repeat=tgt.n - len(digits)):
+            out.append(ResidueHom(src, tgt, psi, ResidueElt(tgt, digits + tail)))
     return out
+
+
+def count_homs(src: ResidueRingSpec, tgt: ResidueRingSpec) -> int:
+    """The number of homomorphisms src -> tgt, summed over the balls of
+    betas as q2^(n2 - radius), so no beta is listed and the enumeration cap
+    does not apply.  A count that could exceed the interpreter's limit for
+    integer text (sys.get_int_max_str_digits) is refused with TooLarge."""
+    q, n2 = tgt.ring.q, tgt.n
+    digits_cap = sys.get_int_max_str_digits()
+    # at most d1 embeddings, each with at most q^n2 betas; q^n2 >= 16^digits_cap
+    # is decided without forming the power
+    if digits_cap and (n2 * (q.bit_length() - 1) >= 4 * digits_cap
+                       or src.ring.d * q ** n2 >= 10 ** digits_cap):
+        raise TooLarge(f"counts up to {q}^{n2} may exceed the {digits_cap}-digit integer limit")
+    return sum(q ** (n2 - len(digits)) for _, digits in _hom_balls(src, tgt))
 
 
 def enumerate_isos(src: ResidueRingSpec, tgt: ResidueRingSpec):
@@ -530,7 +678,10 @@ def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
     n2 = phi.target.n
     bound = lift_precision_bound(R1, R2.e)
     if n2 < bound:
-        raise PreconditionBound(f"requires n2 >= {bound}, got {n2}")
+        raise PreconditionBound(
+            f"requires n2 >= {bound}, got {n2}: a unique lift needs n2 > M(R1)*e1*e2, "
+            f"with M(R1) = {krasner_bound(R1)}, e1 = {R1.e}, e2 = {R2.e}"
+        )
     if R2.e % R1.e != 0:
         raise IncompatibleLengths("target ramification must be a multiple of the source's")
     M1 = krasner_bound(R1)
@@ -688,8 +839,8 @@ def _squarefree_cached(coeffs: tuple) -> tuple:
 
 def has_root(R: DvrSpec, F) -> HasRootResult:
     """Decide whether the monic integer polynomial F has a root in R, by the
-    certified DFS at escalating precision; exhaustion of all digit branches
-    is a proof of nonexistence."""
+    certified root search at escalating precision; a search whose balls all
+    die is a proof of nonexistence."""
     coeffs = [int(c) for c in F]
     if not coeffs or coeffs[-1] != 1:
         raise NotMonic("polynomial must be monic")

@@ -6,7 +6,8 @@ expressions and checks both ring axioms pointwise on all element pairs.
 
 The scan oracle keeps the (psi, beta) parameterization but none of the
 search: it tests every beta in the target ring with the validator of
-``residue_hom``.
+``residue_hom``.  Its root counterpart tests every digit vector as a
+truncated root and certifies each one that passes.
 
 The flat-ring oracle redoes the arithmetic of R/p^M, that is
 (Z/p^M)[y,x]/(g(y), f(x,y)), with sympy polynomial remainders.
@@ -34,6 +35,8 @@ from ramlift.dvr import (
 from ramlift.homlift import (
     ResidueHom,
     _beta_admissible,
+    _certify,
+    _escalate,
     _materialize_poly,
     _normalize_poly,
 )
@@ -62,6 +65,19 @@ def scan_truncated_roots(F, R, depth: int):
         for x in enumerate_elements(rn)
         if not DvrElem(poly.ctx, poly.value(rn.lift(x).v)).valuation().exact
     ]
+
+
+def scan_certified_roots(F, R, t: int):
+    """The certified roots of F at depth t without the search: every
+    truncated root mod m^t that scan_truncated_roots finds goes through the
+    acceptance test _certify, under the margin doubling of _escalate."""
+    survivors = scan_truncated_roots(F, R, t)
+
+    def certify_all(poly):
+        certs = (_certify(poly, digits, t) for digits in survivors)
+        return [c for c in certs if c is not None]
+
+    return _escalate(_normalize_poly(F, R.k), R, t, certify_all)
 
 
 def digit_route_op(rn: ResidueRingSpec, op: str, x, y=None):

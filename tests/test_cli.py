@@ -69,6 +69,17 @@ def test_homs_counts(capsys):
     assert rc == 0 and json.loads(out) == {"count": 0}
 
 
+def test_homs_count_is_not_capped(capsys):
+    # W(F4)[x]/(x^4 - 2) at n = 12 has 2^24 elements, past the cap of 10^7:
+    # the count sums balls of betas, while listings stay capped
+    w4 = '{"p":2,"residue":{"d":2},"eisenstein":[-2,0,0,0,1]}'
+    rc, out, err = run(capsys, "homs", w4, w4, "12", "12", "--count")
+    assert (rc, json.loads(out), err) == (0, {"count": 524288}, "")
+    for extra in ([], ["--iso", "--count"]):
+        rc, out, err = run(capsys, "homs", w4, w4, "12", "12", *extra)
+        assert rc == 3 and out == "" and "TooLarge" in err
+
+
 def test_homs_listing_shape(capsys):
     rc, out, _ = run(capsys, "homs", S3, SM3, "2", "2", "--iso")
     assert rc == 0
@@ -125,6 +136,9 @@ def test_lift_below_bound_exit_4(capsys):
     rc, _, err = run(capsys, "lift", S3, SM3, hom, "4")
     assert rc == 4
     assert "requires n2 >= 3" in err
+    # the refusal names the bound it rests on: n2 > M(R1)*e1*e2 = 2
+    assert err == ("error: PreconditionBound: requires n2 >= 3, got 2: a unique lift needs "
+                   "n2 > M(R1)*e1*e2, with M(R1) = 1/2, e1 = 2, e2 = 2\n")
 
 
 def test_bounds(capsys):

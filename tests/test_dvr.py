@@ -327,6 +327,23 @@ def test_flat_arithmetic_matches_sympy_oracle(case):
 
 
 @settings(max_examples=120, deadline=None)
+@given(flat_cases(dims=(1, 2, 3)), st.integers(0, 9))
+def test_unit_inverse_and_division_by_pi_powers(case, delta):
+    # the two helpers behind Newton's iteration in the root search: the unit
+    # 1 + pi*a times its inverse is 1 exactly mod p^Mc, and
+    # (a * pi^delta) / pi^delta gives back a to the e*s >= delta nu-units the
+    # quotient loses, s = ceil(delta/e)
+    spec, a, _ = case
+    ctx = dvr._context(spec, a.n + delta)
+    one = ctx.pi_powers[0]
+    u = dvr._add(ctx, one, dvr._mul(ctx, ctx.pi, a.v))
+    assert dvr._mul(ctx, u, dvr._unit_inv(ctx, u)) == one
+    quotient = dvr._div_pi_power(ctx, dvr._mul(ctx, a.v, ctx.pi_powers[delta]), delta)
+    mod = spec.p ** (ctx.M - -(-delta // spec.e))
+    assert [c % mod for c in quotient] == [c % mod for c in a.v]
+
+
+@settings(max_examples=120, deadline=None)
 @given(flat_cases(), st.data())
 def test_digit_roundtrip_matches_input(case, data):
     spec, a, _ = case

@@ -1,12 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     digit_route_apply,
     exhaustive_homs_as_tables,
     hom_as_table,
+    scan_certified_roots,
     scan_homs,
     scan_truncated_roots,
 )
@@ -17,6 +21,7 @@ from ramlift.dvr import (
     enumerate_elements,
     from_pi_digits,
     make_dvr,
+    parse_dvr_elem_text,
     pi_digits,
     project,
     residue_ring,
@@ -31,10 +36,12 @@ from ramlift.errors import (
 )
 from ramlift.homlift import (
     DvrHom,
-    _digit_dfs,
+    _ball_search,
+    _hom_balls,
     _materialize_poly,
     _normalize_poly,
     compose_homs,
+    count_homs,
     dvr_isos,
     enumerate_homs,
     enumerate_isos,
@@ -142,30 +149,86 @@ def test_enumerate_homs_matches_scan(src, tgt):
     assert enumerate_homs(src, tgt) == scan_homs(src, tgt)
 
 
+def _expand(balls, R, depth):
+    """The digit vectors of length depth in the balls (digits, x, delta)."""
+    residues = sorted(R.k.elements(), key=lambda a: a.coeffs)
+    return [digits + tail for digits, _, _ in balls
+            for tail in itertools.product(residues, repeat=depth - len(digits))]
+
+
 @pytest.mark.parametrize(
     "F, answer",
-    [([1, 0, 1], "no"), ([-1, 0, 1], "yes"), ([-3, 0, 1], "yes")],
-    ids=["unit-deriv-none", "unit-deriv", "deriv-in-m"],
+    [([1, 0, 1], "no"), ([-1, 0, 1], "yes"), ([-3, 0, 1], "yes"), ([9, 0, -6, 0, 1], "yes")],
+    ids=["unit-deriv-none", "unit-deriv", "deriv-in-m", "double-roots"],
 )
 def test_root_search_matches_scan(F, answer):
-    # the derivative of x^2 + 1 and x^2 - 1 at their would-be roots is a
-    # unit, so each branch tests its one Hensel child; for x^2 - 3 it lies in
-    # m and children share their parent's value
+    # the balls on which F vanishes mod m^depth hold exactly the truncated
+    # roots that testing every digit vector finds, in the same order; x^2 + 1
+    # and x^2 - 1 have a unit derivative at their would-be roots, x^2 - 3 a
+    # derivative in m, and (x^2 - 3)^2 the double roots pi and -pi
     assert has_root(Z3_SQRT3, F).kind == answer
     providers = _normalize_poly(F, F3)
     for depth in (1, 2, 4):
         expected = scan_truncated_roots(F, Z3_SQRT3, depth)
         for n_eval in (depth, depth + 3):
             poly = _materialize_poly(providers, Z3_SQRT3, n_eval)
-            assert _digit_dfs(poly, depth) == expected
+            assert _expand(_ball_search(poly, depth), Z3_SQRT3, depth) == expected
 
 
-def test_unit_derivative_branches_evaluate_one_child(monkeypatch):
-    # W(F5)/p^4 with f = x - 5: F' = 1 is a unit, so below level 1 each
-    # branch evaluates only the digit solved for by the Hensel step
-    R = make_dvr(make_field(5, 1), [-5, 1])
-    rn = residue_ring(R, 4)
-    expected = scan_homs(rn, rn)
+def _roots_or_refusal(search, F, R, t):
+    try:
+        return [(dvr_elem_text(r.elem), r.t, r.deriv_val) for r in search(F, R, t)]
+    except PrecisionTooLow:
+        return None
+
+
+@st.composite
+def _root_problems(draw):
+    """A small Eisenstein ring over F2, F3 or F4, a monic polynomial of
+    degree 1 to 3 with small integer coefficients and a depth whose q^depth
+    digit vectors the scan can test."""
+    p, d = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    e = draw(st.integers(1, 3))
+    unit = draw(st.sampled_from([1, p - 1, p + 1]))
+    R = make_dvr(make_field(p, d), [p * unit] + [p * draw(st.integers(0, 2)) for _ in range(e - 1)] + [1])
+    F = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=3)) + [1]
+    t = draw(st.integers(1, 5 if p ** d == 2 else 3))
+    return F, R, t
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_problems())
+def test_roots_match_the_certified_scan(problem):
+    # the scan certifies every truncated root mod m^t; the ball search must
+    # return the same roots in the same order, and refuse only where the
+    # scan refuses.  It may answer where the scan refuses: the scan also
+    # certifies points far from any root, and one where F' vanishes can be
+    # neither certified nor excluded (see the next test)
+    F, R, t = problem
+    expected = _roots_or_refusal(scan_certified_roots, F, R, t)
+    got = _roots_or_refusal(roots_in_dvr, F, R, t)
+    if expected is not None:
+        assert got == expected
+    for text, _, _ in got or ():
+        homlift._certify_at(_normalize_poly(F, R.k), R, parse_dvr_elem_text(R, text))
+
+
+def test_a_vanishing_derivative_away_from_the_roots_blocks_only_the_scan():
+    # F = (x - 1)^2 + 3 over W(F9)[x]/(x^4 + 6x^3 + 3) at depth 3: x = 1 is a
+    # truncated root (nu(F(1)) = nu(3) = 4) where F' vanishes, so the scan
+    # can neither certify nor exclude it and refuses.  No root agrees with 1
+    # to depth 3; the ball search never evaluates F' there and finds the two
+    # roots 1 + pi^2 u with derivative valuation 2
+    R = make_dvr(F9, [3, 0, 0, 6, 1])
+    F = [4, -2, 1]
+    with pytest.raises(PrecisionTooLow):
+        scan_certified_roots(F, R, 3)
+    got = _roots_or_refusal(roots_in_dvr, F, R, 3)
+    assert got == [("π:(1,0),(0,0),(1,0)", 3, 2), ("π:(1,0),(0,0),(2,0)", 3, 2)]
+
+
+def _count_horner(monkeypatch) -> list:
+    """Record the number of coefficients of every Horner evaluation."""
     calls = []
     horner = homlift._horner
 
@@ -174,14 +237,22 @@ def test_unit_derivative_branches_evaluate_one_child(monkeypatch):
         return horner(ctx, coeffs, x, lead)
 
     monkeypatch.setattr(homlift, "_horner", counted)
+    return calls
+
+
+def test_unit_derivative_branches_evaluate_one_child(monkeypatch):
+    # W(F5)/p^4 with f = x - 5: F' = 1 is a unit, so the reduced polynomial
+    # of every ball is linear and each ball has one child.  The search starts
+    # from the ball 0 + m (the zero prefix); its child holds the root pi = 5
+    # exactly, so every deeper ball has the same centre and reuses its value
+    R = make_dvr(make_field(5, 1), [-5, 1])
+    rn = residue_ring(R, 4)
+    expected = scan_homs(rn, rn)
+    calls = _count_horner(monkeypatch)
     homs = enumerate_homs(rn, rn)
     assert homs == expected and len(homs) == 1
-    # F = x + a_0 has one coefficient below its lead, F' = 1 none: F is
-    # evaluated once per level (the zero prefix fixes level 1 to the digit
-    # 0), F' once, at the first digit
-    assert calls.count(1) == rn.n
-    assert calls.count(0) == 1
-    assert len(calls) == rn.n + 1
+    # F = x + a_0 at the centres 0 and 5, and nothing else
+    assert calls == [1, 1]
 
 
 def test_horner_matches_element_arithmetic():
@@ -246,9 +317,10 @@ def test_certify_at_reproduces_every_root_certificate(R, F):
 
 def test_double_roots_refused_by_both_entry_points():
     # (x^2 - 3)^2 has the double roots pi and -pi: F' vanishes there, so no
-    # depth certifies them
+    # depth certifies them; the refusal names the depth and the first ball
+    # of radius 4 left unseparated
     F = [9, 0, -6, 0, 1]
-    with pytest.raises(PrecisionTooLow):
+    with pytest.raises(PrecisionTooLow, match=r"the ball π:0,1,0,0 \+ m\^4 at depth 4"):
         roots_in_dvr(F, Z3_SQRT3, 4)
     with pytest.raises(PrecisionTooLow):
         homlift._certify_at(_normalize_poly(F, F3), Z3_SQRT3, Z3_SQRT3.uniformizer(8))
@@ -698,7 +770,127 @@ def test_tame_cubic_pair_is_isomorphic():
     assert has_root(A, [-10, 0, 0, 1]).kind == "yes"
 
 
+# -- the ball search at scale ----------------------------------------------------
+
+Z2_ROOT4 = make_dvr(F2, [-2, 0, 0, 0, 1])  # wild: e = 4, M = 5/4, bound 21
+W9_CUBIC = make_dvr(F9, [3, 0, 0, 1])  # x^3 + 3 over W(F9): wild, e = p = 3
+W4_QUARTIC = make_dvr(F4, [2, 0, 0, 0, 1])  # x^4 + 2 over W(F4)
+W4_QUARTIC_Y = make_dvr(F4, [[2, 2], 0, 0, 0, 1])  # x^4 + 2 + 2y, y generating F4
+
+
+def test_wild_lift_stays_within_a_horner_budget(monkeypatch):
+    # an automorphism of W(F2)[x]/(x^4 - 2) at its bound n = 21: the roots
+    # +-pi have nu(F') = 11, so a search that kept every truncated root
+    # would carry about 2^11 branches per root at each deep level (131145
+    # evaluations); the ball search descends along the roots of the reduced
+    # polynomial and refines by Newton's iteration
+    rn = residue_ring(Z2_ROOT4, 21)
+    phi = residue_hom(rn, rn, identity_embedding(F2), project(Z2_ROOT4.uniformizer(21), 21))
+    calls = _count_horner(monkeypatch)
+    g = lift_hom(phi)
+    assert len(calls) < 1000
+    assert g.is_identity() and project_hom(g, 21, 21) == phi
+
+
+def test_wild_cubic_isos_within_a_horner_budget(monkeypatch):
+    # nu(F'(pi)) = 5: the truncated roots near pi grow ninefold every two
+    # levels (9, 81, 81, 729, ..., 59049 at depths 2-9), and the ball search
+    # follows none of them
+    calls = _count_horner(monkeypatch)
+    isos = dvr_isos(W9_CUBIC, W9_CUBIC)
+    assert len(isos) == 2 and len(calls) < 1000
+    assert {g.psi.is_identity() for g in isos} == {True, False}
+
+
+def _check_isos_against_residue_isos(R, isos, is_residue_iso):
+    """Each ring iso projects, at the lifting bound, to a distinct residue
+    iso, and composes with its inverse to the identity both ways."""
+    n = lift_precision_bound(R, R.e)
+    projected = [project_hom(g, n, n) for g in isos]
+    assert len(set(projected)) == len(isos)
+    for g, phi in zip(isos, projected):
+        assert is_residue_iso(phi)
+        inv = hom_inverse(g)
+        assert compose_homs(inv, g).is_identity() and compose_homs(g, inv).is_identity()
+
+
+def test_wild_isos_project_into_the_listed_residue_isos():
+    n = lift_precision_bound(Z2_ROOT4, 4)  # 21: 2^21 target elements
+    residue_isos = set(enumerate_isos(residue_ring(Z2_ROOT4, n), residue_ring(Z2_ROOT4, n)))
+    isos = dvr_isos(Z2_ROOT4, Z2_ROOT4)
+    assert len(isos) == 2
+    _check_isos_against_residue_isos(Z2_ROOT4, isos, residue_isos.__contains__)
+
+
+@pytest.mark.parametrize(
+    "R, count",
+    [(W9_CUBIC, 2), (W4_QUARTIC, 4), (W4_QUARTIC_Y, 4)],
+    ids=["F9:x3+3", "F4:x4+2", "F4:x4+2+2y"],
+)
+def test_wild_isos_and_inverses_finish(R, count):
+    # 9^8 and 4^21 target elements at the bound are past the cap, so
+    # membership in enumerate_isos is read off the balls of betas it would
+    # expand: a beta of valuation one extending a ball of the same embedding
+    n = lift_precision_bound(R, R.e)
+    rn = residue_ring(R, n)
+    balls = list(_hom_balls(rn, rn))
+
+    def is_residue_iso(phi):
+        digits = phi.beta.digits
+        return phi.beta.val_units() == 1 and any(
+            psi == phi.psi and digits[:len(d)] == d for psi, d in balls)
+
+    isos = dvr_isos(R, R)
+    assert len(isos) == count
+    _check_isos_against_residue_isos(R, isos, is_residue_iso)
+
+
+def test_count_homs_past_the_enumeration_cap():
+    # 2^24 target elements exceed the cap of 10^7; the count lists no beta
+    W4 = make_dvr(F4, [-2, 0, 0, 0, 1])
+    rn = residue_ring(W4, 12)
+    with pytest.raises(TooLarge):
+        enumerate_homs(rn, rn)
+    assert count_homs(rn, rn) == 524288
+
+
+def test_count_homs_refuses_counts_past_the_integer_text_limit():
+    rn = residue_ring(Z3_SQRT3, 100000)
+    with pytest.raises(TooLarge, match="digit integer limit"):
+        count_homs(residue_ring(Z3_SQRT3, 1), rn)
+
+
+@st.composite
+def _ring_pairs(draw):
+    """Two small Eisenstein rings over F2, F3 or F4 (the target's field
+    containing the source's) with lengths whose target has at most 729
+    elements."""
+    p = draw(st.sampled_from([2, 3]))
+    d1 = draw(st.sampled_from([1, 2] if p == 2 else [1]))
+    d2 = draw(st.sampled_from([d1, 2] if p == 2 else [1]))
+    rings = []
+    for d in (d1, d2):
+        k = make_field(p, d)
+        e = draw(st.integers(1, 3))
+        unit = draw(st.sampled_from([1, p - 1, p + 1]))
+        tail = [p * draw(st.integers(0, 2)) for _ in range(e - 1)]
+        rings.append(make_dvr(k, [p * unit] + tail + [1]))
+    n2 = draw(st.integers(1, 6))
+    while (p ** d2) ** n2 > 729:
+        n2 -= 1
+    n1 = draw(st.integers(1, 5))
+    return residue_ring(rings[0], n1), residue_ring(rings[1], n2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_pairs())
+def test_count_homs_counts_the_listing(pair):
+    src, tgt = pair
+    assert count_homs(src, tgt) == len(enumerate_homs(src, tgt))
+
+
 _CHECKS_SCRIPT = """
+import os
 from fractions import Fraction
 
 from ramlift import homlift as h
@@ -721,6 +913,15 @@ def lift_to_unit():
     h.lift_hom(phi)
 
 
+def search_past_the_cap():
+    # the reduced polynomials' roots are looked for among the q = 3 residues
+    os.environ["RAMLIFT_ENUM_CAP"] = "2"
+    try:
+        h.roots_in_dvr([-3, 0, 1], R, 4)
+    finally:
+        del os.environ["RAMLIFT_ENUM_CAP"]
+
+
 cases = {
     "same_hom": lambda: h.same_hom(shallow, shallow),
     "select_unique_root": lambda: h.select_unique_root(
@@ -729,6 +930,9 @@ cases = {
     "_squarefree_part": lambda: h._squarefree_part([Fraction(1, 4), -1, 1]),
     "has_root": lambda: h.has_root(R, [1, 0, 2]),
     "_certify_at": lambda: h._certify_at(h._normalize_poly([-3, 0, 1], F3), R, R.one(4)),
+    # (x^2 - 3)^2: the double roots pi and -pi never separate
+    "roots_in_dvr": lambda: h.roots_in_dvr([9, 0, -6, 0, 1], R, 4),
+    "_ball_search": search_past_the_cap,
 }
 for name, run in cases.items():
     try:
@@ -762,4 +966,6 @@ def test_correctness_checks_survive_python_O():
         "_squarefree_part": "InconsistentResult",
         "has_root": "NotMonic",
         "_certify_at": "InconsistentResult",
+        "roots_in_dvr": "PrecisionTooLow",
+        "_ball_search": "TooLarge",
     }
