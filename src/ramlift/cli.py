@@ -143,12 +143,13 @@ def _as_text(payload, indent: int = 0) -> str:
 
 def ring_summary(R) -> dict:
     rep_m = krasner_bound(R)
+    spec = ring_spec_to_json(R)
     return {
         "p": R.p,
         "q": R.q,
         "e": R.e,
-        "eisenstein": ring_spec_to_json(R)["eisenstein"],
-        "residue": ring_spec_to_json(R)["residue"],
+        "eisenstein": spec["eisenstein"],
+        "residue": spec["residue"],
         "tame": R.e % R.p != 0,
         "M": str(rep_m),
         "different": different_val(R),
@@ -192,6 +193,8 @@ def _parse_hom(src_ring, tgt_ring, obj):
             raise InputError("psi image is not a root of the source defining polynomial")
         psi = FieldEmbedding(src_ring.k, tgt_ring.k, image)
         beta_elem = parse_dvr_elem_text(tgt_ring, obj["beta"])
+        if beta_elem.n < n2:
+            raise InputError(f"beta has {beta_elem.n} digits, the target length n2 = {n2} needs {n2}")
         if beta_elem.n != n2:
             beta_elem = beta_elem.reduce_to(n2)
         beta = project(beta_elem, n2)

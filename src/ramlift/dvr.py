@@ -25,9 +25,22 @@ z_(r+1) = z_r - teichmuller(a_r) pi^r, so z_r lies in m^r; write r = e*k + j
 with 0 <= j < e and c_j for the x^j coefficient of z_r.  The terms c_i x^i
 have valuations e*v_p(c_i) + i distinct mod e, so z_r = c_j x^j mod m^(r+1);
 and f(pi) = 0 with a_0 = p*w gives p/pi^e = eps mod m for eps the residue of
--w^-1.  Hence a_r = (c_j/p^k mod p) * eps^k: each digit is one coefficient
-block read and one table vector subtracted.  No fraction-field arithmetic
-is exposed.
+-w^-1.  Hence a_r = (c_j/p^k mod p) * eps^k, read off one coefficient block
+mod p^(k+1).
+
+Digits are read in chunks of w blocks, w the largest w <= e with
+q^w <= BLOCK_KEYS (at least 1).  Write x^e = p*u(x): f is Eisenstein, so u
+has integer coefficients, and teichmuller(a) pi^(e*k+j') = p^k
+teichmuller(a) x^j' u(x)^k.  Modulo p the ring is k[x]/(x^e), where x^j'
+times anything has no term below degree j'; so subtracting that term
+leaves every block below j' unchanged mod p^(k+1), and the blocks that
+earlier digits cleared stay cleared.  Hence the digits e*k + j0, ...,
+e*k + j0 + J - 1 of z in m^(e*k+j0) are a function of the blocks j0, ...,
+j0 + J - 1 of z mod p^(k+1), and so is their Teichmuller sum.  Each context
+keeps one table per chunk from those blocks to both, filled on first use
+by reading the key digit by digit; a readout costs one lookup and one
+subtraction per chunk, and its digits are shared FqElem values, each of
+which renders its text once.  No fraction-field arithmetic is exposed.
 """
 
 from __future__ import annotations
@@ -54,6 +67,7 @@ from .witt import WittElem, WittRingSpec, _yreduce, from_digits, make_witt, teic
 
 GUARD_DIGITS = 2
 DEFAULT_ENUM_CAP = 10 ** 7
+BLOCK_KEYS = 1024  # the most keys a digit chunk table may hold (q^w <= this)
 
 
 def enumeration_cap() -> int:
@@ -325,6 +339,77 @@ def _digit_table(scale: FqElem, pk: int) -> _DigitTable:
     return _DigitTable(scale, pk)
 
 
+class _BlockTable(dict):
+    """The digits r0, ..., r0 + J - 1 of one chunk, r0 = e*k + j0 and
+    j0 + J <= e: keyed by the coordinates of the x^j0 ... x^(j0+J-1) blocks
+    reduced mod p^(k+1), the pair (the J digits, the flat vector of
+    sum teichmuller(a_r) pi^r over them).  The sum is None when every digit
+    is 0, and when the chunk ends at ctx.n, where no digit follows it.
+    A miss reads the key digit by digit with _digit_at, so a key outside
+    m^r0 raises NotDivisible and is never stored."""
+
+    def __init__(self, ctx: "_Context", r0: int, width: int):
+        super().__init__()
+        self.ctx, self.r0, self.width = ctx, r0, width
+
+    def __missing__(self, key):
+        ctx, r0, n = self.ctx, self.r0, self.ctx.n
+        end = r0 + self.width
+        lo = r0 % ctx.e * ctx.d
+        start = [0] * ctx.size
+        start[lo:lo + len(key)] = key
+        v, digits = start, []
+        for r in range(r0, end):
+            a = _digit_at(ctx, v, r)
+            digits.append(a)
+            if r + 1 < n and any(a.coeffs):
+                v = list(map(sub, v, ctx.terms[r][a.coeffs]))
+        term = None
+        if end < n and v is not start:
+            mod = ctx.mod
+            term = tuple([(x - y) % mod for x, y in zip(start, v)])
+        entry = self[key] = (tuple(digits), term)
+        return entry
+
+
+class _Plans(dict):
+    """For each n <= ctx.n, the chunks that read the first n digits, as
+    (lo, hi, c -> c mod p^(k+1), _BlockTable): the e blocks of each k are
+    cut into chunks of _block_width blocks, and the chunk that n ends in
+    is cut short there.  Built on first use; the plans of one context share
+    the table of each (r0, J)."""
+
+    def __init__(self, ctx: "_Context"):
+        super().__init__()
+        self.ctx, self.tables = ctx, {}
+
+    def __missing__(self, n):
+        ctx = self.ctx
+        d, e, p, tables = ctx.d, ctx.e, ctx.p, self.tables
+        w = _block_width(ctx.ring.q, e)
+        plan = []
+        for k in range(-(-n // e)):
+            rem = (p ** (k + 1)).__rmod__
+            for j0 in range(0, min(e, n - e * k), w):
+                width = min(w, e - j0, n - e * k - j0)
+                key = (e * k + j0, width)
+                if key not in tables:
+                    tables[key] = _BlockTable(ctx, *key)
+                plan.append((j0 * d, (j0 + width) * d, rem, tables[key]))
+        self[n] = plan
+        return plan
+
+
+def _block_width(q: int, e: int) -> int:
+    """The chunk width w: the largest w <= e with q^w <= BLOCK_KEYS, at least
+    1.  A chunk has q^w valid keys, so a table never holds more than
+    BLOCK_KEYS of them, or q when q exceeds it."""
+    w = 1
+    while w < e and q ** (w + 1) <= BLOCK_KEYS:
+        w += 1
+    return w
+
+
 class _TermTable(dict):
     """The flat vectors teichmuller(a) * pi^r for one r, keyed by the
     coordinate tuple of the digit a and computed on first use; for r = 0
@@ -348,15 +433,15 @@ class _TermTable(dict):
 class _Context:
     """Arithmetic data of R at precision n, shared by all its elements: the
     modulus p^Mc, f as flat integers, the powers pi^r for r < n, the tables
-    of teichmuller(a) * pi^r, and for each r < n how digit r is read: its
-    x^j block, the reduction mod p^(k+1) and the table of digits u * eps^k,
-    eps the residue of -w^-1 for the unit w with a_0 = p*w (see _digit_at).
-    For d > 1, multiplication by each nonzero coefficient of f is kept as a
-    d x d integer matrix."""
+    of teichmuller(a) * pi^r, for each r < n how digit r is read: its x^j
+    block, the reduction mod p^(k+1) and the table of digits u * eps^k,
+    eps the residue of -w^-1 for the unit w with a_0 = p*w (see _digit_at),
+    and the chunk plans of _digits.  For d > 1, multiplication by each
+    nonzero coefficient of f is kept as a d x d integer matrix."""
 
     __slots__ = ("ring", "n", "wspec", "M", "mod", "p", "d", "e", "size", "g", "f",
                  "f_mats", "supported", "pi", "pi_powers", "terms", "reads",
-                 "res_mods")
+                 "plans", "res_mods")
 
     def __init__(self, ring: DvrSpec, n: int):
         wspec = ring.wspec(n)
@@ -389,6 +474,7 @@ class _Context:
             powers.append(_times_x(self, powers[-1]))
         self.pi_powers = powers
         self.terms = [_TermTable(self, r) for r in range(n)]
+        self.plans = _Plans(self)
         # m^n = sum of p^ceil((n-j)/e) W(k) x^j over j < e (see _canon)
         self.res_mods = tuple(p ** -(-(n - j) // e) if j < n else 1
                               for j in range(e) for _ in range(d))
@@ -559,17 +645,16 @@ def _digit_at(ctx: _Context, v, r: int) -> FqElem:
 
 
 def _digits(ctx: _Context, v, n: int) -> tuple:
-    """The first n pi-adic Teichmuller digits of a flat vector: read digit
-    r off one coefficient block, subtract teichmuller(a_r) pi^r, repeat.
-    The differences are not reduced: _digit_at reads them exactly."""
-    terms = ctx.terms
+    """The first n pi-adic Teichmuller digits of a flat vector, a chunk at a
+    time: look up the chunk's digits and their Teichmuller sum by its blocks
+    mod p^(k+1) and subtract the sum.  The differences are not reduced: the
+    keys are read mod p^(k+1) exactly."""
     out = []
-    for r in range(n):
-        a = _digit_at(ctx, v, r)
-        out.append(a)
-        key = a.coeffs
-        if r < n - 1 and any(key):
-            v = list(map(sub, v, terms[r][key]))
+    for lo, hi, rem, table in ctx.plans[n]:
+        digits, term = table[tuple(map(rem, v[lo:hi]))]
+        out += digits
+        if term is not None and len(out) < n:
+            v = list(map(sub, v, term))
     return tuple(out)
 
 
@@ -745,7 +830,7 @@ def from_pi_digits(digits, ring: DvrSpec, n: int | None = None) -> DvrElem:
 
 
 def _digits_text(digits) -> str:
-    return "π:" + ",".join(a.text() for a in digits)
+    return "π:" + ",".join([a.text() for a in digits])
 
 
 def dvr_elem_text(x: DvrElem) -> str:

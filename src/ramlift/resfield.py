@@ -223,9 +223,10 @@ def make_field(p: int, d: int, poly=None) -> FieldSpec:
 
 
 class FqElem:
-    """Element of F_{p^d} as a coordinate vector in the power basis."""
+    """Element of F_{p^d} as a coordinate vector in the power basis.  Its
+    text is rendered once, on first use."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_text")
 
     def __init__(self, field: FieldSpec, coeffs):
         coeffs = tuple(c % field.p for c in coeffs)
@@ -233,6 +234,7 @@ class FqElem:
             raise InvalidArgument(f"expected {field.d} coordinates, got {len(coeffs)}")
         self.field = field
         self.coeffs = coeffs
+        self._text = None
 
     def __eq__(self, other):
         return (
@@ -248,9 +250,12 @@ class FqElem:
         return f"FqElem({self.text()} in {self.field.text()})"
 
     def text(self) -> str:
-        if self.field.d == 1:
-            return str(self.coeffs[0])
-        return "(" + ",".join(str(c) for c in self.coeffs) + ")"
+        if self._text is None:
+            if self.field.d == 1:
+                self._text = str(self.coeffs[0])
+            else:
+                self._text = "(" + ",".join(str(c) for c in self.coeffs) + ")"
+        return self._text
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -17,14 +17,19 @@ vectors: lift the digit vectors to R, compute there, read the digits back.
 Its homomorphism counterpart applies (psi, beta) digit by digit.
 
 The division oracle reads pi-adic digits by dividing by the uniformizer, in
-WittElem arithmetic, instead of reading them off one coefficient each.
+WittElem arithmetic, instead of reading them off one coefficient each.  The
+digit-by-digit oracle reads them off one coefficient block each, as the
+chunk tables of the library do, but one digit at a time and with no table
+of chunks.
 """
 
 import itertools
+from operator import sub
 
 import sympy
 
 from ramlift.dvr import (
+    _digit_at,
     DvrElem,
     ResidueRingSpec,
     enumerate_elements,
@@ -108,6 +113,20 @@ def digit_route_apply(psi, digits, beta: DvrElem) -> DvrElem:
         acc = acc + R.from_witt(teichmuller(psi(a), wspec), n) * power
         power = power * beta
     return acc
+
+
+def digit_by_digit_digits(ctx, v, n: int):
+    """The first n pi-adic Teichmuller digits of the flat vector v of the
+    context ctx: read digit r off one coefficient block (dvr._digit_at),
+    subtract teichmuller(a_r) pi^r, repeat.  The differences are not
+    reduced: _digit_at reads them exactly."""
+    out = []
+    for r in range(n):
+        a = _digit_at(ctx, v, r)
+        out.append(a)
+        if r < n - 1 and any(a.coeffs):
+            v = list(map(sub, v, ctx.terms[r][a.coeffs]))
+    return tuple(out)
 
 
 def divide_by_pi_digits(ring, v, n: int):

@@ -418,6 +418,15 @@ def test_lift_hom_json_needs_integers(capsys):
         _one_line_exit_2(rc, err)
 
 
+def test_lift_short_beta_names_both_lengths(capsys):
+    # a beta of 2 digits cannot define a hom into R/m^3
+    hom = '{"psi":{"image_of_generator":[0]},"beta":"π:0,1","n1":3,"n2":3}'
+    rc, out, err = run(capsys, "lift", S3, S3, hom, "6")
+    _one_line_exit_2(rc, err)
+    assert out == ""
+    assert "beta has 2 digits, the target length n2 = 3 needs 3" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "1", "1"),  # p = 1 used to loop in the p-adic valuation
     ("bounds", "0", "2"),

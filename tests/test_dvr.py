@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import digit_route_op, divide_by_pi_digits, flat_ring_op
+from oracles import digit_by_digit_digits, digit_route_op, divide_by_pi_digits, flat_ring_op
 from ramlift import dvr
 from ramlift.dvr import (
     ResidueElt,
@@ -452,6 +452,63 @@ def test_digit_at_reads_one_digit_of_m_r(case, rng):
         # any representative mod p^Mc reads the same digit
         shifted = [c + rng.randint(-3, 3) * ctx.mod for c in v]
         assert dvr._digit_at(ctx, shifted, r) == digit
+
+
+def _chunk_rings():
+    """One Eisenstein ring per p in {2, 3, 5}, d in {1, 2} and e in {1, ..., 4}:
+    f = x^e - p x + p w with w = p - 1, or w = 1 + y for d = 2, so that eps,
+    the residue of -w^-1, is not +-1 when it can avoid it."""
+    for p in (2, 3, 5):
+        for d in (1, 2):
+            k = make_field(p, d)
+            a0 = [p, p] if d == 2 else p * (p - 1)
+            for e in (1, 2, 3, 4):
+                f = [a0] + ([-p] if e > 1 else []) + [0] * (e - 2) + [1]
+                yield make_dvr(k, f)
+
+
+# Exhaustive up to this many elements of R/m^n, a seeded sample beyond it.
+EXHAUSTIVE_ELEMENTS = 600
+
+
+def test_chunked_digits_match_both_oracles_on_every_element():
+    rng = random.Random(12)
+    for spec in _chunk_rings():
+        e = spec.e
+        for n in sorted({m for m in (e - 1, e + 1, 2 * e + 1) if m >= 1}):
+            rn = residue_ring(spec, n)
+            ctx = rn._ctx
+            if rn.cardinality <= EXHAUSTIVE_ELEMENTS:
+                elems = list(enumerate_elements(rn))
+            else:
+                k_elems = sorted(spec.k.elements(), key=lambda a: a.coeffs)
+                elems = [rn.from_digits(rng.choices(k_elems, k=n)) for _ in range(60)]
+            for x in elems:
+                v = x.v  # the canonical vector
+                assert dvr._digits(ctx, v, n) == x.digits == digit_by_digit_digits(ctx, v, n)
+                assert x.digits == divide_by_pi_digits(spec, v, n), (spec, n)
+                # another representative: add elements of m^n and of p^Mc
+                shifted = [c + rng.randrange(ctx.mod // m) * m + rng.randint(-3, 3) * ctx.mod
+                           for c, m in zip(v, ctx.res_mods)]
+                assert dvr._digits(ctx, shifted, n) == x.digits
+                for m in range(1, n):  # a prefix ends mid-chunk as well
+                    assert dvr._digits(ctx, shifted, m) == x.digits[:m]
+
+
+@pytest.mark.parametrize("spec, n", [
+    (make_dvr(F2, [-2] + [0] * 15 + [1]), 32),  # x^16 - 2: 2^10-key chunks
+    (make_dvr(make_field(1000003, 1), [-1000003, 0, 1]), 3),  # q > 1024: one digit a chunk
+])
+def test_chunk_tables_stay_bounded_on_fresh_vectors(spec, n):
+    ctx = dvr._context(spec, n)
+    rng = random.Random(n)
+    for _ in range(2000):
+        v = [rng.randrange(ctx.mod) for _ in range(ctx.size)]
+        assert dvr._digits(ctx, v, n) == digit_by_digit_digits(ctx, v, n)
+    bound = max(dvr.BLOCK_KEYS, spec.q)
+    tables = ctx.plans.tables.values()
+    assert tables and all(len(t) <= bound for t in tables)
+    assert max(len(t) for t in tables) > (dvr.BLOCK_KEYS // 2 if spec.q < bound else 1000)
 
 
 def test_dvr_elem_equality_is_digit_equality():

@@ -1,13 +1,16 @@
 """Tooling contracts.  The benchmark's tracer wraps ramlift functions and
 methods by name; a name it lists must keep existing, or traced benchmark
-runs break.  Importing ramlift stays free of code-generation modules."""
+runs break.  Importing ramlift stays free of code-generation modules, and
+the library holds no assert statement, which python -O would strip."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "ramlift"
 
 
 def _load(name, monkeypatch):
@@ -48,3 +51,16 @@ def test_import_loads_no_code_generation_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_assert_statements_in_src():
+    """A correctness gate written as assert vanishes under python -O; the
+    library raises instead."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(SRC_DIR.glob("*.py"))) > 5
+    assert found == []
