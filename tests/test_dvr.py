@@ -456,19 +456,21 @@ def test_digit_at_reads_one_digit_of_m_r(case, rng):
 
 def _chunk_rings():
     """One Eisenstein ring per p in {2, 3, 5}, d in {1, 2} and e in {1, ..., 4}:
-    f = x^e - p x + p w with w = p - 1, or w = 1 + y for d = 2, so that eps,
-    the residue of -w^-1, is not +-1 when it can avoid it."""
+    f = x^e - p x + p w (no x term for e = 1) with w = 2 (1 for p = 2), or
+    w = 1 + y for d = 2, so that eps, the residue of -w^-1, is not +-1
+    where the residue field has another unit."""
     for p in (2, 3, 5):
         for d in (1, 2):
             k = make_field(p, d)
-            a0 = [p, p] if d == 2 else p * (p - 1)
+            a0 = [p, p] if d == 2 else p * (2 if p > 2 else 1)
             for e in (1, 2, 3, 4):
                 f = [a0] + ([-p] if e > 1 else []) + [0] * (e - 2) + [1]
                 yield make_dvr(k, f)
 
 
-# Exhaustive up to this many elements of R/m^n, a seeded sample beyond it.
-EXHAUSTIVE_ELEMENTS = 600
+# Every element of R/m^n up to this many, a seeded sample of 60 beyond it;
+# the slow division oracle reads about 60 of them per ring.
+EXHAUSTIVE_ELEMENTS = 5000
 
 
 def test_chunked_digits_match_both_oracles_on_every_element():
@@ -483,10 +485,12 @@ def test_chunked_digits_match_both_oracles_on_every_element():
             else:
                 k_elems = sorted(spec.k.elements(), key=lambda a: a.coeffs)
                 elems = [rn.from_digits(rng.choices(k_elems, k=n)) for _ in range(60)]
-            for x in elems:
+            step = -(-len(elems) // 60)
+            for i, x in enumerate(elems):
                 v = x.v  # the canonical vector
                 assert dvr._digits(ctx, v, n) == x.digits == digit_by_digit_digits(ctx, v, n)
-                assert x.digits == divide_by_pi_digits(spec, v, n), (spec, n)
+                if i % step == 0:
+                    assert x.digits == divide_by_pi_digits(spec, v, n), (spec, n)
                 # another representative: add elements of m^n and of p^Mc
                 shifted = [c + rng.randrange(ctx.mod // m) * m + rng.randint(-3, 3) * ctx.mod
                            for c, m in zip(v, ctx.res_mods)]
