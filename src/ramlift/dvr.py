@@ -4,9 +4,10 @@ An element known mod m^n is one flat tuple of e*d integers mod p^Mc, an
 element of (Z/p^Mc)[y,x]/(g(y), f(x,y)): g is the lifted defining polynomial
 of k, so (Z/p^Mc)[y]/(g) = W(k)/p^Mc, and Mc = ceil(n/e) plus two guard
 digits.  Each (ring, n) has one cached context holding the modulus, f as
-flat integers, the residue of -w^-1 for the unit w with a_0 = p*w, the
-powers of pi and the Teichmuller lifts of the digits; d = 1 is the plain
-integer case.
+flat integers, which only _reduce_mod_f reads, the residue of -w^-1 for the
+unit w with a_0 = p*w, the powers of pi and the Teichmuller lifts of the
+digits; d = 1 is the plain integer case.  Every product, pi and its powers
+included, is reduced by f in _reduce_mod_f alone.
 WittElem values appear only at the boundary (from_witt, element,
 minimal_polynomial) and where exact coefficients are materialized, which
 uses the Teichmuller sum of witt (from_digits); the reduction mod g(y) is
@@ -152,15 +153,6 @@ class ExactWittCoeff(Record):
         if self.kind == "int":
             return wspec.from_coeffs(self.payload)
         return from_digits(self.payload, wspec)
-
-    def divide_exact_by_p(self) -> "ExactWittCoeff":
-        v = self.p_val()
-        if v is not None and v < 1:
-            raise ValueError("coefficient is not divisible by p")
-        if self.kind == "int":
-            p = self.field.p
-            return ExactWittCoeff(self.field, "int", tuple(c // p for c in self.payload))
-        return ExactWittCoeff(self.field, "teich", self.payload[1:])
 
     def to_json(self):
         if self.kind == "int":
@@ -432,16 +424,15 @@ class _TermTable(dict):
 
 class _Context:
     """Arithmetic data of R at precision n, shared by all its elements: the
-    modulus p^Mc, f as flat integers, the powers pi^r for r < n, the tables
-    of teichmuller(a) * pi^r, for each r < n how digit r is read: its x^j
+    modulus p^Mc, f as flat integers (coordinate i of a_j at index j*d + i,
+    read by _reduce_mod_f), the powers pi^r for r < n, the tables of
+    teichmuller(a) * pi^r, for each r < n how digit r is read: its x^j
     block, the reduction mod p^(k+1) and the table of digits u * eps^k,
     eps the residue of -w^-1 for the unit w with a_0 = p*w (see _digit_at),
-    and the chunk plans of _digits.  For d > 1, multiplication by each
-    nonzero coefficient of f is kept as a d x d integer matrix."""
+    and the chunk plans of _digits."""
 
     __slots__ = ("ring", "n", "wspec", "M", "mod", "p", "d", "e", "size", "g", "f",
-                 "f_mats", "supported", "pi", "pi_powers", "terms", "reads",
-                 "plans", "res_mods")
+                 "supported", "pi", "pi_powers", "terms", "reads", "plans", "res_mods")
 
     def __init__(self, ring: DvrSpec, n: int):
         wspec = ring.wspec(n)
@@ -450,28 +441,25 @@ class _Context:
         self.size = self.e * self.d
         self.g = wspec.lifted_poly
         self.f = tuple(c for a in _f_materialized_cached(ring, wspec) for c in a.coeffs)
-        self.f_mats = None
-        if self.d > 1:
-            d, mod = self.d, self.mod
-            self.f_mats = [_wmat(self.f[j * d:(j + 1) * d], self.g, d, mod)
-                           if any(self.f[j * d:(j + 1) * d]) else None for j in range(self.e)]
         self.supported = self.e * (self.M - GUARD_DIGITS)
         # digit r = e*k + j is read off the x^j block mod p^(k+1) (_digit_at);
         # (p^(k+1)).__rmod__ maps c to c % p^(k+1)
-        w = ring.coeffs[0].divide_exact_by_p().materialize(make_witt(ring.k, 1))  # a_0 = p*w
-        eps = -FqElem(ring.k, w.coeffs).inverse()  # the residue of p/pi^e
         d, e, p = self.d, self.e, self.p
+        w = FqElem(ring.k, [c // p for c in self.f[:d]])  # a_0 = p*w, Mc >= 2
+        eps = -w.inverse()  # the residue of p/pi^e
         self.reads, scale = [], ring.k.one()  # scale = eps^k
         for k in range(-(-n // e)):
             rem, table = (p ** (k + 1)).__rmod__, _digit_table(scale, p ** k)
             self.reads += [(j * d, (j + 1) * d, rem, table) for j in range(min(e, n - e * k))]
             scale = scale * eps
-        one = (1 % self.mod,) + (0,) * (self.size - 1)
-        # pi = x, which is -a_0 when e = 1
-        self.pi = _times_x(self, one)
-        powers = [one]
+        # pi is the monomial x reduced by f, which is -a_0 when e = 1; for
+        # d > 1 each coefficient is a row of 2d-1 coordinates
+        x = [0] * (e + 1) if d == 1 else [[0] * (2 * d - 1) for _ in range(e + 1)]
+        x[1] = 1 if d == 1 else [1] + [0] * (2 * d - 2)
+        self.pi = _reduce_mod_f(self, x)
+        powers = [(1 % self.mod,) + (0,) * (self.size - 1)]
         for _ in range(1, n):
-            powers.append(_times_x(self, powers[-1]))
+            powers.append(_mul(self, self.pi, powers[-1]))
         self.pi_powers = powers
         self.terms = [_TermTable(self, r) for r in range(n)]
         self.plans = _Plans(self)
@@ -485,33 +473,6 @@ def _context(ring: DvrSpec, n: int) -> _Context:
     if n < 1:
         raise InvalidArgument(f"precision must be at least 1, got {n}")
     return _Context(ring, n)
-
-
-def _wmat(a, g, d: int, mod: int):
-    """Rows of the matrix of multiplication by a on W(k)/p^M = (Z/p^M)[y]/(g)
-    in the basis 1, y, ..., y^(d-1)."""
-    cols = [_yreduce([0] * i + list(a) + [0] * (d - 1 - i), g, d, mod) for i in range(d)]
-    return [[col[r] for col in cols] for r in range(d)]
-
-
-def _apply(mat, vec):
-    """Matrix times vector, unreduced."""
-    return [sum(map(mul, row, vec)) for row in mat]
-
-
-def _times_x(ctx: _Context, u) -> tuple:
-    """x*u reduced by x^e = -(a_{e-1}x^{e-1} + ... + a_0); for e = 1 this is
-    multiplication by pi = -a_0."""
-    d, e, mod, f = ctx.d, ctx.e, ctx.mod, ctx.f
-    top = u[(e - 1) * d:]
-    if d == 1:
-        t = top[0]
-        return tuple([(x - t * y) % mod for x, y in zip((0,) + u[:-1], f)])
-    out = []
-    for j, fm in enumerate(ctx.f_mats):
-        prev = u[(j - 1) * d:j * d] if j else (0,) * d
-        out += prev if fm is None else [(x - y) % mod for x, y in zip(prev, _apply(fm, top))]
-    return tuple(out)
 
 
 def _add(ctx: _Context, a, b) -> tuple:
@@ -541,32 +502,23 @@ def _unit_inv(ctx: _Context, u) -> tuple:
     raise InconsistentResult("the unit inverse did not converge")
 
 
-@lru_cache(maxsize=1024)
-def _eps_inv_power(ctx: _Context, s: int) -> tuple:
-    """eps^-s for the unit eps = pi^e / p.  pi^e = -(a_(e-1) x^(e-1) + ... +
-    a_0) has every coordinate divisible by p, so eps is known mod p^(Mc-1),
-    which is all _div_pi_power needs for s >= 1."""
-    p, mod = ctx.p, ctx.mod
-    eps_inv = _unit_inv(ctx, tuple([(-c) % mod // p for c in ctx.f]))
-    return power(eps_inv, s, ctx.pi_powers[0], lambda a, b: _mul(ctx, a, b))
-
-
 def _div_pi_power(ctx: _Context, v, delta: int) -> tuple:
-    """v / pi^delta for a flat vector v in m^delta.  With s = ceil(delta/e),
-    v * pi^(es - delta) = (v / pi^delta) * p^s * eps^s, where pi^e = p*eps:
-    multiply, divide the coordinates by p^s and multiply by eps^-s.  The
-    quotient is known mod p^(Mc - s), that is, to es >= delta nu-units
-    less than v."""
+    """v / pi^delta up to a unit, for a flat vector v in m^delta: with
+    s = ceil(delta/e), the vector v * pi^(es - delta) / p^s, which is
+    (v / pi^delta) * u^s for the unit u = pi^e / p = u(x) of x^e = p*u(x).
+    Callers may use it only where u^s does not matter: in a valuation, or in
+    a ratio of two quotients with the same delta.  The quotient is known mod
+    p^(Mc - s), that is, to es >= delta nu-units less than v.  Raises
+    NotDivisible when v does not lie in m^delta."""
     if not delta:
         return v
     s = -(-delta // ctx.e)
-    w = v
     for _ in range(ctx.e * s - delta):
-        w = _times_x(ctx, w)
+        v = _mul(ctx, ctx.pi, v)
     ps = ctx.p ** s
-    if any([c % ps for c in w]):
+    if any([c % ps for c in v]):
         raise NotDivisible(f"the vector does not lie in m^{delta}")
-    return _mul(ctx, tuple([c // ps for c in w]), _eps_inv_power(ctx, s))
+    return tuple([c // ps for c in v])
 
 
 def _raw_val(ctx: _Context, v, cap: int):
@@ -611,13 +563,13 @@ def _mul(ctx: _Context, a, b) -> tuple:
 
 
 def _reduce_mod_f(ctx: _Context, prod) -> tuple:
-    """Reduce a product of degree < 2e-1 in x modulo the monic Eisenstein f.
+    """Reduce a polynomial in x, listed by its coefficients from x^0 on (at
+    least e of them), modulo the monic Eisenstein f: the one reduction by f.
 
     For d = 1, prod lists integers; otherwise it lists coordinate rows of
     length 2d-1, reduced by g before they multiply into f."""
-    e, d, mod = ctx.e, ctx.d, ctx.mod
+    e, d, mod, f = ctx.e, ctx.d, ctx.mod, ctx.f
     if d == 1:
-        f = ctx.f
         for i in range(len(prod) - 1, e - 1, -1):
             c = prod[i] % mod
             if c:
@@ -627,11 +579,14 @@ def _reduce_mod_f(ctx: _Context, prod) -> tuple:
     g = ctx.g
     for i in range(len(prod) - 1, e - 1, -1):
         c = _yreduce(prod[i], g, d, mod)
-        for j, fm in enumerate(ctx.f_mats):
-            if fm is not None:
+        for j in range(e):
+            fj = f[j * d:(j + 1) * d]
+            if any(fj):
                 row = prod[i - e + j]
-                for s, y in enumerate(_apply(fm, c)):
-                    row[s] -= y
+                for s, x in enumerate(c):
+                    if x:
+                        for t, y in enumerate(fj):
+                            row[s + t] -= x * y
     return tuple([c for row in prod[:e] for c in _yreduce(row, g, d, mod)])
 
 

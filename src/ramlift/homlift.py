@@ -334,9 +334,11 @@ def _newton(poly: _Poly, x, delta: int, t: int) -> tuple:
     x <- x - F(x)/F'(x).  On that ball nu(F'(x)) = delta and nu(F(x)) =
     delta + nu(x - root), so F(x)/F'(x) is (F(x)/pi^delta) times the inverse
     of the unit F'(x)/pi^delta, and the readout of F(x) says when x agrees
-    with the root to depth t.  In the scaled variable T of the ball the
-    iteration is Newton's for a simple root mod m, so each step doubles the
-    depth.  Raises _NeedMargin below the working precision t + delta."""
+    with the root to depth t.  _div_pi_power divides both by pi^delta only
+    up to the same unit, which cancels in the quotient.  In the scaled
+    variable T of the ball the iteration is Newton's for a simple root mod
+    m, so each step doubles the depth.  Raises _NeedMargin below the working
+    precision t + delta."""
     ctx = poly.ctx
     if t + delta > ctx.n:
         raise _NeedMargin

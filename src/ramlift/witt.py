@@ -190,12 +190,18 @@ def witt_unit_inv(a: WittElem) -> WittElem:
 def teichmuller(a: FqElem, ring: WittRingSpec) -> WittElem:
     """The unique multiplicative representative of a in W(k)/p^M.
 
-    Computed by iterating x -> x^(p^d) from the coordinate lift of a until the
-    value is fixed mod p^M; the iteration gains at least one correct p-digit
-    per step, so the cap converts nontermination into a detectable bug.
+    For d = 1 it is c^(p^(M-1)) mod p^M for the integer c of a: x = y mod
+    p^i gives x^p = y^p mod p^(i+1), so raising c and the lift, which are
+    equal mod p, to the p^(M-1)-th power makes them equal mod p^M.  For
+    d > 1 it is computed by iterating x -> x^(p^d) from the coordinate lift
+    of a until the value is fixed mod p^M; the iteration gains at least one
+    correct p-digit per step, so the cap converts nontermination into a
+    detectable bug.
     """
     if a.field != ring.k:
         raise RingMismatch("element not in the residue field of this ring")
+    if ring.d == 1:
+        return ring.from_int(pow(a.coeffs[0], ring.p ** (ring.M - 1), ring.modulus))
     q = ring.p ** ring.d
     x = ring.from_coeffs(a.coeffs)
     cap = ring.M * ring.d * max(1, (ring.p ** ring.M).bit_length())

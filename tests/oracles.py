@@ -46,7 +46,7 @@ from ramlift.homlift import (
     _normalize_poly,
 )
 from ramlift.resfield import embeddings
-from ramlift.witt import teichmuller, witt_unit_inv
+from ramlift.witt import make_witt, teichmuller, witt_unit_inv
 
 
 def scan_homs(src: ResidueRingSpec, tgt: ResidueRingSpec):
@@ -134,12 +134,14 @@ def divide_by_pi_digits(ring, v, n: int):
     precision n: take the residue a of the x^0 coefficient, subtract
     teichmuller(a), divide by pi = x, repeat.  x*u = z is solved from the
     top: u_{e-1} = -(z_0/p) w^-1 for a_0 = p*w, then u_{j-1} = z_j + u_{e-1}
-    a_j.  Each division leaves the top p-adic digit free; the guard digits
-    of the precision absorb that choice."""
+    a_j; w mod p^M is a_0 mod p^(M+1) divided by p.  Each division leaves the
+    top p-adic digit free; the guard digits of the precision absorb that
+    choice."""
     wspec = ring.wspec(n)
     d, e = ring.d, ring.e
     f = [c.materialize(wspec) for c in ring.coeffs]
-    neg_w_inv = -witt_unit_inv(ring.coeffs[0].divide_exact_by_p().materialize(wspec))
+    w = ring.coeffs[0].materialize(make_witt(ring.k, wspec.M + 1)).divide_exact_by_p()
+    neg_w_inv = -witt_unit_inv(wspec.from_coeffs(w.coeffs))
     z = [wspec.from_coeffs(v[j * d:(j + 1) * d]) for j in range(e)]
     digits = []
     for _ in range(n):

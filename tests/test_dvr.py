@@ -315,7 +315,7 @@ def flat_cases(draw, dims=(1, 2)):
 
 
 @settings(max_examples=120, deadline=None)
-@given(flat_cases())
+@given(flat_cases(dims=(1, 2, 3)))
 def test_flat_arithmetic_matches_sympy_oracle(case):
     spec, a, b = case
     for op, got in (("add", a + b), ("sub", a - b), ("mul", a * b)):
@@ -326,21 +326,47 @@ def test_flat_arithmetic_matches_sympy_oracle(case):
     assert (a + b).n == (a - b).n == min(a.n, b.n)
 
 
+@pytest.mark.parametrize("spec", [
+    Z3_FLAT,  # e = 1: pi = -a_0 = 3
+    make_dvr(F9, [[3, 6], 1]),  # e = 1, d = 2
+    make_dvr(F2, [2, 4, 6, 2, 1]),  # wild, every f_j nonzero
+    make_dvr(F9, [[-3, 3], [0, 0], [6, -3], 1]),
+    make_dvr(make_field(3, 3), [[3, 6, 3], [0, 3, 9], [6, 0, -3], 1]),  # d = 3
+])
+def test_pi_powers_match_the_sympy_oracle(spec):
+    # pi^r is x^r reduced by f: the oracle multiplies by the monomial x,
+    # coordinates with a 1 at index d, one block longer than a flat vector
+    # when e = 1
+    n = 7
+    ctx = dvr._context(spec, n)
+    M = spec.coeff_precision(n)
+    x = (0,) * spec.d + (1,)
+    power = ctx.pi_powers[0]
+    assert power == (1,) + (0,) * (ctx.size - 1)
+    for r in range(1, n):
+        power = flat_ring_op(spec, M, "mul", power, x)
+        assert ctx.pi_powers[r] == power, r
+    assert ctx.pi == ctx.pi_powers[1]
+
+
 @settings(max_examples=120, deadline=None)
 @given(flat_cases(dims=(1, 2, 3)), st.integers(0, 9))
 def test_unit_inverse_and_division_by_pi_powers(case, delta):
     # the two helpers behind Newton's iteration in the root search: the unit
-    # 1 + pi*a times its inverse is 1 exactly mod p^Mc, and
-    # (a * pi^delta) / pi^delta gives back a to the e*s >= delta nu-units the
-    # quotient loses, s = ceil(delta/e)
+    # 1 + pi*a times its inverse is 1 exactly mod p^Mc; the quotient by
+    # pi^delta up to a unit, q(v) = v * pi^(es - delta) / p^s with
+    # s = ceil(delta/e), is linear over R to the e*s >= delta nu-units it
+    # loses, q(a * pi^delta) = a * q(pi^delta), and q(pi^delta) is a unit
     spec, a, _ = case
     ctx = dvr._context(spec, a.n + delta)
     one = ctx.pi_powers[0]
     u = dvr._add(ctx, one, dvr._mul(ctx, ctx.pi, a.v))
     assert dvr._mul(ctx, u, dvr._unit_inv(ctx, u)) == one
+    scaled_pi = dvr._div_pi_power(ctx, ctx.pi_powers[delta], delta)
+    assert any(c % spec.p for c in scaled_pi[:spec.d])
     quotient = dvr._div_pi_power(ctx, dvr._mul(ctx, a.v, ctx.pi_powers[delta]), delta)
     mod = spec.p ** (ctx.M - -(-delta // spec.e))
-    assert [c % mod for c in quotient] == [c % mod for c in a.v]
+    assert [c % mod for c in quotient] == [c % mod for c in dvr._mul(ctx, a.v, scaled_pi)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -588,6 +614,12 @@ def digits_of_d2():
     dvr._digits(ctx, (1, 0, 0, 0), 3)
 
 
+def div_pi_power():
+    # pi^0 = 1 does not lie in m^1
+    ctx = dvr._context(R, 3)
+    dvr._div_pi_power(ctx, ctx.pi_powers[0], 1)
+
+
 cases = {
     "from_digits": lambda: dvr.residue_ring(R, 3).from_digits([F3.one()]),
     "DvrElem": lambda: dvr.DvrElem(dvr._context(R, 3), (1, 0, 0)),
@@ -595,6 +627,7 @@ cases = {
     "precision": lambda: R.zero(0),
     "_digits": digits_of_d1,
     "_digits_d2": digits_of_d2,
+    "_div_pi_power": div_pi_power,
     "WittElem": lambda: WittElem(W, (1, 2)),
     "WittElem.__pow__": lambda: W.one() ** -1,
     "divide_exact_by_p": lambda: W.one().divide_exact_by_p(),
@@ -634,6 +667,7 @@ def test_arithmetic_checks_survive_python_O():
         "precision": "InvalidArgument",
         "_digits": "NotDivisible",
         "_digits_d2": "NotDivisible",
+        "_div_pi_power": "NotDivisible",
         "WittElem": "InvalidArgument",
         "WittElem.__pow__": "InvalidArgument",
         "divide_exact_by_p": "NotDivisible",

@@ -85,6 +85,16 @@ def test_teichmuller_closed_form_oracle(p, d, M):
         assert teichmuller(a, ring) == ring.from_int(expected)
 
 
+def test_teichmuller_over_a_large_prime_field():
+    # the defining properties at p = 1000003: t^p = t and t = a mod p
+    k = make_field(1000003, 1)
+    ring = make_witt(k, 4)
+    for c in (0, 1, 2, 12345, 1000002):
+        a = k.from_int(c)
+        t = teichmuller(a, ring)
+        assert t ** k.p == t and t.residue() == a
+
+
 def test_teich_digits_examples():
     assert [a.coeffs[0] for a in teich_digits(Z27.from_int(3))] == [0, 1, 0]
     assert [a.coeffs[0] for a in teich_digits(Z27.from_int(5))] == [2, 2, 1]
