@@ -8,9 +8,10 @@ flat integers, which only _reduce_mod_f reads, the residue of -w^-1 for the
 unit w with a_0 = p*w, the powers of pi and the Teichmuller lifts of the
 digits; d = 1 is the plain integer case.  Every product, pi and its powers
 included, is reduced by f in _reduce_mod_f alone.
-WittElem values appear only at the boundary (from_witt, element,
-minimal_polynomial) and where exact coefficients are materialized, which
-uses the Teichmuller sum of witt (from_digits); the reduction mod g(y) is
+WittElem values appear only at the public boundary (from_witt, element,
+minimal_polynomial) and as the value of ExactWittCoeff.materialize, the
+one way an exact coefficient becomes integers mod p^M (a "t:" digit list
+through witt's Teichmuller sum, from_digits); the reduction mod g(y) is
 witt's _yreduce.
 
 Pi-adic Teichmuller digits are the canonical text form; an element reads
@@ -64,7 +65,9 @@ from .errors import (
 )
 from .record import Record, set_field
 from .resfield import FieldSpec, FqElem, make_field, power
-from .witt import WittElem, WittRingSpec, _yreduce, from_digits, make_witt, teichmuller, witt_unit_inv
+from .witt import (
+    WittElem, WittRingSpec, _vp_int, _yreduce, from_digits, make_witt, teichmuller, witt_unit_inv,
+)
 
 GUARD_DIGITS = 2
 DEFAULT_ENUM_CAP = 10 ** 7
@@ -131,17 +134,9 @@ class ExactWittCoeff(Record):
 
     def p_val(self):
         """Exact p-adic valuation; None encodes +infinity (the zero element)."""
-        p = self.field.p
         if self.kind == "int":
-            vals = []
-            for c in self.payload:
-                if c:
-                    v = 0
-                    while c % p == 0:
-                        c //= p
-                        v += 1
-                    vals.append(v)
-            return min(vals) if vals else None
+            p = self.field.p
+            return min([_vp_int(c, p) for c in self.payload if c], default=None)
         for i, a in enumerate(self.payload):
             if not a.is_zero():
                 return i
@@ -270,11 +265,6 @@ class DvrSpec(Record):
         ctx = _context(self, n)
         flat = [c for v in witt_coeff_vectors for c in ctx.wspec.from_coeffs(v).coeffs]
         return DvrElem(ctx, tuple(flat) + (0,) * (ctx.size - len(flat)))
-
-
-@lru_cache(maxsize=4096)
-def _f_materialized_cached(spec: "DvrSpec", wspec: WittRingSpec):
-    return tuple(c.materialize(wspec) for c in spec.coeffs)
 
 
 def make_dvr(k: FieldSpec, f) -> DvrSpec:
@@ -440,7 +430,7 @@ class _Context:
         self.mod, self.p, self.d, self.e = wspec.modulus, ring.p, ring.d, ring.e
         self.size = self.e * self.d
         self.g = wspec.lifted_poly
-        self.f = tuple(c for a in _f_materialized_cached(ring, wspec) for c in a.coeffs)
+        self.f = tuple(c for a in ring.coeffs for c in a.materialize(wspec).coeffs)
         self.supported = self.e * (self.M - GUARD_DIGITS)
         # digit r = e*k + j is read off the x^j block mod p^(k+1) (_digit_at);
         # (p^(k+1)).__rmod__ maps c to c % p^(k+1)
@@ -1019,8 +1009,7 @@ def project_between(x: ResidueElt, n: int) -> ResidueElt:
 def enumerate_elements(Rn: ResidueRingSpec):
     """All q^n digit vectors in lexicographic order."""
     Rn.check_size("elements")
-    field_elems = sorted(Rn.ring.k.elements(), key=lambda a: a.coeffs)
-    for digits in itertools.product(field_elems, repeat=Rn.n):
+    for digits in itertools.product(Rn.ring.k.elements(), repeat=Rn.n):
         yield ResidueElt(Rn, digits)
 
 

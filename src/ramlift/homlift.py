@@ -68,7 +68,6 @@ from .dvr import (
     _unit_inv,
     DvrElem,
     DvrSpec,
-    ExactWittCoeff,
     GUARD_DIGITS,
     ResidueElt,
     ResidueRingSpec,
@@ -103,54 +102,30 @@ from .ramification import (
     nu_of_e,
 )
 from .record import Record, set_field
-from .resfield import FieldEmbedding, FqElem, embeddings
+from .resfield import FieldEmbedding, FqElem, embeddings, identity_embedding
 from .witt import WittMap
 
 ESCALATION_CAP = 64  # nu-units: caps has_root's depth, and the margin at 4*(t + cap)
 
 
 # ---------------------------------------------------------------------------
-# polynomial coefficients that can be materialized at any precision
-
-
-class MappedCoeff(Record):
-    """The image under W(psi) of an exactly known W(k1) coefficient; exact at
-    every precision because W(psi) commutes with reduction mod p^M."""
-
-    _fields = ("coeff", "psi")
-
-    def __init__(self, coeff: ExactWittCoeff, psi: FieldEmbedding):
-        set_field(self, "coeff", coeff)
-        set_field(self, "psi", psi)
-
-    def p_val(self):
-        # W(psi) preserves p-adic valuations: the first nonzero digit maps to
-        # a nonzero digit
-        return self.coeff.p_val()
-
-    def materialize(self, wspec):
-        return _mapped_materialize(self.coeff, self.psi, wspec)
+# the polynomials the search solves: F = (coeffs, psi) is the monic
+# polynomial whose non-leading coefficients are W(psi)(a) for the exact
+# coefficients a (ExactWittCoeff) of coeffs, psi: k1 -> k2 an embedding
+# into the residue field of the ring that is searched
 
 
 _witt_map = lru_cache(maxsize=1024)(WittMap)  # one W(psi) per (psi, M)
 
 
-@lru_cache(maxsize=8192)
-def _mapped_materialize(coeff: ExactWittCoeff, psi: FieldEmbedding, wspec):
-    w_psi = _witt_map(psi, wspec.M)
-    if w_psi.target != wspec:
-        raise RingMismatch("the embedding does not map into this coefficient ring")
-    return w_psi(coeff.materialize(w_psi.source))
-
-
 def _normalize_poly(F, k) -> tuple:
-    """Coefficient list (MappedCoeff or anything dvr.parse_coeff reads) into
-    the tuple of providers a_0..a_{deg-1}; a trailing integer 1 is the
-    implied monic lead, so [1] is the constant 1 and gives no providers."""
+    """The pair (coeffs, identity embedding of k) of a coefficient list,
+    each entry anything dvr.parse_coeff reads; a trailing integer 1 is the
+    implied monic lead, so [1] is the constant 1 and gives no coefficients."""
     entries = list(F)
     if entries and isinstance(entries[-1], int) and entries[-1] == 1:
         entries = entries[:-1]
-    return tuple(c if isinstance(c, MappedCoeff) else parse_coeff(k, c) for c in entries)
+    return tuple(parse_coeff(k, c) for c in entries), identity_embedding(k)
 
 
 class _Poly:
@@ -184,9 +159,20 @@ class _Poly:
 
 
 @lru_cache(maxsize=1024)
-def _materialize_poly(providers: tuple, R: DvrSpec, n: int) -> _Poly:
+def _materialize_poly(F: tuple, R: DvrSpec, n: int) -> _Poly:
+    """F = (coeffs, psi) on the flat vectors of R at precision n: each exact
+    coefficient is materialized in W(k1)/p^Mc and its coordinates go through
+    W(psi), which commutes with reduction mod p^Mc, so the result is exact
+    at every precision.  Raises RingMismatch unless psi maps into R's
+    residue field."""
+    coeffs, psi = F
+    if psi.target != R.k:
+        raise RingMismatch("the embedding does not map into this coefficient ring")
     ctx = _context(R, n)
-    return _Poly(ctx, tuple(R.from_witt(c.materialize(ctx.wspec), n).v for c in providers))
+    w_psi = _witt_map(psi, ctx.M)
+    pad = (0,) * (ctx.size - ctx.d)
+    return _Poly(ctx, tuple(w_psi.map_coords(c.materialize(w_psi.source).coeffs) + pad
+                            for c in coeffs))
 
 
 def _horner(ctx, coeffs, x, lead: int = 1) -> tuple:
@@ -208,7 +194,7 @@ def _horner(ctx, coeffs, x, lead: int = 1) -> tuple:
 @lru_cache(maxsize=256)
 def _residues(k) -> tuple:
     """The elements of k in lexicographic order of their coordinates."""
-    return tuple(sorted(k.elements(), key=lambda a: a.coeffs))
+    return tuple(k.elements())
 
 
 def _ball_text(digits) -> str:
@@ -384,9 +370,14 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    providers = _normalize_poly(F, R.k)
-    if not providers:
+    F = _normalize_poly(F, R.k)
+    if not F[0]:
         raise ValueError("polynomial must have degree >= 1")
+    return _roots(F, R, prec)
+
+
+def _roots(F: tuple, R: DvrSpec, prec: int):
+    """roots_in_dvr for the pair F = (coeffs, psi) of _materialize_poly."""
 
     def search(poly):
         roots = []
@@ -409,17 +400,19 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
                 roots.append(cert)
         return roots
 
-    return _escalate(providers, R, prec, search)
+    return _escalate(F, R, prec, search)
 
 
-def _escalate(providers, R: DvrSpec, t: int, search):
-    """search(F materialized at t + margin), doubling the margin while the
-    search raises _NeedMargin, up to 4*(t + ESCALATION_CAP)."""
-    vals = [c.p_val() for c in providers]
+def _escalate(F: tuple, R: DvrSpec, t: int, search):
+    """search(F materialized at t + margin), F = (coeffs, psi) as for
+    _materialize_poly, doubling the margin while the search raises
+    _NeedMargin, up to 4*(t + ESCALATION_CAP).  The margin reads the p-adic
+    valuations of coeffs, which W(psi) preserves."""
+    vals = [c.p_val() for c in F[0]]
     margin = deriv_val_at_uniformizer(vals, R.e, R.p) + R.e * GUARD_DIGITS + 2
     while True:
         try:
-            return search(_materialize_poly(providers, R, t + margin))
+            return search(_materialize_poly(F, R, t + margin))
         except _NeedMargin as exc:
             margin *= 2
             if margin > 4 * (t + ESCALATION_CAP):
@@ -524,8 +517,7 @@ def _beta_admissible(source, target, psi, beta) -> bool:
     n1, n2 = source.n, target.n
     if beta.val_units() * n1 < n2:
         return False  # beta^n1 must vanish mod m2^n2
-    providers = tuple(MappedCoeff(c, psi) for c in source.ring.coeffs)
-    poly = _materialize_poly(providers, target.ring, n2)
+    poly = _materialize_poly((source.ring.coeffs, psi), target.ring, n2)
     value = poly.value(beta.v)
     return not _raw_val(poly.ctx, value, n2)[1]  # f1^psi(beta) = 0 mod m2^n2
 
@@ -538,8 +530,7 @@ def _hom_balls(src: ResidueRingSpec, tgt: ResidueRingSpec):
     # so the search starts from the ball 0 + m^ceil(n2/n1)
     zero_prefix = -(-tgt.n // src.n)
     for psi in embeddings(src.ring.k, tgt.ring.k):
-        providers = tuple(MappedCoeff(c, psi) for c in src.ring.coeffs)
-        poly = _materialize_poly(providers, tgt.ring, tgt.n)
+        poly = _materialize_poly((src.ring.coeffs, psi), tgt.ring, tgt.n)
         for digits, _, _ in _ball_search(poly, tgt.n, zero_prefix):
             yield psi, digits
 
@@ -694,8 +685,7 @@ def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
     prec = max(prec, R2.e // R1.e + 1)
     if min_prec is not None:
         prec = max(prec, min_prec)
-    providers = tuple(MappedCoeff(c, phi.psi) for c in R1.coeffs)
-    roots = roots_in_dvr(providers, R2, prec)
+    roots = _roots((R1.coeffs, phi.psi), R2, prec)
     beta_lift = phi.target.lift(phi.beta)
     chosen = select_unique_root(roots, beta_lift, M1, R2.e)
     # the residue-field square commutes by construction; the image of the
@@ -734,17 +724,17 @@ def compose_homs(f2, f1):
             raise NotComposable("rings do not chain")
         psi = f2.psi.compose(f1.psi)
         rho = f2.apply(f1.rho)
-        providers = tuple(MappedCoeff(c, psi) for c in f1.source.coeffs)
-        cert = _certify_at(providers, f2.target, rho)
+        cert = _certify_at((f1.source.coeffs, psi), f2.target, rho)
         return DvrHom(f1.source, f2.target, psi, cert.elem, (cert.t, cert.deriv_val))
     raise NotComposable("homomorphisms from different categories")
 
 
-def _certify_at(providers, R: DvrSpec, approx: DvrElem) -> CertifiedRoot:
-    """Re-certify a composed root approximation at its own precision."""
+def _certify_at(F: tuple, R: DvrSpec, approx: DvrElem) -> CertifiedRoot:
+    """Re-certify a composed root approximation of F = (coeffs, psi) at its
+    own precision."""
     t = approx.n
     digits = pi_digits(approx, t)
-    cert = _escalate(providers, R, t, lambda poly: _certify(poly, digits, t))
+    cert = _escalate(F, R, t, lambda poly: _certify(poly, digits, t))
     if cert is None:
         raise InconsistentResult("composed image is not a root to its depth")
     return cert
@@ -763,8 +753,7 @@ def dvr_isos(R1: DvrSpec, R2: DvrSpec):
     prec = max(2 * s + 2, 4)
     out = []
     for psi in embeddings(R1.k, R2.k):
-        providers = tuple(MappedCoeff(c, psi) for c in R1.coeffs)
-        for root in roots_in_dvr(providers, R2, prec):
+        for root in _roots((R1.coeffs, psi), R2, prec):
             out.append(DvrHom(R1, R2, psi, root.elem, (root.t, root.deriv_val)))
     return out
 

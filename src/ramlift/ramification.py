@@ -13,21 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dvr import DvrElem, DvrSpec, ValInfo, _f_materialized_cached, minimal_polynomial
+from .dvr import DvrElem, DvrSpec, ValInfo, minimal_polynomial
 from .errors import InconsistentResult, InvalidArgument, NotPrime, PrecisionTooLow
 from .record import Record, set_field
 from .resfield import is_prime
-from .witt import make_witt, witt_unit_inv
-
-
-def _vp_int(n: int, p: int) -> int | None:
-    if n == 0:
-        return None
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+from .witt import _vp_int, make_witt, witt_unit_inv
 
 
 def nu_of_e(p: int, e: int) -> int:
@@ -202,7 +192,7 @@ def _resultant_val(R: DvrSpec, bound: int) -> int:
     """v_p(Res(f, f')) via the Sylvester determinant at precision p^bound."""
     e = R.e
     wspec = make_witt(R.k, bound)
-    f = [*_f_materialized_cached(R, wspec), wspec.one()]
+    f = [c.materialize(wspec) for c in R.coeffs] + [wspec.one()]
     fprime = [f[j] * wspec.from_int(j) for j in range(1, e + 1)]
     size = 2 * e - 1
     rows = []

@@ -373,6 +373,7 @@ def embeddings(k1: FieldSpec, k2: FieldSpec) -> list:
 
 @lru_cache(maxsize=256)
 def _embeddings(k1: FieldSpec, k2: FieldSpec) -> tuple:
-    roots = [x for x in k2.elements() if eval_poly(k1.defining_poly, x).is_zero()]
-    roots.sort(key=lambda r: r.coeffs)
-    return tuple(FieldEmbedding(k1, k2, r) for r in roots)
+    # elements() runs in lexicographic order of coordinates, the order of the
+    # images of the generator
+    return tuple(FieldEmbedding(k1, k2, x) for x in k2.elements()
+                 if eval_poly(k1.defining_poly, x).is_zero())

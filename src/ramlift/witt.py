@@ -6,8 +6,10 @@ polynomial of the residue field k.  Teichmuller digits are a derived
 canonical form: the universal Witt addition polynomials are never needed
 because multiplication here is ordinary polynomial arithmetic.
 
-Each job on W(k) has one implementation here: _yreduce reduces modulo
-(g(y), p^M), and the flat core of dvr uses it too; from_digits forms the
+Each job on W(k) has one implementation here: _vp_int is the p-adic
+valuation of an integer, for WittElem, the exact coefficients of dvr and
+the ramification calculus; _yreduce reduces modulo (g(y), p^M), and the
+flat core of dvr uses it too; from_digits forms the
 Teichmuller sum sum teichmuller(a_r) p^r; WittMap is the map W(psi) induced
 by a residue-field embedding psi, linear on coordinates, and the only code
 that maps W(k) coordinates by psi.
@@ -69,6 +71,17 @@ def make_witt(k: FieldSpec, M: int) -> WittRingSpec:
     if M < 1:
         raise ValueError("M must be >= 1")
     return WittRingSpec(k, M, tuple(int(c) for c in k.defining_poly))
+
+
+def _vp_int(n: int, p: int) -> int | None:
+    """v_p(n) for an integer n; None (+infinity) for 0."""
+    if n == 0:
+        return None
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def _yreduce(row, g, d: int, mod: int):
@@ -149,14 +162,8 @@ class WittElem:
 
     def p_val(self) -> int:
         """p-adic valuation, capped at M (returns M for 0 mod p^M)."""
-        v = 0
-        coeffs = self.coeffs
         p = self.ring.p
-        while v < self.ring.M:
-            if any(c % (p ** (v + 1)) for c in coeffs):
-                return v
-            v += 1
-        return v
+        return min([_vp_int(c, p) for c in self.coeffs if c], default=self.ring.M)
 
     def divide_exact_by_p(self) -> "WittElem":
         """Divide by p an element all of whose coordinates are divisible by p.

@@ -32,6 +32,7 @@ from ramlift.errors import (
     NotComposable,
     PrecisionTooLow,
     PreconditionBound,
+    RingMismatch,
     TooLarge,
 )
 from ramlift.homlift import (
@@ -55,8 +56,8 @@ from ramlift.homlift import (
     select_unique_root,
 )
 from ramlift.ramification import different_val, krasner_bound, lift_precision_bound
-from ramlift.resfield import identity_embedding, make_field
-from ramlift.witt import teichmuller
+from ramlift.resfield import FieldEmbedding, embeddings, identity_embedding, make_field
+from ramlift.witt import WittMap, make_witt, teichmuller
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -279,6 +280,41 @@ def test_horner_matches_element_arithmetic():
                             deriv = deriv + R.from_int(j, n) * a[j] * x ** (j - 1)
                     assert poly.value(x.v) == value.reduce_to(n).v
                     assert poly.deriv(x.v) == deriv.reduce_to(n).v
+
+
+def _frobenius_of(k):
+    return FieldEmbedding(k, k, k.generator() ** k.p)
+
+
+_F4 = make_field(2, 2)
+_R9T = make_dvr(F9, ["t:0,(0,1),(1,2)", "t:0,(1,1)", 1])
+_R4 = make_dvr(_F4, [[2, 2], [0, 2], 1])
+MATERIALIZE_CASES = {
+    "F9-identity": (_R9T, _R9T, identity_embedding(F9)),
+    "F9-frobenius": (_R9T, _R9T, _frobenius_of(F9)),
+    "F3-into-F9": (make_dvr(F3, ["t:0,2,1", 3, 1]), make_dvr(F9, [-3, 0, 1]), embeddings(F3, F9)[0]),
+    "F4-frobenius": (_R4, _R4, _frobenius_of(_F4)),
+    "t-coefficient": (make_dvr(F3, ["t:0,1,2", "t:0,0,1", 0, 1]), Z3_SQRT3, identity_embedding(F3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATERIALIZE_CASES))
+def test_materialize_poly_matches_the_witt_map_of_each_coefficient(case):
+    # W(psi) on coordinates against the WittElem route: materialize in
+    # W(k1)/p^M, apply WittMap, and embed with from_witt
+    R1, R2, psi = MATERIALIZE_CASES[case]
+    for n in (1, 2, 5, 9):
+        poly = _materialize_poly((R1.coeffs, psi), R2, n)
+        M = R2.coeff_precision(n)
+        w_psi, w1 = WittMap(psi, M), make_witt(R1.k, M)
+        expected = tuple(R2.from_witt(w_psi(c.materialize(w1)), n).v for c in R1.coeffs)
+        assert poly.f == expected
+
+
+def test_materialize_poly_refuses_an_embedding_into_another_field():
+    # psi maps into F9, the ring's residue field is F3
+    with pytest.raises(RingMismatch):
+        _materialize_poly((Z3_SQRT3.coeffs, embeddings(F3, F9)[0]), Z3_SQRT3, 4)
 
 
 def test_certify_at_rejects_an_approximation_one_digit_short():
@@ -897,9 +933,10 @@ from ramlift import homlift as h
 from ramlift.dvr import make_dvr, project, residue_ring
 from ramlift.errors import RamliftError
 from ramlift.ramification import different_val, krasner_bound, lift_precision_bound
-from ramlift.resfield import identity_embedding, make_field
+from ramlift.resfield import embeddings, identity_embedding, make_field
 
 F3 = make_field(3, 1)
+F9 = make_field(3, 2)
 R = make_dvr(F3, [-3, 0, 1])
 ident = identity_embedding(F3)
 shallow = h.DvrHom(R, R, ident, R.uniformizer(1), (1, 1))
@@ -933,6 +970,8 @@ cases = {
     # (x^2 - 3)^2: the double roots pi and -pi never separate
     "roots_in_dvr": lambda: h.roots_in_dvr([9, 0, -6, 0, 1], R, 4),
     "_ball_search": search_past_the_cap,
+    # an embedding F3 -> F9 cannot map f into a ring over F3
+    "_materialize_poly": lambda: h._materialize_poly((R.coeffs, embeddings(F3, F9)[0]), R, 4),
 }
 for name, run in cases.items():
     try:
@@ -968,4 +1007,5 @@ def test_correctness_checks_survive_python_O():
         "_certify_at": "InconsistentResult",
         "roots_in_dvr": "PrecisionTooLow",
         "_ball_search": "TooLarge",
+        "_materialize_poly": "RingMismatch",
     }

@@ -11,7 +11,6 @@ from ramlift.homlift import (
     CertifiedRoot,
     DvrHom,
     HasRootResult,
-    MappedCoeff,
     ResidueHom,
 )
 from ramlift.ramification import NewtonPolygon, RamificationReport
@@ -26,7 +25,6 @@ FIELDS = {
     ExactWittCoeff: ("field", "kind", "payload"),
     DvrSpec: ("k", "coeffs"),
     ResidueRingSpec: ("ring", "n"),
-    MappedCoeff: ("coeff", "psi"),
     CertifiedRoot: ("elem", "t", "deriv_val"),
     ResidueHom: ("source", "target", "psi", "beta"),
     DvrHom: ("source", "target", "psi", "rho", "certificate"),
@@ -52,7 +50,6 @@ def build() -> dict:
         ExactWittCoeff: a0,
         DvrSpec: R,
         ResidueRingSpec: R2,
-        MappedCoeff: MappedCoeff(a0, ident),
         CertifiedRoot: CertifiedRoot(R.uniformizer(2), 2, 1),
         ResidueHom: ResidueHom(R2, R2, ident, R2.from_digits([FqElem(F3, (0,)), FqElem(F3, (1,))])),
         DvrHom: DvrHom(R, R, ident, R.uniformizer(8), (8, 1)),
@@ -98,7 +95,7 @@ def test_equal_fields_of_another_class_compare_unequal(cls):
 
 def test_classes_with_the_same_arity_compare_unequal():
     assert ValInfo(1, True) != NewtonPolygon(1, True)
-    assert DvrSpec(1, 2) != ResidueRingSpec(1, 2) != MappedCoeff(1, 2)
+    assert DvrSpec(1, 2) != ResidueRingSpec(1, 2) != ValInfo(1, 2)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=ids)

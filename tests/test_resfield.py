@@ -196,6 +196,13 @@ def test_automorphisms_form_group():
         assert a.compose(a.inverse()).is_identity()
 
 
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (5, 2)], ids=["F4", "F8", "F9", "F25"])
+def test_elements_run_in_lexicographic_order(p, d):
+    # the frozen orders of homomorphisms, embeddings and betas rest on it
+    k = make_field(p, d)
+    assert list(k.elements()) == sorted(k.elements(), key=lambda a: a.coeffs)
+
+
 def test_embeddings_deterministic_order():
     first = embeddings(F9, F9)
     second = embeddings(F9, F9)

@@ -75,14 +75,18 @@ def test_teichmuller_generator_of_f9():
     assert teichmuller(i, W9) == W9.from_coeffs([0, 1])
 
 
-@pytest.mark.parametrize("p,d,M", [(3, 1, 4), (5, 1, 3), (2, 1, 6)])
+@pytest.mark.parametrize("p,d,M", [(3, 1, 4), (5, 1, 3), (2, 1, 6), (3, 2, 3)])
 def test_teichmuller_closed_form_oracle(p, d, M):
-    # over Z/p^M the representative is a^(p^(M-1)) mod p^M
+    # the definition, by search: the representative of a is the one lift
+    # t = a + p*j (j over all coordinate vectors mod p^(M-1)) with t^q = t
     k = make_field(p, d)
     ring = make_witt(k, M)
     for a in k.elements():
-        expected = pow(a.coeffs[0], p ** (M - 1), p ** M)
-        assert teichmuller(a, ring) == ring.from_int(expected)
+        lifts = (ring.from_coeffs([c + p * j for c, j in zip(a.coeffs, js)])
+                 for js in itertools.product(range(p ** (M - 1)), repeat=d))
+        fixed = [t for t in lifts if t ** k.q == t]
+        assert len(fixed) == 1
+        assert teichmuller(a, ring) == fixed[0]
 
 
 def test_teichmuller_over_a_large_prime_field():
