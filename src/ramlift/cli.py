@@ -18,7 +18,6 @@ from .dvr import (
     _json_int,
     _json_list,
     dvr_elem_text,
-    enumeration_cap,
     parse_dvr_elem_text,
     parse_ring_spec,
     project,
@@ -42,7 +41,7 @@ from .ramification import (
     krasner_bound,
     lift_precision_bound,
 )
-from .resfield import FieldEmbedding, eval_poly
+from .resfield import FieldEmbedding, enumeration_cap, eval_poly
 
 
 class InputError(Exception):

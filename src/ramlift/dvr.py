@@ -48,7 +48,6 @@ which renders its text once.  No fraction-field arithmetic is exposed.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
@@ -57,31 +56,19 @@ from .errors import (
     InconsistentResult,
     InsufficientPrecision,
     InvalidArgument,
-    InvalidSetting,
     NotDivisible,
     NotEisenstein,
     RingMismatch,
     TooLarge,
 )
 from .record import Record, set_field
-from .resfield import FieldSpec, FqElem, make_field, power
+from .resfield import FieldSpec, FqElem, enumeration_cap, make_field, power
 from .witt import (
     WittElem, WittRingSpec, _vp_int, _yreduce, from_digits, make_witt, teichmuller, witt_unit_inv,
 )
 
 GUARD_DIGITS = 2
-DEFAULT_ENUM_CAP = 10 ** 7
 BLOCK_KEYS = 1024  # the most keys a digit chunk table may hold (q^w <= this)
-
-
-def enumeration_cap() -> int:
-    value = os.environ.get("RAMLIFT_ENUM_CAP")
-    if not value:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(value)
-    except ValueError:
-        raise InvalidSetting(f"RAMLIFT_ENUM_CAP must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +429,16 @@ class _Context:
             rem, table = (p ** (k + 1)).__rmod__, _digit_table(scale, p ** k)
             self.reads += [(j * d, (j + 1) * d, rem, table) for j in range(min(e, n - e * k))]
             scale = scale * eps
-        # pi is the monomial x reduced by f, which is -a_0 when e = 1; for
-        # d > 1 each coefficient is a row of 2d-1 coordinates
-        x = [0] * (e + 1) if d == 1 else [[0] * (2 * d - 1) for _ in range(e + 1)]
-        x[1] = 1 if d == 1 else [1] + [0] * (2 * d - 2)
-        self.pi = _reduce_mod_f(self, x)
+        # pi^r = x * pi^(r-1): the blocks of pi^(r-1) shifted up one, reduced
+        # by f (for d > 1 as rows of 2d-1 coordinates); pi = -a_0 when e = 1
+        pad = [0] * (d - 1)
         powers = [(1 % self.mod,) + (0,) * (self.size - 1)]
-        for _ in range(1, n):
-            powers.append(_mul(self, self.pi, powers[-1]))
-        self.pi_powers = powers
+        for _ in range(n):
+            v = powers[-1]
+            rows = [0, *v] if d == 1 else [[0] * (2 * d - 1)] + [
+                [*v[j * d:(j + 1) * d], *pad] for j in range(e)]
+            powers.append(_reduce_mod_f(self, rows))
+        self.pi, self.pi_powers = powers[1], powers[:n]
         self.terms = [_TermTable(self, r) for r in range(n)]
         self.plans = _Plans(self)
         # m^n = sum of p^ceil((n-j)/e) W(k) x^j over j < e (see _canon)
@@ -875,6 +863,10 @@ class ResidueRingSpec(Record):
     @cached_property
     def _ctx(self) -> _Context:
         return _context(self.ring, self.n)
+
+    @cached_property
+    def _json(self) -> dict:
+        return {**ring_spec_to_json(self.ring), "n": self.n}
 
     def zero(self) -> "ResidueElt":
         return ResidueElt(self, (self.ring.k.zero(),) * self.n, (0,) * self._ctx.size)

@@ -72,7 +72,6 @@ from .dvr import (
     ResidueElt,
     ResidueRingSpec,
     dvr_elem_text,
-    enumeration_cap,
     from_pi_digits,
     parse_coeff,
     pi_digits,
@@ -102,7 +101,7 @@ from .ramification import (
     nu_of_e,
 )
 from .record import Record, set_field
-from .resfield import FieldEmbedding, FqElem, embeddings, identity_embedding
+from .resfield import FieldEmbedding, FqElem, _residues, embeddings, identity_embedding, roots
 from .witt import WittMap
 
 ESCALATION_CAP = 64  # nu-units: caps has_root's depth, and the margin at 4*(t + cap)
@@ -139,7 +138,7 @@ class _Poly:
 
     def __init__(self, ctx: _Context, f: tuple):
         self.ctx, self.f, self.m = ctx, f, len(f)
-        self.reduced_roots = {}  # gbar -> _roots_mod_m(k, gbar)
+        self.reduced_roots = {}  # gbar -> resfield.roots of gbar
         mod, m = ctx.mod, len(f)
         self.hasse = tuple(
             (tuple(tuple([comb(j, i) * c % mod for c in f[j]]) for j in range(i, m)), comb(m, i))
@@ -191,12 +190,6 @@ def _horner(ctx, coeffs, x, lead: int = 1) -> tuple:
 # the ball search
 
 
-@lru_cache(maxsize=256)
-def _residues(k) -> tuple:
-    """The elements of k in lexicographic order of their coordinates."""
-    return tuple(k.elements())
-
-
 def _ball_text(digits) -> str:
     return f"the ball {_digits_text(digits)} + m^{len(digits)}"
 
@@ -235,29 +228,6 @@ def _reduce_at(poly: _Poly, x, r: int, cap: int, vals: dict):
     return best, tuple(gbar)
 
 
-def _roots_mod_m(k, gbar: tuple) -> tuple:
-    """The roots b in k of the reduced polynomial with these coefficient
-    coordinates (by degree, not all zero), in lexicographic order, each
-    with whether it is a simple root; a nonzero constant has none, and a
-    linear polynomial is solved without trying every residue."""
-    while not any(gbar[-1]):
-        gbar = gbar[:-1]
-    g = [FqElem(k, c) for c in gbar]
-    if len(g) == 1:
-        return ()
-    if len(g) == 2:
-        return ((-(g[0] * g[1].inverse()), True),)
-    dg = [k.from_int(i) * g[i] for i in range(1, len(g))]
-    return tuple((b, not _eval_k(dg, b).is_zero()) for b in _residues(k) if _eval_k(g, b).is_zero())
-
-
-def _eval_k(coeffs, b):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * b + c
-    return acc
-
-
 def _ball_search(poly: _Poly, depth: int, start: int = 0, refine: bool = False):
     """Depth-first search over the balls a + m^r (a given by its r digits)
     that can hold roots of F mod m^depth, from the ball 0 + m^start, in
@@ -267,7 +237,8 @@ def _ball_search(poly: _Poly, depth: int, start: int = 0, refine: bool = False):
     At a ball, G(T) = F(a + pi^r T) has content c; gbar = G/pi^c mod m.
     x = a + pi^r T can satisfy nu(F(x)) > c only when the first digit of T
     is a root of gbar in k, so the search branches on those roots alone
-    (at most deg F) and a nonzero constant gbar ends the branch.
+    (at most deg F), found by resfield.roots, which refuses a gbar of degree
+    >= 2 past the enumeration cap; a nonzero constant gbar ends the branch.
 
     Enumeration (refine false) yields each ball with c >= depth, on which F
     vanishes mod m^depth everywhere; delta is None.  Root finding (refine
@@ -280,9 +251,6 @@ def _ball_search(poly: _Poly, depth: int, start: int = 0, refine: bool = False):
     _NeedMargin when c reaches it."""
     ctx = poly.ctx
     k = ctx.ring.k
-    cap = enumeration_cap()
-    if k.q > cap:
-        raise TooLarge(f"{k.q} digits per level exceed the enumeration cap {cap}")
     limit = ctx.n if refine else depth
     stack = [((k.zero(),) * start, (0,) * ctx.size, {}, None)]
     while stack:
@@ -303,10 +271,10 @@ def _ball_search(poly: _Poly, depth: int, start: int = 0, refine: bool = False):
             yield digits, x, None
             continue
         children = []
-        roots = poly.reduced_roots.get(gbar)
-        if roots is None:
-            roots = poly.reduced_roots[gbar] = _roots_mod_m(k, gbar)
-        for b, simple in roots:
+        found = poly.reduced_roots.get(gbar)
+        if found is None:
+            found = poly.reduced_roots[gbar] = roots([FqElem(k, c) for c in gbar], k)
+        for b, simple in found:
             if any(b.coeffs):
                 child = (_add(ctx, x, ctx.terms[r][b.coeffs]), {})
             else:
@@ -494,8 +462,8 @@ class ResidueHom(Record):
         return {
             "psi": {"image_of_generator": list(self.psi.image_of_generator.coeffs)},
             "beta": self.beta.text(),
-            "source": {**ring_spec_to_json(self.source.ring), "n": self.source.n},
-            "target": {**ring_spec_to_json(self.target.ring), "n": self.target.n},
+            "source": self.source._json,
+            "target": self.target._json,
         }
 
 

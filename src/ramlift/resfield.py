@@ -1,9 +1,9 @@
 """Exact arithmetic in finite fields F_{p^d}.
 
 Fields are described by a monic irreducible defining polynomial over F_p and
-elements by their coordinate vectors in the power basis.  Embeddings and
-roots are found by brute force on purpose: the fields in play stay small, and
-explicit enumeration keeps them fully deterministic.  Building a field never
+elements by their coordinate vectors in the power basis.  One routine,
+roots, serves the embeddings and homlift's ball search; above degree 1 it
+tries every element, up to the enumeration cap.  Building a field never
 enumerates it: primality (deterministic Miller-Rabin) and irreducibility
 (Rabin's test) cost a few modular powers, so a huge p is accepted.
 """
@@ -11,6 +11,7 @@ enumerates it: primality (deterministic Miller-Rabin) and irreducibility
 from __future__ import annotations
 
 import itertools
+import os
 from functools import lru_cache
 from operator import mul
 
@@ -20,10 +21,24 @@ from .errors import (
     FieldMismatch,
     InconsistentResult,
     InvalidArgument,
+    InvalidSetting,
     NotPrime,
     Reducible,
+    TooLarge,
 )
 from .record import Record, set_field
+
+DEFAULT_ENUM_CAP = 10 ** 7
+
+
+def enumeration_cap() -> int:
+    value = os.environ.get("RAMLIFT_ENUM_CAP")
+    if not value:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidSetting(f"RAMLIFT_ENUM_CAP must be an integer, got {value!r}") from None
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound
@@ -311,13 +326,38 @@ def pth_root(a: FqElem) -> FqElem:
 
 
 def eval_poly(poly, x: FqElem) -> FqElem:
-    """Evaluate an ascending integer-coefficient polynomial at x (coefficients
-    reduced into the field of x)."""
+    """Horner's rule at x, the one evaluation over a field, for an ascending
+    polynomial with coefficients in the field of x or integers."""
     k = x.field
     acc = k.zero()
-    for c in reversed(list(poly)):
-        acc = acc * x + k.from_int(c)
+    for c in reversed(poly):
+        c = c if isinstance(c, FqElem) else k.from_int(c)
+        acc = acc * x + c if any(acc.coeffs) else c
     return acc
+
+
+@lru_cache(maxsize=256)
+def _residues(k: FieldSpec) -> tuple:
+    """The elements of k in lexicographic order, each rendering its text once."""
+    return tuple(k.elements())
+
+
+def roots(poly, k: FieldSpec) -> tuple:
+    """The roots in k, in lexicographic order and each with whether it is
+    simple, of an ascending polynomial with coefficients in k or integers,
+    not all zero.  A linear one is solved directly; a degree >= 2 tries every
+    element of k, refused (TooLarge) when q exceeds the enumeration cap."""
+    cap = enumeration_cap()
+    g = [c if isinstance(c, FqElem) else k.from_int(c) for c in poly]
+    while g[-1].is_zero():
+        g.pop()
+    if len(g) <= 2:
+        return ((-(g[0] / g[1]), True),) if len(g) == 2 else ()
+    if k.q > cap:
+        raise TooLarge(f"root search over F({k.p}^{k.d}) exceeds the enumeration cap {cap}")
+    dg = [k.from_int(i) * g[i] for i in range(1, len(g))]
+    return tuple((b, not eval_poly(dg, b).is_zero()) for b in _residues(k)
+                 if eval_poly(g, b).is_zero())
 
 
 class FieldEmbedding(Record):
@@ -373,7 +413,6 @@ def embeddings(k1: FieldSpec, k2: FieldSpec) -> list:
 
 @lru_cache(maxsize=256)
 def _embeddings(k1: FieldSpec, k2: FieldSpec) -> tuple:
-    # elements() runs in lexicographic order of coordinates, the order of the
+    # roots come in lexicographic order of coordinates, the order of the
     # images of the generator
-    return tuple(FieldEmbedding(k1, k2, x) for x in k2.elements()
-                 if eval_poly(k1.defining_poly, x).is_zero())
+    return tuple(FieldEmbedding(k1, k2, x) for x, _ in roots(k1.defining_poly, k2))

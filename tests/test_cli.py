@@ -374,6 +374,44 @@ def test_hasroot_huge_degree_exit_3():
     assert len(proc.stderr.splitlines()) == 1 and "TooLarge" in proc.stderr
 
 
+# W(F_(2^24)) with e = 1: q = 2^24 exceeds the enumeration cap of 10^7
+S_2_24 = '{"p":2,"residue":{"d":24},"eisenstein":[-2,1]}'
+
+
+def test_homs_count_over_a_field_past_the_cap_exit_3():
+    # the 24 automorphisms of F_(2^24) are the roots of a degree-24 polynomial,
+    # which are not sought among 2^24 elements
+    proc = _run_limited("homs", S_2_24, S_2_24, "1", "1", "--count", timeout=20)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "TooLarge" in proc.stderr
+
+
+def test_unramified_lift_over_a_field_past_the_cap_answers():
+    # every reduced polynomial of x - 2 is linear, so the search meets no cap
+    generator = [0, 1] + [0] * 22
+    hom = json.dumps({"psi": {"image_of_generator": generator}, "beta": "π:0", "n1": 1, "n2": 1})
+    proc = _run_limited("lift", S_2_24, S_2_24, hom, "4", timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["certificate"] == {"deriv_val": 0, "t": 4}
+    one = "(1" + ",0" * 23 + ")"
+    zero = "(0" + ",0" * 23 + ")"
+    assert obj["rho"] == f"π:{zero},{one},{zero},{zero}"  # rho = 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("homs", S3, S3, "2", "2", "--count"),
+    ("lift", S3, S3, '{"psi":{"image_of_generator":[0]},"beta":"π:0,2,0","n1":3,"n2":3}', "8"),
+    ("hasroot", S3, "x^2-3"),
+], ids=["homs-count", "lift", "hasroot"])
+def test_bad_enum_cap_exit_2_in_every_search(monkeypatch, argv):
+    # a child process starts with cold caches, so each command reads the cap
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "abc")
+    proc = _run_limited(*argv, timeout=20)
+    _one_line_exit_2(proc.returncode, proc.stderr)
+    assert "RAMLIFT_ENUM_CAP" in proc.stderr
+
+
 _NINES = "9" * 5000  # beyond the interpreter's limit for int(str)
 
 

@@ -950,11 +950,11 @@ def lift_to_unit():
     h.lift_hom(phi)
 
 
-def search_past_the_cap():
-    # the reduced polynomials' roots are looked for among the q = 3 residues
+def past_the_cap(run):
+    # roots of degree >= 2 are looked for among the q elements, past a cap of 2
     os.environ["RAMLIFT_ENUM_CAP"] = "2"
     try:
-        h.roots_in_dvr([-3, 0, 1], R, 4)
+        run()
     finally:
         del os.environ["RAMLIFT_ENUM_CAP"]
 
@@ -969,7 +969,10 @@ cases = {
     "_certify_at": lambda: h._certify_at(h._normalize_poly([-3, 0, 1], F3), R, R.one(4)),
     # (x^2 - 3)^2: the double roots pi and -pi never separate
     "roots_in_dvr": lambda: h.roots_in_dvr([9, 0, -6, 0, 1], R, 4),
-    "_ball_search": search_past_the_cap,
+    # x^2 - 3 reduces to x^2 at the first ball
+    "_ball_search": lambda: past_the_cap(lambda: h.roots_in_dvr([-3, 0, 1], R, 4)),
+    # the automorphisms of F9 are the roots of its quadratic defining polynomial
+    "embeddings": lambda: past_the_cap(lambda: embeddings(F9, F9)),
     # an embedding F3 -> F9 cannot map f into a ring over F3
     "_materialize_poly": lambda: h._materialize_poly((R.coeffs, embeddings(F3, F9)[0]), R, 4),
 }
@@ -1007,5 +1010,6 @@ def test_correctness_checks_survive_python_O():
         "_certify_at": "InconsistentResult",
         "roots_in_dvr": "PrecisionTooLow",
         "_ball_search": "TooLarge",
+        "embeddings": "TooLarge",
         "_materialize_poly": "RingMismatch",
     }

@@ -1,14 +1,24 @@
 import itertools
+import random
 
 import pytest
 
-from ramlift.errors import CharMismatch, DivisionByZero, FieldMismatch, NotPrime, Reducible
+from ramlift.errors import (
+    CharMismatch,
+    DivisionByZero,
+    FieldMismatch,
+    InvalidSetting,
+    NotPrime,
+    Reducible,
+    TooLarge,
+)
 from ramlift.resfield import (
     embeddings,
     frobenius,
     identity_embedding,
     make_field,
     pth_root,
+    roots,
 )
 
 F3 = make_field(3, 1)
@@ -223,3 +233,112 @@ def test_embeddings_are_ring_homs_random_large_fields():
                 a, b = rng.choice(elems), rng.choice(elems)
                 assert e(a + b) == e(a) + e(b)
                 assert e(a * b) == e(a) * e(b)
+
+
+def test_embeddings_of_a_prime_field_into_a_field_past_the_cap():
+    # F2 -> F_(2^24): the defining polynomial x of F2 is linear and solved
+    # directly, where trying the 2^24 elements takes minutes; the child
+    # process turns a hang into a failure
+    import os
+    import subprocess
+    import sys
+
+    import ramlift
+
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(ramlift.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    script = ("from ramlift.resfield import embeddings, make_field\n"
+              "print(len(embeddings(make_field(2, 1), make_field(2, 24))))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+
+
+# -- roots: the one root finder over a finite field ------------------------------
+
+
+def _random_poly(rng, k):
+    """A polynomial over k of degree at most 6 with a nonzero lead, as
+    elements of k: a product of random linear factors, some repeated, and a
+    random cofactor, sometimes with zero coefficients above the lead."""
+    def element(nonzero=False):
+        while True:
+            a = k.from_coeffs([rng.randrange(k.p) for _ in range(k.d)])
+            if not (nonzero and a.is_zero()):
+                return a
+
+    def times(f, g):
+        out = [k.zero()] * (len(f) + len(g) - 1)
+        for (i, a), (j, b) in itertools.product(enumerate(f), enumerate(g)):
+            out[i + j] = out[i + j] + a * b
+        return out
+
+    g = [element(nonzero=True)]
+    for _ in range(rng.randint(0, 3)):
+        a, m = element(), rng.randint(1, 3)
+        if len(g) - 1 + m <= 6:
+            for _ in range(m):
+                g = times(g, [-a, k.one()])
+    g = times(g, [element() for _ in range(rng.randint(0, 7 - len(g)))] + [k.one()])
+    return g + [k.zero()] * rng.choice([0, 0, 1])
+
+
+def _brute_force_roots(g, k):
+    """(root, simple) for every element of k, its multiplicity counted by
+    dividing out x - b while the remainder vanishes."""
+    out = []
+    for b in k.elements():
+        f, m = list(g), 0
+        while True:
+            acc, quot = k.zero(), []
+            for c in reversed(f):
+                acc = acc * b + c
+                quot.append(acc)
+            if not acc.is_zero():
+                break
+            f, m = quot[-2::-1], m + 1
+        if m:
+            out.append((b, m == 1))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_roots_over_prime_fields_match_sympy(p):
+    import sympy
+
+    x = sympy.Symbol("x")
+    k = make_field(p, 1)
+    rng = random.Random(1000 + p)
+    for _ in range(150):
+        g = [c.coeffs[0] for c in _random_poly(rng, k)]  # integer coefficients
+        found = sympy.Poly(list(reversed(g)), x, modulus=p).ground_roots()
+        expected = sorted((int(r) % p, m == 1) for r, m in found.items())
+        assert [(b.coeffs[0], simple) for b, simple in roots(g, k)] == expected, g
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (5, 2)], ids=["F4", "F8", "F9", "F25"])
+def test_roots_over_extension_fields_match_brute_force(p, d):
+    k = make_field(p, d)
+    rng = random.Random(2000 + p ** d)
+    for _ in range(150):
+        g = _random_poly(rng, k)
+        assert list(roots(g, k)) == _brute_force_roots(g, k), g
+
+
+def test_roots_of_constants_and_linear_polynomials():
+    assert roots([2], F3) == ()
+    assert roots([F9.one(), F9.zero()], F9) == ()
+    k = make_field(2, 24)  # linear polynomials are solved at any q
+    assert roots([k.generator(), 1], k) == ((k.generator(), True),)
+    assert roots([1, 0, 1], F9) == ((F9.generator(), True), (-F9.generator(), True))
+
+
+def test_roots_past_the_cap(monkeypatch):
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "8")
+    with pytest.raises(TooLarge, match="enumeration cap 8"):
+        roots([1, 0, 1], F9)
+    assert roots([1, 1], F9) == ((F9.from_int(-1), True),)
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "abc")  # read on every call
+    with pytest.raises(InvalidSetting, match="RAMLIFT_ENUM_CAP"):
+        roots([1, 1], F9)
