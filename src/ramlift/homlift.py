@@ -31,8 +31,9 @@ t unseparated is taken as it is.  One rule, _certify, accepts a refined
 root, a ball of radius t or a composed image x exactly when nu(F(x)) >= t +
 nu(F'(x)) with t > nu(F'(x)), which pins a unique root agreeing with x to
 depth t; one loop, _escalate, doubles the working margin while a readout is
-capped, up to 4*(t + ESCALATION_CAP).  The unique accepted root within
-Krasner distance of beta is the lift.
+capped, up to 4*(t + ESCALATION_CAP).  Lifting searches only the ball of
+the roots within Krasner distance of beta, and the unique root accepted
+there is the lift.
 
 All polynomial evaluation (search balls, Newton steps, certification, beta
 admissibility) runs on the flat vectors of one dvr context: F and its Hasse
@@ -101,7 +102,15 @@ from .ramification import (
     nu_of_e,
 )
 from .record import Record, set_field
-from .resfield import FieldEmbedding, FqElem, _residues, embeddings, identity_embedding, roots
+from .resfield import (
+    FieldEmbedding,
+    FqElem,
+    _capped_roots,
+    _residues,
+    embeddings,
+    enumeration_cap,
+    identity_embedding,
+)
 from .witt import WittMap
 
 ESCALATION_CAP = 64  # nu-units: caps has_root's depth, and the margin at 4*(t + cap)
@@ -228,17 +237,20 @@ def _reduce_at(poly: _Poly, x, r: int, cap: int, vals: dict):
     return best, tuple(gbar)
 
 
-def _ball_search(poly: _Poly, depth: int, start: int = 0, refine: bool = False):
+def _ball_search(poly: _Poly, depth: int, start: tuple = (), refine: bool = False):
     """Depth-first search over the balls a + m^r (a given by its r digits)
-    that can hold roots of F mod m^depth, from the ball 0 + m^start, in
-    lexicographic order of the digits.  Yields (digits, x, delta), x the
-    flat vector of the centre.
+    that can hold roots of F mod m^depth, inside the ball start + m^len(start)
+    (start a tuple of digits, the centre its lift), in lexicographic order
+    of the digits.  Yields (digits, x, delta), x the flat vector of the
+    centre.
 
     At a ball, G(T) = F(a + pi^r T) has content c; gbar = G/pi^c mod m.
     x = a + pi^r T can satisfy nu(F(x)) > c only when the first digit of T
     is a root of gbar in k, so the search branches on those roots alone
-    (at most deg F), found by resfield.roots, which refuses a gbar of degree
-    >= 2 past the enumeration cap; a nonzero constant gbar ends the branch.
+    (at most deg F), found by resfield's root finder, which refuses a gbar
+    of degree >= 2 past the enumeration cap; a nonzero constant gbar ends
+    the branch.  The cap is read once per search; past it no root set
+    cached on poly is reused, so every gbar of degree >= 2 is refused.
 
     Enumeration (refine false) yields each ball with c >= depth, on which F
     vanishes mod m^depth everywhere; delta is None.  Root finding (refine
@@ -251,8 +263,10 @@ def _ball_search(poly: _Poly, depth: int, start: int = 0, refine: bool = False):
     _NeedMargin when c reaches it."""
     ctx = poly.ctx
     k = ctx.ring.k
+    cap = enumeration_cap()
+    cached = k.q <= cap
     limit = ctx.n if refine else depth
-    stack = [((k.zero(),) * start, (0,) * ctx.size, {}, None)]
+    stack = [(start, _lift(ctx, start), {}, None)]
     while stack:
         digits, x, vals, delta = stack.pop()
         r = len(digits)
@@ -271,9 +285,9 @@ def _ball_search(poly: _Poly, depth: int, start: int = 0, refine: bool = False):
             yield digits, x, None
             continue
         children = []
-        found = poly.reduced_roots.get(gbar)
+        found = poly.reduced_roots.get(gbar) if cached else None
         if found is None:
-            found = poly.reduced_roots[gbar] = roots([FqElem(k, c) for c in gbar], k)
+            found = poly.reduced_roots[gbar] = _capped_roots([FqElem(k, c) for c in gbar], k, cap)
         for b, simple in found:
             if any(b.coeffs):
                 child = (_add(ctx, x, ctx.terms[r][b.coeffs]), {})
@@ -344,26 +358,27 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
     return _roots(F, R, prec)
 
 
-def _roots(F: tuple, R: DvrSpec, prec: int):
-    """roots_in_dvr for the pair F = (coeffs, psi) of _materialize_poly."""
+def _roots(F: tuple, R: DvrSpec, prec: int, ball: tuple = ()):
+    """roots_in_dvr for the pair F = (coeffs, psi) of _materialize_poly,
+    restricted to the roots in the ball given by its digits."""
 
     def search(poly):
         roots = []
-        for ball, x, delta in _ball_search(poly, prec, refine=True):
+        for found, x, delta in _ball_search(poly, prec, ball, refine=True):
             if delta is not None and delta >= prec:
                 raise PrecisionTooLow(
-                    f"depth {prec} does not separate the root in {_ball_text(ball)}: "
+                    f"depth {prec} does not separate the root in {_ball_text(found)}: "
                     f"its derivative valuation is {delta}"
                 )
             try:
-                digits = ball
-                if len(ball) < prec:  # an isolated root: refine it
+                digits = found
+                if len(found) < prec:  # an isolated root: refine it
                     digits = _digits(poly.ctx, _newton(poly, x, delta, prec), prec)
                 cert = _certify(poly, digits, prec)
             except _NeedMargin:
-                raise _NeedMargin(_ball_text(ball)) from None
+                raise _NeedMargin(_ball_text(found)) from None
             except PrecisionTooLow as exc:
-                raise PrecisionTooLow(f"{exc}, in {_ball_text(ball)}") from None
+                raise PrecisionTooLow(f"{exc}, in {_ball_text(found)}") from None
             if cert is not None:
                 roots.append(cert)
         return roots
@@ -496,7 +511,7 @@ def _hom_balls(src: ResidueRingSpec, tgt: ResidueRingSpec):
     betas of a ball are its digits followed by any n2 - len(digits) more."""
     # beta^n1 = 0 mod m^n2 exactly when the first ceil(n2/n1) digits vanish,
     # so the search starts from the ball 0 + m^ceil(n2/n1)
-    zero_prefix = -(-tgt.n // src.n)
+    zero_prefix = (tgt.ring.k.zero(),) * -(-tgt.n // src.n)
     for psi in embeddings(src.ring.k, tgt.ring.k):
         poly = _materialize_poly((src.ring.coeffs, psi), tgt.ring, tgt.n)
         for digits, _, _ in _ball_search(poly, tgt.n, zero_prefix):
@@ -627,13 +642,16 @@ def select_unique_root(roots, beta: DvrElem, M1: Fraction, e2: int) -> Certified
 
 
 def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
-    """Lift a residue-ring homomorphism to the rings, by Krasner selection
-    among the certified roots of the mapped Eisenstein polynomial.
+    """Lift a residue-ring homomorphism to the rings: the unique root of the
+    mapped Eisenstein polynomial within Krasner distance of beta.
 
-    Requires n2 strictly above M(R1)*e1*e2; refuses lower lengths even when a
-    lift happens to exist, because uniqueness is only guaranteed above the
-    bound.  min_prec asks for extra certified digits on the image of the
-    uniformizer.
+    A root rho is within that distance, nu-tilde(rho - beta) > M(R1), exactly
+    when nu(rho - beta) >= r0 = floor(M(R1)*e2) + 1, so the certified root
+    search runs in the ball beta[:r0] + m^r0 alone and Krasner selection
+    checks what it finds.  Requires n2 strictly above M(R1)*e1*e2, which
+    puts r0 <= n2; refuses lower lengths even when a lift happens to exist,
+    because uniqueness is only guaranteed above the bound.  min_prec asks
+    for extra certified digits on the image of the uniformizer.
     """
     R1, R2 = phi.source.ring, phi.target.ring
     n2 = phi.target.n
@@ -653,7 +671,8 @@ def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
     prec = max(prec, R2.e // R1.e + 1)
     if min_prec is not None:
         prec = max(prec, min_prec)
-    roots = _roots((R1.coeffs, phi.psi), R2, prec)
+    r0 = math.floor(M1 * R2.e) + 1
+    roots = _roots((R1.coeffs, phi.psi), R2, prec, phi.beta.digits[:r0])
     beta_lift = phi.target.lift(phi.beta)
     chosen = select_unique_root(roots, beta_lift, M1, R2.e)
     # the residue-field square commutes by construction; the image of the

@@ -3,9 +3,11 @@
 Fields are described by a monic irreducible defining polynomial over F_p and
 elements by their coordinate vectors in the power basis.  One routine,
 roots, serves the embeddings and homlift's ball search; above degree 1 it
-tries every element, up to the enumeration cap.  Building a field never
-enumerates it: primality (deterministic Miller-Rabin) and irreducibility
-(Rabin's test) cost a few modular powers, so a huge p is accepted.
+tries every element, up to the enumeration cap.  A root set that a cache
+kept is handed back only while q is within the cap read by the call.
+Building a field never enumerates it: primality (deterministic
+Miller-Rabin) and irreducibility (Rabin's test) cost a few modular powers,
+so a huge p is accepted.
 """
 
 from __future__ import annotations
@@ -346,8 +348,13 @@ def roots(poly, k: FieldSpec) -> tuple:
     """The roots in k, in lexicographic order and each with whether it is
     simple, of an ascending polynomial with coefficients in k or integers,
     not all zero.  A linear one is solved directly; a degree >= 2 tries every
-    element of k, refused (TooLarge) when q exceeds the enumeration cap."""
-    cap = enumeration_cap()
+    element of k, refused (TooLarge) when q exceeds the enumeration cap,
+    which is read on every call."""
+    return _capped_roots(poly, k, enumeration_cap())
+
+
+def _capped_roots(poly, k: FieldSpec, cap: int) -> tuple:
+    """roots under a cap the caller has read."""
     g = [c if isinstance(c, FqElem) else k.from_int(c) for c in poly]
     while g[-1].is_zero():
         g.pop()
@@ -404,15 +411,20 @@ def identity_embedding(k: FieldSpec) -> FieldEmbedding:
 def embeddings(k1: FieldSpec, k2: FieldSpec) -> list:
     """All ring homomorphisms k1 -> k2, ordered by the image of the generator.
 
-    There are d1 of them when d1 | d2 and none otherwise.
+    There are d1 of them when d1 | d2 and none otherwise.  The enumeration
+    cap is read once per call; past it the embeddings are solved afresh, so
+    a cap set after an earlier call still refuses d1 >= 2 (TooLarge).
     """
     if k1.p != k2.p:
         raise CharMismatch(f"characteristics differ: {k1.p} vs {k2.p}")
+    cap = enumeration_cap()
+    if k2.q > cap:
+        return [FieldEmbedding(k1, k2, x) for x, _ in _capped_roots(k1.defining_poly, k2, cap)]
     return list(_embeddings(k1, k2))
 
 
 @lru_cache(maxsize=256)
 def _embeddings(k1: FieldSpec, k2: FieldSpec) -> tuple:
-    # roots come in lexicographic order of coordinates, the order of the
-    # images of the generator
-    return tuple(FieldEmbedding(k1, k2, x) for x, _ in roots(k1.defining_poly, k2))
+    # only reached with k2.q within the cap; roots come in lexicographic
+    # order of coordinates, the order of the images of the generator
+    return tuple(FieldEmbedding(k1, k2, x) for x, _ in _capped_roots(k1.defining_poly, k2, k2.q))

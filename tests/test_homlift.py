@@ -29,6 +29,7 @@ from ramlift.dvr import (
 from ramlift.errors import (
     IncompatibleLengths,
     InconsistentResult,
+    InvalidSetting,
     NotComposable,
     PrecisionTooLow,
     PreconditionBound,
@@ -925,6 +926,152 @@ def test_count_homs_counts_the_listing(pair):
     assert count_homs(src, tgt) == len(enumerate_homs(src, tgt))
 
 
+# -- lifting through beta's Krasner ball -----------------------------------------
+
+F5 = make_field(5, 1)
+# (R1, R2): tame, wild, Frobenius-twisted, cross-field, e 2 -> 4 and e1 = 1
+LIFT_PAIRS = {
+    "F3:x2-3": (Z3_SQRT3, Z3_SQRT3),
+    "F3:x2+3": (Z3_SQRTM3, Z3_SQRTM3),
+    "F5:x2-5": (make_dvr(F5, [-5, 0, 1]),) * 2,
+    "F9:x2-3": (W9, W9),
+    "F2:x2-2": (Z2_SQRT2, Z2_SQRT2),
+    "F2:x2-10": (Z2_SQRT10, Z2_SQRT10),
+    "F3:x3-3": (make_dvr(F3, [-3, 0, 0, 1]),) * 2,
+    "F4:x2-2": (make_dvr(F4, [-2, 0, 1]),) * 2,
+    "F3-to-F9": (Z3_SQRT3, W9),
+    "x2-3-to-x4-3": (Z3_SQRT3, Z3_QUARTIC),
+    "e1-1": (Z3_FLAT, Z3_SQRT3),
+    "e1-1-F5": (make_dvr(F5, [-5, 1]),) * 2,
+}
+
+
+def _homs_to_lift(R1, R2) -> list:
+    """At most 40 homomorphisms at n2 = the lifting bound and one above, n1
+    the least length whose betas reach n2."""
+    bound = lift_precision_bound(R1, R2.e)
+    homs = []
+    for n2 in (bound, bound + 1):
+        n1 = -(-n2 * R1.e // R2.e)
+        homs += enumerate_homs(residue_ring(R1, n1), residue_ring(R2, n2))[:40]
+    return homs
+
+
+def _count_certified(monkeypatch) -> list:
+    """Record every root _certify accepts."""
+    accepted = []
+    certify = homlift._certify
+
+    def counted(poly, digits, t):
+        cert = certify(poly, digits, t)
+        if cert is not None:
+            accepted.append(cert)
+        return cert
+
+    monkeypatch.setattr(homlift, "_certify", counted)
+    return accepted
+
+
+@pytest.mark.parametrize("pair", list(LIFT_PAIRS))
+def test_lift_searches_one_ball_and_selects_the_same_root(pair, monkeypatch):
+    # Krasner selection among all certified roots of f1^psi picks the lift
+    # that the search of beta's ball alone certifies, and that search
+    # certifies one root where the whole search certifies every root of
+    # f1^psi in R2: two for a quadratic f1
+    R1, R2 = LIFT_PAIRS[pair]
+    homs = _homs_to_lift(R1, R2)
+    assert homs
+    accepted = _count_certified(monkeypatch)
+    lifts = []
+    for phi in homs:
+        del accepted[:]
+        lifts.append(lift_hom(phi))
+        assert len(accepted) == 1
+    del accepted[:]
+    M1 = krasner_bound(R1)
+    counts = []
+    for phi, g in zip(homs, lifts):
+        every_root = homlift._roots((R1.coeffs, phi.psi), R2, g.t)
+        counts.append(len(every_root))
+        chosen = select_unique_root(every_root, phi.target.lift(phi.beta), M1, R2.e)
+        assert chosen.t == g.t
+        assert same_hom(g, DvrHom(R1, R2, phi.psi, chosen.elem, (chosen.t, chosen.deriv_val)))
+    assert len(accepted) == sum(counts)
+    assert R1.e != 2 or set(counts) == {2}
+
+
+HOMS_SCAN_PAIRS = {
+    "F3:x2-3": (Z3_SQRT3, Z3_SQRT3, 5, 5),
+    "F3:x2+3-to-x2-3": (Z3_SQRTM3, Z3_SQRT3, 4, 4),
+    "F3:x2-3-to-x2+3": (Z3_SQRT3, Z3_SQRTM3, 3, 3),
+    "F3:x2+3": (Z3_SQRTM3, Z3_SQRTM3, 6, 6),
+    "F9:x2-3": (W9, W9, 3, 3),
+    "F5:x2-5": LIFT_PAIRS["F5:x2-5"] + (5, 5),
+    "F7:x2-7": (make_dvr(make_field(7, 1), [-7, 0, 1]),) * 2 + (4, 4),
+    "F25:x2-5": (make_dvr(make_field(5, 2, [1, 1, 1]), [-5, 0, 1]),) * 2 + (2, 2),
+    "F2:x2-2-to-x2-10": (Z2_SQRT2, Z2_SQRT10, 9, 9),
+    "F2:x2-2": (Z2_SQRT2, Z2_SQRT2, 8, 8),
+    "F4:x2-2": LIFT_PAIRS["F4:x2-2"] + (4, 4),
+    "F3:x3-3": LIFT_PAIRS["F3:x3-3"] + (5, 5),
+    "F3:x4-3": (Z3_QUARTIC, Z3_QUARTIC, 5, 5),
+    "F3-to-F9": (Z3_SQRT3, W9, 3, 3),
+    "x2-3-to-x4-3": (Z3_SQRT3, Z3_QUARTIC, 3, 6),
+}
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["enumerate", "refine"])
+@pytest.mark.parametrize("pair", list(HOMS_SCAN_PAIRS))
+def test_ball_search_from_a_ball_yields_the_balls_under_it(pair, refine):
+    # a search from a + m^r yields the balls of the whole search that have
+    # prefix a, with the same derivative valuations.  a runs over each
+    # proper prefix of a ball, each one-digit extension of one (inside a
+    # ball or off every branch), and each ball except an isolated one, which
+    # a search from the ball itself splits further.  Root finding starts
+    # only above the depth (lift_hom's ball has radius at most n2 < prec),
+    # and a start at the depth is yielded whenever F vanishes there mod
+    # m^depth, also off every branch, so refine starts stop above it
+    R1, R2, n1, n2 = HOMS_SCAN_PAIRS[pair]
+    zero_prefix = (R2.k.zero(),) * -(-n2 // n1)
+
+    def search(F, start):
+        def balls(poly):
+            return [(digits, delta) for digits, _, delta in _ball_search(poly, n2, start, refine)]
+        return homlift._escalate(F, R2, n2, balls)
+
+    for psi in embeddings(R1.k, R2.k):
+        F = (R1.coeffs, psi)
+        whole = search(F, zero_prefix)
+        prefixes = {b[:r] for b, _ in whole for r in range(len(zero_prefix), len(b))}
+        starts = prefixes | {a + (x,) for a in prefixes for x in R2.k.elements()}
+        starts -= {b for b, delta in whole if delta is not None}
+        if refine:
+            starts = {a for a in starts if len(a) < n2}
+        for a in starts:
+            assert search(F, a) == [(b, delta) for b, delta in whole if b[:len(a)] == a], a
+
+
+def test_ball_search_applies_the_cap_to_cached_root_sets(monkeypatch):
+    # x^2 - 3 reduces to x^2 at the ball 0 + m^0; the root set of that
+    # reduction, cached on the polynomial, is not handed back past a cap
+    # set later, and a malformed cap is reported.  The cap is read once per
+    # search
+    poly = _materialize_poly(_normalize_poly([-3, 0, 1], F3), Z3_SQRT3, 6)
+    balls = [digits for digits, _, _ in _ball_search(poly, 4)]
+    assert balls and poly.reduced_roots
+    reads = []
+    read_cap = homlift.enumeration_cap
+    monkeypatch.setattr(homlift, "enumeration_cap", lambda: reads.append(1) or read_cap())
+    assert [digits for digits, _, _ in _ball_search(poly, 4)] == balls
+    assert len(reads) == 1
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "2")
+    with pytest.raises(TooLarge, match="enumeration cap 2"):
+        list(_ball_search(poly, 4))
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "abc")
+    with pytest.raises(InvalidSetting, match="RAMLIFT_ENUM_CAP"):
+        list(_ball_search(poly, 4))
+    assert len(reads) == 3
+
+
 _CHECKS_SCRIPT = """
 import os
 from fractions import Fraction
@@ -942,6 +1089,8 @@ ident = identity_embedding(F3)
 shallow = h.DvrHom(R, R, ident, R.uniformizer(1), (1, 1))
 unplaced = [h.CertifiedRoot(R.uniformizer(4), 4, 1), h.CertifiedRoot(R.zero(1), 1, 1)]
 phi = h.residue_hom(residue_ring(R, 3), residue_ring(R, 3), ident, project(R.uniformizer(3), 3))
+# beta = 1 is no root of x^2 - 3 mod m^3; built directly, past residue_hom's check
+unit_beta = h.ResidueHom(residue_ring(R, 3), residue_ring(R, 3), ident, residue_ring(R, 3).one())
 
 
 def lift_to_unit():
@@ -963,6 +1112,9 @@ cases = {
     "same_hom": lambda: h.same_hom(shallow, shallow),
     "select_unique_root": lambda: h.select_unique_root(
         unplaced, R.uniformizer(4), krasner_bound(R), 2),
+    # beta's Krasner ball 1 + m^2 holds no root (runs before lift_to_unit
+    # replaces select_unique_root)
+    "lift_hom_unit_beta": lambda: h.lift_hom(unit_beta),
     "lift_hom": lift_to_unit,
     "_squarefree_part": lambda: h._squarefree_part([Fraction(1, 4), -1, 1]),
     "has_root": lambda: h.has_root(R, [1, 0, 2]),
@@ -1004,6 +1156,7 @@ def test_correctness_checks_survive_python_O():
     assert dict(line.split() for line in proc.stdout.splitlines()) == {
         "same_hom": "PrecisionTooLow",
         "select_unique_root": "InconsistentResult",
+        "lift_hom_unit_beta": "NoRoot",
         "lift_hom": "InconsistentResult",
         "_squarefree_part": "InconsistentResult",
         "has_root": "NotMonic",

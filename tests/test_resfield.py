@@ -342,3 +342,29 @@ def test_roots_past_the_cap(monkeypatch):
     monkeypatch.setenv("RAMLIFT_ENUM_CAP", "abc")  # read on every call
     with pytest.raises(InvalidSetting, match="RAMLIFT_ENUM_CAP"):
         roots([1, 1], F9)
+
+
+def test_embeddings_apply_the_cap_read_by_each_call(monkeypatch):
+    # the cached automorphisms of F9 are handed back only while 9 is within
+    # the cap; the cap is read once per call, hit or miss
+    from ramlift import resfield
+
+    reads = []
+    read_cap = resfield.enumeration_cap
+    monkeypatch.setattr(resfield, "enumeration_cap", lambda: reads.append(1) or read_cap())
+    assert len(embeddings(F9, F9)) == 2
+    assert len(embeddings(F9, F9)) == 2
+    assert len(reads) == 2
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "2")
+    with pytest.raises(TooLarge, match="enumeration cap 2"):
+        embeddings(F9, F9)
+    assert len(reads) == 3
+    # a linear defining polynomial is still solved past the cap
+    assert [g.image_of_generator for g in embeddings(F3, F9)] == [F9.zero()]
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "abc")
+    with pytest.raises(InvalidSetting, match="RAMLIFT_ENUM_CAP"):
+        embeddings(F9, F9)
+    with pytest.raises(InvalidSetting, match="RAMLIFT_ENUM_CAP"):
+        embeddings(F3, F9)
+    monkeypatch.delenv("RAMLIFT_ENUM_CAP")
+    assert len(embeddings(F9, F9)) == 2

@@ -1,7 +1,8 @@
 """Tooling contracts.  The benchmark's tracer wraps ramlift functions and
 methods by name; a name it lists must keep existing, or traced benchmark
-runs break.  Importing ramlift stays free of code-generation modules, and
-the library holds no assert statement, which python -O would strip."""
+runs break.  Importing ramlift stays free of code-generation modules, the
+library holds no assert statement, which python -O would strip, and it reads
+the environment in one place."""
 
 import ast
 import importlib.util
@@ -64,3 +65,37 @@ def test_no_assert_statements_in_src():
     ]
     assert len(list(SRC_DIR.glob("*.py"))) > 5
     assert found == []
+
+
+_ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _env_reads(tree):
+    """(enclosing function, line) of each use of os.environ or os.getenv in a
+    module, or of their import from os; the function is None at module
+    level."""
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, so inner ones win
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[node] = fn.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENV_READS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            yield owner.get(node), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name in _ENV_READS for alias in node.names):
+            yield owner.get(node), node.lineno
+
+
+def test_environment_read_only_by_enumeration_cap():
+    """RAMLIFT_ENUM_CAP is the one setting: resfield.enumeration_cap is the
+    only code that reads the environment."""
+    reads = [
+        (path.name, fn, line)
+        for path in sorted(SRC_DIR.glob("*.py"))
+        for fn, line in _env_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    allowed = [r for r in reads if r[:2] == ("resfield.py", "enumeration_cap")]
+    assert allowed
+    assert [r for r in reads if r not in allowed] == []
