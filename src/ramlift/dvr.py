@@ -53,7 +53,6 @@ from functools import cached_property, lru_cache
 from operator import add, mul, sub
 
 from .errors import (
-    InconsistentResult,
     InsufficientPrecision,
     InvalidArgument,
     NotDivisible,
@@ -196,13 +195,6 @@ class DvrSpec(Record):
         # coeffs: ExactWittCoeff a_0..a_{e-1}; the leading coefficient is 1
         set_field(self, "k", k)
         set_field(self, "coeffs", coeffs)
-
-    def __hash__(self):
-        # every context lookup hashes the spec; the field-wise hash is cached
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.k, self.coeffs))
-        return h
 
     @property
     def e(self) -> int:
@@ -465,19 +457,19 @@ def _sub(ctx: _Context, a, b) -> tuple:
     return tuple([(x - y) % mod for x, y in zip(a, b)])
 
 
-def _unit_inv(ctx: _Context, u) -> tuple:
-    """The inverse of a unit flat vector u mod p^Mc: y <- y(2 - uy) from
-    the Teichmuller lift of the inverse residue.  Each step squares 1 - uy,
-    so it doubles the m-adic precision of uy = 1 until it is exact."""
-    one = ctx.pi_powers[0]
-    two = _add(ctx, one, one)
+def _unit_inv(ctx: _Context, u, depth: int | None = None) -> tuple:
+    """The inverse of a unit flat vector u mod m^depth, by y <- y(2 - uy)
+    from the Teichmuller lift of the inverse residue: u*y = 1 mod m there,
+    and each step squares 1 - uy, so it doubles the depth to which u*y = 1.
+    The steps stop once that depth reaches depth; without one, y is the
+    inverse mod p^Mc = m^(e*Mc)."""
+    two = (2 % ctx.mod,) + (0,) * (ctx.size - 1)
     y = ctx.terms[0][FqElem(ctx.ring.k, u[:ctx.d]).inverse().coeffs]
-    for _ in range((ctx.e * ctx.M).bit_length() + 1):
-        uy = _mul(ctx, u, y)
-        if uy == one:
-            return y
-        y = _mul(ctx, y, _sub(ctx, two, uy))
-    raise InconsistentResult("the unit inverse did not converge")
+    known, depth = 1, ctx.e * ctx.M if depth is None else depth
+    while known < depth:
+        y = _mul(ctx, y, _sub(ctx, two, _mul(ctx, u, y)))
+        known *= 2
+    return y
 
 
 def _div_pi_power(ctx: _Context, v, delta: int) -> tuple:

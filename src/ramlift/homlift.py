@@ -26,14 +26,16 @@ the residue field k:
 
 Lifting runs the search down to a certification depth t.  A simple root of
 gbar isolates exactly one root of F in the child ball, which Newton's
-iteration refines (each step doubles the depth); a ball that reaches radius
-t unseparated is taken as it is.  One rule, _certify, accepts a refined
+iteration refines (each step doubles the depth, and inverts F' only to the
+depth of the current error); a ball that reaches radius t unseparated is
+taken as it is.  One rule, _certify, accepts a refined
 root, a ball of radius t or a composed image x exactly when nu(F(x)) >= t +
 nu(F'(x)) with t > nu(F'(x)), which pins a unique root agreeing with x to
 depth t; one loop, _escalate, doubles the working margin while a readout is
-capped, up to 4*(t + ESCALATION_CAP).  Lifting searches only the ball of
-the roots within Krasner distance of beta, and the unique root accepted
-there is the lift.
+capped, up to 4*(t + ESCALATION_CAP).  Each search certifies only the
+roots its answer needs: lifting searches only the ball of the roots within
+Krasner distance of beta (radius _krasner_radius), and the unique root
+accepted there is the lift; has_root stops at the first root it certifies.
 
 All polynomial evaluation (search balls, Newton steps, certification, beta
 admissibility) runs on the flat vectors of one dvr context: F and its Hasse
@@ -47,7 +49,6 @@ arithmetic.
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -85,6 +86,7 @@ from .errors import (
     IncompatibleLengths,
     InconsistentResult,
     InsufficientPrecision,
+    InvalidArgument,
     MultipleRoots,
     NoRoot,
     NotComposable,
@@ -260,7 +262,12 @@ def _ball_search(poly: _Poly, depth: int, start: tuple = (), refine: bool = Fals
     yielded with its delta.  A ball reaching radius depth on which F
     vanishes mod m^depth is yielded with delta None.  Root finding reads
     valuations to the working precision of the context and raises
-    _NeedMargin when c reaches it."""
+    _NeedMargin when c reaches it; it starts only above the depth (a start
+    of radius >= depth raises InvalidArgument), because a ball at the depth
+    off every branch of the whole search would be yielded although it holds
+    no root."""
+    if refine and len(start) >= depth:
+        raise InvalidArgument(f"root finding to depth {depth} cannot start from {_ball_text(start)}")
     ctx = poly.ctx
     k = ctx.ring.k
     cap = enumeration_cap()
@@ -305,17 +312,23 @@ def _newton(poly: _Poly, x, delta: int, t: int) -> tuple:
     with the root to depth t.  _div_pi_power divides both by pi^delta only
     up to the same unit, which cancels in the quotient.  In the scaled
     variable T of the ball the iteration is Newton's for a simple root mod
-    m, so each step doubles the depth.  Raises _NeedMargin below the working
-    precision t + delta."""
+    m, so each step doubles the depth.  The inverse of the unit is needed
+    only to depth a = nu(F(x)) - delta, the current error: the step
+    F(x)/F'(x) has valuation a, so an inverse known mod m^a moves it only
+    in m^(2a), and the step still leaves an error of depth at least 2a - r
+    on a ball of radius r < a, as an exact step does.  _unit_inv stops at
+    that depth.  Raises _NeedMargin below the working precision t + delta."""
     ctx = poly.ctx
     if t + delta > ctx.n:
         raise _NeedMargin
     for _ in range(t.bit_length() + 1):
         fx = poly.value(x)
-        if not _raw_val(ctx, fx, t + delta)[1]:
+        nu, exact = _raw_val(ctx, fx, t + delta)
+        if not exact:
             return x
         unit = _div_pi_power(ctx, poly.deriv(x), delta)
-        x = _sub(ctx, x, _mul(ctx, _div_pi_power(ctx, fx, delta), _unit_inv(ctx, unit)))
+        step = _mul(ctx, _div_pi_power(ctx, fx, delta), _unit_inv(ctx, unit, nu - delta))
+        x = _sub(ctx, x, step)
     raise InconsistentResult("Newton's iteration left its isolated ball")
 
 
@@ -358,9 +371,11 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
     return _roots(F, R, prec)
 
 
-def _roots(F: tuple, R: DvrSpec, prec: int, ball: tuple = ()):
+def _roots(F: tuple, R: DvrSpec, prec: int, ball: tuple = (), first: bool = False):
     """roots_in_dvr for the pair F = (coeffs, psi) of _materialize_poly,
-    restricted to the roots in the ball given by its digits."""
+    restricted to the roots in the ball given by its digits.  With first,
+    the search stops at the first certified root, the lexicographically
+    first one, and never visits the balls after it."""
 
     def search(poly):
         roots = []
@@ -381,18 +396,27 @@ def _roots(F: tuple, R: DvrSpec, prec: int, ball: tuple = ()):
                 raise PrecisionTooLow(f"{exc}, in {_ball_text(found)}") from None
             if cert is not None:
                 roots.append(cert)
+                if first:
+                    break
         return roots
 
     return _escalate(F, R, prec, search)
 
 
+@lru_cache(maxsize=1024)
+def _base_margin(coeffs: tuple, R: DvrSpec) -> int:
+    """The first margin of _escalate for F = (coeffs, psi) in R: the
+    derivative valuation at a uniformizer, read off the p-adic valuations
+    of coeffs, which W(psi) preserves, plus guard digits."""
+    vals = [c.p_val() for c in coeffs]
+    return deriv_val_at_uniformizer(vals, R.e, R.p) + R.e * GUARD_DIGITS + 2
+
+
 def _escalate(F: tuple, R: DvrSpec, t: int, search):
     """search(F materialized at t + margin), F = (coeffs, psi) as for
-    _materialize_poly, doubling the margin while the search raises
-    _NeedMargin, up to 4*(t + ESCALATION_CAP).  The margin reads the p-adic
-    valuations of coeffs, which W(psi) preserves."""
-    vals = [c.p_val() for c in F[0]]
-    margin = deriv_val_at_uniformizer(vals, R.e, R.p) + R.e * GUARD_DIGITS + 2
+    _materialize_poly, doubling the margin from _base_margin while the
+    search raises _NeedMargin, up to 4*(t + ESCALATION_CAP)."""
+    margin = _base_margin(F[0], R)
     while True:
         try:
             return search(_materialize_poly(F, R, t + margin))
@@ -614,30 +638,32 @@ def same_hom(a: DvrHom, b: DvrHom) -> bool:
     return pi_digits(a.rho, depth) == pi_digits(b.rho, depth)
 
 
-def _nu_tilde_exceeds(x: DvrElem, bound: Fraction, e: int) -> bool:
-    """Decide nu-tilde(x) > bound; an inexact readout is a valuation lower
-    bound, so clearing the threshold is conclusive either way."""
-    v = x.valuation()
-    return Fraction(v.value, e) > bound
+def _krasner_radius(M1: Fraction, e2: int) -> int:
+    """r0 = floor(M1*e2) + 1: for x in a ring with ramification index e2,
+    nu-tilde(x) = nu(x)/e2 > M1 exactly when the integer nu(x) >= r0."""
+    return M1.numerator * e2 // M1.denominator + 1
 
 
 def select_unique_root(roots, beta: DvrElem, M1: Fraction, e2: int) -> CertifiedRoot:
-    """The root within Krasner distance of beta: nu-tilde(rho - beta) > M(R1);
-    exactly one exists above the precision bound."""
-    matches, others = [], []
+    """The root within Krasner distance of beta: nu-tilde(rho - beta) > M(R1),
+    that is nu(rho - beta) >= _krasner_radius(M1, e2); exactly one exists
+    above the precision bound.  An inexact readout is a valuation lower
+    bound, so reaching r0 is conclusive either way, and a root below r0
+    counts as outside only when its readout is exact."""
+    r0 = _krasner_radius(M1, e2)
+    matches, placed = [], True
     for r in roots:
-        if _nu_tilde_exceeds(r.elem - beta, M1, e2):
+        v, exact = (r.elem - beta)._val_units()
+        if v >= r0:
             matches.append(r)
-        else:
-            others.append(r)
+        elif not exact:
+            placed = False
     if not matches:
         raise NoRoot("no root within Krasner distance of beta: inconsistent input")
     if len(matches) > 1:
         raise MultipleRoots("several roots within Krasner distance: inconsistent input")
-    for r in others:
-        v = (r.elem - beta).valuation()
-        if not (v.exact and Fraction(v.value, e2) <= M1):
-            raise InconsistentResult("a root could not be placed outside Krasner distance")
+    if not placed:
+        raise InconsistentResult("a root could not be placed outside Krasner distance")
     return matches[0]
 
 
@@ -664,22 +690,21 @@ def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
     if R2.e % R1.e != 0:
         raise IncompatibleLengths("target ramification must be a multiple of the source's")
     M1 = krasner_bound(R1)
-    s1 = different_val(R1)
-    prec = n2 + 2 * math.ceil(Fraction(R2.e * s1, R1.e)) + GUARD_DIGITS
+    prec = n2 + 2 * -(-R2.e * different_val(R1) // R1.e) + GUARD_DIGITS
     # the root must be certified beyond its valuation e2/e1 for the exact
     # readout checked below
     prec = max(prec, R2.e // R1.e + 1)
     if min_prec is not None:
         prec = max(prec, min_prec)
-    r0 = math.floor(M1 * R2.e) + 1
+    r0 = _krasner_radius(M1, R2.e)
     roots = _roots((R1.coeffs, phi.psi), R2, prec, phi.beta.digits[:r0])
     beta_lift = phi.target.lift(phi.beta)
     chosen = select_unique_root(roots, beta_lift, M1, R2.e)
     # the residue-field square commutes by construction; the image of the
     # uniformizer must again have the right valuation
-    v = chosen.elem.valuation()
-    if not (v.exact and v.value == R2.e // R1.e):
-        raise InconsistentResult(f"image of the uniformizer has valuation {v}")
+    v, exact = chosen.elem._val_units()
+    if not (exact and v == R2.e // R1.e):
+        raise InconsistentResult(f"image of the uniformizer has valuation {chosen.elem.valuation()}")
     return DvrHom(R1, R2, phi.psi, chosen.elem, (chosen.t, chosen.deriv_val))
 
 
@@ -766,14 +791,18 @@ class HasRootResult(Record):
         return self.kind == "yes"
 
 
+@lru_cache(maxsize=1024)
+def _squarefree_cached(coeffs: tuple, k) -> tuple:
+    """has_root's polynomial for the monic integer coefficients coeffs: its
+    squarefree part (same root set) as the pair (coeffs, identity embedding
+    of k) of _materialize_poly; computed once per (coeffs, k)."""
+    return _normalize_poly(_squarefree_part(coeffs), k)
+
+
 def _squarefree_part(coeffs) -> list:
     """Squarefree part of a monic integer polynomial (same root set), as a
-    fresh list; computed once per coefficient tuple."""
-    return list(_squarefree_cached(tuple(coeffs)))
+    fresh list."""
 
-
-@lru_cache(maxsize=1024)
-def _squarefree_cached(coeffs: tuple) -> tuple:
     def trim(c):
         while c and c[-1] == 0:
             c.pop()
@@ -801,7 +830,7 @@ def _squarefree_cached(coeffs: tuple) -> tuple:
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
     g = gcd(list(coeffs), deriv)
     if len(g) <= 1:
-        return coeffs
+        return list(coeffs)
     # exact division of monic integer polynomials: quotient is integral
     quot, rem = [], [Fraction(c) for c in coeffs]
     for i in range(len(coeffs) - 1, len(g) - 2, -1):
@@ -812,23 +841,31 @@ def _squarefree_cached(coeffs: tuple) -> tuple:
     quot.reverse()
     if any(c.denominator != 1 for c in quot):
         raise InconsistentResult("squarefree part is not integral")
-    return tuple(int(c) for c in quot)
+    return [int(c) for c in quot]
 
 
 def has_root(R: DvrSpec, F) -> HasRootResult:
     """Decide whether the monic integer polynomial F has a root in R, by the
-    certified root search at escalating precision; a search whose balls all
-    die is a proof of nonexistence."""
+    certified root search on its squarefree part at a precision that
+    doubles while the search raises PrecisionTooLow.
+
+    "yes" carries the first certified root in lexicographic order of
+    digits, and the search stops there: the balls after it are never
+    searched, so the precision reported is that root's certificate depth,
+    the first precision at which the balls before it die and it is
+    certified.  "no" is a search whose balls all die, a proof of
+    nonexistence, at the precision it ran at; "undecided" gives the last
+    precision tried below ESCALATION_CAP."""
     coeffs = [int(c) for c in F]
     if not coeffs or coeffs[-1] != 1:
         raise NotMonic("polynomial must be monic")
-    coeffs = _squarefree_part(coeffs)
+    F = _squarefree_cached(tuple(coeffs), R.k)
     prec = max(4, R.e + nu_of_e(R.p, R.e) + 1)
-    if len(coeffs) == 1:
+    if not F[0]:
         return HasRootResult("no", None, prec)  # the constant 1 has no root
     while True:
         try:
-            roots = roots_in_dvr(coeffs, R, prec)
+            roots = _roots(F, R, prec, first=True)
         except PrecisionTooLow:
             prec *= 2
             if prec > ESCALATION_CAP:

@@ -6,7 +6,9 @@ names its fields in ``_fields`` and stores each from ``__init__`` with
 
 - equality holds only against the same class, field by field;
 - the hash is the hash of the field tuple, so equal values built apart are
-  the same ``lru_cache`` key;
+  the same ``lru_cache`` key; it is computed once and kept beside the
+  fields (``_hash``), because specs key every cache lookup and their field
+  tuples nest;
 - assigning or deleting an attribute raises AttributeError;
 - repr is ``Name(field=value, ...)``.
 
@@ -39,7 +41,12 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key(self))
+            set_field(self, "_hash", h)
+            return h
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

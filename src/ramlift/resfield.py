@@ -306,6 +306,8 @@ class FqElem:
     def inverse(self) -> "FqElem":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
+        if self.field.d == 1:
+            return FqElem(self.field, (pow(self.coeffs[0], -1, self.field.p),))
         return self ** (self.field.q - 2)
 
     def __truediv__(self, other):

@@ -369,6 +369,36 @@ def test_unit_inverse_and_division_by_pi_powers(case, delta):
     assert [c % mod for c in quotient] == [c % mod for c in dvr._mul(ctx, a.v, scaled_pi)]
 
 
+UNIT_INV_RINGS = {
+    "F3:x2-3": make_dvr(make_field(3, 1), [-3, 0, 1]),
+    "F2:x3-2": make_dvr(make_field(2, 1), [-2, 0, 0, 1]),
+    "F5:x-5": make_dvr(make_field(5, 1), [-5, 1]),
+    "F9:x2-3": make_dvr(make_field(3, 2, [1, 0, 1]), [-3, 0, 1]),
+    "F4:x2-2": make_dvr(make_field(2, 2), [[2, 2], 0, 1]),
+}
+
+
+@pytest.mark.parametrize("ring", list(UNIT_INV_RINGS))
+def test_unit_inverse_to_each_depth(ring):
+    # _unit_inv(ctx, u, depth) gives u*y = 1 mod m^depth at every depth up
+    # to m^(e*Mc) = p^Mc, and without a depth the inverse mod p^Mc exactly
+    spec = UNIT_INV_RINGS[ring]
+    rng = random.Random(f"unit_inv:{ring}")
+    ctx = dvr._context(spec, 9)
+    one = ctx.pi_powers[0]
+    for _ in range(6):
+        u = tuple(rng.randrange(ctx.mod) for _ in range(ctx.size))
+        if not any(c % spec.p for c in u[:spec.d]):
+            u = dvr._add(ctx, u, one)
+        exact = dvr._unit_inv(ctx, u)
+        assert dvr._mul(ctx, u, exact) == one
+        for depth in range(1, ctx.e * ctx.M + 1):
+            y = dvr._unit_inv(ctx, u, depth)
+            error = dvr._sub(ctx, dvr._mul(ctx, u, y), one)
+            assert dvr._raw_val(ctx, error, depth) == (depth, False), depth
+            assert dvr._raw_val(ctx, dvr._sub(ctx, y, exact), depth) == (depth, False), depth
+
+
 @settings(max_examples=120, deadline=None)
 @given(flat_cases(), st.data())
 def test_digit_roundtrip_matches_input(case, data):

@@ -29,7 +29,10 @@ from ramlift.dvr import (
 from ramlift.errors import (
     IncompatibleLengths,
     InconsistentResult,
+    InvalidArgument,
     InvalidSetting,
+    MultipleRoots,
+    NoRoot,
     NotComposable,
     PrecisionTooLow,
     PreconditionBound,
@@ -56,7 +59,7 @@ from ramlift.homlift import (
     same_hom,
     select_unique_root,
 )
-from ramlift.ramification import different_val, krasner_bound, lift_precision_bound
+from ramlift.ramification import different_val, krasner_bound, lift_precision_bound, nu_of_e
 from ramlift.resfield import FieldEmbedding, embeddings, identity_embedding, make_field
 from ramlift.witt import WittMap, make_witt, teichmuller
 
@@ -660,6 +663,100 @@ def test_has_root_escalates_for_close_roots():
     assert res.precision > 6
 
 
+def test_has_root_certifies_only_its_first_root(monkeypatch):
+    # x^2 - 2 has the two roots = +-3 mod m in Z7[sqrt 7]; has_root accepts
+    # the first and searches no further, where the full search accepts both
+    R = make_dvr(make_field(7, 1), [-7, 0, 1])
+    assert len(roots_in_dvr([-2, 0, 1], R, 4)) == 2
+    accepted = _count_certified(monkeypatch)
+    res = has_root(R, [-2, 0, 1])
+    assert len(accepted) == 1
+    assert (res.kind, res.precision) == ("yes", 4)
+    assert res.root == accepted[0].elem == roots_in_dvr([-2, 0, 1], R, 4)[0].elem
+
+
+# (ring, F, has_root's answer, the precision the search over every root
+# escalates to): a ball after the first root needs the higher precision
+FIRST_ROOT_CASES = {
+    # x(x - 1)(x - 730) over Z3: the roots 1 and 730 = 1 + 3^6 separate at depth 7
+    "Z3:x(x-1)(x-730)": (Z3_FLAT, [0, 730, -731, 1], ("yes", 4, "π:0,0,0,0"), 8),
+    "Z3[sqrt-3]:quartic": (Z3_SQRTM3, [21, 30, 16, -5, 1], ("yes", 4, "π:0,1,0,1"), 8),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_ROOT_CASES))
+def test_has_root_answers_at_its_first_root_precision(case):
+    R, F, answer, full_prec = FIRST_ROOT_CASES[case]
+    res = has_root(R, F)
+    assert (res.kind, res.precision, dvr_elem_text(res.root)) == answer
+    # the whole search refuses the shallower precision, and its first root
+    # at the higher one extends has_root's root
+    with pytest.raises(PrecisionTooLow):
+        roots_in_dvr(F, R, res.precision)
+    first = roots_in_dvr(F, R, full_prec)[0]
+    assert pi_digits(first.elem, res.precision) == pi_digits(res.root, res.precision)
+
+
+def _has_root_by_every_root(R, F):
+    """has_root as the search over every root at doubling precision
+    answers it: (kind, root, precision)."""
+    coeffs = homlift._squarefree_part(F)
+    prec = max(4, R.e + nu_of_e(R.p, R.e) + 1)
+    if len(coeffs) == 1:
+        return "no", None, prec
+    while True:
+        try:
+            roots = roots_in_dvr(coeffs, R, prec)
+        except PrecisionTooLow:
+            prec *= 2
+            if prec > homlift.ESCALATION_CAP:
+                return "undecided", None, prec // 2
+            continue
+        if roots:
+            return "yes", roots[0].elem, roots[0].t
+        return "no", None, prec
+
+
+HAS_ROOT_RINGS = {
+    "F2:x2-2": Z2_SQRT2,
+    "F2:x-2": make_dvr(F2, [-2, 1]),
+    "F3:x2-3": Z3_SQRT3,
+    "F3:x-3": Z3_FLAT,
+    "F5:x2-5": make_dvr(make_field(5, 1), [-5, 0, 1]),
+    "F4:x2-2": make_dvr(make_field(2, 2), [-2, 0, 1]),
+    "F9:x2-3": make_dvr(F9, [-3, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("ring", list(HAS_ROOT_RINGS))
+def test_has_root_agrees_with_the_search_over_every_root(ring):
+    # seeded monic polynomials of degree <= 4, a third of them products of
+    # linear factors so that many have roots: the same kind, and the first
+    # root of the full search agrees with has_root's to has_root's
+    # precision, which is never above the full search's
+    R = HAS_ROOT_RINGS[ring]
+    rng = random.Random(f"has_root:{ring}")
+    kinds = set()
+    for i in range(48):
+        if i % 3:
+            F = [rng.randint(-30, 30) for _ in range(rng.randint(1, 4))] + [1]
+        else:
+            F = [1]
+            for _ in range(rng.randint(1, 3)):  # F <- F * (x - a)
+                a = rng.randint(-20, 20)
+                F = [(F[j - 1] if j else 0) - a * (F[j] if j < len(F) else 0) for j in range(len(F) + 1)]
+        res = has_root(R, F)
+        kind, root, prec = _has_root_by_every_root(R, F)
+        kinds.add(kind)
+        assert res.kind == kind, F
+        if kind == "yes":
+            assert res.precision <= prec, F
+            assert pi_digits(root, res.precision) == pi_digits(res.root, res.precision), F
+        else:
+            assert (res.root, res.precision) == (None, prec), F
+    assert kinds == {"yes", "no"}
+
+
 def test_lift_across_ramification_indices():
     # W(F3) -> Z3[sqrt(3)]: the unramified ring embeds, and any length
     # works since M(W(F3)) = 0
@@ -1000,6 +1097,36 @@ def test_lift_searches_one_ball_and_selects_the_same_root(pair, monkeypatch):
     assert R1.e != 2 or set(counts) == {2}
 
 
+def test_krasner_radius_at_an_integral_boundary():
+    # M(Z2[sqrt 2]) = 3/2, so M1*e2 = 3: nu-tilde(rho - beta) > 3/2 exactly
+    # when nu(rho - beta) >= 4.  A root at nu = 3 lies outside Krasner
+    # distance, one at nu = 4 inside
+    R = Z2_SQRT2
+    M1 = krasner_bound(R)
+    assert M1 * R.e == 3 and homlift._krasner_radius(M1, R.e) == 4
+    beta = R.uniformizer(8)
+    outside = homlift.CertifiedRoot(beta + R.uniformizer(8) ** 3, 8, 1)
+    inside = homlift.CertifiedRoot(beta + R.uniformizer(8) ** 4, 8, 1)
+    assert select_unique_root([outside, inside], beta, M1, R.e) is inside
+    with pytest.raises(NoRoot):
+        select_unique_root([outside], beta, M1, R.e)
+    with pytest.raises(MultipleRoots):
+        select_unique_root([inside, inside], beta, M1, R.e)
+    # e1 = 1 has M1 = 0: every root of valuation >= 1 from beta is inside
+    M0 = krasner_bound(Z3_FLAT)
+    assert homlift._krasner_radius(M0, 2) == 1
+    assert homlift._krasner_radius(Fraction(5, 4), 4) == 6  # x^4 - 2: 5 is integral
+
+
+def test_lift_and_selection_read_one_krasner_radius(monkeypatch):
+    radii = []
+    radius = homlift._krasner_radius
+    monkeypatch.setattr(homlift, "_krasner_radius", lambda M1, e2: radii.append((M1, e2)) or radius(M1, e2))
+    phi = _homs_to_lift(Z3_SQRT3, Z3_QUARTIC)[0]
+    lift_hom(phi)
+    assert radii == [(krasner_bound(Z3_SQRT3), 4)] * 2
+
+
 HOMS_SCAN_PAIRS = {
     "F3:x2-3": (Z3_SQRT3, Z3_SQRT3, 5, 5),
     "F3:x2+3-to-x2-3": (Z3_SQRTM3, Z3_SQRT3, 4, 4),
@@ -1048,6 +1175,20 @@ def test_ball_search_from_a_ball_yields_the_balls_under_it(pair, refine):
             starts = {a for a in starts if len(a) < n2}
         for a in starts:
             assert search(F, a) == [(b, delta) for b, delta in whole if b[:len(a)] == a], a
+
+
+def test_root_finding_refuses_a_start_at_the_depth():
+    # a start ball of radius >= depth off every branch would be yielded
+    # although it holds no root (F4 x^2 - 2 vanishes mod m^4 on this centre)
+    R = make_dvr(make_field(2, 2), [-2, 0, 1])
+    k = R.k
+    start = (k.zero(), k.one(), k.zero(), k.from_coeffs([0, 1]))
+    poly = _materialize_poly(_normalize_poly([-2, 0, 1], k), R, 12)
+    for depth in (3, 4):
+        with pytest.raises(InvalidArgument, match=f"depth {depth}"):
+            list(_ball_search(poly, depth, start, refine=True))
+    assert [b for b, _, _ in _ball_search(poly, 4, start)] == [start]  # enumeration takes it
+    assert list(_ball_search(poly, 5, start, refine=True)) == []
 
 
 def test_ball_search_applies_the_cap_to_cached_root_sets(monkeypatch):
@@ -1127,6 +1268,9 @@ cases = {
     "embeddings": lambda: past_the_cap(lambda: embeddings(F9, F9)),
     # an embedding F3 -> F9 cannot map f into a ring over F3
     "_materialize_poly": lambda: h._materialize_poly((R.coeffs, embeddings(F3, F9)[0]), R, 4),
+    # root finding to depth 2 from a ball of radius 2
+    "_ball_search_refine_start": lambda: list(h._ball_search(
+        h._materialize_poly(h._normalize_poly([-3, 0, 1], F3), R, 8), 2, (F3.zero(),) * 2, True)),
 }
 for name, run in cases.items():
     try:
@@ -1165,4 +1309,5 @@ def test_correctness_checks_survive_python_O():
         "_ball_search": "TooLarge",
         "embeddings": "TooLarge",
         "_materialize_poly": "RingMismatch",
+        "_ball_search_refine_start": "InvalidArgument",
     }

@@ -14,6 +14,7 @@ from ramlift.homlift import (
     ResidueHom,
 )
 from ramlift.ramification import NewtonPolygon, RamificationReport
+from ramlift.record import Record
 from ramlift.resfield import FieldEmbedding, FieldSpec, FqElem
 from ramlift.witt import WittRingSpec
 
@@ -107,6 +108,35 @@ def test_fields_cannot_be_assigned(cls):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == build()[cls]
+
+
+def _record_classes(cls=Record) -> set:
+    """Every Record subclass the package defines."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("ramlift."):
+            found.add(sub)
+        found |= _record_classes(sub)
+    return found
+
+
+def test_every_record_class_is_listed():
+    assert _record_classes() == set(CLASSES)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=ids)
+def test_hash_is_the_field_tuple_hash_computed_once(cls, monkeypatch):
+    r = build()[cls]
+    fresh = cls(*[getattr(r, name) for name in cls._fields])  # not hashed yet
+    assert hash(r) == hash(r._key(r))
+    keys = []
+    key = cls._key
+    # like attrgetter, a staticmethod is called with the instance alone
+    monkeypatch.setattr(cls, "_key", staticmethod(lambda obj: keys.append(obj) or key(obj)))
+    assert hash(r) == hash(r) == hash(key(r))
+    assert keys == []  # the first hash above kept its value
+    assert hash(fresh) == hash(fresh) == hash(r)
+    assert len(keys) == 1 and keys[0] is fresh
 
 
 def test_caches_kept_beside_the_fields():

@@ -110,6 +110,25 @@ def test_arith_examples():
     assert F3.one() / two == two  # 2*2 = 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_field_inverse_matches_brute_force(p):
+    k = make_field(p, 1)
+    for a in k.elements():
+        if not a.is_zero():
+            assert a.inverse() == next(b for b in k.elements() if (a * b) == k.one()), a
+
+
+def test_prime_field_inverse_of_a_large_prime():
+    p = 1000003
+    k = make_field(p, 1)
+    rng = random.Random(1000003)
+    for c in [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(40)]:
+        a = k.from_int(c)
+        inv = a.inverse()
+        assert a * inv == k.one()
+        assert inv == a ** (p - 2)
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         F3.one() / F3.zero()

@@ -67,6 +67,33 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def _record_classes_with_hash():
+    """(module, class, defines __hash__) for each class in src/ that derives
+    from Record, directly or through another such class."""
+    classes = {}
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases}
+                own = any(isinstance(f, ast.FunctionDef) and f.name == "__hash__" for f in node.body)
+                classes[node.name] = (path.name, bases, own)
+    records = {"Record"}
+    while True:
+        more = {name for name, (_, bases, _) in classes.items() if bases & records} - records
+        if not more:
+            break
+        records |= more
+    return [(classes[name][0], name, classes[name][2]) for name in sorted(records - {"Record"})]
+
+
+def test_record_classes_keep_the_one_hash_rule():
+    """Record caches the hash of the field tuple; a subclass that defines
+    its own __hash__ would make a second rule for lru_cache keys."""
+    found = _record_classes_with_hash()
+    assert len(found) >= 13
+    assert [(module, name) for module, name, own in found if own] == []
+
+
 _ENV_READS = {"environ", "environb", "getenv", "getenvb"}
 
 
