@@ -2,17 +2,25 @@
 enumeration and lifting, bound tables, root existence, and named demo
 fixtures with frozen expected output.
 
+Grammar: ``ramlift [--text] COMMAND ARGS...``, where COMMANDS gives each
+command's positionals, which of them are integers, and its flags (``homs``:
+--iso, --count), which may come in any order anywhere after the command.
+A word that opens with "-" and a digit or x, or that holds a space, is a
+positional; after "--" every word is.  Options are spelt out in full:
+no abbreviation is accepted.  -h/--help prints usage on stdout.
+
 Output is JSON (sorted keys, so runs are byte-identical) unless --text asks
-for human-readable tables.  Exit codes: 0 success, 2 input error, 3 resource
-cap, 4 precondition violation.
+for human-readable tables.  Exit codes: 0 success and help, 2 input error
+(usage errors included, each one line on stderr), 3 resource cap, 4
+precondition violation.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 from .dvr import (
     _json_int,
@@ -66,11 +74,16 @@ def _too_many_digits() -> str:
     return f"integer literals are limited to {sys.get_int_max_str_digits()} digits"
 
 
-def _int_literal(digits: str) -> int:
+def _int_literal(digits: str, what: str = "") -> int:
+    """int(digits), or an InputError opened by `what`; a literal longer than
+    the interpreter's digit limit is named by that limit, not echoed."""
     try:
         return int(digits)
     except ValueError:
-        raise InputError(_too_many_digits()) from None
+        pass
+    if 0 < sys.get_int_max_str_digits() < len(digits):
+        raise InputError(what + _too_many_digits())
+    raise InputError(f"{what}invalid int value: {digits!r}")
 
 
 def _ring_from_arg(text: str):
@@ -248,68 +261,96 @@ def cmd_demo(args) -> str:
     return out
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors are input errors: one line on stderr, exit 2."""
+# ---------------------------------------------------------------------------
+# command line
 
-    def error(self, message):
-        raise InputError(f"{self.prog}: {message}")
+# name: (positionals, the integer ones, flags, summary); main calls cmd_<name>
+COMMANDS = {
+    "ring": (("spec",), (), (), "summarize the ring of a JSON spec (inline or @file)"),
+    "homs": (("src", "tgt", "n1", "n2"), ("n1", "n2"), ("--iso", "--count"),
+             "enumerate the homomorphisms src/m^n1 -> tgt/m^n2; "
+             "--iso: isomorphisms only, --count: print the count only"),
+    "lift": (("src", "tgt", "hom", "out_prec"), ("out_prec",), (),
+             "lift a residue-ring homomorphism (JSON, inline or @file) to precision out_prec"),
+    "bounds": (("p", "e"), ("p", "e"), (), "lifting-number bounds for (p, e)"),
+    "hasroot": (("spec", "poly"), (), (),
+                'decide whether a monic integer polynomial, e.g. "x^2-3", has a root in the ring'),
+    "demo": (("id",), (), (), "run a named fixture and report PASS/FAIL"),
+}
 
-    def _parse_optional(self, arg_string):
-        # no option opens with "-" and a digit or x: "-3+x^2" is a polynomial
-        return None if re.match(r"-[\dx]", arg_string) else super()._parse_optional(arg_string)
+
+def _is_option(arg: str) -> bool:
+    # no option opens with "-" and a digit or x: "-3+x^2" is a polynomial
+    return arg[:1] == "-" and arg != "-" and " " not in arg and not re.match(r"-[\dx]", arg)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ramlift",
-        description="Exact arithmetic and homomorphism lifting for finitely "
-        "ramified complete DVRs of mixed characteristic.",
-    )
-    parser.add_argument("--text", action="store_true", help="human-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse_args(argv):
+    """(command, arguments) read from argv through COMMANDS; the arguments
+    are None when -h/--help asks for usage, and so is the command when
+    that usage is ramlift's."""
+    text = False
+    words = iter(argv)
+    for name in words:
+        if not _is_option(name):
+            break
+        if name in ("-h", "--help"):
+            return None, None
+        if name != "--text":
+            raise InputError(f"ramlift: unrecognized arguments: {name}")
+        text = True
+    else:
+        raise InputError("ramlift: the following arguments are required: command")
+    if name not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise InputError(f"ramlift: argument command: invalid choice: {name!r} (choose from {choices})")
+    positionals, ints, flags, _ = COMMANDS[name]
+    args = {"text": text, **{flag[2:]: False for flag in flags}}
+    given, unknown = [], []
+    for arg in words:
+        if arg == "--":
+            given.extend(words)  # the rest, which ends the loop
+        elif not _is_option(arg):
+            given.append(arg)
+        elif arg in ("-h", "--help"):
+            return name, None
+        elif arg in flags:
+            args[arg[2:]] = True
+        else:
+            unknown.append(arg)
+    prog = "ramlift " + name
+    if len(given) < len(positionals):
+        missing = ", ".join(positionals[len(given):])
+        raise InputError(f"{prog}: the following arguments are required: {missing}")
+    unknown += given[len(positionals):]
+    if unknown:
+        raise InputError(f"{prog}: unrecognized arguments: {' '.join(unknown)}")
+    for key, word in zip(positionals, given):
+        args[key] = _int_literal(word, f"{prog}: argument {key}: ") if key in ints else word
+    return name, SimpleNamespace(**args)
 
-    p_ring = sub.add_parser("ring", help="summarize a ring given its JSON spec")
-    p_ring.add_argument("spec", help="ring spec JSON (inline or @file)")
-    p_ring.set_defaults(func=cmd_ring)
 
-    p_homs = sub.add_parser("homs", help="enumerate residue-ring homomorphisms")
-    p_homs.add_argument("src")
-    p_homs.add_argument("tgt")
-    p_homs.add_argument("n1", type=int)
-    p_homs.add_argument("n2", type=int)
-    p_homs.add_argument("--iso", action="store_true", help="isomorphisms only")
-    p_homs.add_argument("--count", action="store_true", help="print the count only")
-    p_homs.set_defaults(func=cmd_homs)
+def _synopsis(name: str) -> str:
+    positionals, _, flags, _ = COMMANDS[name]
+    return " ".join([name, "[-h]", *(f"[{flag}]" for flag in flags), *positionals])
 
-    p_lift = sub.add_parser("lift", help="lift a residue-ring homomorphism")
-    p_lift.add_argument("src")
-    p_lift.add_argument("tgt")
-    p_lift.add_argument("hom", help="homomorphism JSON (inline or @file)")
-    p_lift.add_argument("out_prec", type=int)
-    p_lift.set_defaults(func=cmd_lift)
 
-    p_bounds = sub.add_parser("bounds", help="lifting-number bounds for (p, e)")
-    p_bounds.add_argument("p", type=int)
-    p_bounds.add_argument("e", type=int)
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_root = sub.add_parser("hasroot", help="decide existence of a root in the ring")
-    p_root.add_argument("spec")
-    p_root.add_argument("poly", help='monic integer polynomial, e.g. "x^2-3"')
-    p_root.set_defaults(func=cmd_hasroot)
-
-    p_demo = sub.add_parser("demo", help="run a named fixture and report PASS/FAIL")
-    p_demo.add_argument("id")
-    p_demo.set_defaults(func=cmd_demo)
-
-    return parser
+def _usage(name=None) -> str:
+    """The -h/--help text of a command, or of ramlift when name is None."""
+    if name is not None:
+        return f"usage: ramlift {_synopsis(name)}\n\n{COMMANDS[name][3]}"
+    commands = "\n".join(f"  {_synopsis(n)}\n      {COMMANDS[n][3]}" for n in COMMANDS)
+    return ("usage: ramlift [-h] [--text] COMMAND ARGS...\n\n"
+            "Exact arithmetic and homomorphism lifting for finitely ramified\n"
+            "complete DVRs of mixed characteristic.\n\n"
+            f"commands:\n{commands}\n\n"
+            "options:\n  -h, --help  show this help and exit\n  --text      human-readable output")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        out = args.func(args)
+        name, args = _parse_args(sys.argv[1:] if argv is None else argv)
+        # looked up per call: a wrapper bound over cmd_<name> is the one that runs
+        out = _usage(name) if args is None else globals()["cmd_" + name](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except InputError as exc:

@@ -1,10 +1,11 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlift.cli import main, parse_poly_text
+from ramlift.cli import COMMANDS, main, parse_poly_text
 
 S3 = '{"p":3,"residue":{"d":1,"poly":[0,1]},"eisenstein":[-3,0,1]}'
 SM3 = '{"p":3,"residue":{"d":1,"poly":[0,1]},"eisenstein":[3,0,1]}'
@@ -424,6 +425,87 @@ def test_huge_integer_literal_exit_2(capsys, argv):
     rc, out, err = run(capsys, *argv)
     _one_line_exit_2(rc, err)
     assert out == "" and "digits" in err
+
+
+@pytest.mark.parametrize("argv, arg", [
+    (("bounds", "3", _NINES), "argument e"),
+    (("homs", S3, S3, _NINES, "2"), "argument n1"),
+    (("lift", S3, S3, "{}", "-" + _NINES), "argument out_prec"),
+])
+def test_integer_positional_past_the_digit_limit_exit_2(capsys, argv, arg):
+    # the literal is named by the limit, not echoed back
+    rc, out, err = run(capsys, *argv)
+    _one_line_exit_2(rc, err)
+    assert out == "" and arg in err and len(err) < 100
+    assert err.endswith(f"integer literals are limited to {sys.get_int_max_str_digits()} digits\n")
+
+
+# -- the command line -----------------------------------------------------------
+
+_USAGE_ERRORS = [
+    ((), "command"),
+    (("nope",), "'nope'"),
+    (("bounds", "3"), "bounds: the following arguments are required: e"),
+    (("bounds", "3", "2", "1"), "bounds: unrecognized arguments: 1"),
+    (("bounds", "3", "x"), "argument e: invalid int value: 'x'"),
+    (("bounds", "3", "2", "--iso"), "bounds: unrecognized arguments: --iso"),
+    (("bounds", "3", "2", "--text"), "bounds: unrecognized arguments: --text"),
+    (("homs", S3, S3, "2"), "homs: the following arguments are required: n2"),
+    (("lift", S3, S3), "lift: the following arguments are required: hom, out_prec"),
+    (("demo",), "demo: the following arguments are required: id"),
+    (("homs", S3, SM3, "2", "2", "--co"), "homs: unrecognized arguments: --co"),
+    (("--te", "bounds", "3", "2"), "unrecognized arguments: --te"),
+]
+
+
+@pytest.mark.parametrize("argv, culprit", _USAGE_ERRORS)
+def test_usage_error_exit_2(capsys, argv, culprit):
+    rc, out, err = run(capsys, *argv)
+    _one_line_exit_2(rc, err)
+    assert out == "" and err.startswith("error: ramlift") and culprit in err
+
+
+@pytest.mark.parametrize("argv, command", [
+    (("-h",), None),
+    (("--help",), None),
+    (("--text", "-h"), None),
+    (("bounds", "-h"), "bounds"),
+    (("hasroot", S3, "--help"), "hasroot"),
+    (("homs", "--iso", "-h"), "homs"),
+])
+def test_help_names_every_positional(capsys, argv, command):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "") and out.startswith("usage: ramlift")
+    for name in COMMANDS if command is None else [command]:
+        positionals, _, flags, _ = COMMANDS[name]
+        assert " ".join([name, "[-h]", *(f"[{f}]" for f in flags), *positionals]) in out
+
+
+def test_flags_in_any_order_anywhere_after_the_command(capsys):
+    want = run(capsys, "homs", S3, SM3, "2", "2", "--iso", "--count")
+    assert want == (0, '{"count": 2}\n', "")
+    for argv in (
+        ("homs", S3, SM3, "2", "2", "--count", "--iso"),
+        ("homs", "--count", S3, SM3, "--iso", "2", "2"),
+        ("homs", S3, SM3, "2", "--count", "--iso", "--", "2"),
+        ("homs", "--iso", "--count", "--iso", S3, SM3, "2", "2"),
+    ):
+        assert run(capsys, *argv) == want, argv
+
+
+def test_negative_positionals_and_the_separator(capsys):
+    # bounds reads -2 as e, which the library then refuses
+    rc, out, err = run(capsys, "bounds", "3", "-2")
+    _one_line_exit_2(rc, err)
+    assert "argument" not in err
+    want = run(capsys, "bounds", "3", "2")
+    assert want[0] == 0
+    for argv in (("bounds", "--", "3", "2"), ("bounds", "3", "--", "2"), ("bounds", "3", "2", "--"),
+                 ("bounds", "+3", " 2 ")):
+        assert run(capsys, *argv) == want, argv
+    rc, out, err = run(capsys, "bounds", "3", "2", "--", "--")
+    _one_line_exit_2(rc, err)
+    assert "unrecognized arguments: --" in err
 
 
 @pytest.mark.parametrize("spec", [

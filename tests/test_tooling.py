@@ -1,8 +1,10 @@
 """Tooling contracts.  The benchmark's tracer wraps ramlift functions and
 methods by name; a name it lists must keep existing, or traced benchmark
-runs break.  Importing ramlift stays free of code-generation modules, the
-library holds no assert statement, which python -O would strip, and it reads
-the environment in one place."""
+runs break, and the CLI must call the command bound under that name when it
+runs.  Importing ramlift stays free of code-generation modules, and running
+a command loads no argparse, gettext or locale; the library holds no assert
+statement, which python -O would strip, and it reads the environment in one
+place."""
 
 import ast
 import importlib.util
@@ -39,7 +41,8 @@ def test_tracer_installs_on_every_target(monkeypatch):
 
 def test_import_loads_no_code_generation_modules():
     """Every command-line call imports ramlift afresh, so the import must not
-    pull in dataclasses (with inspect, ast and dis behind it) or typing."""
+    pull in dataclasses (with inspect, ast and dis behind it) or typing, and
+    running a command must not pull in argparse, gettext or locale."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
@@ -48,10 +51,39 @@ def test_import_loads_no_code_generation_modules():
         "import ramlift.cli\n"
         "heavy = {'dataclasses', 'inspect', 'typing', 'ast', 'dis'}\n"
         "print(sorted(heavy & (set(sys.modules) - before)))\n"
+        "rc = ramlift.cli.main(['bounds', '3', '2'])\n"
+        "parsing = {'argparse', 'gettext', 'locale'}\n"
+        "print(rc, sorted(heavy & (set(sys.modules) - before) | parsing & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        "[]",
+        '{"basarab_upper": 3, "e": 2, "lower": 3, "p": 3, "tame_exact": 3, "upper": 3}',
+        "0 []",
+    ]
+
+
+def test_cli_runs_the_command_bound_at_call_time(monkeypatch, capsys):
+    """The tracer times a command by rebinding cli.cmd_<name>; main must look
+    that name up when it runs, or the cli.*.s spans read zero."""
+    from ramlift import cli
+
+    tracer = _load("tracer", monkeypatch)
+    assert {attr for _, mod, attr in tracer.TARGETS if mod == "cli"} == {f"cmd_{n}" for n in cli.COMMANDS}
+    assert cli.main(["bounds", "3", "2"]) == 0
+    want = capsys.readouterr()
+    calls = []
+    real = cli.cmd_bounds
+
+    def spy(args):
+        calls.append((args.p, args.e))
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_bounds", spy)
+    assert cli.main(["bounds", "3", "2"]) == 0
+    assert calls == [(3, 2)]
+    assert capsys.readouterr() == want
 
 
 def test_no_assert_statements_in_src():
