@@ -58,8 +58,8 @@ from .ramification import (
 from .homlift import (
     ResidueHom,
     DvrHom,
+    HomSet,
     roots_in_dvr,
-    count_homs,
     enumerate_homs,
     enumerate_isos,
     lift_hom,

@@ -34,9 +34,7 @@ from .dvr import (
 )
 from .errors import PreconditionBound, RamliftError, TooLarge
 from .homlift import (
-    count_homs,
-    enumerate_homs,
-    enumerate_isos,
+    HomSet,
     has_root,
     lift_hom,
     project_hom,
@@ -179,13 +177,10 @@ def cmd_homs(args) -> str:
     tgt_ring = _ring_from_arg(args.tgt)
     if args.n1 < 1 or args.n2 < 1:
         raise InputError(f"lengths must be >= 1, got n1={args.n1}, n2={args.n2}")
-    src = residue_ring(src_ring, args.n1)
-    tgt = residue_ring(tgt_ring, args.n2)
-    if args.count and not args.iso:
-        return _emit(args, {"count": count_homs(src, tgt)})
-    homs = enumerate_isos(src, tgt) if args.iso else enumerate_homs(src, tgt)
+    homs = HomSet(residue_ring(src_ring, args.n1), residue_ring(tgt_ring, args.n2))
+    homs = homs.isos() if args.iso else homs
     if args.count:
-        return _emit(args, {"count": len(homs)})
+        return _emit(args, {"count": homs.count()})
     return _emit(args, [h.to_json() for h in homs])
 
 

@@ -20,9 +20,13 @@ the residue field k:
   T is a root of gbar in k, so the search branches on those roots alone, at
   most deg F of them, and a nonzero constant gbar ends the branch;
 - when c >= n2, F vanishes mod m^n2 on the whole ball: enumeration expands
-  the ball lexicographically, and count_homs adds q^(n2 - r);
+  the ball lexicographically, and counting adds q^(n2 - r);
 - beta^n1 = 0 mod m^n2 holds exactly when the first ceil(n2/n1) digits
   vanish, so enumeration starts from the ball 0 + m^ceil(n2/n1).
+
+A HomSet keeps the homomorphisms as these balls, a root set as a union of
+balls (Berthomieu, Lecerf and Quintin), and lists, counts, tests membership
+and restricts to the isomorphisms (digit 1 nonzero) on the balls alone.
 
 Lifting runs the search down to a certification depth t.  A simple root of
 gbar isolates exactly one root of F in the child ball, which Newton's
@@ -529,53 +533,78 @@ def _beta_admissible(source, target, psi, beta) -> bool:
     return not _raw_val(poly.ctx, value, n2)[1]  # f1^psi(beta) = 0 mod m2^n2
 
 
-def _hom_balls(src: ResidueRingSpec, tgt: ResidueRingSpec):
-    """(psi, digits) for the balls of admissible betas, embeddings by image
-    of the generator and each embedding's balls in lexicographic order: the
-    betas of a ball are its digits followed by any n2 - len(digits) more."""
-    # beta^n1 = 0 mod m^n2 exactly when the first ceil(n2/n1) digits vanish,
-    # so the search starts from the ball 0 + m^ceil(n2/n1)
-    zero_prefix = (tgt.ring.k.zero(),) * -(-tgt.n // src.n)
-    for psi in embeddings(src.ring.k, tgt.ring.k):
-        poly = _materialize_poly((src.ring.coeffs, psi), tgt.ring, tgt.n)
-        for digits, _, _ in _ball_search(poly, tgt.n, zero_prefix):
-            yield psi, digits
+class HomSet:
+    """The homomorphisms src -> tgt as balls of betas (psi, digits), each
+    ball holding its digits followed by any n2 - len(digits) more, in the
+    order of the ball search per embedding.  Building one searches nothing;
+    only iteration, which lists every beta, checks the enumeration cap."""
+
+    def __init__(self, src: ResidueRingSpec, tgt: ResidueRingSpec):
+        self.src, self.tgt, self._isos = src, tgt, False
+
+    def isos(self) -> HomSet:
+        """The bijective homomorphisms: equal cardinalities, so psi is
+        bijective and n1 = n2 puts 0 in digit 0, and beta of valuation one,
+        digit 1 nonzero; at n2 = 1 every beta, 0 included, has valuation 1."""
+        isos = HomSet(self.src, self.tgt)
+        isos._isos = True
+        return isos
+
+    def _empty(self) -> bool:  # isos need d1 = d2 and q1^n1 = q2^n2: equal d, q and n
+        s, t = self.src, self.tgt
+        return self._isos and (s.ring.d, s.ring.q, s.n) != (t.ring.d, t.ring.q, t.n)
+
+    def _balls(self):
+        src, tgt, k = self.src, self.tgt, self.tgt.ring.k
+        # beta^n1 = 0 mod m^n2 exactly when the first ceil(n2/n1) digits
+        # vanish, so the search starts from the ball 0 + m^ceil(n2/n1)
+        zero_prefix = (k.zero(),) * -(-tgt.n // src.n)
+        for psi in embeddings(src.ring.k, k):
+            poly = _materialize_poly((src.ring.coeffs, psi), tgt.ring, tgt.n)
+            for digits, _, _ in _ball_search(poly, tgt.n, zero_prefix):
+                if not self._isos or tgt.n == 1 or len(digits) > 1 and any(digits[1].coeffs):
+                    yield psi, digits
+                elif len(digits) == 1:  # the children whose digit 1 is a unit
+                    yield from ((psi, digits + (b,)) for b in _residues(k) if any(b.coeffs))
+
+    def count(self) -> int:
+        """Sum q2^(n2 - radius); TooLarge if it may pass the integer-text limit."""
+        if self._empty():
+            return 0
+        q, n2 = self.tgt.ring.q, self.tgt.n
+        digits_cap = sys.get_int_max_str_digits()
+        # at most d1 embeddings, each with at most q^n2 betas; q^n2 >= 16^digits_cap
+        # is decided without forming the power
+        if digits_cap and (n2 * (q.bit_length() - 1) >= 4 * digits_cap
+                           or self.src.ring.d * q ** n2 >= 10 ** digits_cap):
+            raise TooLarge(f"counts up to {q}^{n2} may exceed the {digits_cap}-digit integer limit")
+        return sum(q ** (n2 - len(digits)) for _, digits in self._balls())
+
+    def __iter__(self):
+        """Each ball expanded lexicographically, once the target passes the cap check."""
+        if self._empty():
+            return
+        src, tgt = self.src, self.tgt
+        tgt.check_size("target elements")
+        residues = _residues(tgt.ring.k)
+        for psi, digits in self._balls():
+            for tail in itertools.product(residues, repeat=tgt.n - len(digits)):
+                yield ResidueHom(src, tgt, psi, ResidueElt(tgt, digits + tail))
+
+    def __contains__(self, phi: ResidueHom) -> bool:
+        digits = phi.beta.digits  # some ball of phi's embedding is a prefix
+        return (phi.source, phi.target) == (self.src, self.tgt) and not self._empty() and any(
+            psi == phi.psi and digits[:len(d)] == d for psi, d in self._balls())
 
 
-def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec):
-    """All homomorphisms src -> tgt in deterministic order: embeddings by
-    image of the generator, beta by digit-vector lexicographic order."""
-    tgt.check_size("target elements")
-    residues = _residues(tgt.ring.k)
-    out = []
-    for psi, digits in _hom_balls(src, tgt):
-        for tail in itertools.product(residues, repeat=tgt.n - len(digits)):
-            out.append(ResidueHom(src, tgt, psi, ResidueElt(tgt, digits + tail)))
-    return out
+def enumerate_homs(src: ResidueRingSpec, tgt: ResidueRingSpec) -> list:
+    """The list of HomSet(src, tgt)."""
+    return list(HomSet(src, tgt))
 
 
-def count_homs(src: ResidueRingSpec, tgt: ResidueRingSpec) -> int:
-    """The number of homomorphisms src -> tgt, summed over the balls of
-    betas as q2^(n2 - radius), so no beta is listed and the enumeration cap
-    does not apply.  A count that could exceed the interpreter's limit for
-    integer text (sys.get_int_max_str_digits) is refused with TooLarge."""
-    q, n2 = tgt.ring.q, tgt.n
-    digits_cap = sys.get_int_max_str_digits()
-    # at most d1 embeddings, each with at most q^n2 betas; q^n2 >= 16^digits_cap
-    # is decided without forming the power
-    if digits_cap and (n2 * (q.bit_length() - 1) >= 4 * digits_cap
-                       or src.ring.d * q ** n2 >= 10 ** digits_cap):
-        raise TooLarge(f"counts up to {q}^{n2} may exceed the {digits_cap}-digit integer limit")
-    return sum(q ** (n2 - len(digits)) for _, digits in _hom_balls(src, tgt))
-
-
-def enumerate_isos(src: ResidueRingSpec, tgt: ResidueRingSpec):
-    """Bijective homomorphisms: psi bijective, beta of valuation one, equal
-    cardinalities."""
-    # with equal d, q1^n1 = q2^n2 exactly when q1 = q2 and n1 = n2
-    if src.ring.d != tgt.ring.d or (src.ring.q, src.n) != (tgt.ring.q, tgt.n):
-        return []
-    return [h for h in enumerate_homs(src, tgt) if h.beta.val_units() == 1]
+def enumerate_isos(src: ResidueRingSpec, tgt: ResidueRingSpec) -> list:
+    """The list of HomSet(src, tgt).isos()."""
+    return list(HomSet(src, tgt).isos())
 
 
 # ---------------------------------------------------------------------------

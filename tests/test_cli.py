@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramlift import homlift
 from ramlift.cli import COMMANDS, main, parse_poly_text
 
 S3 = '{"p":3,"residue":{"d":1,"poly":[0,1]},"eisenstein":[-3,0,1]}'
@@ -72,13 +73,18 @@ def test_homs_counts(capsys):
 
 def test_homs_count_is_not_capped(capsys):
     # W(F4)[x]/(x^4 - 2) at n = 12 has 2^24 elements, past the cap of 10^7:
-    # the count sums balls of betas, while listings stay capped
+    # counts, of homs or of isos, sum balls of betas, while listings stay capped
     w4 = '{"p":2,"residue":{"d":2},"eisenstein":[-2,0,0,0,1]}'
-    rc, out, err = run(capsys, "homs", w4, w4, "12", "12", "--count")
-    assert (rc, json.loads(out), err) == (0, {"count": 524288}, "")
-    for extra in ([], ["--iso", "--count"]):
+    for extra in (["--count"], ["--iso", "--count"]):
+        rc, out, err = run(capsys, "homs", w4, w4, "12", "12", *extra)
+        assert (rc, json.loads(out), err) == (0, {"count": 524288}, "")
+    for extra in ([], ["--iso"]):
         rc, out, err = run(capsys, "homs", w4, w4, "12", "12", *extra)
         assert rc == 3 and out == "" and "TooLarge" in err
+    # x^4 + 4x + 6 and x^4 + 4x + 2 over Z2 at n = 24: 2^24 elements
+    a, b = '{"p":2,"eisenstein":[6,4,0,0,1]}', '{"p":2,"eisenstein":[2,4,0,0,1]}'
+    rc, out, err = run(capsys, "homs", a, b, "24", "24", "--iso", "--count")
+    assert (rc, json.loads(out), err) == (0, {"count": 256}, "")
 
 
 def test_homs_listing_shape(capsys):
@@ -96,13 +102,23 @@ def test_homs_too_large(capsys, monkeypatch):
     assert "TooLarge" in err
 
 
-def test_homs_huge_length_exit_3(capsys):
+def test_homs_huge_length_exit_3(capsys, monkeypatch):
     # q^n2 has 47713 digits: it is neither formed nor printed
     rc, _, err = run(capsys, "homs", S3, S3, "1", "100000")
     assert rc == 3
     assert err == "error: TooLarge: 3^100000 target elements exceed the enumeration cap 10000000\n"
+
+    # isos between rings of unequal sizes answer before any search or cap
+    # check: an unreadable cap would exit 2, a search would take minutes
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(homlift, "_ball_search", no_search)
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "not-a-number")
     rc, out, err = run(capsys, "homs", S3, S3, "1", "100000", "--iso")
     assert (rc, out, err) == (0, "[]\n", "")
+    rc, out, err = run(capsys, "homs", S3, S3, "1", "100000", "--iso", "--count")
+    assert (rc, json.loads(out), err) == (0, {"count": 0}, "")
 
 
 def test_lift_identity(capsys):

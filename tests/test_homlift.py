@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -41,12 +41,12 @@ from ramlift.errors import (
 )
 from ramlift.homlift import (
     DvrHom,
+    HomSet,
+    ResidueHom,
     _ball_search,
-    _hom_balls,
     _materialize_poly,
     _normalize_poly,
     compose_homs,
-    count_homs,
     dvr_isos,
     enumerate_homs,
     enumerate_isos,
@@ -963,20 +963,12 @@ def test_wild_isos_project_into_the_listed_residue_isos():
 )
 def test_wild_isos_and_inverses_finish(R, count):
     # 9^8 and 4^21 target elements at the bound are past the cap, so
-    # membership in enumerate_isos is read off the balls of betas it would
-    # expand: a beta of valuation one extending a ball of the same embedding
+    # membership in the residue isos is read off their balls, not a listing
     n = lift_precision_bound(R, R.e)
     rn = residue_ring(R, n)
-    balls = list(_hom_balls(rn, rn))
-
-    def is_residue_iso(phi):
-        digits = phi.beta.digits
-        return phi.beta.val_units() == 1 and any(
-            psi == phi.psi and digits[:len(d)] == d for psi, d in balls)
-
     isos = dvr_isos(R, R)
     assert len(isos) == count
-    _check_isos_against_residue_isos(R, isos, is_residue_iso)
+    _check_isos_against_residue_isos(R, isos, HomSet(rn, rn).isos().__contains__)
 
 
 def test_count_homs_past_the_enumeration_cap():
@@ -985,13 +977,16 @@ def test_count_homs_past_the_enumeration_cap():
     rn = residue_ring(W4, 12)
     with pytest.raises(TooLarge):
         enumerate_homs(rn, rn)
-    assert count_homs(rn, rn) == 524288
+    assert HomSet(rn, rn).count() == 524288
+    with pytest.raises(TooLarge):
+        enumerate_isos(rn, rn)
+    assert HomSet(rn, rn).isos().count() == 524288
 
 
 def test_count_homs_refuses_counts_past_the_integer_text_limit():
     rn = residue_ring(Z3_SQRT3, 100000)
     with pytest.raises(TooLarge, match="digit integer limit"):
-        count_homs(residue_ring(Z3_SQRT3, 1), rn)
+        HomSet(residue_ring(Z3_SQRT3, 1), rn).count()
 
 
 @st.composite
@@ -1012,15 +1007,79 @@ def _ring_pairs(draw):
     n2 = draw(st.integers(1, 6))
     while (p ** d2) ** n2 > 729:
         n2 -= 1
-    n1 = draw(st.integers(1, 5))
+    n1 = draw(st.one_of(st.just(n2), st.integers(1, 5)))  # equal lengths admit isos
     return residue_ring(rings[0], n1), residue_ring(rings[1], n2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_ring_pairs())
+@example((residue_ring(Z2_SQRT2, 1), residue_ring(Z2_SQRT10, 1)))
+@example((residue_ring(make_dvr(F4, [-2, 0, 1]), 1), residue_ring(make_dvr(F4, [2, 2, 1]), 1)))
+@example((residue_ring(Z2_SQRT2, 2), residue_ring(make_dvr(F4, [-2, 0, 1]), 1)))  # 4 = 4^1, F2 != F4
 def test_count_homs_counts_the_listing(pair):
     src, tgt = pair
-    assert count_homs(src, tgt) == len(enumerate_homs(src, tgt))
+    homs = enumerate_homs(src, tgt)
+    isos = enumerate_isos(src, tgt)
+    assert HomSet(src, tgt).count() == len(homs)
+    assert HomSet(src, tgt).isos().count() == len(isos)
+    # the isos are the homs whose beta has valuation one, between rings of
+    # one size over one residue field (at n = 1 every beta, 0 included, has
+    # valuation one)
+    if src.ring.d == tgt.ring.d and src.ring.q ** src.n == tgt.ring.q ** tgt.n:
+        assert isos == [h for h in homs if h.beta.val_units() == 1]
+    else:
+        assert isos == []
+
+
+def test_enumerate_isos_builds_one_residue_hom_per_iso(monkeypatch):
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return ResidueHom(*args)
+
+    monkeypatch.setattr(homlift, "ResidueHom", spy)
+    isos = enumerate_isos(residue_ring(Z2_SQRT2, 6), residue_ring(Z2_SQRT10, 6))
+    assert len(isos) == 8 and len(built) == len(isos)
+    built.clear()  # Z3[sqrt 3] at n = 2 has 3 homs, of which 2 are isos
+    isos = enumerate_isos(residue_ring(Z3_SQRT3, 2), residue_ring(Z3_SQRT3, 2))
+    assert len(isos) == 2 and len(built) == len(isos)
+
+
+def test_hom_set_membership_matches_the_scan():
+    # x^2 + 2x + 2 + 2y over W(F4): the Frobenius twist moves the admissible
+    # betas, so membership must match the embedding as well as the digits
+    rn = residue_ring(make_dvr(F4, [[2, 2], 2, 1]), 3)
+    listed = set(scan_homs(rn, rn))
+    homs = HomSet(rn, rn)
+    for psi in embeddings(F4, F4):
+        for beta in enumerate_elements(rn):
+            phi = ResidueHom(rn, rn, psi, beta)
+            assert (phi in homs) == (phi in listed)
+            assert (phi in homs.isos()) == (phi in listed and beta.val_units() == 1)
+
+
+def test_hom_set_searches_only_when_asked(monkeypatch):
+    searches = []
+
+    def spy(*args):
+        searches.append(args)
+        return _ball_search(*args)
+
+    monkeypatch.setattr(homlift, "_ball_search", spy)
+    # Z3[sqrt 3] at n = 2: the ball 0 + m of betas is split for the isos
+    rn = residue_ring(Z3_SQRT3, 2)
+    homs = HomSet(rn, rn)
+    isos = homs.isos()
+    assert searches == []
+    assert isos.count() == 2 and len(searches) == 1
+    assert homs.count() == 3 and len(searches) == 2
+    phi = next(iter(isos))
+    assert phi in isos and phi in homs and len(searches) == 5
+    zero = [h for h in homs if h.beta.val_units() > 1]
+    assert len(zero) == 1 and zero[0] in homs and zero[0] not in isos
+    assert phi not in HomSet(rn, residue_ring(Z3_SQRT3, 3)).isos()
+    assert len(searches) == 8
 
 
 # -- lifting through beta's Krasner ball -----------------------------------------

@@ -4,13 +4,15 @@ runs break, and the CLI must call the command bound under that name when it
 runs.  Importing ramlift stays free of code-generation modules, and running
 a command loads no argparse, gettext or locale; the library holds no assert
 statement, which python -O would strip, and it reads the environment in one
-place."""
+place.  Git tracks no file that .gitignore lists."""
 
 import ast
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "ramlift"
@@ -158,3 +160,18 @@ def test_environment_read_only_by_enumeration_cap():
     allowed = [r for r in reads if r[:2] == ("resfield.py", "enumeration_cap")]
     assert allowed
     assert [r for r in reads if r not in allowed] == []
+
+
+def test_git_tracks_no_ignored_file():
+    """A file listed in .gitignore but still tracked (a stale artifact) is
+    shipped by git archive.  Skipped outside a git checkout, such as an
+    archive copy."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        proc = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"], cwd=root,
+                              capture_output=True, text=True, timeout=60)
+    except FileNotFoundError:
+        pytest.skip("git is not installed")
+    if proc.returncode != 0 or not (root / ".git").exists():
+        pytest.skip("not a git checkout")
+    assert proc.stdout.splitlines() == []
