@@ -40,13 +40,7 @@ from .homlift import (
     project_hom,
     residue_hom,
 )
-from .ramification import (
-    different_val,
-    discriminant_val,
-    generic_bounds,
-    krasner_bound,
-    lift_precision_bound,
-)
+from .ramification import generic_bounds, lift_precision_bound, ramification_report
 from .resfield import FieldEmbedding, enumeration_cap, eval_poly
 
 
@@ -152,18 +146,18 @@ def _as_text(payload, indent: int = 0) -> str:
 
 
 def ring_summary(R) -> dict:
-    rep_m = krasner_bound(R)
+    rep = ramification_report(R)
     spec = ring_spec_to_json(R)
     return {
         "p": R.p,
         "q": R.q,
-        "e": R.e,
+        "e": rep.e,
         "eisenstein": spec["eisenstein"],
         "residue": spec["residue"],
-        "tame": R.e % R.p != 0,
-        "M": str(rep_m),
-        "different": different_val(R),
-        "discriminant": discriminant_val(R),
+        "tame": rep.tame,
+        "M": str(rep.M),
+        "different": rep.different_val,
+        "discriminant": rep.discriminant_val,
         "lift_precision_bound_self": lift_precision_bound(R, R.e),
     }
 

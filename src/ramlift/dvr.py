@@ -8,11 +8,11 @@ flat integers, which only _reduce_mod_f reads, the residue of -w^-1 for the
 unit w with a_0 = p*w, the powers of pi and the Teichmuller lifts of the
 digits; d = 1 is the plain integer case.  Every product, pi and its powers
 included, is reduced by f in _reduce_mod_f alone.
-WittElem values appear only at the public boundary (from_witt, element,
-minimal_polynomial) and as the value of ExactWittCoeff.materialize, the
-one way an exact coefficient becomes integers mod p^M (a "t:" digit list
-through witt's Teichmuller sum, from_digits); the reduction mod g(y) is
-witt's _yreduce.
+WittElem values appear only as the value of ExactWittCoeff.materialize,
+the one way an exact coefficient becomes integers mod p^M (a "t:" digit
+list through witt's Teichmuller sum, from_digits), and as the Teichmuller
+lifts that the term tables take apart into coordinates; the reduction mod
+g(y) is witt's _yreduce.
 
 Pi-adic Teichmuller digits are the canonical text form; an element reads
 its n digits once and keeps them.  The n-th residue rings R/m^n are finite
@@ -62,9 +62,7 @@ from .errors import (
 )
 from .record import Record, set_field
 from .resfield import FieldSpec, FqElem, enumeration_cap, make_field, power
-from .witt import (
-    WittElem, WittRingSpec, _vp_int, _yreduce, from_digits, make_witt, teichmuller, witt_unit_inv,
-)
+from .witt import WittElem, WittRingSpec, _vp_int, _yreduce, from_digits, make_witt, teichmuller
 
 GUARD_DIGITS = 2
 BLOCK_KEYS = 1024  # the most keys a digit chunk table may hold (q^w <= this)
@@ -231,19 +229,9 @@ class DvrSpec(Record):
         ctx = _context(self, n)
         return DvrElem(ctx, (c % ctx.mod,) + (0,) * (ctx.size - 1))
 
-    def from_witt(self, w_elem: WittElem, n: int) -> "DvrElem":
-        ctx = _context(self, n)
-        head = ctx.wspec.from_coeffs(w_elem.coeffs).coeffs
-        return DvrElem(ctx, head + (0,) * (ctx.size - ctx.d))
-
     def uniformizer(self, n: int) -> "DvrElem":
         ctx = _context(self, n)
         return DvrElem(ctx, ctx.pi)
-
-    def element(self, witt_coeff_vectors, n: int) -> "DvrElem":
-        ctx = _context(self, n)
-        flat = [c for v in witt_coeff_vectors for c in ctx.wspec.from_coeffs(v).coeffs]
-        return DvrElem(ctx, tuple(flat) + (0,) * (ctx.size - len(flat)))
 
 
 def make_dvr(k: FieldSpec, f) -> DvrSpec:
@@ -642,16 +630,6 @@ class DvrElem:
         self._val = None
         self._digits = None
 
-    @property
-    def wspec(self) -> WittRingSpec:
-        return self.ctx.wspec
-
-    @property
-    def coeffs(self) -> tuple:
-        """The power-basis coefficients as WittElem values."""
-        d, w = self.ctx.d, self.ctx.wspec
-        return tuple(WittElem(w, self.v[j * d:(j + 1) * d]) for j in range(self.ctx.e))
-
     def __repr__(self):
         d = self.ctx.d
         return f"DvrElem({[list(self.v[j * d:(j + 1) * d]) for j in range(self.ctx.e)]} mod m^{self.n})"
@@ -770,57 +748,6 @@ def parse_dvr_elem_text(ring: DvrSpec, s: str) -> DvrElem:
             digits = [_parse_fq_text(ring.k, t) for t in _split_digit_list(body)]
             return from_pi_digits(digits, ring)
     raise ValueError(f"cannot parse element text {s!r}")
-
-
-# ---------------------------------------------------------------------------
-# minimal polynomial of a uniformizer (used for uniformizer-invariance checks)
-
-
-def minimal_polynomial(x: DvrElem):
-    """Monic degree-e relation satisfied by x over W(k), solved from the
-    power-basis coordinates of 1, x, ..., x^e at x's working precision.
-
-    Returns the list [c_0, ..., c_{e-1}] of WittElem coefficients; they are
-    exact only modulo p^Mc, so downstream consumers work with valuation
-    lower bounds.
-    """
-    spec = x.ring
-    e = spec.e
-    wspec = x.wspec
-    powers = []
-    cur = spec.one(x.n)
-    for _ in range(e + 1):
-        powers.append([wspec.from_coeffs(c.coeffs) for c in cur.coeffs])
-        cur = cur * x
-    # solve sum_r c_r x^r = -x^e coordinatewise over W/p^Mc
-    rows = e
-    mat = [[powers[r][i] for r in range(e)] for i in range(rows)]
-    rhs = [-powers[e][i] for i in range(rows)]
-    sol = [None] * e
-    used_rows = []
-    for col in range(e):
-        pivot_row = None
-        for i in range(rows):
-            if i in used_rows:
-                continue
-            if mat[i][col].is_unit():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise InsufficientPrecision("no unit pivot while deriving the minimal polynomial")
-        used_rows.append(pivot_row)
-        inv = witt_unit_inv(mat[pivot_row][col])
-        mat[pivot_row] = [m * inv for m in mat[pivot_row]]
-        rhs[pivot_row] = rhs[pivot_row] * inv
-        for i in range(rows):
-            if i != pivot_row and not mat[i][col].is_zero():
-                factor = mat[i][col]
-                mat[i] = [m - factor * mp for m, mp in zip(mat[i], mat[pivot_row])]
-                rhs[i] = rhs[i] - factor * rhs[pivot_row]
-    # back-substitute: each used row now has a single leading column
-    for col, row in zip(range(e), used_rows):
-        sol[col] = rhs[row]
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dvr import DvrElem, DvrSpec, ValInfo, minimal_polynomial
+from .dvr import DvrSpec, ValInfo
 from .errors import InconsistentResult, InvalidArgument, NotPrime, PrecisionTooLow
 from .record import Record, set_field
 from .resfield import is_prime
@@ -124,42 +124,13 @@ def _spec_coeff_vals(R: DvrSpec):
 @lru_cache(maxsize=1024)
 def krasner_bound(R: DvrSpec) -> Fraction:
     """M(R): the largest normalized valuation of a difference pi - sigma(pi)
-    over nontrivial conjugates of the uniformizer; 0 for e = 1, where the
-    maximum is empty."""
-    if R.e == 1:
+    over nontrivial conjugates of the uniformizer, the maximal slope of the
+    Newton polygon of f(pi+T)/T; 0 for e = 1, where the maximum is empty."""
+    e = R.e
+    if e == 1:
         return Fraction(0)
-    return _krasner_from_coeff_vals(_spec_coeff_vals(R), R.e, R.p)
-
-
-def _krasner_from_coeff_vals(a_vals, e: int, p: int, exactness=None) -> Fraction:
-    """Maximal polygon slope of f(pi+T)/T given f's coefficient valuations.
-
-    exactness, when given, marks which of a_vals are mere lower bounds.  The
-    terms of each minimum are pairwise distinct, so a minimum is exact
-    exactly when the exact terms alone reach it.
-    """
-    shifted = _shifted_coeff_vals(a_vals, e, p)
-    if exactness is None:
-        exact_only = shifted
-    else:
-        exact_only = _shifted_coeff_vals(
-            [v if ex else None for v, ex in zip(a_vals, exactness)], e, p)
-    vals = [ValInfo(None if v is None else Fraction(v, e), v == w)
-            for v, w in zip(shifted, exact_only)]
-    return newton_polygon(vals).max_slope()
-
-
-def krasner_bound_of_uniformizer(x: DvrElem) -> Fraction:
-    """Recompute M by re-deriving the minimal polynomial of an alternative
-    uniformizer x; coefficient valuations are read at working precision and
-    carried as lower bounds where they are not settled."""
-    spec = x.ring
-    if spec.e == 1:
-        return Fraction(0)
-    coeffs = minimal_polynomial(x)
-    a_vals = [c.p_val() for c in coeffs]
-    exactness = [v < c.ring.M for v, c in zip(a_vals, coeffs)]
-    return _krasner_from_coeff_vals(a_vals, spec.e, spec.p, exactness)
+    shifted = _shifted_coeff_vals(_spec_coeff_vals(R), e, R.p)
+    return newton_polygon([None if v is None else Fraction(v, e) for v in shifted]).max_slope()
 
 
 def deriv_val_at_uniformizer(a_vals, e: int, p: int) -> int:

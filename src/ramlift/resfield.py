@@ -38,9 +38,12 @@ def enumeration_cap() -> int:
     if not value:
         return DEFAULT_ENUM_CAP
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
         raise InvalidSetting(f"RAMLIFT_ENUM_CAP must be an integer, got {value!r}") from None
+    if cap < 0:
+        raise InvalidSetting(f"RAMLIFT_ENUM_CAP must not be negative, got {value!r}")
+    return cap
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound

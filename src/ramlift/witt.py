@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .errors import InconsistentResult, InvalidArgument, NotAUnit, NotDivisible, RingMismatch
+from .errors import InvalidArgument, NotAUnit, NotDivisible, RingMismatch
 from .record import Record, set_field
 from .resfield import FieldSpec, FieldEmbedding, FqElem, power
 
@@ -195,29 +195,18 @@ def witt_unit_inv(a: WittElem) -> WittElem:
 
 @lru_cache(maxsize=65536)
 def teichmuller(a: FqElem, ring: WittRingSpec) -> WittElem:
-    """The unique multiplicative representative of a in W(k)/p^M.
-
-    For d = 1 it is c^(p^(M-1)) mod p^M for the integer c of a: x = y mod
-    p^i gives x^p = y^p mod p^(i+1), so raising c and the lift, which are
-    equal mod p, to the p^(M-1)-th power makes them equal mod p^M.  For
-    d > 1 it is computed by iterating x -> x^(p^d) from the coordinate lift
-    of a until the value is fixed mod p^M; the iteration gains at least one
-    correct p-digit per step, so the cap converts nontermination into a
-    detectable bug.
-    """
+    """The unique multiplicative representative of a in W(k)/p^M: c^(q^m)
+    for the coordinate lift c of a and m = ceil((M-1)/d) (Serre, Local
+    Fields, II §4).  x = y mod p^i gives x^p = y^p mod p^(i+1), so c and the
+    representative t, equal mod p, have q^m-th powers equal mod p^(1+d*m);
+    and t^q = t.  For d = 1 the power is taken by the builtin pow on the
+    integer c."""
     if a.field != ring.k:
         raise RingMismatch("element not in the residue field of this ring")
+    power_of_q = ring.k.q ** -(-(ring.M - 1) // ring.d)
     if ring.d == 1:
-        return ring.from_int(pow(a.coeffs[0], ring.p ** (ring.M - 1), ring.modulus))
-    q = ring.p ** ring.d
-    x = ring.from_coeffs(a.coeffs)
-    cap = ring.M * ring.d * max(1, (ring.p ** ring.M).bit_length())
-    for _ in range(cap):
-        nxt = x ** q
-        if nxt == x:
-            return x
-        x = nxt
-    raise InconsistentResult("Teichmuller iteration failed to stabilize")
+        return ring.from_int(pow(a.coeffs[0], power_of_q, ring.modulus))
+    return ring.from_coeffs(a.coeffs) ** power_of_q
 
 
 def teich_digits(x: WittElem) -> tuple:
@@ -245,11 +234,6 @@ def from_digits(digits, ring: WittRingSpec) -> WittElem:
             acc = acc + teichmuller(a, ring) * ring.from_int(pw)
         pw *= ring.p
     return acc
-
-
-def witt_elem_text(x: WittElem) -> str:
-    """Digit string "t:a_0,a_1,...,a_{M-1}" in the field's coefficient form."""
-    return "t:" + ",".join(a.text() for a in teich_digits(x))
 
 
 class WittMap:

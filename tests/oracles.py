@@ -21,22 +21,33 @@ WittElem arithmetic, instead of reading them off one coefficient each.  The
 digit-by-digit oracle reads them off one coefficient block each, as the
 chunk tables of the library do, but one digit at a time and with no table
 of chunks.
+
+The uniformizer oracle recomputes M(R) from the minimal polynomial of
+another uniformizer, solved in WittElem arithmetic at working precision,
+whose coefficient valuations are only lower bounds where the solution
+vanishes; the library reads M(R) off the exact coefficients of f.  The
+element constructors build ring elements from WittElem coordinates, which
+the library never does.
 """
 
 import itertools
+from fractions import Fraction
 from operator import sub
 
 import sympy
 
 from ramlift.dvr import (
+    _context,
     _digit_at,
     DvrElem,
     ResidueRingSpec,
+    ValInfo,
     enumerate_elements,
     from_pi_digits,
     pi_digits,
     residue_ring,
 )
+from ramlift.errors import InsufficientPrecision
 from ramlift.homlift import (
     ResidueHom,
     _beta_admissible,
@@ -45,8 +56,95 @@ from ramlift.homlift import (
     _materialize_poly,
     _normalize_poly,
 )
+from ramlift.ramification import _shifted_coeff_vals, newton_polygon
 from ramlift.resfield import embeddings
-from ramlift.witt import make_witt, teichmuller, witt_unit_inv
+from ramlift.witt import make_witt, teich_digits, teichmuller, witt_unit_inv
+
+
+def from_witt(R, w, n: int) -> DvrElem:
+    """The element w of W(k) in R at precision n."""
+    ctx = _context(R, n)
+    head = ctx.wspec.from_coeffs(w.coeffs).coeffs
+    return DvrElem(ctx, head + (0,) * (ctx.size - ctx.d))
+
+
+def element(R, vectors, n: int) -> DvrElem:
+    """sum_j c_j x^j in R at precision n, for the coordinate vectors c_j."""
+    ctx = _context(R, n)
+    flat = [c for v in vectors for c in ctx.wspec.from_coeffs(v).coeffs]
+    return DvrElem(ctx, tuple(flat) + (0,) * (ctx.size - len(flat)))
+
+
+def witt_elem_text(x) -> str:
+    """Digit string "t:a_0,a_1,...,a_{M-1}" in the field's coefficient form."""
+    return "t:" + ",".join(a.text() for a in teich_digits(x))
+
+
+def minimal_polynomial(x: DvrElem):
+    """Monic degree-e relation satisfied by x over W(k), solved from the
+    power-basis coordinates of 1, x, ..., x^e at x's working precision.
+
+    Returns the list [c_0, ..., c_{e-1}] of WittElem coefficients; they are
+    exact only modulo p^Mc, so downstream consumers work with valuation
+    lower bounds.
+    """
+    spec = x.ring
+    e, d = spec.e, spec.d
+    wspec = x.ctx.wspec
+    powers = []
+    cur = spec.one(x.n)
+    for _ in range(e + 1):  # the power-basis coefficients of x^r
+        powers.append([wspec.from_coeffs(cur.v[j * d:(j + 1) * d]) for j in range(e)])
+        cur = cur * x
+    # solve sum_r c_r x^r = -x^e coordinatewise over W/p^Mc
+    rows = e
+    mat = [[powers[r][i] for r in range(e)] for i in range(rows)]
+    rhs = [-powers[e][i] for i in range(rows)]
+    sol = [None] * e
+    used_rows = []
+    for col in range(e):
+        pivot_row = None
+        for i in range(rows):
+            if i in used_rows:
+                continue
+            if mat[i][col].is_unit():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            raise InsufficientPrecision("no unit pivot while deriving the minimal polynomial")
+        used_rows.append(pivot_row)
+        inv = witt_unit_inv(mat[pivot_row][col])
+        mat[pivot_row] = [m * inv for m in mat[pivot_row]]
+        rhs[pivot_row] = rhs[pivot_row] * inv
+        for i in range(rows):
+            if i != pivot_row and not mat[i][col].is_zero():
+                factor = mat[i][col]
+                mat[i] = [m - factor * mp for m, mp in zip(mat[i], mat[pivot_row])]
+                rhs[i] = rhs[i] - factor * rhs[pivot_row]
+    # back-substitute: each used row now has a single leading column
+    for col, row in zip(range(e), used_rows):
+        sol[col] = rhs[row]
+    return sol
+
+
+def krasner_bound_of_uniformizer(x: DvrElem) -> Fraction:
+    """Recompute M by re-deriving the minimal polynomial of an alternative
+    uniformizer x; coefficient valuations are read at working precision and
+    carried as lower bounds where they are not settled.  The terms of each
+    minimum in _shifted_coeff_vals are pairwise distinct, so a minimum is
+    exact exactly when the exact terms alone reach it."""
+    spec = x.ring
+    e, p = spec.e, spec.p
+    if e == 1:
+        return Fraction(0)
+    coeffs = minimal_polynomial(x)
+    a_vals = [c.p_val() for c in coeffs]
+    exact_vals = [v if v < c.ring.M else None for v, c in zip(a_vals, coeffs)]
+    shifted = _shifted_coeff_vals(a_vals, e, p)
+    exact_only = _shifted_coeff_vals(exact_vals, e, p)
+    vals = [ValInfo(None if v is None else Fraction(v, e), v == w)
+            for v, w in zip(shifted, exact_only)]
+    return newton_polygon(vals).max_slope()
 
 
 def scan_homs(src: ResidueRingSpec, tgt: ResidueRingSpec):
@@ -110,7 +208,7 @@ def digit_route_apply(psi, digits, beta: DvrElem) -> DvrElem:
     wspec = R.wspec(n)
     acc, power = R.zero(n), R.one(n)
     for a in digits:
-        acc = acc + R.from_witt(teichmuller(psi(a), wspec), n) * power
+        acc = acc + from_witt(R, teichmuller(psi(a), wspec), n) * power
         power = power * beta
     return acc
 
@@ -209,7 +307,7 @@ def _expressions(rn, elems, index, add, mul):
     one = index[rn.one()]
     zero = index[rn.zero()]
     wspec = spec.wspec(rn.n)
-    gen = index[project(spec.from_witt(teichmuller(spec.k.generator(), wspec), rn.n), rn.n)]
+    gen = index[project(from_witt(spec, teichmuller(spec.k.generator(), wspec), rn.n), rn.n)]
     pi = index[project(spec.uniformizer(rn.n), rn.n)]
     exprs = {}
     order = []

@@ -7,7 +7,13 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import exhaustive_homs_as_tables, hom_as_table
+from oracles import (
+    element,
+    exhaustive_homs_as_tables,
+    from_witt,
+    hom_as_table,
+    krasner_bound_of_uniformizer,
+)
 from ramlift.dvr import (
     enumerate_elements,
     from_pi_digits,
@@ -33,7 +39,6 @@ from ramlift.ramification import (
     discriminant_val,
     generic_bounds,
     krasner_bound,
-    krasner_bound_of_uniformizer,
     lift_precision_bound,
     nu_of_e,
 )
@@ -220,8 +225,8 @@ def test_criterion_9_property_suites():
     for spec, n in [(Z3_SQRT3, 6), (Z2_SQRT10, 8), (Z3_CBRT3, 6), (make_dvr(F9, [[-3, 0], [0, 0], 1]), 4)]:
         mod = spec.p ** spec.coeff_precision(n)
         for _ in range(50):
-            x = spec.element(
-                [[rng.randrange(mod) for _ in range(spec.d)] for _ in range(spec.e)], n
+            x = element(
+                spec, [[rng.randrange(mod) for _ in range(spec.d)] for _ in range(spec.e)], n
             )
             assert from_pi_digits(pi_digits(x, n), spec, n) == x
             count += 1
@@ -232,8 +237,8 @@ def test_criterion_9_property_suites():
     for _ in range(200):
         n = 8
         mod = Z3_SQRT3.p ** Z3_SQRT3.coeff_precision(n)
-        x = Z3_SQRT3.element([[rng.randrange(mod)], [rng.randrange(mod)]], n)
-        y = Z3_SQRT3.element([[rng.randrange(mod)], [rng.randrange(mod)]], n)
+        x = element(Z3_SQRT3, [[rng.randrange(mod)], [rng.randrange(mod)]], n)
+        y = element(Z3_SQRT3, [[rng.randrange(mod)], [rng.randrange(mod)]], n)
         vx, vy = x.valuation(), y.valuation()
         vp = (x * y).valuation()
         if vx.exact and vy.exact and (vx.value + vy.value) < (x * y).n:
@@ -252,9 +257,9 @@ def test_criterion_9_property_suites():
         nonzero = [a for a in spec.k.elements() if not a.is_zero()]
         wspec = spec.wspec(n)
         for _ in range(50):
-            unit = spec.from_witt(teichmuller(rng.choice(nonzero), wspec), n)
+            unit = from_witt(spec, teichmuller(rng.choice(nonzero), wspec), n)
             mod = spec.p ** spec.coeff_precision(n)
-            tail = spec.element([[rng.randrange(mod)] for _ in range(spec.e)], n)
+            tail = element(spec, [[rng.randrange(mod)] for _ in range(spec.e)], n)
             assert krasner_bound_of_uniformizer(unit * pi + pi * pi * tail) == m
             count += 1
     cases["uniformizer_invariance"] = count
@@ -289,12 +294,12 @@ def test_criterion_9_property_suites():
     ]:
         wsrc, wtgt = src.ring.wspec(src.n), tgt.ring.wspec(tgt.n)
         teich_set = {
-            project(tgt.ring.from_witt(teichmuller(mu, wtgt), tgt.n), tgt.n)
+            project(from_witt(tgt.ring, teichmuller(mu, wtgt), tgt.n), tgt.n)
             for mu in tgt.ring.k.elements()
         }
         for phi in enumerate_homs(src, tgt):
             for lam in src.ring.k.elements():
-                pure = project(src.ring.from_witt(teichmuller(lam, wsrc), src.n), src.n)
+                pure = project(from_witt(src.ring, teichmuller(lam, wsrc), src.n), src.n)
                 assert phi.apply(pure) in teich_set
                 count += 1
     cases["teich_preservation"] = count

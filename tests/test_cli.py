@@ -114,11 +114,12 @@ def test_homs_huge_length_exit_3(capsys, monkeypatch):
         raise AssertionError("searched")
 
     monkeypatch.setattr(homlift, "_ball_search", no_search)
-    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "not-a-number")
-    rc, out, err = run(capsys, "homs", S3, S3, "1", "100000", "--iso")
-    assert (rc, out, err) == (0, "[]\n", "")
-    rc, out, err = run(capsys, "homs", S3, S3, "1", "100000", "--iso", "--count")
-    assert (rc, json.loads(out), err) == (0, {"count": 0}, "")
+    for bad in ("not-a-number", "-5"):
+        monkeypatch.setenv("RAMLIFT_ENUM_CAP", bad)
+        rc, out, err = run(capsys, "homs", S3, S3, "1", "100000", "--iso")
+        assert (rc, out, err) == (0, "[]\n", "")
+        rc, out, err = run(capsys, "homs", S3, S3, "1", "100000", "--iso", "--count")
+        assert (rc, json.loads(out), err) == (0, {"count": 0}, "")
 
 
 def test_lift_identity(capsys):
@@ -422,11 +423,13 @@ def test_unramified_lift_over_a_field_past_the_cap_answers():
     ("hasroot", S3, "x^2-3"),
 ], ids=["homs-count", "lift", "hasroot"])
 def test_bad_enum_cap_exit_2_in_every_search(monkeypatch, argv):
-    # a child process starts with cold caches, so each command reads the cap
-    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "abc")
-    proc = _run_limited(*argv, timeout=20)
-    _one_line_exit_2(proc.returncode, proc.stderr)
-    assert "RAMLIFT_ENUM_CAP" in proc.stderr
+    # a child process starts with cold caches, so each command reads the cap;
+    # a negative cap is refused as a non-integer one is
+    for bad in ("abc", "-5"):
+        monkeypatch.setenv("RAMLIFT_ENUM_CAP", bad)
+        proc = _run_limited(*argv, timeout=20)
+        _one_line_exit_2(proc.returncode, proc.stderr)
+        assert "RAMLIFT_ENUM_CAP" in proc.stderr
 
 
 _NINES = "9" * 5000  # beyond the interpreter's limit for int(str)

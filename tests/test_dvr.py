@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import digit_by_digit_digits, digit_route_op, divide_by_pi_digits, flat_ring_op
+from oracles import (
+    digit_by_digit_digits,
+    digit_route_op,
+    divide_by_pi_digits,
+    element,
+    flat_ring_op,
+    minimal_polynomial,
+)
 from ramlift import dvr
 from ramlift.dvr import (
     ResidueElt,
@@ -13,7 +20,6 @@ from ramlift.dvr import (
     enumerate_elements,
     from_pi_digits,
     make_dvr,
-    minimal_polynomial,
     parse_dvr_elem_text,
     parse_ring_spec,
     pi_digits,
@@ -109,7 +115,7 @@ def test_digit_roundtrip_random(spec, n):
     mod = spec.p ** spec.coeff_precision(n)
     for _ in range(100):
         vectors = [[rng.randrange(mod) for _ in range(spec.d)] for _ in range(spec.e)]
-        x = spec.element(vectors, n)
+        x = element(spec, vectors, n)
         assert from_pi_digits(pi_digits(x, n), spec, n) == x
 
 
@@ -120,7 +126,7 @@ def test_digit_roundtrip_f9_base():
     mod = spec.p ** spec.coeff_precision(n)
     for _ in range(100):
         vectors = [[rng.randrange(mod) for _ in range(spec.d)] for _ in range(spec.e)]
-        x = spec.element(vectors, n)
+        x = element(spec, vectors, n)
         assert from_pi_digits(pi_digits(x, n), spec, n) == x
 
 
@@ -136,8 +142,8 @@ def test_valuation_axioms_random():
     n = 8
     mod = spec.p ** spec.coeff_precision(n)
     for _ in range(200):
-        x = spec.element([[rng.randrange(mod)], [rng.randrange(mod)]], n)
-        y = spec.element([[rng.randrange(mod)], [rng.randrange(mod)]], n)
+        x = element(spec, [[rng.randrange(mod)], [rng.randrange(mod)]], n)
+        y = element(spec, [[rng.randrange(mod)], [rng.randrange(mod)]], n)
         vx, vy = x.valuation(), y.valuation()
         prod = x * y
         vp = prod.valuation()
@@ -160,8 +166,8 @@ def test_ring_mismatch():
 
 def test_equality_is_digit_canonical():
     n = 3
-    x = Z3_SQRT3.element([[5], [7]], n)
-    assert x == Z3_SQRT3.element([[5], [7]], n)
+    x = element(Z3_SQRT3, [[5], [7]], n)
+    assert x == element(Z3_SQRT3, [[5], [7]], n)
     # perturbation of valuation >= n does not change the element mod m^n
     high = (Z3_SQRT3.uniformizer(n + 2) ** n).reduce_to(n)
     assert x + high == x
@@ -170,7 +176,7 @@ def test_equality_is_digit_canonical():
     assert x + low != x
     # coordinates that differ above the working modulus give equal elements
     bump = Z3_SQRT3.p ** Z3_SQRT3.coeff_precision(n)
-    assert Z3_SQRT3.element([[5 + bump], [7]], n) == x
+    assert element(Z3_SQRT3, [[5 + bump], [7]], n) == x
 
 
 def test_residue_ring_cardinality():
@@ -196,7 +202,7 @@ def test_enumerate_too_large(monkeypatch):
 
 
 def test_project_between_truncates():
-    x = Z3_SQRT3.element([[4], [2]], 3)
+    x = element(Z3_SQRT3, [[4], [2]], 3)
     full = project(x, 3)
     cut = project_between(full, 2)
     assert cut.digits == full.digits[:2]
@@ -250,7 +256,7 @@ def test_minimal_polynomial_of_uniformizer_matches_f():
         n = 4 * spec.e
         pi = spec.uniformizer(n)
         coeffs = minimal_polynomial(pi)
-        w = pi.wspec
+        w = pi.ctx.wspec
         for got, exact in zip(coeffs, spec.coeffs):
             assert got == exact.materialize(w)
 
@@ -284,7 +290,7 @@ def test_deep_digit_roundtrip_guard_holds():
             vectors = [
                 [rng.randrange(mod) for _ in range(spec.d)] for _ in range(spec.e)
             ]
-            x = spec.element(vectors, n)
+            x = element(spec, vectors, n)
             assert from_pi_digits(pi_digits(x, n), spec, n) == x
 
 
@@ -310,7 +316,7 @@ def flat_cases(draw, dims=(1, 2)):
         n = draw(st.integers(1, 12))
         mod = p ** spec.coeff_precision(n)
         flat = draw(st.lists(st.integers(0, mod - 1), min_size=e * d, max_size=e * d))
-        elems.append(spec.element([flat[j * d:(j + 1) * d] for j in range(e)], n))
+        elems.append(element(spec, [flat[j * d:(j + 1) * d] for j in range(e)], n))
     return spec, elems[0], elems[1]
 
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     digit_route_apply,
+    element,
     exhaustive_homs_as_tables,
+    from_witt,
     hom_as_table,
     scan_certified_roots,
     scan_homs,
@@ -311,7 +313,7 @@ def test_materialize_poly_matches_the_witt_map_of_each_coefficient(case):
         poly = _materialize_poly((R1.coeffs, psi), R2, n)
         M = R2.coeff_precision(n)
         w_psi, w1 = WittMap(psi, M), make_witt(R1.k, M)
-        expected = tuple(R2.from_witt(w_psi(c.materialize(w1)), n).v for c in R1.coeffs)
+        expected = tuple(from_witt(R2, w_psi(c.materialize(w1)), n).v for c in R1.coeffs)
         assert poly.f == expected
 
 
@@ -444,12 +446,12 @@ def test_homs_preserve_teichmuller_classes():
         wsrc = src.ring.wspec(src.n)
         wtgt = tgt.ring.wspec(tgt.n)
         teich_tgt = {
-            project(tgt.ring.from_witt(teichmuller(mu, wtgt), tgt.n), tgt.n)
+            project(from_witt(tgt.ring, teichmuller(mu, wtgt), tgt.n), tgt.n)
             for mu in tgt.ring.k.elements()
         }
         for phi in enumerate_homs(src, tgt):
             for lam in src.ring.k.elements():
-                pure = project(src.ring.from_witt(teichmuller(lam, wsrc), src.n), src.n)
+                pure = project(from_witt(src.ring, teichmuller(lam, wsrc), src.n), src.n)
                 assert phi.apply(pure) in teich_tgt
 
 
@@ -507,7 +509,7 @@ def test_lift_kras_selection_representative_independent():
     chosen = select_unique_root(roots, base, M1, R2.e)
     for _ in range(10):
         mod = R2.p ** R2.coeff_precision(prec)
-        noise = R2.element([[rng.randrange(mod)], [rng.randrange(mod)]], prec)
+        noise = element(R2, [[rng.randrange(mod)], [rng.randrange(mod)]], prec)
         alt = base + pi ** phi.target.n * noise
         again = select_unique_root(roots, alt.reduce_to(prec), M1, R2.e)
         assert pi_digits(again.elem, again.t) == pi_digits(chosen.elem, chosen.t)
@@ -798,7 +800,7 @@ def test_lift_frobenius_twisted_automorphism():
     assert pi_digits(g.rho, 4) == pi_digits(R.uniformizer(4), 4)
     # applying g to a Teichmuller constant applies frobenius to the digit
     wspec = R.wspec(4)
-    i_const = R.from_witt(teichmuller(F9.generator(), wspec), 4)
+    i_const = from_witt(R, teichmuller(F9.generator(), wspec), 4)
     img = g.apply(i_const)
     assert pi_digits(img, 1)[0] == frob(F9.generator())
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import element, from_witt, krasner_bound_of_uniformizer
 from ramlift.dvr import ValInfo, make_dvr
 from ramlift.errors import PrecisionTooLow
 from ramlift.ramification import (
@@ -10,7 +11,6 @@ from ramlift.ramification import (
     discriminant_val,
     generic_bounds,
     krasner_bound,
-    krasner_bound_of_uniformizer,
     lift_precision_bound,
     n0_threshold,
     newton_polygon,
@@ -30,6 +30,8 @@ Z2_SQRT2 = make_dvr(F2, [-2, 0, 1])
 Z2_SQRT10 = make_dvr(F2, [-10, 0, 1])
 Z3_CBRT3 = make_dvr(F3, [-3, 0, 0, 1])
 Z3_FLAT = make_dvr(F3, [-3, 1])
+W4_SQRT2 = make_dvr(make_field(2, 2), [-2, 0, 1])
+W9_CBRTM3 = make_dvr(make_field(3, 2, [1, 0, 1]), [3, 0, 0, 1])
 
 
 # -- newton polygon ----------------------------------------------------------
@@ -194,7 +196,7 @@ def test_quadratic_krasner_is_half_the_different():
 
 # -- uniformizer invariance ----------------------------------------------------
 
-@pytest.mark.parametrize("spec", [Z3_SQRT3, Z2_SQRT2, Z3_CBRT3, Z2_SQRT10])
+@pytest.mark.parametrize("spec", [Z3_SQRT3, Z2_SQRT2, Z3_CBRT3, Z2_SQRT10, W4_SQRT2, W9_CBRTM3])
 def test_krasner_uniformizer_invariance(spec):
     rng = random.Random(41)
     n = 6 * spec.e
@@ -204,10 +206,10 @@ def test_krasner_uniformizer_invariance(spec):
     for _ in range(10):
         u = rng.choice(nonzero)
         wspec = spec.wspec(n)
-        unit = spec.from_witt(teichmuller(u, wspec), n)
+        unit = from_witt(spec, teichmuller(u, wspec), n)
         mod = spec.p ** spec.coeff_precision(n)
-        tail = spec.element(
-            [[rng.randrange(mod)] * spec.d for _ in range(spec.e)], n
+        tail = element(
+            spec, [[rng.randrange(mod)] * spec.d for _ in range(spec.e)], n
         )
         pi2 = unit * pi + (pi * pi) * tail  # u*pi + higher order
         assert krasner_bound_of_uniformizer(pi2) == m

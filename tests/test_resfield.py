@@ -358,9 +358,13 @@ def test_roots_past_the_cap(monkeypatch):
     with pytest.raises(TooLarge, match="enumeration cap 8"):
         roots([1, 0, 1], F9)
     assert roots([1, 1], F9) == ((F9.from_int(-1), True),)
-    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "abc")  # read on every call
-    with pytest.raises(InvalidSetting, match="RAMLIFT_ENUM_CAP"):
-        roots([1, 1], F9)
+    for bad in ("abc", "-5"):  # read on every call; a negative cap is refused
+        monkeypatch.setenv("RAMLIFT_ENUM_CAP", bad)
+        with pytest.raises(InvalidSetting, match="RAMLIFT_ENUM_CAP"):
+            roots([1, 1], F9)
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "0")  # 0 is a cap like any other
+    with pytest.raises(TooLarge, match="enumeration cap 0"):
+        roots([1, 0, 1], F9)
 
 
 def test_embeddings_apply_the_cap_read_by_each_call(monkeypatch):

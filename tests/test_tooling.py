@@ -4,10 +4,12 @@ runs break, and the CLI must call the command bound under that name when it
 runs.  Importing ramlift stays free of code-generation modules, and running
 a command loads no argparse, gettext or locale; the library holds no assert
 statement, which python -O would strip, and it reads the environment in one
-place.  Git tracks no file that .gitignore lists."""
+place.  Git tracks no file that .gitignore lists.  The README's library
+quick start runs and prints the values its comments state."""
 
 import ast
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "ramlift"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _load(name, monkeypatch):
@@ -175,3 +178,24 @@ def test_git_tracks_no_ignored_file():
     if proc.returncode != 0 or not (root / ".git").exists():
         pytest.skip("not a git checkout")
     assert proc.stdout.splitlines() == []
+
+
+def test_readme_quick_start_states_its_values():
+    """Run the README's "Library quick start" block statement by statement:
+    every expression with a trailing comment evaluates to the value that the
+    comment opens with."""
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace, stated = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+            if comment:
+                stated.append((str(value), comment))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert [value for value, _ in stated] == ["1/2", "1", "3", "2", "[]", "(524288, 524288)"]
+    for value, comment in stated:
+        assert re.match(re.escape(value) + r"(?![\w/])", comment), (value, comment)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import witt_elem_text
 from ramlift.errors import NotAUnit, RingMismatch
 from ramlift.resfield import embeddings, frobenius, identity_embedding, make_field, pth_root
 from ramlift.witt import (
@@ -11,7 +12,6 @@ from ramlift.witt import (
     make_witt,
     teich_digits,
     teichmuller,
-    witt_elem_text,
     witt_unit_inv,
 )
 
@@ -75,7 +75,7 @@ def test_teichmuller_generator_of_f9():
     assert teichmuller(i, W9) == W9.from_coeffs([0, 1])
 
 
-@pytest.mark.parametrize("p,d,M", [(3, 1, 4), (5, 1, 3), (2, 1, 6), (3, 2, 3)])
+@pytest.mark.parametrize("p,d,M", [(3, 1, 4), (5, 1, 3), (2, 1, 6), (3, 2, 3), (2, 2, 5), (2, 3, 3)])
 def test_teichmuller_closed_form_oracle(p, d, M):
     # the definition, by search: the representative of a is the one lift
     # t = a + p*j (j over all coordinate vectors mod p^(M-1)) with t^q = t
