@@ -10,14 +10,23 @@ positional; after "--" every word is.  Options are spelt out in full:
 no abbreviation is accepted.  -h/--help prints usage on stdout.
 
 Output is JSON (sorted keys, so runs are byte-identical) unless --text asks
-for human-readable tables.  Exit codes: 0 success and help, 2 input error
+for human-readable tables.  Exit codes: 0 success and help, 1 a demo
+fixture that does not PASS (its record still printed), 2 input error
 (usage errors included, each one line on stderr), 3 resource cap, 4
-precondition violation.
+precondition violation, 120 output that cannot be written, 141 output
+closed by its reader (a broken pipe); the last two print one line on
+stderr, if it can be written, and no traceback.
+
+A process runs ``run``, which ends it with os._exit once main has returned
+and stdout and stderr are flushed: the interpreter's teardown of every
+loaded module is skipped, since ramlift leaves it nothing to do.  main
+itself only returns its exit code, so it can be called in-process.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -32,7 +41,7 @@ from .dvr import (
     residue_ring,
     ring_spec_to_json,
 )
-from .errors import PreconditionBound, RamliftError, TooLarge
+from .errors import PreconditionBound, RamliftError, TooLarge, too_many_digits
 from .homlift import (
     HomSet,
     has_root,
@@ -59,11 +68,7 @@ def _load_json_arg(text: str):
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer beyond the interpreter's digit limit
-        raise InputError(f"not valid JSON: {_too_many_digits()}") from exc
-
-
-def _too_many_digits() -> str:
-    return f"integer literals are limited to {sys.get_int_max_str_digits()} digits"
+        raise InputError(f"not valid JSON: {too_many_digits()}") from exc
 
 
 def _int_literal(digits: str, what: str = "") -> int:
@@ -74,7 +79,7 @@ def _int_literal(digits: str, what: str = "") -> int:
     except ValueError:
         pass
     if 0 < sys.get_int_max_str_digits() < len(digits):
-        raise InputError(what + _too_many_digits())
+        raise InputError(what + too_many_digits())
     raise InputError(f"{what}invalid int value: {digits!r}")
 
 
@@ -358,5 +363,36 @@ def main(argv=None) -> int:
     return 0
 
 
+# a shell reports 141 for a process killed by SIGPIPE, and CPython exits
+# 120 when it cannot flush stdout at exit
+BROKEN_PIPE = 141
+WRITE_FAILED = 120
+
+
+def run(argv=None):
+    """The process entry point: main's exit code ends the process, by
+    os._exit once stdout and stderr (each unless None, as under >&-) are
+    flushed.  Output that cannot be written, to a reader that closed it
+    (BROKEN_PIPE) or for another reason (WRITE_FAILED), exits with one
+    line on stderr; any other exception escaping main exits as usual,
+    with its traceback and code 1."""
+    why = None
+    try:
+        code = main(argv)
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except BrokenPipeError:
+        code, why = BROKEN_PIPE, "output closed by its reader (broken pipe)"
+    except OSError as exc:
+        code, why = WRITE_FAILED, f"cannot write the output: {exc.strerror or exc}"
+    if why is not None and sys.stderr is not None:
+        try:
+            print(f"error: {why}", file=sys.stderr, flush=True)
+        except OSError:  # stderr cannot be written either
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

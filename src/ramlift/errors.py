@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all ramlift modules."""
+"""Exception hierarchy shared by all ramlift modules, and the message that
+names an integer literal past the interpreter's digit limit."""
+
+import sys
+
+
+def too_many_digits() -> str:
+    """Names the digit limit instead of echoing the over-long literal."""
+    return f"integer literals are limited to {sys.get_int_max_str_digits()} digits"
 
 
 class RamliftError(Exception):

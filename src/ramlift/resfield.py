@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from functools import lru_cache
 from operator import mul
 
@@ -27,6 +28,7 @@ from .errors import (
     NotPrime,
     Reducible,
     TooLarge,
+    too_many_digits,
 )
 from .record import Record, set_field
 
@@ -40,6 +42,8 @@ def enumeration_cap() -> int:
     try:
         cap = int(value)
     except ValueError:
+        if 0 < sys.get_int_max_str_digits() < len(value):
+            raise InvalidSetting(f"RAMLIFT_ENUM_CAP: {too_many_digits()}") from None
         raise InvalidSetting(f"RAMLIFT_ENUM_CAP must be an integer, got {value!r}") from None
     if cap < 0:
         raise InvalidSetting(f"RAMLIFT_ENUM_CAP must not be negative, got {value!r}")

@@ -1,5 +1,9 @@
 import json
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +276,108 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stdout)["status"] == "PASS"
 
 
+# A process ends by os._exit, which writes no buffer: these children drop
+# PYTHONUNBUFFERED, so stdout to a file or a pipe is block-buffered and only
+# the entry point's flush can write it.
+
+
+def _buffered_env(unbuffered: bool = False) -> dict:
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONIOENCODING"] = "utf-8"
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _script_command() -> list:
+    """The installed ramlift command, as the wrapper that pip writes for
+    pyproject's [project.scripts] entry calls it."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, func = re.search(r'^ramlift = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
+_HOM_BELOW_BOUND = '{"psi":{"image_of_generator":[0]},"beta":"pi:0,1","n1":2,"n2":2}'
+
+
+@pytest.mark.parametrize("argv, rc", [
+    *((("demo", fid), 0) for fid in ["ex-2-13-1", "ex-2-13-2", "wild-2-2", "ex-4-12", "tame-atlas"]),
+    (("--text", "hasroot", S3, "x^2-3"), 0),
+    (("-h",), 0),
+    (("homs", S3, S3, "0", "3"), 2),
+    (("hasroot", S3, "x^99999999999"), 3),
+    (("lift", S3, SM3, _HOM_BELOW_BOUND, "4"), 4),
+], ids=["demo-ex-2-13-1", "demo-ex-2-13-2", "demo-wild-2-2", "demo-ex-4-12", "demo-tame-atlas",
+        "text-hasroot", "help", "exit-2", "exit-3", "exit-4"])
+def test_child_process_writes_what_main_returns(capsys, tmp_path, argv, rc):
+    code, out, err = run(capsys, *argv)
+    assert code == rc
+    with open(tmp_path / "stdout", "wb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "ramlift", *argv], stdout=fh,
+                              stderr=subprocess.PIPE, env=_buffered_env(), timeout=120)
+    assert proc.returncode == rc
+    assert (tmp_path / "stdout").read_bytes() == out.encode("utf-8")
+    assert len(proc.stderr.splitlines()) == len(err.splitlines())
+
+
+@pytest.mark.parametrize("entry", [["-m", "ramlift"], ["-m", "ramlift.cli"], "script"])
+def test_every_entry_point_flushes_and_exits_with_main(tmp_path, entry):
+    command = _script_command() if entry == "script" else entry
+    bounds = b'{"basarab_upper": 3, "e": 2, "lower": 3, "p": 3, "tame_exact": 3, "upper": 3}\n'
+    for argv, rc, out, err in ((["bounds", "3", "2"], 0, bounds, b""),
+                               (["bounds", "4", "2"], 2, b"", b"error: NotPrime: 4 is not prime\n")):
+        with open(tmp_path / "stdout", "wb") as fh:
+            proc = subprocess.run([sys.executable, *command, *argv], stdout=fh,
+                                  stderr=subprocess.PIPE, env=_buffered_env(), timeout=60)
+        assert (proc.returncode, (tmp_path / "stdout").read_bytes(), proc.stderr) == (rc, out, err)
+
+
+def test_run_skips_interpreter_teardown():
+    # an exit hook registered before run is part of the teardown it skips
+    code = ("import atexit, sys; from ramlift.cli import run; "
+            "atexit.register(print, 'torn down', file=sys.stderr); run()")
+    proc = subprocess.run([sys.executable, "-c", code, "bounds", "3", "2"], capture_output=True,
+                          env=_buffered_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["upper"] == 3
+
+
+def _closed_pipe() -> int:
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("open_stdout, rc, line", [
+    (_closed_pipe, 141, "error: output closed by its reader (broken pipe)"),
+    (lambda: os.open("/dev/full", os.O_WRONLY), 120, "error: cannot write the output: No space left on device"),
+], ids=["closed-pipe", "full-device"])
+def test_unwritable_stdout_exits_with_one_line(unbuffered, open_stdout, rc, line):
+    if open_stdout is not _closed_pipe and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    fd = open_stdout()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ramlift", "demo", "tame-atlas"], stdout=fd,
+                              stderr=subprocess.PIPE, env=_buffered_env(unbuffered), timeout=120)
+    finally:
+        os.close(fd)
+    assert (proc.returncode, proc.stderr.decode()) == (rc, line + "\n")
+
+
+@pytest.mark.parametrize("closed, other, want", [
+    (1, "stderr", b""),
+    (2, "stdout", b'{"basarab_upper": 3, "e": 2, "lower": 3, "p": 3, "tame_exact": 3, "upper": 3}\n'),
+], ids=["stdout", "stderr"])
+def test_closed_stream_is_skipped(closed, other, want):
+    # a stream closed before the start (>&- or 2>&-) is None, and only the
+    # other one is flushed
+    proc = subprocess.run([sys.executable, "-m", "ramlift", "bounds", "3", "2"], capture_output=True,
+                          env=_buffered_env(), timeout=60, preexec_fn=lambda: os.close(closed))
+    assert (proc.returncode, getattr(proc, other)) == (0, want)
+
+
 def test_golden_output_strings(capsys):
     rc, out, _ = run(capsys, "bounds", "2", "2")
     assert out == '{"basarab_upper": 7, "e": 2, "lower": 3, "p": 2, "upper": 7}\n'
@@ -424,12 +530,13 @@ def test_unramified_lift_over_a_field_past_the_cap_answers():
 ], ids=["homs-count", "lift", "hasroot"])
 def test_bad_enum_cap_exit_2_in_every_search(monkeypatch, argv):
     # a child process starts with cold caches, so each command reads the cap;
-    # a negative cap is refused as a non-integer one is
-    for bad in ("abc", "-5"):
+    # a negative cap is refused as a non-integer one is, and one past the
+    # interpreter's digit limit is named by that limit, not echoed
+    for bad in ("abc", "-5", _NINES):
         monkeypatch.setenv("RAMLIFT_ENUM_CAP", bad)
         proc = _run_limited(*argv, timeout=20)
         _one_line_exit_2(proc.returncode, proc.stderr)
-        assert "RAMLIFT_ENUM_CAP" in proc.stderr
+        assert "RAMLIFT_ENUM_CAP" in proc.stderr and len(proc.stderr.encode()) < 100
 
 
 _NINES = "9" * 5000  # beyond the interpreter's limit for int(str)

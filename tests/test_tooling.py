@@ -4,8 +4,10 @@ runs break, and the CLI must call the command bound under that name when it
 runs.  Importing ramlift stays free of code-generation modules, and running
 a command loads no argparse, gettext or locale; the library holds no assert
 statement, which python -O would strip, and it reads the environment in one
-place.  Git tracks no file that .gitignore lists.  The README's library
-quick start runs and prints the values its comments state."""
+place.  Only the CLI entry point ends the process with os._exit, and no
+module leaves work for the interpreter's teardown.  Git tracks no file that
+.gitignore lists.  The README's library quick start runs and prints the
+values its comments state."""
 
 import ast
 import importlib.util
@@ -134,15 +136,21 @@ def test_record_classes_keep_the_one_hash_rule():
 _ENV_READS = {"environ", "environb", "getenv", "getenvb"}
 
 
-def _env_reads(tree):
-    """(enclosing function, line) of each use of os.environ or os.getenv in a
-    module, or of their import from os; the function is None at module
-    level."""
+def _owners(tree) -> dict:
+    """The name of the innermost function around each node of a module."""
     owner = {}
     for fn in ast.walk(tree):  # outer functions first, so inner ones win
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(fn):
                 owner[node] = fn.name
+    return owner
+
+
+def _env_reads(tree):
+    """(enclosing function, line) of each use of os.environ or os.getenv in a
+    module, or of their import from os; the function is None at module
+    level."""
+    owner = _owners(tree)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr in _ENV_READS
                 and isinstance(node.value, ast.Name) and node.value.id == "os"):
@@ -163,6 +171,42 @@ def test_environment_read_only_by_enumeration_cap():
     allowed = [r for r in reads if r[:2] == ("resfield.py", "enumeration_cap")]
     assert allowed
     assert [r for r in reads if r not in allowed] == []
+
+
+_TEARDOWN_WORK = {"atexit", "threading", "multiprocessing", "tempfile"}
+
+
+def _exits_and_teardown_imports(tree):
+    """(enclosing function, what) of each os._exit in a module, and of each
+    import of a module whose work the interpreter's teardown does: exit
+    hooks, threads to join, child processes, temporary files."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "_exit"
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            yield owner.get(node), "os._exit"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name == "_exit" for alias in node.names):
+            yield owner.get(node), "os._exit"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            for name in names:
+                if name.split(".")[0] in _TEARDOWN_WORK:
+                    yield owner.get(node), name
+
+
+def test_only_the_entry_point_skips_teardown():
+    """cli.run ends the process with os._exit, skipping the interpreter's
+    teardown.  That is safe only while nothing in src/ leaves teardown work:
+    no other code exits that way (main returns its code, for in-process
+    callers), and no module registers exit hooks or starts threads, child
+    processes or temporary files."""
+    found = [
+        (path.name, fn, what)
+        for path in sorted(SRC_DIR.glob("*.py"))
+        for fn, what in _exits_and_teardown_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("cli.py", "run", "os._exit")]
 
 
 def test_git_tracks_no_ignored_file():
