@@ -18,9 +18,9 @@ closed by its reader (a broken pipe); the last two print one line on
 stderr, if it can be written, and no traceback.
 
 A process runs ``run``, which ends it with os._exit once main has returned
-and stdout and stderr are flushed: the interpreter's teardown of every
-loaded module is skipped, since ramlift leaves it nothing to do.  main
-itself only returns its exit code, so it can be called in-process.
+and stdout is flushed, as each error line on stderr was when written: the
+interpreter's teardown of every loaded module is skipped, since ramlift
+leaves it nothing to do.  main returns its code, so it can run in-process.
 """
 
 from __future__ import annotations
@@ -348,19 +348,27 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(2, exc)
     except TooLarge as exc:
-        print(f"error: TooLarge: {exc}", file=sys.stderr)
-        return 3
+        return _error(3, f"TooLarge: {exc}")
     except PreconditionBound as exc:
-        print(f"error: PreconditionBound: {exc}", file=sys.stderr)
-        return 4
+        return _error(4, f"PreconditionBound: {exc}")
     except RamliftError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _error(2, f"{type(exc).__name__}: {exc}")
     print(out)
     return 0
+
+
+def _error(code: int, message) -> int:
+    """Write "error: message" on stderr and return code.  The line is dropped
+    where stderr is None (closed by 2>&-), as print would put it on stdout, or
+    cannot be written: stdout carries only output, and the code stays code."""
+    if sys.stderr is not None:
+        try:
+            print(f"error: {message}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+    return code
 
 
 # a shell reports 141 for a process killed by SIGPIPE, and CPython exits
@@ -371,26 +379,19 @@ WRITE_FAILED = 120
 
 def run(argv=None):
     """The process entry point: main's exit code ends the process, by
-    os._exit once stdout and stderr (each unless None, as under >&-) are
-    flushed.  Output that cannot be written, to a reader that closed it
-    (BROKEN_PIPE) or for another reason (WRITE_FAILED), exits with one
-    line on stderr; any other exception escaping main exits as usual,
-    with its traceback and code 1."""
-    why = None
+    os._exit once stdout (unless None, as under >&-) is flushed; stderr is
+    line-buffered, and _error flushes each line it writes there.  Output
+    that cannot be written, to a reader that closed it (BROKEN_PIPE) or for
+    another reason (WRITE_FAILED), exits with one line on stderr; any other
+    exception escaping main exits as usual, with its traceback and code 1."""
     try:
         code = main(argv)
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except BrokenPipeError:
-        code, why = BROKEN_PIPE, "output closed by its reader (broken pipe)"
+        code = _error(BROKEN_PIPE, "output closed by its reader (broken pipe)")
     except OSError as exc:
-        code, why = WRITE_FAILED, f"cannot write the output: {exc.strerror or exc}"
-    if why is not None and sys.stderr is not None:
-        try:
-            print(f"error: {why}", file=sys.stderr, flush=True)
-        except OSError:  # stderr cannot be written either
-            pass
+        code = _error(WRITE_FAILED, f"cannot write the output: {exc.strerror or exc}")
     os._exit(code)
 
 

@@ -60,7 +60,7 @@ from .errors import (
     RingMismatch,
     TooLarge,
 )
-from .record import Record, set_field
+from .record import Record
 from .resfield import FieldSpec, FqElem, enumeration_cap, make_field, power
 from .witt import WittElem, WittRingSpec, _vp_int, _yreduce, from_digits, make_witt, teichmuller
 
@@ -79,10 +79,6 @@ class ValInfo(Record):
 
     _fields = ("value", "exact")
 
-    def __init__(self, value: Fraction | None, exact: bool):
-        set_field(self, "value", value)
-        set_field(self, "exact", exact)
-
     def __str__(self):
         return str(self.value) if self.exact else f"≥ {self.value}"
 
@@ -92,17 +88,12 @@ class ValInfo(Record):
 
 
 class ExactWittCoeff(Record):
-    """An element of W(k) specified exactly: either integer power-basis
-    coordinates, or a finite Teichmuller-digit polynomial.  Either form
-    determines the element at every precision simultaneously."""
+    """An element of W(k) specified exactly: integer power-basis
+    coordinates (kind "int"), or a finite Teichmuller-digit polynomial
+    (kind "teich").  Either form determines the element at every precision
+    simultaneously."""
 
     _fields = ("field", "kind", "payload")
-
-    def __init__(self, field: FieldSpec, kind: str, payload: tuple):
-        # kind: "int" or "teich"
-        set_field(self, "field", field)
-        set_field(self, "kind", kind)
-        set_field(self, "payload", payload)
 
     @classmethod
     def from_ints(cls, field: FieldSpec, coords) -> "ExactWittCoeff":
@@ -185,14 +176,11 @@ def parse_coeff(field: FieldSpec, value) -> ExactWittCoeff:
 
 
 class DvrSpec(Record):
-    """R = W(k)[x]/(f) for a monic Eisenstein f of degree e = ramification index."""
+    """R = W(k)[x]/(f) for a monic Eisenstein f of degree e = ramification
+    index; coeffs holds f's a_0..a_{e-1} as ExactWittCoeff, the leading 1
+    left out."""
 
     _fields = ("k", "coeffs")
-
-    def __init__(self, k: FieldSpec, coeffs: tuple):
-        # coeffs: ExactWittCoeff a_0..a_{e-1}; the leading coefficient is 1
-        set_field(self, "k", k)
-        set_field(self, "coeffs", coeffs)
 
     @property
     def e(self) -> int:
@@ -760,10 +748,6 @@ class ResidueRingSpec(Record):
     vector in k^n is read only when asked for."""
 
     _fields = ("ring", "n")
-
-    def __init__(self, ring: DvrSpec, n: int):
-        set_field(self, "ring", ring)
-        set_field(self, "n", n)
 
     @property
     def cardinality(self) -> int:

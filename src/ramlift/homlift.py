@@ -107,7 +107,7 @@ from .ramification import (
     lift_precision_bound,
     nu_of_e,
 )
-from .record import Record, set_field
+from .record import Record
 from .resfield import (
     FieldEmbedding,
     FqElem,
@@ -346,11 +346,6 @@ class CertifiedRoot(Record):
 
     _fields = ("elem", "t", "deriv_val")
 
-    def __init__(self, elem: DvrElem, t: int, deriv_val: int):
-        set_field(self, "elem", elem)
-        set_field(self, "t", t)
-        set_field(self, "deriv_val", deriv_val)
-
 
 class _NeedMargin(Exception):
     """The working precision cannot decide; args may name the ball."""
@@ -480,14 +475,6 @@ class ResidueHom(Record):
 
     _fields = ("source", "target", "psi", "beta")
 
-    def __init__(
-        self, source: ResidueRingSpec, target: ResidueRingSpec, psi: FieldEmbedding, beta: ResidueElt
-    ):
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "psi", psi)
-        set_field(self, "beta", beta)
-
     def apply(self, x: ResidueElt) -> ResidueElt:
         if x.rspec != self.source:
             raise NotComposable("element not in the source ring")
@@ -612,19 +599,10 @@ def enumerate_isos(src: ResidueRingSpec, tgt: ResidueRingSpec) -> list:
 
 
 class DvrHom(Record):
-    """Homomorphism R1 -> R2: psi plus the certified image of the uniformizer."""
+    """Homomorphism R1 -> R2: psi plus rho, the certified image of the
+    uniformizer; certificate is the pair (t, deriv_val) of its CertifiedRoot."""
 
     _fields = ("source", "target", "psi", "rho", "certificate")
-
-    def __init__(
-        self, source: DvrSpec, target: DvrSpec, psi: FieldEmbedding, rho: DvrElem, certificate: tuple
-    ):
-        # certificate: (t, deriv_val)
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "psi", psi)
-        set_field(self, "rho", rho)
-        set_field(self, "certificate", certificate)
 
     def apply(self, x: DvrElem) -> DvrElem:
         if x.ring != self.source:
@@ -808,13 +786,9 @@ def hom_inverse(g: DvrHom) -> DvrHom:
 
 
 class HasRootResult(Record):
-    _fields = ("kind", "root", "precision")
+    """has_root's answer: kind is "yes", "no" or "undecided"."""
 
-    def __init__(self, kind: str, root: DvrElem | None, precision: int):
-        # kind: "yes" | "no" | "undecided"
-        set_field(self, "kind", kind)
-        set_field(self, "root", root)
-        set_field(self, "precision", precision)
+    _fields = ("kind", "root", "precision")
 
     def __bool__(self):
         return self.kind == "yes"

@@ -15,7 +15,7 @@ from math import comb
 
 from .dvr import DvrSpec, ValInfo
 from .errors import InconsistentResult, InvalidArgument, NotPrime, PrecisionTooLow
-from .record import Record, set_field
+from .record import Record
 from .resfield import is_prime
 from .witt import _vp_int, make_witt, witt_unit_inv
 
@@ -31,15 +31,11 @@ def nu_of_e(p: int, e: int) -> int:
 
 
 class NewtonPolygon(Record):
-    """Lower convex hull of (i, val(c_i)); slopes are the negated segment
+    """Lower convex hull of (i, val(c_i)), as vertices ((index, Fraction),
+    ...); slopes ((Fraction, multiplicity), ...) are the negated segment
     gradients, listed ascending with multiplicities (= segment widths)."""
 
     _fields = ("vertices", "slopes")
-
-    def __init__(self, vertices: tuple, slopes: tuple):
-        # vertices: ((index, Fraction), ...); slopes: ((Fraction, multiplicity), ...)
-        set_field(self, "vertices", vertices)
-        set_field(self, "slopes", slopes)
 
     def max_slope(self) -> Fraction:
         return self.slopes[-1][0]
@@ -253,13 +249,6 @@ def n0_threshold(R1: DvrSpec, R2: DvrSpec) -> int:
 
 class RamificationReport(Record):
     _fields = ("e", "tame", "M", "different_val", "discriminant_val")
-
-    def __init__(self, e: int, tame: bool, M: Fraction, different_val: int, discriminant_val: int):
-        set_field(self, "e", e)
-        set_field(self, "tame", tame)
-        set_field(self, "M", M)
-        set_field(self, "different_val", different_val)
-        set_field(self, "discriminant_val", discriminant_val)
 
     def to_json(self) -> dict:
         return {

@@ -1,9 +1,11 @@
 """Immutable value classes without generated code.
 
 Record is the base of ramlift's spec, map and result classes.  A subclass
-names its fields in ``_fields`` and stores each from ``__init__`` with
-``set_field``; Record derives the rest from that tuple:
+names its fields in ``_fields`` and defines no ``__init__``; Record derives
+everything else from that tuple:
 
+- construction takes the fields by position, then the rest by name, and
+  raises TypeError for a field that is missing, unknown or given twice;
 - equality holds only against the same class, field by field;
 - the hash is the hash of the field tuple, so equal values built apart are
   the same ``lru_cache`` key; it is computed once and kept beside the
@@ -20,7 +22,7 @@ from operator import attrgetter
 
 # Record forbids assignment, so __init__ stores fields through object's
 # __setattr__.  Writing to self.__dict__ instead would make each instance
-# carry a full dict: 241 instead of 97 bytes for three fields (CPython 3.11).
+# carry a full dict: 168 instead of 105 bytes for four fields (CPython 3.11).
 set_field = object.__setattr__
 
 
@@ -31,6 +33,22 @@ class Record:
         super().__init_subclass__(**kwargs)
         # attrgetter of two or more names returns their values as a tuple
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} "
+                            f"arguments but {len(values)} were given")
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
+        for name in fields[len(values):]:
+            if name not in named:
+                raise TypeError(f"{type(self).__qualname__}() missing argument {name!r}")
+            set_field(self, name, named.pop(name))
+        if named:
+            name = next(iter(named))
+            how = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{type(self).__qualname__}() got {how} argument {name!r}")
 
     def __eq__(self, other):
         if self is other:

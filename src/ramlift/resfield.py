@@ -30,7 +30,7 @@ from .errors import (
     TooLarge,
     too_many_digits,
 )
-from .record import Record, set_field
+from .record import Record
 
 DEFAULT_ENUM_CAP = 10 ** 7
 
@@ -176,15 +176,10 @@ def _monic_tails(p, d, first=0):
 
 
 class FieldSpec(Record):
-    """F_{p^d} presented as F_p[x]/(defining_poly)."""
+    """F_{p^d} presented as F_p[x]/(defining_poly); defining_poly is monic,
+    its d+1 coefficients ascending."""
 
     _fields = ("p", "d", "defining_poly")
-
-    def __init__(self, p: int, d: int, defining_poly: tuple):
-        # defining_poly: ascending coefficients, length d+1, monic
-        set_field(self, "p", p)
-        set_field(self, "d", d)
-        set_field(self, "defining_poly", defining_poly)
 
     @property
     def q(self) -> int:
@@ -208,9 +203,9 @@ class FieldSpec(Record):
 
     def generator(self) -> "FqElem":
         """The class of x: the root of defining_poly the power basis is built
-        on (zero in a prime field, where defining_poly is x)."""
+        on (-c in a prime field, where defining_poly is x + c)."""
         if self.d == 1:
-            return self.zero()
+            return self.from_int(-self.defining_poly[0])
         return FqElem(self, (0, 1) + (0,) * (self.d - 2))
 
     def elements(self):
@@ -380,11 +375,6 @@ class FieldEmbedding(Record):
     """Ring homomorphism k1 -> k2, pinned down by the image of the generator."""
 
     _fields = ("source", "target", "image_of_generator")
-
-    def __init__(self, source: FieldSpec, target: FieldSpec, image_of_generator: FqElem):
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "image_of_generator", image_of_generator)
 
     def __call__(self, a: FqElem) -> FqElem:
         if a.field is not self.source and a.field != self.source:

@@ -21,21 +21,15 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import InvalidArgument, NotAUnit, NotDivisible, RingMismatch
-from .record import Record, set_field
+from .record import Record
 from .resfield import FieldSpec, FieldEmbedding, FqElem, power
 
 
 class WittRingSpec(Record):
-    """W(k)/p^M as (Z/p^M)[y]/(lifted_poly)."""
+    """W(k)/p^M as (Z/p^M)[y]/(lifted_poly): M is the absolute p-adic
+    precision, lifted_poly the d+1 ascending integer coefficients mod p^M."""
 
     _fields = ("k", "M", "lifted_poly")
-
-    def __init__(self, k: FieldSpec, M: int, lifted_poly: tuple):
-        # M: absolute p-adic precision; lifted_poly: ascending, length d+1,
-        # integer coefficients mod p^M
-        set_field(self, "k", k)
-        set_field(self, "M", M)
-        set_field(self, "lifted_poly", lifted_poly)
 
     @property
     def p(self) -> int:

@@ -378,6 +378,28 @@ def test_closed_stream_is_skipped(closed, other, want):
     assert (proc.returncode, getattr(proc, other)) == (0, want)
 
 
+def _closed_stderr():
+    os.close(2)
+
+
+def _full_stderr():
+    fd = os.open("/dev/full", os.O_WRONLY)
+    os.dup2(fd, 2)
+    os.close(fd)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr_at_start", [_closed_stderr, _full_stderr], ids=["closed", "full-device"])
+def test_error_line_that_cannot_be_written_is_dropped(unbuffered, stderr_at_start):
+    # the error line goes to stderr or nowhere, never to stdout, and a failed
+    # write keeps the error's exit code
+    if stderr_at_start is _full_stderr and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    proc = subprocess.run([sys.executable, "-m", "ramlift", "bounds", "4", "2"], stdout=subprocess.PIPE,
+                          env=_buffered_env(unbuffered), timeout=60, preexec_fn=stderr_at_start)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 def test_golden_output_strings(capsys):
     rc, out, _ = run(capsys, "bounds", "2", "2")
     assert out == '{"basarab_upper": 7, "e": 2, "lower": 3, "p": 2, "upper": 7}\n'

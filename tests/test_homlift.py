@@ -482,6 +482,17 @@ def test_lift_identity_at_n3():
     assert g.is_identity()
 
 
+def test_identity_over_a_prime_field_x_plus_c_is_found():
+    # F_3 presented as F_3[x]/(x + 1), where x is the class of 2
+    k = make_field(3, 1, [1, 1])
+    R = make_dvr(k, [-3, 0, 1])
+    rn = residue_ring(R, 3)
+    identity = residue_hom(rn, rn, identity_embedding(k), project(R.uniformizer(3), 3))
+    assert identity.is_identity()
+    assert identity in HomSet(rn, rn)
+    assert [h for h in enumerate_homs(rn, rn) if h.is_identity()] == [identity]
+
+
 def test_lift_below_bound_refused():
     src = residue_ring(Z3_SQRT3, 2)
     tgt = residue_ring(Z3_SQRTM3, 2)

@@ -94,6 +94,26 @@ def test_equal_fields_of_another_class_compare_unequal(cls):
     assert a != tuple(values)
 
 
+@pytest.mark.parametrize("cls", CLASSES, ids=ids)
+def test_construction_rejects_a_missing_unknown_or_doubled_field(cls):
+    a = build()[cls]
+    values = [getattr(a, name) for name in FIELDS[cls]]
+    first, last = FIELDS[cls][0], FIELDS[cls][-1]
+    calls = {
+        "missing": lambda: cls(*values[:-1]),
+        "missing by name": lambda: cls(**{name: getattr(a, name) for name in FIELDS[cls][1:]}),
+        "too many": lambda: cls(*values, None),
+        "unknown": lambda: cls(*values, extra=None),
+        "doubled": lambda: cls(*values[:-1], **{first: values[0], last: values[-1]}),
+    }
+    for why, call in calls.items():
+        try:
+            call()
+        except TypeError:
+            continue
+        pytest.fail(f"{cls.__name__}: {why} field accepted")
+
+
 def test_classes_with_the_same_arity_compare_unequal():
     assert ValInfo(1, True) != NewtonPolygon(1, True)
     assert DvrSpec(1, 2) != ResidueRingSpec(1, 2) != ValInfo(1, 2)

@@ -232,6 +232,16 @@ def test_elements_run_in_lexicographic_order(p, d):
     assert list(k.elements()) == sorted(k.elements(), key=lambda a: a.coeffs)
 
 
+@pytest.mark.parametrize("p, poly", [(3, [0, 1]), (3, [1, 1]), (5, [3, 1]), (2, [1, 1])])
+def test_prime_field_generator_is_the_root_of_its_polynomial(p, poly):
+    # F_p[x]/(x + c): x is the class of -c, and the identity is the one embedding
+    k = make_field(p, 1, poly)
+    assert k.generator() == k.from_int(-poly[0])
+    assert embeddings(k, k) == [identity_embedding(k)]
+    assert identity_embedding(k).is_identity()
+    assert all(identity_embedding(k)(a) == a for a in k.elements())
+
+
 def test_embeddings_deterministic_order():
     first = embeddings(F9, F9)
     second = embeddings(F9, F9)

@@ -106,15 +106,15 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
-def _record_classes_with_hash():
-    """(module, class, defines __hash__) for each class in src/ that derives
-    from Record, directly or through another such class."""
+def _record_classes():
+    """(module, class, names of the methods it defines) for each class in
+    src/ that derives from Record, directly or through another such class."""
     classes = {}
     for path in sorted(SRC_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef):
                 bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases}
-                own = any(isinstance(f, ast.FunctionDef) and f.name == "__hash__" for f in node.body)
+                own = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
                 classes[node.name] = (path.name, bases, own)
     records = {"Record"}
     while True:
@@ -128,9 +128,27 @@ def _record_classes_with_hash():
 def test_record_classes_keep_the_one_hash_rule():
     """Record caches the hash of the field tuple; a subclass that defines
     its own __hash__ would make a second rule for lru_cache keys."""
-    found = _record_classes_with_hash()
+    found = _record_classes()
     assert len(found) >= 13
-    assert [(module, name) for module, name, own in found if own] == []
+    assert [(module, name) for module, name, own in found if "__hash__" in own] == []
+
+
+def test_record_fields_are_declared_once():
+    """Record builds each constructor from _fields, so the tuple is a class's
+    one list of its fields: no subclass defines __init__, and no code but
+    record.py stores a field through set_field."""
+    found = _record_classes()
+    assert len(found) >= 13
+    assert [(module, name) for module, name, own in found if "__init__" in own] == []
+    uses = [
+        (path.name, node.lineno)
+        for path in sorted(SRC_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "set_field"
+        or isinstance(node, ast.alias) and node.name == "set_field"
+        or isinstance(node, ast.Attribute) and node.attr == "set_field"
+    ]
+    assert uses and {module for module, _ in uses} == {"record.py"}
 
 
 _ENV_READS = {"environ", "environb", "getenv", "getenvb"}
