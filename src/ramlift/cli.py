@@ -201,8 +201,6 @@ def _parse_hom(src_ring, tgt_ring, obj):
         beta_elem = parse_dvr_elem_text(tgt_ring, obj["beta"])
         if beta_elem.n < n2:
             raise InputError(f"beta has {beta_elem.n} digits, the target length n2 = {n2} needs {n2}")
-        if beta_elem.n != n2:
-            beta_elem = beta_elem.reduce_to(n2)
         beta = project(beta_elem, n2)
         return residue_hom(residue_ring(src_ring, n1), residue_ring(tgt_ring, n2), psi, beta)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -212,6 +210,8 @@ def _parse_hom(src_ring, tgt_ring, obj):
 def cmd_lift(args) -> str:
     src_ring = _ring_from_arg(args.src)
     tgt_ring = _ring_from_arg(args.tgt)
+    if args.out_prec < 1:
+        raise InputError(f"out_prec must be >= 1, got {args.out_prec}")
     phi = _parse_hom(src_ring, tgt_ring, _load_json_arg(args.hom))
     g = lift_hom(phi, min_prec=args.out_prec)
     payload = g.to_json()

@@ -11,8 +11,8 @@ included, is reduced by f in _reduce_mod_f alone.
 WittElem values appear only as the value of ExactWittCoeff.materialize,
 the one way an exact coefficient becomes integers mod p^M (a "t:" digit
 list through witt's Teichmuller sum, from_digits), and as the Teichmuller
-lifts that the term tables take apart into coordinates; the reduction mod
-g(y) is witt's _yreduce.
+lifts that the term tables take apart into coordinates.  Reduction by f
+(d = 1) and by g(y) is resfield's _reduce_monic.
 
 Pi-adic Teichmuller digits are the canonical text form; an element reads
 its n digits once and keeps them.  The n-th residue rings R/m^n are finite
@@ -39,10 +39,11 @@ leaves every block below j' unchanged mod p^(k+1), and the blocks that
 earlier digits cleared stay cleared.  Hence the digits e*k + j0, ...,
 e*k + j0 + J - 1 of z in m^(e*k+j0) are a function of the blocks j0, ...,
 j0 + J - 1 of z mod p^(k+1), and so is their Teichmuller sum.  Each context
-keeps one table per chunk from those blocks to both, filled on first use
-by reading the key digit by digit; a readout costs one lookup and one
-subtraction per chunk, and its digits are shared FqElem values, each of
-which renders its text once.  No fraction-field arithmetic is exposed.
+has one list of chunks, up to its n, with one table per chunk from those
+blocks to both, filled on first use by reading the key digit by digit; a
+readout costs one lookup and one subtraction per chunk, stops at the
+chunk that holds its last digit, and its digits are shared FqElem values,
+each of which renders its text once.  No fraction-field arithmetic is exposed.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ from .errors import (
     TooLarge,
 )
 from .record import Record
-from .resfield import FieldSpec, FqElem, enumeration_cap, make_field, power
-from .witt import WittElem, WittRingSpec, _vp_int, _yreduce, from_digits, make_witt, teichmuller
+from .resfield import FieldSpec, FqElem, _convolve, _reduce_monic, enumeration_cap, make_field, power
+from .witt import WittElem, WittRingSpec, _vp_int, from_digits, make_witt, teichmuller
 
 GUARD_DIGITS = 2
 BLOCK_KEYS = 1024  # the most keys a digit chunk table may hold (q^w <= this)
@@ -309,34 +310,6 @@ class _BlockTable(dict):
         return entry
 
 
-class _Plans(dict):
-    """For each n <= ctx.n, the chunks that read the first n digits, as
-    (lo, hi, c -> c mod p^(k+1), _BlockTable): the e blocks of each k are
-    cut into chunks of _block_width blocks, and the chunk that n ends in
-    is cut short there.  Built on first use; the plans of one context share
-    the table of each (r0, J)."""
-
-    def __init__(self, ctx: "_Context"):
-        super().__init__()
-        self.ctx, self.tables = ctx, {}
-
-    def __missing__(self, n):
-        ctx = self.ctx
-        d, e, p, tables = ctx.d, ctx.e, ctx.p, self.tables
-        w = _block_width(ctx.ring.q, e)
-        plan = []
-        for k in range(-(-n // e)):
-            rem = (p ** (k + 1)).__rmod__
-            for j0 in range(0, min(e, n - e * k), w):
-                width = min(w, e - j0, n - e * k - j0)
-                key = (e * k + j0, width)
-                if key not in tables:
-                    tables[key] = _BlockTable(ctx, *key)
-                plan.append((j0 * d, (j0 + width) * d, rem, tables[key]))
-        self[n] = plan
-        return plan
-
-
 def _block_width(q: int, e: int) -> int:
     """The chunk width w: the largest w <= e with q^w <= BLOCK_KEYS, at least
     1.  A chunk has q^w valid keys, so a table never holds more than
@@ -370,14 +343,16 @@ class _TermTable(dict):
 class _Context:
     """Arithmetic data of R at precision n, shared by all its elements: the
     modulus p^Mc, f as flat integers (coordinate i of a_j at index j*d + i,
-    read by _reduce_mod_f), the powers pi^r for r < n, the tables of
-    teichmuller(a) * pi^r, for each r < n how digit r is read: its x^j
-    block, the reduction mod p^(k+1) and the table of digits u * eps^k,
-    eps the residue of -w^-1 for the unit w with a_0 = p*w (see _digit_at),
-    and the chunk plans of _digits."""
+    the lead a_e = 1 last; read by _reduce_mod_f), the powers pi^r for
+    r < n, the tables of teichmuller(a) * pi^r, for each r < n how digit r
+    is read: its x^j block, the reduction mod p^(k+1) and the table of
+    digits u * eps^k, eps the residue of -w^-1 for the unit w with
+    a_0 = p*w (see _digit_at), and the chunks of _digits: the blocks j < e
+    of each k, cut into runs of _block_width blocks and at n, as
+    (lo, hi, c -> c mod p^(k+1), _BlockTable)."""
 
     __slots__ = ("ring", "n", "wspec", "M", "mod", "p", "d", "e", "size", "g", "f",
-                 "supported", "pi", "pi_powers", "terms", "reads", "plans", "res_mods")
+                 "supported", "pi", "pi_powers", "terms", "reads", "chunks", "res_mods")
 
     def __init__(self, ring: DvrSpec, n: int):
         wspec = ring.wspec(n)
@@ -385,17 +360,21 @@ class _Context:
         self.mod, self.p, self.d, self.e = wspec.modulus, ring.p, ring.d, ring.e
         self.size = self.e * self.d
         self.g = wspec.lifted_poly
-        self.f = tuple(c for a in ring.coeffs for c in a.materialize(wspec).coeffs)
+        self.f = tuple(c for a in ring.coeffs for c in a.materialize(wspec).coeffs) + wspec.one().coeffs
         self.supported = self.e * (self.M - GUARD_DIGITS)
         # digit r = e*k + j is read off the x^j block mod p^(k+1) (_digit_at);
         # (p^(k+1)).__rmod__ maps c to c % p^(k+1)
         d, e, p = self.d, self.e, self.p
         w = FqElem(ring.k, [c // p for c in self.f[:d]])  # a_0 = p*w, Mc >= 2
         eps = -w.inverse()  # the residue of p/pi^e
-        self.reads, scale = [], ring.k.one()  # scale = eps^k
+        width = _block_width(ring.q, e)
+        self.reads, self.chunks, scale = [], [], ring.k.one()  # scale = eps^k
         for k in range(-(-n // e)):
-            rem, table = (p ** (k + 1)).__rmod__, _digit_table(scale, p ** k)
-            self.reads += [(j * d, (j + 1) * d, rem, table) for j in range(min(e, n - e * k))]
+            rem, table, top = (p ** (k + 1)).__rmod__, _digit_table(scale, p ** k), min(e, n - e * k)
+            self.reads += [(j * d, (j + 1) * d, rem, table) for j in range(top)]
+            for j in range(0, top, width):
+                J = min(width, top - j)
+                self.chunks.append((j * d, (j + J) * d, rem, _BlockTable(self, e * k + j, J)))
             scale = scale * eps
         # pi^r = x * pi^(r-1): the blocks of pi^(r-1) shifted up one, reduced
         # by f (for d > 1 as rows of 2d-1 coordinates); pi = -a_0 when e = 1
@@ -408,7 +387,6 @@ class _Context:
             powers.append(_reduce_mod_f(self, rows))
         self.pi, self.pi_powers = powers[1], powers[:n]
         self.terms = [_TermTable(self, r) for r in range(n)]
-        self.plans = _Plans(self)
         # m^n = sum of p^ceil((n-j)/e) W(k) x^j over j < e (see _canon)
         self.res_mods = tuple(p ** -(-(n - j) // e) if j < n else 1
                               for j in range(e) for _ in range(d))
@@ -488,11 +466,7 @@ def _mul(ctx: _Context, a, b) -> tuple:
     """Product of two flat vectors, reduced modulo (g, f, p^Mc) of ctx."""
     e, d = ctx.e, ctx.d
     if d == 1:
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
+        prod = _convolve(a, b)
     else:
         width = 2 * d - 1
         prod = [[0] * width for _ in range(2 * e - 1)]
@@ -512,19 +486,15 @@ def _reduce_mod_f(ctx: _Context, prod) -> tuple:
     """Reduce a polynomial in x, listed by its coefficients from x^0 on (at
     least e of them), modulo the monic Eisenstein f: the one reduction by f.
 
-    For d = 1, prod lists integers; otherwise it lists coordinate rows of
-    length 2d-1, reduced by g before they multiply into f."""
+    For d = 1, prod lists integers, reduced by f as a monic polynomial;
+    otherwise it lists coordinate rows of length 2d-1, reduced by g before
+    they multiply into f."""
     e, d, mod, f = ctx.e, ctx.d, ctx.mod, ctx.f
     if d == 1:
-        for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i] % mod
-            if c:
-                for j in range(e):
-                    prod[i - e + j] -= c * f[j]
-        return tuple([c % mod for c in prod[:e]])
+        return tuple(_reduce_monic(prod, f, mod))
     g = ctx.g
     for i in range(len(prod) - 1, e - 1, -1):
-        c = _yreduce(prod[i], g, d, mod)
+        c = _reduce_monic(prod[i], g, mod)
         for j in range(e):
             fj = f[j * d:(j + 1) * d]
             if any(fj):
@@ -533,7 +503,7 @@ def _reduce_mod_f(ctx: _Context, prod) -> tuple:
                     if x:
                         for t, y in enumerate(fj):
                             row[s + t] -= x * y
-    return tuple([c for row in prod[:e] for c in _yreduce(row, g, d, mod)])
+    return tuple([c for row in prod[:e] for c in _reduce_monic(row, g, mod)])
 
 
 def _digit_at(ctx: _Context, v, r: int) -> FqElem:
@@ -546,17 +516,19 @@ def _digit_at(ctx: _Context, v, r: int) -> FqElem:
 
 
 def _digits(ctx: _Context, v, n: int) -> tuple:
-    """The first n pi-adic Teichmuller digits of a flat vector, a chunk at a
-    time: look up the chunk's digits and their Teichmuller sum by its blocks
-    mod p^(k+1) and subtract the sum.  The differences are not reduced: the
-    keys are read mod p^(k+1) exactly."""
+    """The first n <= ctx.n pi-adic Teichmuller digits of a flat vector, a
+    chunk at a time: look up the chunk's digits and their Teichmuller sum by
+    its blocks mod p^(k+1) and subtract the sum, until n digits are read.
+    The differences are not reduced: the keys are read mod p^(k+1) exactly."""
     out = []
-    for lo, hi, rem, table in ctx.plans[n]:
+    for lo, hi, rem, table in ctx.chunks:
         digits, term = table[tuple(map(rem, v[lo:hi]))]
         out += digits
-        if term is not None and len(out) < n:
+        if len(out) >= n:
+            break
+        if term is not None:
             v = list(map(sub, v, term))
-    return tuple(out)
+    return tuple(out[:n])
 
 
 def _canon(ctx: _Context, v) -> tuple:
@@ -702,6 +674,8 @@ def pi_digits(x: DvrElem, n: int | None = None):
     of the n = x.n digits, which are read once per element."""
     if n is None:
         n = x.n
+    if n < 0:
+        raise InvalidArgument(f"the number of digits must not be negative, got {n}")
     if n > x.n:
         raise InsufficientPrecision(f"element known mod m^{x.n}, digits to {n} requested")
     if x._digits is None:

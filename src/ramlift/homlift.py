@@ -133,13 +133,14 @@ _witt_map = lru_cache(maxsize=1024)(WittMap)  # one W(psi) per (psi, M)
 
 
 def _normalize_poly(F, k) -> tuple:
-    """The pair (coeffs, identity embedding of k) of a coefficient list,
-    each entry anything dvr.parse_coeff reads; a trailing integer 1 is the
-    implied monic lead, so [1] is the constant 1 and gives no coefficients."""
+    """The pair (coeffs, identity embedding of k) of a monic polynomial given
+    by its full ascending coefficient list, each entry anything
+    dvr.parse_coeff reads and the last the integer 1 (NotMonic otherwise);
+    [1] is the constant 1 and gives no coefficients."""
     entries = list(F)
-    if entries and isinstance(entries[-1], int) and entries[-1] == 1:
-        entries = entries[:-1]
-    return tuple(parse_coeff(k, c) for c in entries), identity_embedding(k)
+    if not entries or not isinstance(entries[-1], int) or entries[-1] != 1:
+        raise NotMonic("expected the full ascending coefficient list with leading 1")
+    return tuple(parse_coeff(k, c) for c in entries[:-1]), identity_embedding(k)
 
 
 class _Poly:
@@ -352,8 +353,9 @@ class _NeedMargin(Exception):
 
 
 def roots_in_dvr(F, R: DvrSpec, prec: int):
-    """All roots of the monic polynomial F in R, refined to depth >= prec and
-    carrying Hensel-style certificates, in lexicographic order of digits.
+    """All roots in R of the monic polynomial F, given by its full ascending
+    coefficient list (NotMonic unless it ends in 1), refined to depth >= prec
+    and carrying Hensel-style certificates, in lexicographic order of digits.
 
     The ball search isolates each simple root of the reduced polynomial,
     Newton's iteration refines it to depth prec, and _certify accepts it.
@@ -725,7 +727,7 @@ def project_hom(g: DvrHom, n1: int, n2: int) -> ResidueHom:
         raise InsufficientPrecision("certified image is shallower than n2")
     src = residue_ring(g.source, n1)
     tgt = residue_ring(g.target, n2)
-    return residue_hom(src, tgt, g.psi, project(g.rho.reduce_to(n2), n2))
+    return residue_hom(src, tgt, g.psi, project(g.rho, n2))
 
 
 def compose_homs(f2, f1):

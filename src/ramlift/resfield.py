@@ -7,7 +7,10 @@ tries every element, up to the enumeration cap.  A root set that a cache
 kept is handed back only while q is within the cap read by the call.
 Building a field never enumerates it: primality (deterministic
 Miller-Rabin) and irreducibility (Rabin's test) cost a few modular powers,
-so a huge p is accepted.
+so a huge p is accepted.  _convolve and _reduce_monic are the one product
+of coefficient lists and the one reduction by a monic polynomial: F_q
+products and Rabin's test reduce by the defining polynomial mod p, witt by
+its lift mod p^M, and dvr by f (d = 1) and by g.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- polynomial helpers over F_p (coefficient lists ascending, ints in [0,p)) --
+# -- polynomial helpers (ascending coefficient lists; over F_p, ints in [0,p)) --
 
 def _poly_trim(c):
     while c and c[-1] == 0:
@@ -92,13 +95,30 @@ def _poly_trim(c):
     return c
 
 
-def _poly_mulmod_p(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+def _convolve(a, b) -> list:
+    """The product of two ascending coefficient lists, unreduced: the one
+    schoolbook product of the package."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
+
+
+def _reduce_monic(c: list, g, m: int) -> list:
+    """c modulo (g, m), for a monic g of degree d given by its d + 1
+    ascending coefficients: the first d coefficients of the remainder (all of
+    c when it is shorter), each in [0, m).  The one reduction by a monic
+    polynomial, in F_q, in W(k)/p^M and in R.  c is reduced in place; each
+    leading coefficient is reduced mod m before it multiplies g."""
+    d = len(g) - 1
+    for i in range(len(c) - 1, d - 1, -1):
+        x = c[i] % m
+        if x:
+            for j in range(d):
+                c[i - d + j] -= x * g[j]
+    return [x % m for x in c[:d]]
 
 
 def _poly_divmod_p(num, den, p):
@@ -133,9 +153,9 @@ def power(x, k: int, one, times):
 
 
 def _poly_powmod_p(base, k, mod, p):
-    """base^k mod (mod, p)."""
-    return power(_poly_divmod_p(base, mod, p)[1], k, [1],
-                 lambda a, b: _poly_divmod_p(_poly_mulmod_p(a, b, p), mod, p)[1])
+    """base^k mod (mod, p), for a monic mod."""
+    return power(_reduce_monic(list(base), mod, p), k, [1],
+                 lambda a, b: _reduce_monic(_convolve(a, b), mod, p))
 
 
 def _poly_gcd_is_one(a, b, p):
@@ -154,11 +174,11 @@ def _is_irreducible(poly, p):
         return False
 
     def x_frob_minus_x(i):  # x^(p^i) - x mod poly
-        h = _poly_powmod_p([0, 1], p ** i, poly, p) + [0, 0]
-        h[1] = (h[1] - 1) % p
-        return _poly_divmod_p(h, poly, p)[1]
+        h = _poly_powmod_p([0, 1], p ** i, poly, p) + [0]
+        h[1] -= 1
+        return _reduce_monic(h, poly, p)
 
-    if x_frob_minus_x(d):
+    if any(x_frob_minus_x(d)):
         return False
     primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
     return all(_poly_gcd_is_one(x_frob_minus_x(d // r), poly, p) for r in primes)
@@ -299,11 +319,8 @@ class FqElem:
 
     def __mul__(self, other):
         self._check(other)
-        p = self.field.p
-        prod = _poly_mulmod_p(list(self.coeffs), list(other.coeffs), p)
-        _, rem = _poly_divmod_p(prod, list(self.field.defining_poly), p)
-        rem += [0] * (self.field.d - len(rem))
-        return FqElem(self.field, tuple(rem))
+        k = self.field
+        return FqElem(k, _reduce_monic(_convolve(self.coeffs, other.coeffs), k.defining_poly, k.p))
 
     def inverse(self) -> "FqElem":
         if self.is_zero():

@@ -8,8 +8,8 @@ because multiplication here is ordinary polynomial arithmetic.
 
 Each job on W(k) has one implementation here: _vp_int is the p-adic
 valuation of an integer, for WittElem, the exact coefficients of dvr and
-the ramification calculus; _yreduce reduces modulo (g(y), p^M), and the
-flat core of dvr uses it too; from_digits forms the
+the ramification calculus; a product reduces modulo (g(y), p^M) by
+resfield's _reduce_monic, as do F_q and dvr; from_digits forms the
 Teichmuller sum sum teichmuller(a_r) p^r; WittMap is the map W(psi) induced
 by a residue-field embedding psi, linear on coordinates, and the only code
 that maps W(k) coordinates by psi.
@@ -22,7 +22,7 @@ from operator import mul
 
 from .errors import InvalidArgument, NotAUnit, NotDivisible, RingMismatch
 from .record import Record
-from .resfield import FieldSpec, FieldEmbedding, FqElem, power
+from .resfield import FieldSpec, FieldEmbedding, FqElem, _convolve, _reduce_monic, power
 
 
 class WittRingSpec(Record):
@@ -78,16 +78,6 @@ def _vp_int(n: int, p: int) -> int | None:
     return v
 
 
-def _yreduce(row, g, d: int, mod: int):
-    """Reduce a coordinate list of length <= 2d-1 modulo (g(y), mod)."""
-    for i in range(len(row) - 1, d - 1, -1):
-        c = row[i]
-        if c:
-            for j in range(d):
-                row[i - d + j] -= c * g[j]
-    return [c % mod for c in row[:d]]
-
-
 class WittElem:
     """Element of W(k)/p^M as power-basis coordinates mod p^M."""
 
@@ -133,13 +123,9 @@ class WittElem:
 
     def __mul__(self, other):
         self._check(other)
-        prod = [0] * (2 * self.ring.d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
         ring = self.ring
-        return WittElem(ring, _yreduce(prod, ring.lifted_poly, ring.d, ring.modulus))
+        prod = _convolve(self.coeffs, other.coeffs)
+        return WittElem(ring, _reduce_monic(prod, ring.lifted_poly, ring.modulus))
 
     def __pow__(self, n: int):
         return power(self, n, self.ring.one(), mul)

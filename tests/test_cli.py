@@ -444,6 +444,14 @@ def test_lift_psi_not_object_exit_2(capsys):
     assert "bad homomorphism JSON" in err
 
 
+@pytest.mark.parametrize("out_prec", ["0", "-5"])
+def test_lift_out_prec_below_one_exit_2(capsys, out_prec):
+    hom = '{"psi":{"image_of_generator":[0]},"beta":"pi:0,1,0","n1":3,"n2":3}'
+    rc, out, err = run(capsys, "lift", S3, S3, hom, out_prec)
+    _one_line_exit_2(rc, err)
+    assert out == "" and err == f"error: out_prec must be >= 1, got {out_prec}\n"
+
+
 def test_homs_zero_length_exit_2(capsys):
     rc, _, err = run(capsys, "homs", S3, S3, "0", "3")
     _one_line_exit_2(rc, err)

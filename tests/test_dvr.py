@@ -28,7 +28,7 @@ from ramlift.dvr import (
     residue_ring,
     ring_spec_to_json,
 )
-from ramlift.errors import InsufficientPrecision, NotEisenstein, RingMismatch, TooLarge
+from ramlift.errors import InsufficientPrecision, InvalidArgument, NotEisenstein, RingMismatch, TooLarge
 from ramlift.homlift import ResidueHom, enumerate_isos
 from ramlift.resfield import make_field
 from ramlift.witt import make_witt, teich_digits
@@ -134,6 +134,11 @@ def test_pi_digits_requires_precision():
     x = Z3_SQRT3.from_int(1, 3)
     with pytest.raises(InsufficientPrecision):
         pi_digits(x, 5)
+    # a negative count is refused, not read as a slice from the end
+    assert pi_digits(x, 0) == ()
+    for n in (-1, -3, -4):
+        with pytest.raises(InvalidArgument):
+            pi_digits(x, n)
 
 
 def test_valuation_axioms_random():
@@ -572,7 +577,7 @@ def test_chunk_tables_stay_bounded_on_fresh_vectors(spec, n):
         v = [rng.randrange(ctx.mod) for _ in range(ctx.size)]
         assert dvr._digits(ctx, v, n) == digit_by_digit_digits(ctx, v, n)
     bound = max(dvr.BLOCK_KEYS, spec.q)
-    tables = ctx.plans.tables.values()
+    tables = [table for *_, table in ctx.chunks]
     assert tables and all(len(t) <= bound for t in tables)
     assert max(len(t) for t in tables) > (dvr.BLOCK_KEYS // 2 if spec.q < bound else 1000)
 

@@ -36,6 +36,7 @@ from ramlift.errors import (
     MultipleRoots,
     NoRoot,
     NotComposable,
+    NotMonic,
     PrecisionTooLow,
     PreconditionBound,
     RingMismatch,
@@ -634,6 +635,15 @@ def test_constant_polynomial_has_no_root():
     assert (res.kind, res.root) == ("no", None)
     with pytest.raises(ValueError, match="degree >= 1"):
         roots_in_dvr([1], Z3_SQRT3, 4)
+
+
+@pytest.mark.parametrize("F", [[1, 2], [-3, 0], [-3, 0, 3], [], [-3, 0, "t:1"]],
+                         ids=["2x+1", "-3", "3x^2-3", "empty", "digit-lead"])
+def test_roots_in_dvr_refuses_a_list_without_its_monic_lead(F):
+    # the list is the whole polynomial: none of these ends in the integer 1,
+    # so none is read as the coefficients below an implied lead
+    with pytest.raises(NotMonic):
+        roots_in_dvr(F, Z3_SQRT3, 4)
 
 
 def test_has_root_finds_unit_roots():

@@ -55,6 +55,32 @@ def test_default_poly_irreducible_and_lex_smallest():
     assert k5.defining_poly == (1, 1, 1)
 
 
+@pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8)],
+                         ids=["F4", "F8", "F9", "F25", "F27", "F256"])
+def test_products_match_sympy_gf_arithmetic(p, d):
+    # gf_mul then gf_rem by the defining polynomial, on every pair where
+    # q <= 27 and on a seeded sample of pairs otherwise
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_mul, gf_rem, gf_strip
+
+    k = make_field(p, d)
+    elems = list(k.elements())
+    if k.q <= 27:
+        pairs = itertools.product(elems, repeat=2)
+    else:
+        rng = random.Random(k.q)
+        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(3000)]
+
+    def descending(coeffs):  # galoistools lists coefficients from the top
+        return gf_strip(list(reversed(coeffs)))
+
+    g = descending(k.defining_poly)
+    for a, b in pairs:
+        rem = gf_rem(gf_mul(descending(a.coeffs), descending(b.coeffs), p, ZZ), g, p, ZZ)
+        expected = tuple(int(c) for c in reversed(rem)) + (0,) * (d - len(rem))
+        assert (a * b).coeffs == expected, (k, a, b)
+
+
 def test_irreducibility_matches_sympy():
     import sympy
 

@@ -38,6 +38,32 @@ def test_make_witt_canonical_lift():
     assert y * y == W9.from_int(8)  # y^2 = -1 mod 9
 
 
+@pytest.mark.parametrize("p, d, M", [(3, 2, 4), (2, 3, 5), (5, 2, 3)],
+                         ids=["W(F9)/3^4", "W(F8)/2^5", "W(F25)/5^3"])
+def test_products_match_sympy_remainders(p, d, M):
+    # the product over ZZ, its remainder by the lifted polynomial (Poly.rem),
+    # reduced mod p^M, on a seeded sample of pairs with the edge coordinates
+    # 0, 1 and p^M - 1 drawn often
+    import sympy
+
+    y = sympy.Symbol("y")
+    ring = make_witt(make_field(p, d), M)
+    mod = ring.modulus
+    g = sympy.Poly(list(reversed(ring.lifted_poly)), y, domain="ZZ")
+    rng = random.Random(mod)
+
+    def draw():
+        return ring.from_coeffs([rng.choice((0, 1, mod - 1, rng.randrange(mod))) for _ in range(d)])
+
+    def poly(x):
+        return sympy.Poly(list(reversed(x.coeffs)), y, domain="ZZ")
+
+    for _ in range(400):
+        a, b = draw(), draw()
+        rem = [int(c) % mod for c in reversed((poly(a) * poly(b)).rem(g).all_coeffs())]
+        assert (a * b).coeffs == tuple(rem + [0] * (d - len(rem))), (ring, a, b)
+
+
 def test_make_witt_m1_is_residue_field():
     w = make_witt(F2, 1)
     assert w.modulus == 2
