@@ -185,8 +185,9 @@ def cmd_homs(args) -> str:
 
 def _parse_hom(src_ring, tgt_ring, obj):
     try:
-        n1 = obj.get("n1") or (obj.get("source") or {}).get("n")
-        n2 = obj.get("n2") or (obj.get("target") or {}).get("n")
+        # source.n/target.n stand in only for an absent n1/n2
+        n1 = obj["n1"] if "n1" in obj else (obj.get("source") or {}).get("n")
+        n2 = obj["n2"] if "n2" in obj else (obj.get("target") or {}).get("n")
         if n1 is None or n2 is None:
             raise InputError("homomorphism JSON must carry n1/n2 lengths")
         _json_int(n1, "n1")

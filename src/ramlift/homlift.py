@@ -7,8 +7,8 @@ exhaustive-function oracle in the test suite guards this structural
 shortcut.  The admissible betas are the truncated roots of F = f^psi: F(beta)
 = 0 mod m2^n2 and beta^n1 = 0.  Applying a homomorphism (residue or lifted)
 reads no digits: each x^j coefficient block of the argument's flat vector
-goes through the linear map W(psi) (witt.WittMap), and Horner's rule sums
-the images against the powers of beta.
+goes through the linear map W(psi) (witt.WittMap), and _horner sums the
+images against the powers of beta.
 
 One ball search serves enumeration, counting and lifting.  A ball a + m^r
 holds the elements whose first r pi-adic digits are those of a.  At a ball,
@@ -43,8 +43,10 @@ accepted there is the lift; has_root stops at the first root it certifies.
 
 All polynomial evaluation (search balls, Newton steps, certification, beta
 admissibility) runs on the flat vectors of one dvr context: F and its Hasse
-derivatives are materialized once per precision, _horner evaluates them,
-and _raw_val reads the valuations.  No DvrElem is built per ball.  Each
+derivatives are materialized once per precision, _horner (the one
+evaluation on flat vectors) evaluates them, and _raw_val reads the
+valuations.  has_root searches the squarefree part that
+resfield._squarefree_part gives.  No DvrElem is built per ball.  Each
 Horner result ends at the working precision because its last step adds a
 coefficient known to that precision, so the readouts equal those of DvrElem
 arithmetic.
@@ -113,6 +115,7 @@ from .resfield import (
     FqElem,
     _capped_roots,
     _residues,
+    _squarefree_part,
     embeddings,
     enumeration_cap,
     identity_embedding,
@@ -458,18 +461,14 @@ def _certify(poly: _Poly, digits, t: int) -> CertifiedRoot | None:
 def _image(psi: FieldEmbedding, v, ctx: _Context, beta) -> tuple:
     """The image of the source flat vector v under the homomorphism (psi,
     beta), as a flat vector of the target context ctx: sum_j W(psi)(c_j)
-    beta^j over the x^j coefficient blocks c_j of v, by Horner's rule.  Any
+    beta^j over the x^j coefficient blocks c_j of v, by _horner.  Any
     representatives of v and of the flat vector beta give the image to the
     precision the homomorphism is defined to."""
     w_psi = _witt_map(psi, ctx.M)
     d1 = w_psi.source.d
     pad = (0,) * (ctx.size - ctx.d)
-    acc = (0,) * ctx.size
-    for j in range(len(v) // d1 - 1, -1, -1):
-        if any(acc):
-            acc = _mul(ctx, acc, beta)
-        acc = _add(ctx, acc, w_psi.map_coords(v[j * d1:(j + 1) * d1]) + pad)
-    return acc
+    blocks = [w_psi.map_coords(v[j:j + d1]) + pad for j in range(0, len(v), d1)]
+    return _horner(ctx, blocks, beta, 0)
 
 
 class ResidueHom(Record):
@@ -802,51 +801,6 @@ def _squarefree_cached(coeffs: tuple, k) -> tuple:
     squarefree part (same root set) as the pair (coeffs, identity embedding
     of k) of _materialize_poly; computed once per (coeffs, k)."""
     return _normalize_poly(_squarefree_part(coeffs), k)
-
-
-def _squarefree_part(coeffs) -> list:
-    """Squarefree part of a monic integer polynomial (same root set), as a
-    fresh list."""
-
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    def polymod(a, b):
-        a = [Fraction(x) for x in a]
-        b = [Fraction(x) for x in b]
-        while len(a) >= len(b) and trim(a):
-            f = a[-1] / b[-1]
-            for i in range(len(b)):
-                a[len(a) - len(b) + i] -= f * b[i]
-            a.pop()
-            trim(a)
-        return a
-
-    def gcd(a, b):
-        a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
-        while trim(b):
-            a, b = b, polymod(a, b)
-        if not a:
-            return [Fraction(1)]
-        return [x / a[-1] for x in a]
-
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    g = gcd(list(coeffs), deriv)
-    if len(g) <= 1:
-        return list(coeffs)
-    # exact division of monic integer polynomials: quotient is integral
-    quot, rem = [], [Fraction(c) for c in coeffs]
-    for i in range(len(coeffs) - 1, len(g) - 2, -1):
-        c = rem[i] / g[-1]
-        quot.append(c)
-        for j in range(len(g)):
-            rem[i - (len(g) - 1) + j] -= c * g[j]
-    quot.reverse()
-    if any(c.denominator != 1 for c in quot):
-        raise InconsistentResult("squarefree part is not integral")
-    return [int(c) for c in quot]
 
 
 def has_root(R: DvrSpec, F) -> HasRootResult:

@@ -225,7 +225,8 @@ def _upper_bound(p: int, e: int) -> int:
 
 
 def generic_bounds(p: int, e: int) -> dict:
-    """Lifting-number bounds depending only on (p, e)."""
+    """Lifting-number bounds depending only on (p, e); basarab_upper always
+    equals upper, and is kept because the demo records and `bounds` print it."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if e < 1:

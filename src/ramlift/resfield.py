@@ -10,7 +10,10 @@ Miller-Rabin) and irreducibility (Rabin's test) cost a few modular powers,
 so a huge p is accepted.  _convolve and _reduce_monic are the one product
 of coefficient lists and the one reduction by a monic polynomial: F_q
 products and Rabin's test reduce by the defining polynomial mod p, witt by
-its lift mod p^M, and dvr by f (d = 1) and by g.
+its lift mod p^M, and dvr by f (d = 1) and by g.  Every polynomial division
+is by a monic divisor: Euclid's algorithm over F_p makes each divisor monic
+and reduces by _reduce_monic, and _divmod_monic, the one division over Q,
+serves the Euclid steps and the quotient of _squarefree_part.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -87,7 +91,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- polynomial helpers (ascending coefficient lists; over F_p, ints in [0,p)) --
+# -- polynomial helpers (ascending coefficient lists) --
 
 def _poly_trim(c):
     while c and c[-1] == 0:
@@ -121,22 +125,6 @@ def _reduce_monic(c: list, g, m: int) -> list:
     return [x % m for x in c[:d]]
 
 
-def _poly_divmod_p(num, den, p):
-    # den must be nonzero; leading coefficient inverted mod p
-    num = list(num)
-    den = _poly_trim(list(den))
-    inv = pow(den[-1], -1, p)
-    deg_d = len(den) - 1
-    quot = [0] * max(len(num) - deg_d, 0)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = (num[i] * inv) % p
-        if c:
-            quot[i - deg_d] = c
-            for j, dj in enumerate(den):
-                num[i - deg_d + j] = (num[i - deg_d + j] - c * dj) % p
-    return quot, _poly_trim(num)
-
-
 def power(x, k: int, one, times):
     """x^k by square-and-multiply in the ring given by its one and its
     product times; the one square-and-multiply loop of the package."""
@@ -158,11 +146,44 @@ def _poly_powmod_p(base, k, mod, p):
                  lambda a, b: _reduce_monic(_convolve(a, b), mod, p))
 
 
-def _poly_gcd_is_one(a, b, p):
+def _poly_gcd_is_one(a, b, p) -> bool:
+    """Whether gcd(a, b) = 1 over F_p, by Euclid's algorithm: each divisor
+    is made monic mod p and the remainder is _reduce_monic's."""
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
-        a, b = b, _poly_divmod_p(a, b, p)[1]
+        inv = pow(b[-1], -1, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _poly_trim(_reduce_monic(a, b, p))
     return len(a) == 1
+
+
+def _divmod_monic(a, g) -> tuple:
+    """(quotient, trimmed remainder) of a by the monic g over Q, as lists
+    of Fractions: the one division over Q, behind both the Euclid steps and
+    the exact division of _squarefree_part."""
+    r = [Fraction(x) for x in a]
+    d = len(g) - 1
+    quot = [0] * max(len(r) - d, 0)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = quot[i - d] = r[i]
+        if c:
+            for j in range(d):
+                r[i - d + j] -= c * g[j]
+    return quot, _poly_trim(r[:d])
+
+
+def _squarefree_part(coeffs) -> list:
+    """The squarefree part F/gcd(F, F') of a monic integer polynomial F (the
+    same root set), as a fresh list; InconsistentResult unless it is
+    integral.  Euclid's algorithm makes each divisor monic over Q."""
+    a, b = list(coeffs), [Fraction(i * coeffs[i]) for i in range(1, len(coeffs))]
+    while b:
+        b = [x / b[-1] for x in b]
+        a, b = b, _divmod_monic(a, b)[1]
+    quot = _divmod_monic(coeffs, a)[0]
+    if any(c.denominator != 1 for c in quot):
+        raise InconsistentResult("squarefree part is not integral")
+    return [int(c) for c in quot]
 
 
 def _is_irreducible(poly, p):
@@ -180,7 +201,7 @@ def _is_irreducible(poly, p):
 
     if any(x_frob_minus_x(d)):
         return False
-    primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
+    primes = [r for r in range(2, d + 1) if d % r == 0 and is_prime(r)]
     return all(_poly_gcd_is_one(x_frob_minus_x(d // r), poly, p) for r in primes)
 
 

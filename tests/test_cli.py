@@ -703,6 +703,32 @@ def test_lift_short_beta_names_both_lengths(capsys):
     assert "beta has 2 digits, the target length n2 = 3 needs 3" in err
 
 
+@pytest.mark.parametrize("value", [0, False])
+@pytest.mark.parametrize("key, ring_key", [("n1", "source"), ("n2", "target")])
+@pytest.mark.parametrize("with_ring_length", [True, False])
+def test_lift_explicit_length_is_not_replaced(capsys, value, key, ring_key, with_ring_length):
+    # source.n/target.n stand in for an absent n1/n2 only: a falsy length
+    # given explicitly is refused by the length checks
+    hom = {"psi": {"image_of_generator": [0]}, "beta": "π:0,2,0", "n1": 3, "n2": 3, key: value}
+    if with_ring_length:
+        hom[ring_key] = {"n": 3}
+    rc, out, err = run(capsys, "lift", S3, S3, json.dumps(hom), "8")
+    _one_line_exit_2(rc, err)
+    assert out == ""
+    assert "must carry n1/n2 lengths" not in err
+
+
+def test_lift_reads_every_hom_that_homs_prints(capsys):
+    # homs prints the lengths as source.n and target.n
+    rc, out, _ = run(capsys, "homs", S3, S3, "3", "3")
+    homs = json.loads(out)
+    assert rc == 0 and homs
+    for hom in homs:
+        assert "n1" not in hom and hom["source"]["n"] == hom["target"]["n"] == 3
+        rc, _, err = run(capsys, "lift", S3, S3, json.dumps(hom), "6")
+        assert rc == 0, (hom, err)
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "1", "1"),  # p = 1 used to loop in the p-adic valuation
     ("bounds", "0", "2"),

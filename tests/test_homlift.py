@@ -16,7 +16,7 @@ from oracles import (
     scan_homs,
     scan_truncated_roots,
 )
-from ramlift import homlift
+from ramlift import homlift, resfield
 from ramlift.dvr import (
     DvrElem,
     dvr_elem_text,
@@ -654,10 +654,10 @@ def test_has_root_finds_unit_roots():
 
 
 def test_squarefree_part_cached_as_fresh_lists():
-    first = homlift._squarefree_part([4, -4, 1])  # (x - 2)^2
+    first = resfield._squarefree_part([4, -4, 1])  # (x - 2)^2
     assert first == [-2, 1]
     first.append(7)
-    assert homlift._squarefree_part((4, -4, 1)) == [-2, 1]
+    assert resfield._squarefree_part((4, -4, 1)) == [-2, 1]
 
 
 def test_has_root_squarefree_reduction():
@@ -723,7 +723,7 @@ def test_has_root_answers_at_its_first_root_precision(case):
 def _has_root_by_every_root(R, F):
     """has_root as the search over every root at doubling precision
     answers it: (kind, root, precision)."""
-    coeffs = homlift._squarefree_part(F)
+    coeffs = resfield._squarefree_part(F)
     prec = max(4, R.e + nu_of_e(R.p, R.e) + 1)
     if len(coeffs) == 1:
         return "no", None, prec
@@ -1303,7 +1303,7 @@ from ramlift import homlift as h
 from ramlift.dvr import make_dvr, project, residue_ring
 from ramlift.errors import RamliftError
 from ramlift.ramification import different_val, krasner_bound, lift_precision_bound
-from ramlift.resfield import embeddings, identity_embedding, make_field
+from ramlift.resfield import _squarefree_part, embeddings, identity_embedding, make_field
 
 F3 = make_field(3, 1)
 F9 = make_field(3, 2)
@@ -1339,7 +1339,7 @@ cases = {
     # replaces select_unique_root)
     "lift_hom_unit_beta": lambda: h.lift_hom(unit_beta),
     "lift_hom": lift_to_unit,
-    "_squarefree_part": lambda: h._squarefree_part([Fraction(1, 4), -1, 1]),
+    "_squarefree_part": lambda: _squarefree_part([Fraction(1, 4), -1, 1]),
     "has_root": lambda: h.has_root(R, [1, 0, 2]),
     "_certify_at": lambda: h._certify_at(h._normalize_poly([-3, 0, 1], F3), R, R.one(4)),
     # (x^2 - 3)^2: the double roots pi and -pi never separate

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -93,6 +94,66 @@ def test_irreducibility_matches_sympy():
                 poly = list(tail) + [1]
                 expected = sympy.Poly(list(reversed(poly)), x, modulus=p).is_irreducible
                 assert _is_irreducible(poly, p) == expected, (p, poly)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gcd_is_one_matches_sympy_gf_gcd(p):
+    # seeded pairs, half of them with a planted common factor, given with
+    # untrimmed leading zeros as often as not; a zero first argument
+    # included
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_gcd, gf_mul, gf_strip
+
+    from ramlift.resfield import _poly_gcd_is_one
+
+    rng = random.Random(p)
+
+    def poly(deg):
+        return [rng.randrange(p) for _ in range(deg + 1)]
+
+    def descending(coeffs):
+        return gf_strip(list(reversed(coeffs)))
+
+    pairs = [([], [1]), ([], [0, 2 % p]), ([0, 0], [1, 1]), ([], []), ([1], [])]
+    for _ in range(300):
+        a, b = poly(rng.randrange(6)), poly(rng.randrange(6))
+        if rng.random() < 0.5:
+            c = descending(poly(rng.randrange(1, 3)))
+            a = list(reversed(gf_mul(descending(a), c, p, ZZ)))
+            b = list(reversed(gf_mul(descending(b), c, p, ZZ)))
+        pad = [0] * rng.randrange(3)
+        pairs.append((a + pad, b + pad[:1]))
+    answers = set()
+    for a, b in pairs:
+        expected = gf_gcd(descending(a), descending(b), p, ZZ) == [1]
+        assert _poly_gcd_is_one(a, b, p) == expected, (p, a, b)
+        answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_squarefree_part_matches_sympy_sqf_part():
+    # products of monic linear and quadratic factors, each to a multiplicity
+    # up to 3, against sympy's sqf_part made monic
+    import sympy
+
+    from ramlift.errors import InconsistentResult
+    from ramlift.resfield import _squarefree_part
+
+    x = sympy.Symbol("x")
+    rng = random.Random(26)
+    cases = [[1], [5, 1], [-7, 1], [0, 1]]
+    for _ in range(600):
+        F = sympy.Poly(1, x)
+        for _ in range(rng.randrange(1, 4)):
+            factor = x - rng.randint(-4, 4) if rng.random() < 0.5 else \
+                x ** 2 + rng.randint(-4, 4) * x + rng.randint(-4, 4)
+            F *= sympy.Poly(factor, x) ** rng.randint(1, 3)
+        cases.append([int(c) for c in reversed(F.all_coeffs())])
+    for coeffs in cases:
+        part = sympy.Poly(list(reversed(coeffs)), x).sqf_part().monic()
+        assert _squarefree_part(coeffs) == [int(c) for c in reversed(part.all_coeffs())], coeffs
+    with pytest.raises(InconsistentResult):
+        _squarefree_part([Fraction(1, 4), -1, 1])  # (x - 1/2)^2
 
 
 def test_is_prime_matches_sympy():

@@ -11,6 +11,7 @@ values its comments state."""
 
 import ast
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -261,3 +262,17 @@ def test_readme_quick_start_states_its_values():
     assert [value for value, _ in stated] == ["1/2", "1", "3", "2", "[]", "(524288, 524288)"]
     for value, comment in stated:
         assert re.match(re.escape(value) + r"(?![\w/])", comment), (value, comment)
+
+
+def test_readme_cli_hom_example_lifts(capsys):
+    """The hom JSON that README documents for the command line parses and
+    lifts."""
+    from ramlift.cli import main
+
+    section = README.read_text(encoding="utf-8").split("A homomorphism\nis JSON like", 1)[1]
+    hom = section.split("```json\n", 1)[1].split("```", 1)[0].strip()
+    assert json.loads(hom) == {"psi": {"image_of_generator": [0]}, "beta": "pi:0,1,0,1",
+                               "n1": 4, "n2": 4}
+    s3 = '{"p":3,"residue":{"d":1,"poly":[0,1]},"eisenstein":[-3,0,1]}'
+    assert main(["lift", s3, s3, hom, "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho"] == "π:0,1,0,0,0,0,0,0"
