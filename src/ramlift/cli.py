@@ -183,23 +183,36 @@ def cmd_homs(args) -> str:
     return _emit(args, [h.to_json() for h in homs])
 
 
+_JSON_KINDS = {dict: "an object", str: "a string"}
+
+
+def _hom_field(value, kind, what: str):
+    """value, when it is of the JSON kind a homomorphism needs there, else
+    an InputError naming the field."""
+    if not isinstance(value, kind):
+        raise InputError(f"bad homomorphism JSON: {what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _parse_hom(src_ring, tgt_ring, obj):
+    _hom_field(obj, dict, "the homomorphism")
     try:
         # source.n/target.n stand in only for an absent n1/n2
-        n1 = obj["n1"] if "n1" in obj else (obj.get("source") or {}).get("n")
-        n2 = obj["n2"] if "n2" in obj else (obj.get("target") or {}).get("n")
+        n1 = obj["n1"] if "n1" in obj else _hom_field(obj.get("source") or {}, dict, "source").get("n")
+        n2 = obj["n2"] if "n2" in obj else _hom_field(obj.get("target") or {}, dict, "target").get("n")
         if n1 is None or n2 is None:
             raise InputError("homomorphism JSON must carry n1/n2 lengths")
         _json_int(n1, "n1")
         _json_int(n2, "n2")
-        coords = _json_list(obj["psi"]["image_of_generator"], "psi.image_of_generator")
+        coords = _json_list(_hom_field(obj["psi"], dict, "psi")["image_of_generator"],
+                            "psi.image_of_generator")
         for c in coords:
             _json_int(c, "a psi.image_of_generator entry")
         image = tgt_ring.k.from_coeffs(coords)
         if not eval_poly(src_ring.k.defining_poly, image).is_zero():
             raise InputError("psi image is not a root of the source defining polynomial")
         psi = FieldEmbedding(src_ring.k, tgt_ring.k, image)
-        beta_elem = parse_dvr_elem_text(tgt_ring, obj["beta"])
+        beta_elem = parse_dvr_elem_text(tgt_ring, _hom_field(obj["beta"], str, "beta"))
         if beta_elem.n < n2:
             raise InputError(f"beta has {beta_elem.n} digits, the target length n2 = {n2} needs {n2}")
         beta = project(beta_elem, n2)

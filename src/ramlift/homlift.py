@@ -39,7 +39,9 @@ depth t; one loop, _escalate, doubles the working margin while a readout is
 capped, up to 4*(t + ESCALATION_CAP).  Each search certifies only the
 roots its answer needs: lifting searches only the ball of the roots within
 Krasner distance of beta (radius _krasner_radius), and the unique root
-accepted there is the lift; has_root stops at the first root it certifies.
+accepted there is the lift; has_root stops at the first root it certifies,
+and doubles its depth at most up to 2*nu_R(disc F) + 2, where every search
+decides.
 
 All polynomial evaluation (search balls, Newton steps, certification, beta
 admissibility) runs on the flat vectors of one dvr context: F and its Hasse
@@ -115,14 +117,15 @@ from .resfield import (
     FqElem,
     _capped_roots,
     _residues,
+    _resultant,
     _squarefree_part,
     embeddings,
     enumeration_cap,
     identity_embedding,
 )
-from .witt import WittMap
+from .witt import WittMap, _vp_int
 
-ESCALATION_CAP = 64  # nu-units: caps has_root's depth, and the margin at 4*(t + cap)
+ESCALATION_CAP = 64  # nu-units: _escalate's margin stops at 4*(t + cap)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +790,7 @@ def hom_inverse(g: DvrHom) -> DvrHom:
 
 
 class HasRootResult(Record):
-    """has_root's answer: kind is "yes", "no" or "undecided"."""
+    """has_root's answer: kind is "yes" or "no"."""
 
     _fields = ("kind", "root", "precision")
 
@@ -803,18 +806,34 @@ def _squarefree_cached(coeffs: tuple, k) -> tuple:
     return _normalize_poly(_squarefree_part(coeffs), k)
 
 
+def _disc_val(coeffs, R: DvrSpec) -> int:
+    """nu_R(disc F) = e * v_p(disc F) for the squarefree part F of the monic
+    integer polynomial coeffs: disc F = +-Res(F, F') is a nonzero integer,
+    computed exactly."""
+    f = _squarefree_part(coeffs)
+    return R.e * _vp_int(int(_resultant(f, [i * f[i] for i in range(1, len(f))])), R.p)
+
+
 def has_root(R: DvrSpec, F) -> HasRootResult:
     """Decide whether the monic integer polynomial F has a root in R, by the
     certified root search on its squarefree part at a precision that
-    doubles while the search raises PrecisionTooLow.
+    doubles from max(4, e + nu(e) + 1) while the search raises
+    PrecisionTooLow.
+
+    The doubling stops at the first precision >= B = 2*nu_R(disc F) + 2,
+    worked out when a search first raises.  disc F = +-prod F'(rho) over
+    the roots rho of F, each factor integral, so nu(F'(rho)) <= nu_R(disc
+    F); and disc F lies in the ideal (F, F') of Z[x], so nu(F'(x)) <=
+    nu_R(disc F) wherever nu(F(x)) > nu_R(disc F).  A search at depth B or
+    above therefore separates and certifies every root it meets (Hensel's
+    lemma), and a PrecisionTooLow there raises InconsistentResult.
 
     "yes" carries the first certified root in lexicographic order of
     digits, and the search stops there: the balls after it are never
     searched, so the precision reported is that root's certificate depth,
     the first precision at which the balls before it die and it is
     certified.  "no" is a search whose balls all die, a proof of
-    nonexistence, at the precision it ran at; "undecided" gives the last
-    precision tried below ESCALATION_CAP."""
+    nonexistence, at the precision it ran at."""
     coeffs = [int(c) for c in F]
     if not coeffs or coeffs[-1] != 1:
         raise NotMonic("polynomial must be monic")
@@ -822,13 +841,18 @@ def has_root(R: DvrSpec, F) -> HasRootResult:
     prec = max(4, R.e + nu_of_e(R.p, R.e) + 1)
     if not F[0]:
         return HasRootResult("no", None, prec)  # the constant 1 has no root
+    ceiling = None
     while True:
         try:
             roots = _roots(F, R, prec, first=True)
-        except PrecisionTooLow:
+        except PrecisionTooLow as exc:
+            ceiling = ceiling or 2 * _disc_val(coeffs, R) + 2
+            if prec >= ceiling:
+                raise InconsistentResult(
+                    f"the root search for {coeffs} at depth {prec}, at or above the "
+                    f"ceiling 2*nu(disc) + 2 = {ceiling}, did not decide: {exc}"
+                ) from None
             prec *= 2
-            if prec > ESCALATION_CAP:
-                return HasRootResult("undecided", None, prec // 2)
             continue
         if roots:
             return HasRootResult("yes", roots[0].elem, roots[0].t)

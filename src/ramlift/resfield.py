@@ -13,7 +13,8 @@ products and Rabin's test reduce by the defining polynomial mod p, witt by
 its lift mod p^M, and dvr by f (d = 1) and by g.  Every polynomial division
 is by a monic divisor: Euclid's algorithm over F_p makes each divisor monic
 and reduces by _reduce_monic, and _divmod_monic, the one division over Q,
-serves the Euclid steps and the quotient of _squarefree_part.
+serves the Euclid steps, the quotient of _squarefree_part and the
+resultant (_resultant).
 """
 
 from __future__ import annotations
@@ -159,8 +160,9 @@ def _poly_gcd_is_one(a, b, p) -> bool:
 
 def _divmod_monic(a, g) -> tuple:
     """(quotient, trimmed remainder) of a by the monic g over Q, as lists
-    of Fractions: the one division over Q, behind both the Euclid steps and
-    the exact division of _squarefree_part."""
+    of Fractions: the one division over Q, behind the Euclid steps of
+    _squarefree_part and _resultant and the exact division of
+    _squarefree_part."""
     r = [Fraction(x) for x in a]
     d = len(g) - 1
     quot = [0] * max(len(r) - d, 0)
@@ -184,6 +186,20 @@ def _squarefree_part(coeffs) -> list:
     if any(c.denominator != 1 for c in quot):
         raise InconsistentResult("squarefree part is not integral")
     return [int(c) for c in quot]
+
+
+def _resultant(a, b) -> Fraction:
+    """Res(a, b) over Q of two ascending coefficient lists, a trimmed, by
+    Euclid's algorithm: Res(a, c*b) = c^deg(a) Res(a, b), Res(a, b) =
+    (-1)^(deg(a) deg(b)) Res(b, a), and for a monic b Res(b, a) = Res(b, a
+    mod b), the remainder of _divmod_monic."""
+    res, b = Fraction(1), _poly_trim([Fraction(x) for x in b])
+    while len(b) > 1:
+        lead, deg_a = b[-1], len(a) - 1
+        res *= lead ** deg_a * (-1) ** (deg_a * (len(b) - 1))
+        b = [x / lead for x in b]
+        a, b = b, _divmod_monic(a, b)[1]
+    return res * b[0] ** (len(a) - 1) if b else Fraction(0)
 
 
 def _is_irreducible(poly, p):

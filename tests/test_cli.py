@@ -438,10 +438,19 @@ def test_ring_missing_file_exit_2(capsys, tmp_path):
 
 
 def test_lift_psi_not_object_exit_2(capsys):
-    hom = '{"psi":5,"beta":"pi:0,1,0","n1":3,"n2":3}'
-    rc, _, err = run(capsys, "lift", S3, S3, hom, "8")
-    _one_line_exit_2(rc, err)
-    assert "bad homomorphism JSON" in err
+    # each hom, or a field of it, of the wrong JSON kind is named in one line
+    for hom, field in (('{"psi":5,"beta":"pi:0,1,0","n1":3,"n2":3}', "psi must be an object"),
+                       ('{"psi":[1],"beta":"pi:0,1,0","n1":3,"n2":3}', "psi must be an object"),
+                       ('{"psi":{"image_of_generator":[0]},"beta":5,"n1":3,"n2":3}',
+                        "beta must be a string"),
+                       ('{"psi":{"image_of_generator":[0]},"beta":"pi:0,1,0","source":5}',
+                        "source must be an object"),
+                       ("5", "the homomorphism must be an object"),
+                       ('"n1"', "the homomorphism must be an object"),
+                       ("[]", "the homomorphism must be an object")):
+        rc, _, err = run(capsys, "lift", S3, S3, hom, "8")
+        _one_line_exit_2(rc, err)
+        assert f"bad homomorphism JSON: {field}" in err, hom
 
 
 @pytest.mark.parametrize("out_prec", ["0", "-5"])

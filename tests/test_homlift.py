@@ -686,6 +686,61 @@ def test_has_root_escalates_for_close_roots():
     assert res.precision > 6
 
 
+Z5_SQRT5, Z5_SQRTM5 = make_dvr(make_field(5, 1), [-5, 0, 1]), make_dvr(make_field(5, 1), [5, 0, 1])
+Z7_SQRT7, Z7_SQRTM7 = make_dvr(make_field(7, 1), [-7, 0, 1]), make_dvr(make_field(7, 1), [7, 0, 1])
+
+# x^2 - c whose answers need a precision above 64: (ring, c, answer)
+DEEP_SQUARES = {
+    "Z3[sqrt3]:3^100": (Z3_SQRT3, 3 ** 100, "yes"),
+    "Z3[sqrt3]:3^101": (Z3_SQRT3, 3 ** 101, "yes"),
+    "Z3[sqrt3]:2*3^100": (Z3_SQRT3, 2 * 3 ** 100, "no"),
+    "Z3[sqrt3]:7*3^300": (Z3_SQRT3, 7 * 3 ** 300, "yes"),
+    "Z2[sqrt2]:17*2^61": (Z2_SQRT2, 17 * 2 ** 61, "yes"),
+    "Z2[sqrt2]:7*2^61": (Z2_SQRT2, 7 * 2 ** 61, "no"),
+}
+
+
+def _is_square_root(R, root, c) -> bool:
+    """Whether root agrees to its depth t with a root of x^2 - c that t
+    separates, by substitution: x = root's t digits, read at precision 3t,
+    has nu(2x) < t and nu(x^2 - c) >= t + nu(2x)."""
+    t = root.n
+    x = from_pi_digits(pi_digits(root, t), R, 3 * t)
+    v2x, exact = (x + x)._val_units()
+    return exact and v2x < t and (x * x - R.from_int(c, 3 * t))._val_units()[0] >= t + v2x
+
+
+@pytest.mark.parametrize("case", list(DEEP_SQUARES))
+def test_has_root_decides_deep_squares(case):
+    R, c, answer = DEEP_SQUARES[case]
+    res = has_root(R, [-c, 0, 1])
+    assert (res.kind, res.precision > 64) == (answer, True)
+    if answer == "yes":
+        assert _is_square_root(R, res.root, c)
+
+
+def test_has_root_keeps_the_precisions_decided_below_64():
+    # the root 3^20 is certified at 64, the fourth doubling of 4
+    res = has_root(Z3_SQRT3, [-3 ** 40, 0, 1])
+    assert (res.kind, res.precision) == ("yes", 64)
+    assert _is_square_root(Z3_SQRT3, res.root, 3 ** 40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 1), (3, -1), (5, 1), (5, -1), (7, 1), (7, -1)]),
+       st.integers(-200, 200), st.integers(0, 90))
+def test_has_root_of_a_unit_times_a_power_of_p(ring, c, m):
+    # over Z_p[sqrt(sign*p)], p = sign*pi^2, so x^2 = c*p^m = c*sign^m*pi^(2m)
+    # has a root exactly when the unit c*sign^m is a square mod p
+    p, sign = ring
+    R = {3: (Z3_SQRT3, Z3_SQRTM3), 5: (Z5_SQRT5, Z5_SQRTM5), 7: (Z7_SQRT7, Z7_SQRTM7)}[p][sign < 0]
+    c = c if c % p else c + 1
+    res = has_root(R, [-c * p ** m, 0, 1])
+    assert res.kind == ("yes" if pow(c * sign ** m, (p - 1) // 2, p) == 1 else "no")
+    if res:
+        assert _is_square_root(R, res.root, c * p ** m)
+
+
 def test_has_root_certifies_only_its_first_root(monkeypatch):
     # x^2 - 2 has the two roots = +-3 mod m in Z7[sqrt 7]; has_root accepts
     # the first and searches no further, where the full search accepts both
@@ -722,18 +777,20 @@ def test_has_root_answers_at_its_first_root_precision(case):
 
 def _has_root_by_every_root(R, F):
     """has_root as the search over every root at doubling precision
-    answers it: (kind, root, precision)."""
+    answers it: (kind, root, precision).  The search decides at depth B =
+    2*nu_R(disc F) + 2 or above."""
     coeffs = resfield._squarefree_part(F)
     prec = max(4, R.e + nu_of_e(R.p, R.e) + 1)
     if len(coeffs) == 1:
         return "no", None, prec
+    ceiling = 2 * homlift._disc_val(F, R) + 2
     while True:
         try:
             roots = roots_in_dvr(coeffs, R, prec)
         except PrecisionTooLow:
+            if prec >= ceiling:
+                raise AssertionError(f"{F} is undecided at depth {prec} >= B = {ceiling}") from None
             prec *= 2
-            if prec > homlift.ESCALATION_CAP:
-                return "undecided", None, prec // 2
             continue
         if roots:
             return "yes", roots[0].elem, roots[0].t
@@ -778,6 +835,35 @@ def test_has_root_agrees_with_the_search_over_every_root(ring):
         else:
             assert (res.root, res.precision) == (None, prec), F
     assert kinds == {"yes", "no"}
+
+
+@pytest.mark.parametrize("ring", list(HAS_ROOT_RINGS))
+def test_disc_val_matches_sympy_oracle(ring):
+    # nu_R(disc F) = e * v_p(disc F) on seeded squarefree F, some of them
+    # products of linear factors with close roots
+    import sympy
+
+    R = HAS_ROOT_RINGS[ring]
+    x = sympy.symbols("x")
+    rng = random.Random(f"disc:{ring}")
+    checked = 0
+    while checked < 12:
+        if checked % 2:
+            F = [rng.randint(-50, 50) for _ in range(rng.randint(1, 5))] + [1]
+        else:
+            F = [1]
+            for _ in range(rng.randint(1, 4)):  # F <- F * (x - a)
+                a = rng.choice([0, 1, R.p, R.p ** 3]) + rng.randint(-2, 2) * R.p ** rng.randint(0, 5)
+                F = [(F[j - 1] if j else 0) - a * (F[j] if j < len(F) else 0) for j in range(len(F) + 1)]
+        disc = int(sympy.discriminant(sympy.Poly(F[::-1], x)))
+        if disc == 0:
+            continue
+        v = 0
+        while disc % R.p == 0:
+            disc //= R.p
+            v += 1
+        assert homlift._disc_val(F, R) == R.e * v, F
+        checked += 1
 
 
 def test_lift_across_ramification_indices():
@@ -1301,7 +1387,7 @@ from fractions import Fraction
 
 from ramlift import homlift as h
 from ramlift.dvr import make_dvr, project, residue_ring
-from ramlift.errors import RamliftError
+from ramlift.errors import PrecisionTooLow, RamliftError
 from ramlift.ramification import different_val, krasner_bound, lift_precision_bound
 from ramlift.resfield import _squarefree_part, embeddings, identity_embedding, make_field
 
@@ -1320,6 +1406,18 @@ def lift_to_unit():
     # a selection that returns a unit: the valuation check must catch it
     h.select_unique_root = lambda roots, beta, M1, e2: h.CertifiedRoot(R.one(8), 8, 1)
     h.lift_hom(phi)
+
+
+def never_decided():
+    # a root search that never decides: has_root stops at its ceiling B
+    def undecided(*args, **kwargs):
+        raise PrecisionTooLow("no depth separates the ball 0 + m^0")
+
+    searched, h._roots = h._roots, undecided
+    try:
+        h.has_root(R, [-3, 0, 1])
+    finally:
+        h._roots = searched
 
 
 def past_the_cap(run):
@@ -1341,6 +1439,7 @@ cases = {
     "lift_hom": lift_to_unit,
     "_squarefree_part": lambda: _squarefree_part([Fraction(1, 4), -1, 1]),
     "has_root": lambda: h.has_root(R, [1, 0, 2]),
+    "has_root_past_the_ceiling": never_decided,
     "_certify_at": lambda: h._certify_at(h._normalize_poly([-3, 0, 1], F3), R, R.one(4)),
     # (x^2 - 3)^2: the double roots pi and -pi never separate
     "roots_in_dvr": lambda: h.roots_in_dvr([9, 0, -6, 0, 1], R, 4),
@@ -1386,6 +1485,7 @@ def test_correctness_checks_survive_python_O():
         "lift_hom": "InconsistentResult",
         "_squarefree_part": "InconsistentResult",
         "has_root": "NotMonic",
+        "has_root_past_the_ceiling": "InconsistentResult",
         "_certify_at": "InconsistentResult",
         "roots_in_dvr": "PrecisionTooLow",
         "_ball_search": "TooLarge",

@@ -4,10 +4,11 @@ runs break, and the CLI must call the command bound under that name when it
 runs.  Importing ramlift stays free of code-generation modules, and running
 a command loads no argparse, gettext or locale; the library holds no assert
 statement, which python -O would strip, and it reads the environment in one
-place.  Only the CLI entry point ends the process with os._exit, and no
-module leaves work for the interpreter's teardown.  Git tracks no file that
-.gitignore lists.  The README's library quick start runs and prints the
-values its comments state."""
+place; ESCALATION_CAP bounds only the certification margin, and no root
+answer is "undecided".  Only the CLI entry point ends the process with
+os._exit, and no module leaves work for the interpreter's teardown.  Git
+tracks no file that .gitignore lists.  The README's library quick start
+runs and prints the values its comments state."""
 
 import ast
 import importlib.util
@@ -190,6 +191,25 @@ def test_environment_read_only_by_enumeration_cap():
     allowed = [r for r in reads if r[:2] == ("resfield.py", "enumeration_cap")]
     assert allowed
     assert [r for r in reads if r not in allowed] == []
+
+
+def test_escalation_cap_bounds_only_the_margin():
+    """has_root's depth stops at a ceiling worked out from the discriminant,
+    so ESCALATION_CAP is read only by homlift._escalate, for the margin, and
+    no answer is "undecided"."""
+    reads, undecided = [], []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == "ESCALATION_CAP"
+                    or isinstance(node, ast.Attribute) and node.attr == "ESCALATION_CAP"
+                    or isinstance(node, ast.alias) and node.name == "ESCALATION_CAP"):
+                reads.append((path.name, owner.get(node)))
+            elif isinstance(node, ast.Constant) and node.value == "undecided":
+                undecided.append((path.name, node.lineno))
+    assert reads == [("homlift.py", "_escalate")]
+    assert undecided == []
 
 
 _TEARDOWN_WORK = {"atexit", "threading", "multiprocessing", "tempfile"}
