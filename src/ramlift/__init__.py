@@ -67,6 +67,7 @@ from .homlift import (
     compose_homs,
     has_root,
     dvr_isos,
+    hom_inverse,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

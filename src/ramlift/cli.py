@@ -226,6 +226,9 @@ def cmd_lift(args) -> str:
     tgt_ring = _ring_from_arg(args.tgt)
     if args.out_prec < 1:
         raise InputError(f"out_prec must be >= 1, got {args.out_prec}")
+    digits_cap = sys.get_int_max_str_digits()
+    if digits_cap and args.out_prec > digits_cap:
+        raise TooLarge(f"OUT_PREC {args.out_prec} exceeds the {digits_cap}-digit integer limit")
     phi = _parse_hom(src_ring, tgt_ring, _load_json_arg(args.hom))
     g = lift_hom(phi, min_prec=args.out_prec)
     payload = g.to_json()

@@ -76,7 +76,7 @@ class NoRoot(RamliftError):
 
 
 class MultipleRoots(RamliftError):
-    """Internal inconsistency: the selection rule matched more than one root."""
+    """Internal inconsistency: a ball that holds one root gave several."""
 
 
 class InconsistentResult(RamliftError):

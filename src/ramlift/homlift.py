@@ -38,8 +38,8 @@ nu(F'(x)) with t > nu(F'(x)), which pins a unique root agreeing with x to
 depth t; one loop, _escalate, doubles the working margin while a readout is
 capped, up to 4*(t + ESCALATION_CAP).  Each search certifies only the
 roots its answer needs: lifting searches only the ball of the roots within
-Krasner distance of beta (radius _krasner_radius), and the unique root
-accepted there is the lift; has_root stops at the first root it certifies,
+Krasner distance of beta (radius _krasner_radius), and the one root
+certified there is the lift; has_root stops at the first root it certifies,
 and doubles its depth at most up to 2*nu_R(disc F) + 2, where every search
 decides.
 
@@ -655,62 +655,46 @@ def _krasner_radius(M1: Fraction, e2: int) -> int:
     return M1.numerator * e2 // M1.denominator + 1
 
 
-def select_unique_root(roots, beta: DvrElem, M1: Fraction, e2: int) -> CertifiedRoot:
-    """The root within Krasner distance of beta: nu-tilde(rho - beta) > M(R1),
-    that is nu(rho - beta) >= _krasner_radius(M1, e2); exactly one exists
-    above the precision bound.  An inexact readout is a valuation lower
-    bound, so reaching r0 is conclusive either way, and a root below r0
-    counts as outside only when its readout is exact."""
-    r0 = _krasner_radius(M1, e2)
-    matches, placed = [], True
-    for r in roots:
-        v, exact = (r.elem - beta)._val_units()
-        if v >= r0:
-            matches.append(r)
-        elif not exact:
-            placed = False
-    if not matches:
-        raise NoRoot("no root within Krasner distance of beta: inconsistent input")
-    if len(matches) > 1:
-        raise MultipleRoots("several roots within Krasner distance: inconsistent input")
-    if not placed:
-        raise InconsistentResult("a root could not be placed outside Krasner distance")
-    return matches[0]
-
-
 def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
     """Lift a residue-ring homomorphism to the rings: the unique root of the
     mapped Eisenstein polynomial within Krasner distance of beta.
 
     A root rho is within that distance, nu-tilde(rho - beta) > M(R1), exactly
-    when nu(rho - beta) >= r0 = floor(M(R1)*e2) + 1, so the certified root
-    search runs in the ball beta[:r0] + m^r0 alone and Krasner selection
-    checks what it finds.  Requires n2 strictly above M(R1)*e1*e2, which
-    puts r0 <= n2; refuses lower lengths even when a lift happens to exist,
-    because uniqueness is only guaranteed above the bound.  min_prec asks
-    for extra certified digits on the image of the uniformizer.
+    when nu(rho - beta) >= r0 = floor(M(R1)*e2) + 1, that is when its first
+    r0 pi-digits are beta's, so the certified root search of the ball
+    beta[:r0] + m^r0 is the selection: the one root it certifies is the
+    lift, none raises NoRoot and several raise MultipleRoots.  Requires n2
+    strictly above M(R1)*e1*e2, which puts r0 <= n2 and makes that root
+    unique; refuses lower lengths even when a lift happens to exist.
+    min_prec asks for extra certified digits on the image of the
+    uniformizer.
     """
     R1, R2 = phi.source.ring, phi.target.ring
     n2 = phi.target.n
+    M1 = krasner_bound(R1)
     bound = lift_precision_bound(R1, R2.e)
     if n2 < bound:
         raise PreconditionBound(
             f"requires n2 >= {bound}, got {n2}: a unique lift needs n2 > M(R1)*e1*e2, "
-            f"with M(R1) = {krasner_bound(R1)}, e1 = {R1.e}, e2 = {R2.e}"
+            f"with M(R1) = {M1}, e1 = {R1.e}, e2 = {R2.e}"
         )
     if R2.e % R1.e != 0:
         raise IncompatibleLengths("target ramification must be a multiple of the source's")
-    M1 = krasner_bound(R1)
     prec = n2 + 2 * -(-R2.e * different_val(R1) // R1.e) + GUARD_DIGITS
     # the root must be certified beyond its valuation e2/e1 for the exact
     # readout checked below
     prec = max(prec, R2.e // R1.e + 1)
     if min_prec is not None:
         prec = max(prec, min_prec)
-    r0 = _krasner_radius(M1, R2.e)
-    roots = _roots((R1.coeffs, phi.psi), R2, prec, phi.beta.digits[:r0])
-    beta_lift = phi.target.lift(phi.beta)
-    chosen = select_unique_root(roots, beta_lift, M1, R2.e)
+    ball = phi.beta.digits[:_krasner_radius(M1, R2.e)]
+    roots = _roots((R1.coeffs, phi.psi), R2, prec, ball)
+    if not roots:
+        raise NoRoot("no root within Krasner distance of beta: inconsistent input")
+    if len(roots) > 1:
+        raise MultipleRoots("several roots within Krasner distance: inconsistent input")
+    chosen = roots[0]
+    if pi_digits(chosen.elem, len(ball)) != ball:
+        raise InconsistentResult(f"the root found lies outside {_ball_text(ball)}")
     # the residue-field square commutes by construction; the image of the
     # uniformizer must again have the right valuation
     v, exact = chosen.elem._val_units()

@@ -6,11 +6,11 @@ roots, serves the embeddings and homlift's ball search; above degree 1 it
 tries every element, up to the enumeration cap.  A root set that a cache
 kept is handed back only while q is within the cap read by the call.
 Building a field never enumerates it: primality (deterministic
-Miller-Rabin) and irreducibility (Rabin's test) cost a few modular powers,
-so a huge p is accepted.  _convolve and _reduce_monic are the one product
-of coefficient lists and the one reduction by a monic polynomial: F_q
-products and Rabin's test reduce by the defining polynomial mod p, witt by
-its lift mod p^M, and dvr by f (d = 1) and by g.  Every polynomial division
+Miller-Rabin) and irreducibility (Ben-Or's test) cost modular powers and
+gcds only, so a huge p is accepted.  _convolve and _reduce_monic are the
+one product of coefficient lists and the one reduction by a monic
+polynomial: F_q products and Ben-Or's test reduce by the defining
+polynomial mod p, witt by its lift mod p^M, and dvr by f (d = 1) and by g.  Every polynomial division
 is by a monic divisor: Euclid's algorithm over F_p makes each divisor monic
 and reduces by _reduce_monic, and _divmod_monic, the one division over Q,
 serves the Euclid steps, the quotient of _squarefree_part and the
@@ -203,22 +203,22 @@ def _resultant(a, b) -> Fraction:
 
 
 def _is_irreducible(poly, p):
-    """Rabin's test: the monic poly of degree d is irreducible over F_p iff
-    x^(p^d) = x mod poly and gcd(x^(p^(d/r)) - x, poly) = 1 for every prime
-    r dividing d."""
+    """Ben-Or's test: the monic poly of degree d is irreducible over F_p iff
+    gcd(x^(p^i) - x, poly) = 1 for i = 1, ..., floor(d/2), since a reducible
+    poly has an irreducible factor of some degree i <= d/2, which divides
+    x^(p^i) - x.  Each x^(p^i) is the p-th power of the last mod poly, and
+    the test stops at the first nontrivial gcd."""
     d = len(poly) - 1
     if d < 1:
         return False
-
-    def x_frob_minus_x(i):  # x^(p^i) - x mod poly
-        h = _poly_powmod_p([0, 1], p ** i, poly, p) + [0]
+    frob = [0, 1]
+    for _ in range(d // 2):
+        frob = _poly_powmod_p(frob, p, poly, p)  # x^(p^i) mod poly
+        h = frob + [0]
         h[1] -= 1
-        return _reduce_monic(h, poly, p)
-
-    if any(x_frob_minus_x(d)):
-        return False
-    primes = [r for r in range(2, d + 1) if d % r == 0 and is_prime(r)]
-    return all(_poly_gcd_is_one(x_frob_minus_x(d // r), poly, p) for r in primes)
+        if not _poly_gcd_is_one(h, poly, p):
+            return False
+    return True
 
 
 def _monic_tails(p, d, first=0):

@@ -461,6 +461,24 @@ def test_lift_out_prec_below_one_exit_2(capsys, out_prec):
     assert out == "" and err == f"error: out_prec must be >= 1, got {out_prec}\n"
 
 
+def test_lift_out_prec_past_the_digit_limit_exit_3(capsys):
+    # OUT_PREC may reach the interpreter's integer digit limit, not pass it,
+    # and a limit of 0 sets none
+    hom = '{"psi":{"image_of_generator":[0]},"beta":"pi:0,1,0","n1":3,"n2":3}'
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        answered = run(capsys, "lift", S3, S3, hom, "640")
+        refused = run(capsys, "lift", S3, S3, hom, "641")
+        sys.set_int_max_str_digits(0)
+        unlimited = run(capsys, "lift", S3, S3, hom, "700")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert answered[0] == 0 and json.loads(answered[1])["certificate"]["t"] == 640
+    assert refused == (3, "", "error: TooLarge: OUT_PREC 641 exceeds the 640-digit integer limit\n")
+    assert unlimited[0] == 0 and json.loads(unlimited[1])["certificate"]["t"] == 700
+
+
 def test_homs_zero_length_exit_2(capsys):
     rc, _, err = run(capsys, "homs", S3, S3, "0", "3")
     _one_line_exit_2(rc, err)

@@ -33,8 +33,6 @@ from ramlift.errors import (
     InconsistentResult,
     InvalidArgument,
     InvalidSetting,
-    MultipleRoots,
-    NoRoot,
     NotComposable,
     NotMonic,
     PrecisionTooLow,
@@ -60,7 +58,6 @@ from ramlift.homlift import (
     residue_hom,
     roots_in_dvr,
     same_hom,
-    select_unique_root,
 )
 from ramlift.ramification import different_val, krasner_bound, lift_precision_bound, nu_of_e
 from ramlift.resfield import FieldEmbedding, embeddings, identity_embedding, make_field
@@ -509,22 +506,44 @@ def test_lift_section_property():
         assert same_hom(lift_hom(phi), g)
 
 
+def _within_krasner_distance(roots, beta, r0) -> list:
+    """The roots rho with nu(rho - beta) >= r0, read off rho - beta; an
+    inexact readout is a lower bound, so a root below r0 must read exactly
+    to be placed outside."""
+    inside = []
+    for r in roots:
+        v, exact = (r.elem - beta)._val_units()
+        if v >= r0:
+            inside.append(r)
+        else:
+            assert exact, "a root could not be placed outside Krasner distance"
+    return inside
+
+
+def _as_hom(phi, root) -> DvrHom:
+    return DvrHom(phi.source.ring, phi.target.ring, phi.psi, root.elem, (root.t, root.deriv_val))
+
+
 def test_lift_kras_selection_representative_independent():
+    # exactly one root of f1^psi lies within Krasner distance of beta, for
+    # beta and every noisy representative of it, and that root is the lift
     phi = _twist_hom_2_13_2()
     R2 = phi.target.ring
-    M1 = krasner_bound(phi.source.ring)
+    r0 = homlift._krasner_radius(krasner_bound(phi.source.ring), R2.e)
     prec = 9
-    roots = roots_in_dvr([-3, 0, 1], R2, prec)
+    roots = homlift._roots((phi.source.ring.coeffs, phi.psi), R2, prec)
+    g = lift_hom(phi)
     rng = random.Random(3)
     base = from_pi_digits(phi.beta.digits, R2, prec)
     pi = R2.uniformizer(prec)
-    chosen = select_unique_root(roots, base, M1, R2.e)
+    representatives = [base]
     for _ in range(10):
         mod = R2.p ** R2.coeff_precision(prec)
         noise = element(R2, [[rng.randrange(mod)], [rng.randrange(mod)]], prec)
-        alt = base + pi ** phi.target.n * noise
-        again = select_unique_root(roots, alt.reduce_to(prec), M1, R2.e)
-        assert pi_digits(again.elem, again.t) == pi_digits(chosen.elem, chosen.t)
+        representatives.append((base + pi ** phi.target.n * noise).reduce_to(prec))
+    for beta in representatives:
+        [chosen] = _within_krasner_distance(roots, beta, r0)
+        assert same_hom(g, _as_hom(phi, chosen))
 
 
 def test_lift_is_isomorphism_with_inverse():
@@ -546,18 +565,18 @@ def test_lift_surjects_onto_ring_automorphisms():
 
 
 def test_krasner_characterization_of_choice():
+    # the conjugates of the lift sit exactly at the Krasner bound from beta
     phi = _twist_hom_2_13_2()
     R = phi.target.ring
     M1 = krasner_bound(phi.source.ring)
-    roots = roots_in_dvr([-3, 0, 1], R, 9)
+    g = lift_hom(phi)
+    roots = homlift._roots((phi.source.ring.coeffs, phi.psi), R, 9)
     beta = from_pi_digits(phi.beta.digits, R, phi.target.n)
-    chosen = select_unique_root(roots, beta, M1, R.e)
-    others = [r for r in roots if pi_digits(r.elem, r.t) != pi_digits(chosen.elem, chosen.t)]
-    assert others
+    others = [r for r in roots if not same_hom(g, _as_hom(phi, r))]
+    assert len(others) == len(roots) - 1 == 1
     for r in others:
         diff = r.elem.reduce_to(beta.n) - beta
         v = diff.valuation()
-        # non-selected conjugates sit exactly at the bound
         assert v.exact and v.value / R.e == M1
 
 
@@ -1239,10 +1258,10 @@ def _count_certified(monkeypatch) -> list:
 
 @pytest.mark.parametrize("pair", list(LIFT_PAIRS))
 def test_lift_searches_one_ball_and_selects_the_same_root(pair, monkeypatch):
-    # Krasner selection among all certified roots of f1^psi picks the lift
-    # that the search of beta's ball alone certifies, and that search
-    # certifies one root where the whole search certifies every root of
-    # f1^psi in R2: two for a quadratic f1
+    # of all certified roots of f1^psi exactly one lies within Krasner
+    # distance of beta: the lift, which the search of beta's ball alone
+    # certifies.  That search certifies one root where the whole search
+    # certifies every root of f1^psi in R2: two for a quadratic f1
     R1, R2 = LIFT_PAIRS[pair]
     homs = _homs_to_lift(R1, R2)
     assert homs
@@ -1253,33 +1272,34 @@ def test_lift_searches_one_ball_and_selects_the_same_root(pair, monkeypatch):
         lifts.append(lift_hom(phi))
         assert len(accepted) == 1
     del accepted[:]
-    M1 = krasner_bound(R1)
+    r0 = homlift._krasner_radius(krasner_bound(R1), R2.e)
     counts = []
     for phi, g in zip(homs, lifts):
         every_root = homlift._roots((R1.coeffs, phi.psi), R2, g.t)
         counts.append(len(every_root))
-        chosen = select_unique_root(every_root, phi.target.lift(phi.beta), M1, R2.e)
+        [chosen] = _within_krasner_distance(every_root, phi.target.lift(phi.beta), r0)
         assert chosen.t == g.t
-        assert same_hom(g, DvrHom(R1, R2, phi.psi, chosen.elem, (chosen.t, chosen.deriv_val)))
+        assert same_hom(g, _as_hom(phi, chosen))
     assert len(accepted) == sum(counts)
     assert R1.e != 2 or set(counts) == {2}
 
 
 def test_krasner_radius_at_an_integral_boundary():
     # M(Z2[sqrt 2]) = 3/2, so M1*e2 = 3: nu-tilde(rho - beta) > 3/2 exactly
-    # when nu(rho - beta) >= 4.  A root at nu = 3 lies outside Krasner
-    # distance, one at nu = 4 inside
+    # when nu(rho - beta) >= 4, that is when rho shares beta's first 4
+    # digits.  A root at nu = 4 lies inside Krasner distance, one at nu = 3
+    # outside
     R = Z2_SQRT2
     M1 = krasner_bound(R)
-    assert M1 * R.e == 3 and homlift._krasner_radius(M1, R.e) == 4
+    r0 = homlift._krasner_radius(M1, R.e)
+    assert M1 * R.e == 3 and r0 == 4
     beta = R.uniformizer(8)
-    outside = homlift.CertifiedRoot(beta + R.uniformizer(8) ** 3, 8, 1)
-    inside = homlift.CertifiedRoot(beta + R.uniformizer(8) ** 4, 8, 1)
-    assert select_unique_root([outside, inside], beta, M1, R.e) is inside
-    with pytest.raises(NoRoot):
-        select_unique_root([outside], beta, M1, R.e)
-    with pytest.raises(MultipleRoots):
-        select_unique_root([inside, inside], beta, M1, R.e)
+    inside = beta + R.uniformizer(8) ** r0
+    outside = beta + R.uniformizer(8) ** (r0 - 1)
+    assert pi_digits(inside, r0) == pi_digits(beta, r0)
+    assert pi_digits(outside, r0) != pi_digits(beta, r0)
+    roots = [homlift.CertifiedRoot(x, 8, 1) for x in (outside, inside)]
+    assert [r.elem for r in _within_krasner_distance(roots, beta, r0)] == [inside]
     # e1 = 1 has M1 = 0: every root of valuation >= 1 from beta is inside
     M0 = krasner_bound(Z3_FLAT)
     assert homlift._krasner_radius(M0, 2) == 1
@@ -1292,7 +1312,18 @@ def test_lift_and_selection_read_one_krasner_radius(monkeypatch):
     monkeypatch.setattr(homlift, "_krasner_radius", lambda M1, e2: radii.append((M1, e2)) or radius(M1, e2))
     phi = _homs_to_lift(Z3_SQRT3, Z3_QUARTIC)[0]
     lift_hom(phi)
-    assert radii == [(krasner_bound(Z3_SQRT3), 4)] * 2
+    assert radii == [(krasner_bound(Z3_SQRT3), 4)]
+
+
+def test_lift_refuses_a_target_whose_e_is_no_multiple_of_the_source_e():
+    # e1 = 2 does not divide e2 = 3; no residue hom passes residue_hom's
+    # check here, so the hom is built directly, at n2 = the bound
+    tgt_ring = make_dvr(F3, [-3, 0, 0, 1])
+    assert lift_precision_bound(Z3_SQRT3, tgt_ring.e) == 4
+    src, tgt = residue_ring(Z3_SQRT3, 3), residue_ring(tgt_ring, 4)
+    phi = ResidueHom(src, tgt, identity_embedding(F3), project(tgt_ring.uniformizer(4), 4))
+    with pytest.raises(IncompatibleLengths):
+        lift_hom(phi)
 
 
 HOMS_SCAN_PAIRS = {
@@ -1388,7 +1419,6 @@ from fractions import Fraction
 from ramlift import homlift as h
 from ramlift.dvr import make_dvr, project, residue_ring
 from ramlift.errors import PrecisionTooLow, RamliftError
-from ramlift.ramification import different_val, krasner_bound, lift_precision_bound
 from ramlift.resfield import _squarefree_part, embeddings, identity_embedding, make_field
 
 F3 = make_field(3, 1)
@@ -1396,16 +1426,24 @@ F9 = make_field(3, 2)
 R = make_dvr(F3, [-3, 0, 1])
 ident = identity_embedding(F3)
 shallow = h.DvrHom(R, R, ident, R.uniformizer(1), (1, 1))
-unplaced = [h.CertifiedRoot(R.uniformizer(4), 4, 1), h.CertifiedRoot(R.zero(1), 1, 1)]
 phi = h.residue_hom(residue_ring(R, 3), residue_ring(R, 3), ident, project(R.uniformizer(3), 3))
 # beta = 1 is no root of x^2 - 3 mod m^3; built directly, past residue_hom's check
 unit_beta = h.ResidueHom(residue_ring(R, 3), residue_ring(R, 3), ident, residue_ring(R, 3).one())
+# Z3 -> Z3[sqrt 3], beta = 3: with e1 = 1 the ball beta[:1] + m is m itself,
+# which also holds elements of valuation 1, not e2/e1 = 2
+flat = make_dvr(F3, [-3, 1])
+from_flat = h.residue_hom(residue_ring(flat, 2), residue_ring(R, 4), ident, project(R.from_int(3, 4), 4))
+pi = R.uniformizer(8)
 
 
-def lift_to_unit():
-    # a selection that returns a unit: the valuation check must catch it
-    h.select_unique_root = lambda roots, beta, M1, e2: h.CertifiedRoot(R.one(8), 8, 1)
-    h.lift_hom(phi)
+def lift_finding(hom, *elems):
+    # the root search of beta's ball hands back these roots
+    searched = h._roots
+    h._roots = lambda *args, **kwargs: [h.CertifiedRoot(x, 8, 1) for x in elems]
+    try:
+        h.lift_hom(hom)
+    finally:
+        h._roots = searched
 
 
 def never_decided():
@@ -1431,12 +1469,15 @@ def past_the_cap(run):
 
 cases = {
     "same_hom": lambda: h.same_hom(shallow, shallow),
-    "select_unique_root": lambda: h.select_unique_root(
-        unplaced, R.uniformizer(4), krasner_bound(R), 2),
-    # beta's Krasner ball 1 + m^2 holds no root (runs before lift_to_unit
-    # replaces select_unique_root)
+    # beta's Krasner ball 1 + m^2 holds no root
     "lift_hom_unit_beta": lambda: h.lift_hom(unit_beta),
-    "lift_hom": lift_to_unit,
+    "lift_hom_no_root": lambda: lift_finding(phi),
+    # pi and pi + pi^7 both lie in beta's ball pi + m^2
+    "lift_hom_two_roots": lambda: lift_finding(phi, pi, pi + pi ** 7),
+    # -pi has the digits 0, 2, outside beta's ball 0, 1
+    "lift_hom_outside_ball": lambda: lift_finding(phi, -pi),
+    # pi lies in the ball 0 + m of beta = 3, but its valuation is 1
+    "lift_hom_valuation": lambda: lift_finding(from_flat, pi),
     "_squarefree_part": lambda: _squarefree_part([Fraction(1, 4), -1, 1]),
     "has_root": lambda: h.has_root(R, [1, 0, 2]),
     "has_root_past_the_ceiling": never_decided,
@@ -1480,9 +1521,11 @@ def test_correctness_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert dict(line.split() for line in proc.stdout.splitlines()) == {
         "same_hom": "PrecisionTooLow",
-        "select_unique_root": "InconsistentResult",
         "lift_hom_unit_beta": "NoRoot",
-        "lift_hom": "InconsistentResult",
+        "lift_hom_no_root": "NoRoot",
+        "lift_hom_two_roots": "MultipleRoots",
+        "lift_hom_outside_ball": "InconsistentResult",
+        "lift_hom_valuation": "InconsistentResult",
         "_squarefree_part": "InconsistentResult",
         "has_root": "NotMonic",
         "has_root_past_the_ceiling": "InconsistentResult",

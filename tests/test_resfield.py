@@ -96,6 +96,20 @@ def test_irreducibility_matches_sympy():
                 assert _is_irreducible(poly, p) == expected, (p, poly)
 
 
+def test_irreducibility_stops_at_a_linear_factor(monkeypatch):
+    # (x - 1)(x^5 + x + 2) over F_3: gcd(x^3 - x, poly) has the factor
+    # x - 1, so the test ends after one p-th power, x^3, of the three that
+    # degree 6 asks for
+    from ramlift import resfield
+
+    powers = []
+    powmod = resfield._poly_powmod_p
+    monkeypatch.setattr(resfield, "_poly_powmod_p", lambda *args: powers.append(args[1]) or powmod(*args))
+    poly = resfield._convolve([-1, 1], [2, 1, 0, 0, 0, 1])
+    assert resfield._is_irreducible([c % 3 for c in poly], 3) is False
+    assert powers == [3]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_gcd_is_one_matches_sympy_gf_gcd(p):
     # seeded pairs, half of them with a planted common factor, given with

@@ -6,8 +6,9 @@ a command loads no argparse, gettext or locale; the library holds no assert
 statement, which python -O would strip, and it reads the environment in one
 place; ESCALATION_CAP bounds only the certification margin, and no root
 answer is "undecided".  Only the CLI entry point ends the process with
-os._exit, and no module leaves work for the interpreter's teardown.  Git
-tracks no file that .gitignore lists.  The README's library quick start
+os._exit, and no module leaves work for the interpreter's teardown.  src/
+defines no function or class that ramlift itself never runs.  Git tracks no
+file that .gitignore lists.  The README's library quick start
 runs and prints the values its comments state."""
 
 import ast
@@ -246,6 +247,28 @@ def test_only_the_entry_point_skips_teardown():
         for fn, what in _exits_and_teardown_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == [("cli.py", "run", "os._exit")]
+
+
+def test_src_defines_only_what_ramlift_runs():
+    """Every module-level function and class in src/ is run by ramlift: its
+    name is loaded by src/ code outside its own definition, or ramlift's
+    __init__ exports it; cli.main calls each cmd_<name> through its
+    cli.COMMANDS row.  Code that only the tests use belongs in tests/."""
+    from ramlift.cli import COMMANDS
+
+    defined, loaded = [], {f"cmd_{name}" for name in COMMANDS}
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own:
+                defined.append((path.name, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+                    loaded.add(node.id)
+                elif isinstance(node, ast.alias) and path.name == "__init__.py":
+                    loaded.add(node.name)
+    assert len(defined) > 100
+    assert [d for d in defined if d[1] not in loaded] == []
 
 
 def test_git_tracks_no_ignored_file():
