@@ -34,10 +34,10 @@ from types import SimpleNamespace
 from .dvr import (
     _json_int,
     _json_list,
+    ResidueElt,
     dvr_elem_text,
-    parse_dvr_elem_text,
+    parse_pi_digits,
     parse_ring_spec,
-    project,
     residue_ring,
     ring_spec_to_json,
 )
@@ -212,11 +212,11 @@ def _parse_hom(src_ring, tgt_ring, obj):
         if not eval_poly(src_ring.k.defining_poly, image).is_zero():
             raise InputError("psi image is not a root of the source defining polynomial")
         psi = FieldEmbedding(src_ring.k, tgt_ring.k, image)
-        beta_elem = parse_dvr_elem_text(tgt_ring, _hom_field(obj["beta"], str, "beta"))
-        if beta_elem.n < n2:
-            raise InputError(f"beta has {beta_elem.n} digits, the target length n2 = {n2} needs {n2}")
-        beta = project(beta_elem, n2)
-        return residue_hom(residue_ring(src_ring, n1), residue_ring(tgt_ring, n2), psi, beta)
+        digits = parse_pi_digits(tgt_ring.k, _hom_field(obj["beta"], str, "beta"))
+        if len(digits) < n2:
+            raise InputError(f"beta has {len(digits)} digits, the target length n2 = {n2} needs {n2}")
+        tgt = residue_ring(tgt_ring, n2)
+        return residue_hom(residue_ring(src_ring, n1), tgt, psi, ResidueElt(tgt, digits[:n2]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad homomorphism JSON: {exc}") from exc
 

@@ -239,6 +239,8 @@ def make_dvr(k: FieldSpec, f) -> DvrSpec:
         if v is not None and v < 1:
             raise NotEisenstein(f"coefficient {i} is a unit")
     v0 = coeffs[0].p_val()
+    if v0 is None:
+        raise NotEisenstein("constant term is zero, expected p-adic valuation 1")
     if v0 != 1:
         raise NotEisenstein(f"constant term has p-adic valuation {v0}, expected 1")
     return DvrSpec(k, coeffs)
@@ -702,13 +704,13 @@ def dvr_elem_text(x: DvrElem) -> str:
     return _digits_text(pi_digits(x))
 
 
-def parse_dvr_elem_text(ring: DvrSpec, s: str) -> DvrElem:
+def parse_pi_digits(k: FieldSpec, s: str) -> tuple:
+    """The digits in k of an element text "π:a,b,..." or "pi:a,b,...", as
+    dvr_elem_text writes it; "π:" has none."""
     s = s.strip()
     for prefix in ("π:", "pi:"):
         if s.startswith(prefix):
-            body = s[len(prefix):]
-            digits = [_parse_fq_text(ring.k, t) for t in _split_digit_list(body)]
-            return from_pi_digits(digits, ring)
+            return tuple(_parse_fq_text(k, t) for t in _split_digit_list(s[len(prefix):]))
     raise ValueError(f"cannot parse element text {s!r}")
 
 

@@ -114,7 +114,6 @@ from .ramification import (
 from .record import Record
 from .resfield import (
     FieldEmbedding,
-    FqElem,
     _capped_roots,
     _residues,
     _resultant,
@@ -151,28 +150,20 @@ def _normalize_poly(F, k) -> tuple:
 
 class _Poly:
     """A monic F = x^m + a_{m-1} x^(m-1) + ... + a_0 materialized as flat
-    vectors of one context: f lists a_0, ..., a_{m-1}, and hasse[i] holds
-    the coefficients C(j, i) a_j (i <= j < m) of the i-th Hasse derivative
-    F_i below its lead C(m, i), so that F(x + u) = sum_i F_i(x) u^i.  F_0 is
-    F and F_1 is F'."""
+    vectors of one context, given by the flat vectors f of a_0, ..., a_{m-1}:
+    hasse[i] holds the coefficients C(j, i) a_j (i <= j < m) of the i-th
+    Hasse derivative F_i below its lead C(m, i), so that F(x + u) = sum_i
+    F_i(x) u^i.  F_0 is F and F_1 is F'."""
 
-    __slots__ = ("ctx", "f", "m", "hasse", "reduced_roots")
+    __slots__ = ("ctx", "m", "hasse")
 
     def __init__(self, ctx: _Context, f: tuple):
-        self.ctx, self.f, self.m = ctx, f, len(f)
-        self.reduced_roots = {}  # gbar -> resfield.roots of gbar
         mod, m = ctx.mod, len(f)
+        self.ctx, self.m = ctx, m
         self.hasse = tuple(
             (tuple(tuple([comb(j, i) * c % mod for c in f[j]]) for j in range(i, m)), comb(m, i))
             for i in range(m + 1)
         )
-
-    def value(self, x) -> tuple:
-        return _horner(self.ctx, self.f, x)
-
-    def deriv(self, x) -> tuple:
-        coeffs, lead = self.hasse[1]
-        return _horner(self.ctx, coeffs, x, lead)
 
     def hasse_value(self, i: int, x) -> tuple:
         coeffs, lead = self.hasse[i]
@@ -260,10 +251,10 @@ def _ball_search(poly: _Poly, depth: int, start: tuple = (), refine: bool = Fals
     At a ball, G(T) = F(a + pi^r T) has content c; gbar = G/pi^c mod m.
     x = a + pi^r T can satisfy nu(F(x)) > c only when the first digit of T
     is a root of gbar in k, so the search branches on those roots alone
-    (at most deg F), found by resfield's root finder, which refuses a gbar
-    of degree >= 2 past the enumeration cap; a nonzero constant gbar ends
-    the branch.  The cap is read once per search; past it no root set
-    cached on poly is reused, so every gbar of degree >= 2 is refused.
+    (at most deg F); a nonzero constant gbar ends the branch.  The cap is
+    read once per search, and resfield._capped_roots checks every gbar
+    against it before its shared cache of root sets is read, so a gbar of
+    degree >= 2 is refused past the cap whoever cached its root set.
 
     Enumeration (refine false) yields each ball with c >= depth, on which F
     vanishes mod m^depth everywhere; delta is None.  Root finding (refine
@@ -282,7 +273,6 @@ def _ball_search(poly: _Poly, depth: int, start: tuple = (), refine: bool = Fals
     ctx = poly.ctx
     k = ctx.ring.k
     cap = enumeration_cap()
-    cached = k.q <= cap
     limit = ctx.n if refine else depth
     stack = [(start, _lift(ctx, start), {}, None)]
     while stack:
@@ -292,7 +282,7 @@ def _ball_search(poly: _Poly, depth: int, start: tuple = (), refine: bool = Fals
             yield digits, x, delta
             continue
         if refine and r == depth:
-            fx = vals[0] if 0 in vals else poly.value(x)
+            fx = vals[0] if 0 in vals else poly.hasse_value(0, x)
             if not _raw_val(ctx, fx, depth)[1]:
                 yield digits, x, None
             continue
@@ -303,10 +293,7 @@ def _ball_search(poly: _Poly, depth: int, start: tuple = (), refine: bool = Fals
             yield digits, x, None
             continue
         children = []
-        found = poly.reduced_roots.get(gbar) if cached else None
-        if found is None:
-            found = poly.reduced_roots[gbar] = _capped_roots([FqElem(k, c) for c in gbar], k, cap)
-        for b, simple in found:
+        for b, simple in _capped_roots(gbar, k, cap):
             if any(b.coeffs):
                 child = (_add(ctx, x, ctx.terms[r][b.coeffs]), {})
             else:
@@ -333,11 +320,11 @@ def _newton(poly: _Poly, x, delta: int, t: int) -> tuple:
     if t + delta > ctx.n:
         raise _NeedMargin
     for _ in range(t.bit_length() + 1):
-        fx = poly.value(x)
+        fx = poly.hasse_value(0, x)
         nu, exact = _raw_val(ctx, fx, t + delta)
         if not exact:
             return x
-        unit = _div_pi_power(ctx, poly.deriv(x), delta)
+        unit = _div_pi_power(ctx, poly.hasse_value(1, x), delta)
         step = _mul(ctx, _div_pi_power(ctx, fx, delta), _unit_inv(ctx, unit, nu - delta))
         x = _sub(ctx, x, step)
     raise InconsistentResult("Newton's iteration left its isolated ball")
@@ -442,10 +429,10 @@ def _certify(poly: _Poly, digits, t: int) -> CertifiedRoot | None:
     PrecisionTooLow when t does not exceed nu(F'(x))."""
     ctx = poly.ctx
     x = _lift(ctx, digits)
-    delta, exact = _raw_val(ctx, poly.deriv(x), ctx.n)
+    delta, exact = _raw_val(ctx, poly.hasse_value(1, x), ctx.n)
     if not exact:
         raise _NeedMargin
-    fv, exact = _raw_val(ctx, poly.value(x), ctx.n)
+    fv, exact = _raw_val(ctx, poly.hasse_value(0, x), ctx.n)
     if fv < t + delta:
         if exact:
             return None
@@ -520,7 +507,7 @@ def _beta_admissible(source, target, psi, beta) -> bool:
     if beta.val_units() * n1 < n2:
         return False  # beta^n1 must vanish mod m2^n2
     poly = _materialize_poly((source.ring.coeffs, psi), target.ring, n2)
-    value = poly.value(beta.v)
+    value = poly.hasse_value(0, beta.v)
     return not _raw_val(poly.ctx, value, n2)[1]  # f1^psi(beta) = 0 mod m2^n2
 
 

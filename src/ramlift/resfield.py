@@ -1,10 +1,11 @@
 """Exact arithmetic in finite fields F_{p^d}.
 
 Fields are described by a monic irreducible defining polynomial over F_p and
-elements by their coordinate vectors in the power basis.  One routine,
-roots, serves the embeddings and homlift's ball search; above degree 1 it
-tries every element, up to the enumeration cap.  A root set that a cache
-kept is handed back only while q is within the cap read by the call.
+elements by their coordinate vectors in the power basis.  Root sets come
+from one cap check, _capped_roots, in front of one cache, _root_set, shared
+by the embeddings (through roots) and homlift's ball search: a linear
+polynomial is solved directly, and one of degree >= 2 tries every element,
+refused before the cache is read when q exceeds the enumeration cap.
 Building a field never enumerates it: primality (deterministic
 Miller-Rabin) and irreducibility (Ben-Or's test) cost modular powers and
 gcds only, so a huge p is accepted.  _convolve and _reduce_monic are the
@@ -404,22 +405,38 @@ def _residues(k: FieldSpec) -> tuple:
 
 def roots(poly, k: FieldSpec) -> tuple:
     """The roots in k, in lexicographic order and each with whether it is
-    simple, of an ascending polynomial with coefficients in k or integers,
-    not all zero.  A linear one is solved directly; a degree >= 2 tries every
-    element of k, refused (TooLarge) when q exceeds the enumeration cap,
-    which is read on every call."""
-    return _capped_roots(poly, k, enumeration_cap())
+    simple, of an ascending polynomial with coefficients in k (FieldMismatch
+    for another field's) or integers, not all zero.  The enumeration cap is
+    read on every call (see _capped_roots)."""
+    if any(isinstance(c, FqElem) and c.field != k for c in poly):
+        raise FieldMismatch("coefficients belong to another field")
+    pad = (0,) * (k.d - 1)
+    coords = [c.coeffs if isinstance(c, FqElem) else (c % k.p,) + pad for c in poly]
+    return _capped_roots(coords, k, enumeration_cap())
 
 
-def _capped_roots(poly, k: FieldSpec, cap: int) -> tuple:
-    """roots under a cap the caller has read."""
-    g = [c if isinstance(c, FqElem) else k.from_int(c) for c in poly]
-    while g[-1].is_zero():
-        g.pop()
+def _capped_roots(coords, k: FieldSpec, cap: int) -> tuple:
+    """roots of the polynomial given by the coordinate tuples of its
+    coefficients, under a cap the caller has read: the one cap check, in
+    front of the one cache of root sets.  Zero leading coefficients are
+    trimmed; a degree >= 2 is refused (TooLarge) when q exceeds the cap,
+    before the cache is read, so no cached root set is handed back past it."""
+    end = len(coords)
+    while not any(coords[end - 1]):
+        end -= 1
+    if end > 2 and k.q > cap:
+        raise TooLarge(f"root search over F({k.p}^{k.d}) exceeds the enumeration cap {cap}")
+    return _root_set(tuple(coords[:end]), k)
+
+
+@lru_cache(maxsize=1024)
+def _root_set(coords: tuple, k: FieldSpec) -> tuple:
+    """The roots of a trimmed polynomial, by its coordinate tuples, shared by
+    every caller of _capped_roots: a linear one is solved directly, a degree
+    >= 2 tries every element of k."""
+    g = [FqElem(k, c) for c in coords]
     if len(g) <= 2:
         return ((-(g[0] / g[1]), True),) if len(g) == 2 else ()
-    if k.q > cap:
-        raise TooLarge(f"root search over F({k.p}^{k.d}) exceeds the enumeration cap {cap}")
     dg = [k.from_int(i) * g[i] for i in range(1, len(g))]
     return tuple((b, not eval_poly(dg, b).is_zero()) for b in _residues(k)
                  if eval_poly(g, b).is_zero())
@@ -462,22 +479,12 @@ def identity_embedding(k: FieldSpec) -> FieldEmbedding:
 
 
 def embeddings(k1: FieldSpec, k2: FieldSpec) -> list:
-    """All ring homomorphisms k1 -> k2, ordered by the image of the generator.
+    """All ring homomorphisms k1 -> k2, ordered by the image of the generator:
+    one per root in k2 of k1's defining polynomial, as roots lists them, so
+    the enumeration cap is read once per call.
 
-    There are d1 of them when d1 | d2 and none otherwise.  The enumeration
-    cap is read once per call; past it the embeddings are solved afresh, so
-    a cap set after an earlier call still refuses d1 >= 2 (TooLarge).
+    There are d1 of them when d1 | d2 and none otherwise.
     """
     if k1.p != k2.p:
         raise CharMismatch(f"characteristics differ: {k1.p} vs {k2.p}")
-    cap = enumeration_cap()
-    if k2.q > cap:
-        return [FieldEmbedding(k1, k2, x) for x, _ in _capped_roots(k1.defining_poly, k2, cap)]
-    return list(_embeddings(k1, k2))
-
-
-@lru_cache(maxsize=256)
-def _embeddings(k1: FieldSpec, k2: FieldSpec) -> tuple:
-    # only reached with k2.q within the cap; roots come in lexicographic
-    # order of coordinates, the order of the images of the generator
-    return tuple(FieldEmbedding(k1, k2, x) for x, _ in _capped_roots(k1.defining_poly, k2, k2.q))
+    return [FieldEmbedding(k1, k2, x) for x, _ in roots(k1.defining_poly, k2)]

@@ -166,7 +166,7 @@ def scan_truncated_roots(F, R, depth: int):
     return [
         x.digits
         for x in enumerate_elements(rn)
-        if not DvrElem(poly.ctx, poly.value(rn.lift(x).v)).valuation().exact
+        if not DvrElem(poly.ctx, poly.hasse_value(0, rn.lift(x).v)).valuation().exact
     ]
 
 

@@ -57,10 +57,12 @@ def test_ring_summary_wild(capsys):
 
 
 def test_ring_rejects_non_eisenstein(capsys):
-    bad = '{"p":3,"residue":{"d":1,"poly":[0,1]},"eisenstein":[-9,0,1]}'
-    rc, _, err = run(capsys, "ring", bad)
-    assert rc == 2
-    assert "NotEisenstein" in err
+    for bad, why in (('{"p":3,"residue":{"d":1,"poly":[0,1]},"eisenstein":[-9,0,1]}',
+                      "constant term has p-adic valuation 2, expected 1"),
+                     ('{"p":3,"eisenstein":[0,0,1]}', "constant term is zero, expected p-adic valuation 1")):
+        rc, _, err = run(capsys, "ring", bad)
+        _one_line_exit_2(rc, err)
+        assert f"NotEisenstein: {why}" in err
 
 
 def test_ring_rejects_bad_json(capsys):
@@ -722,12 +724,13 @@ def test_lift_hom_json_needs_integers(capsys):
 
 
 def test_lift_short_beta_names_both_lengths(capsys):
-    # a beta of 2 digits cannot define a hom into R/m^3
-    hom = '{"psi":{"image_of_generator":[0]},"beta":"π:0,1","n1":3,"n2":3}'
-    rc, out, err = run(capsys, "lift", S3, S3, hom, "6")
-    _one_line_exit_2(rc, err)
-    assert out == ""
-    assert "beta has 2 digits, the target length n2 = 3 needs 3" in err
+    # a beta of 2 digits, or of none, cannot define a hom into R/m^3
+    for beta, count in (("π:0,1", 2), ("π:", 0), ("pi:", 0)):
+        hom = json.dumps({"psi": {"image_of_generator": [0]}, "beta": beta, "n1": 3, "n2": 3})
+        rc, out, err = run(capsys, "lift", S3, S3, hom, "6")
+        _one_line_exit_2(rc, err)
+        assert out == ""
+        assert f"beta has {count} digits, the target length n2 = 3 needs 3" in err
 
 
 @pytest.mark.parametrize("value", [0, False])

@@ -20,7 +20,7 @@ from ramlift.dvr import (
     enumerate_elements,
     from_pi_digits,
     make_dvr,
-    parse_dvr_elem_text,
+    parse_pi_digits,
     parse_ring_spec,
     pi_digits,
     project,
@@ -270,7 +270,7 @@ def test_text_roundtrip():
     x = Z3_SQRT3.from_int(3, 4)
     s = dvr_elem_text(x)
     assert s == "π:0,0,1,0"
-    assert parse_dvr_elem_text(Z3_SQRT3, s) == x
+    assert from_pi_digits(parse_pi_digits(Z3_SQRT3.k, s), Z3_SQRT3) == x
 
 
 def test_ring_spec_json_roundtrip():

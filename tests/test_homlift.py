@@ -23,7 +23,7 @@ from ramlift.dvr import (
     enumerate_elements,
     from_pi_digits,
     make_dvr,
-    parse_dvr_elem_text,
+    parse_pi_digits,
     pi_digits,
     project,
     residue_ring,
@@ -215,7 +215,7 @@ def test_roots_match_the_certified_scan(problem):
     if expected is not None:
         assert got == expected
     for text, _, _ in got or ():
-        homlift._certify_at(_normalize_poly(F, R.k), R, parse_dvr_elem_text(R, text))
+        homlift._certify_at(_normalize_poly(F, R.k), R, from_pi_digits(parse_pi_digits(R.k, text), R))
 
 
 def test_a_vanishing_derivative_away_from_the_roots_blocks_only_the_scan():
@@ -274,7 +274,7 @@ def test_horner_matches_element_arithmetic():
             for n in (1, 3, 7):
                 coeffs = [[rng.randrange(1, 50) for _ in range(R.d)] for _ in range(deg)]
                 poly = _materialize_poly(_normalize_poly(coeffs + [1], R.k), R, n)
-                a = [DvrElem(poly.ctx, v) for v in poly.f]
+                a = [DvrElem(poly.ctx, v) for v in poly.hasse[0][0]]
                 for _ in range(3):
                     x = from_pi_digits([rng.choice(list(R.k.elements())) for _ in range(n)], R, n)
                     value, deriv = x ** deg, R.from_int(deg, n) * x ** (deg - 1)
@@ -282,8 +282,8 @@ def test_horner_matches_element_arithmetic():
                         value = value + a[j] * x ** j
                         if j:
                             deriv = deriv + R.from_int(j, n) * a[j] * x ** (j - 1)
-                    assert poly.value(x.v) == value.reduce_to(n).v
-                    assert poly.deriv(x.v) == deriv.reduce_to(n).v
+                    assert poly.hasse_value(0, x.v) == value.reduce_to(n).v
+                    assert poly.hasse_value(1, x.v) == deriv.reduce_to(n).v
 
 
 def _frobenius_of(k):
@@ -312,7 +312,7 @@ def test_materialize_poly_matches_the_witt_map_of_each_coefficient(case):
         M = R2.coeff_precision(n)
         w_psi, w1 = WittMap(psi, M), make_witt(R1.k, M)
         expected = tuple(from_witt(R2, w_psi(c.materialize(w1)), n).v for c in R1.coeffs)
-        assert poly.f == expected
+        assert poly.hasse[0][0] == expected
 
 
 def test_materialize_poly_refuses_an_embedding_into_another_field():
@@ -1392,12 +1392,14 @@ def test_root_finding_refuses_a_start_at_the_depth():
 
 def test_ball_search_applies_the_cap_to_cached_root_sets(monkeypatch):
     # x^2 - 3 reduces to x^2 at the ball 0 + m^0; the root set of that
-    # reduction, cached on the polynomial, is not handed back past a cap
-    # set later, and a malformed cap is reported.  The cap is read once per
-    # search
+    # reduction, which a repeated search reads from the shared cache, is
+    # not handed back past a cap set later, and a malformed cap is
+    # reported.  The cap is read once per search
     poly = _materialize_poly(_normalize_poly([-3, 0, 1], F3), Z3_SQRT3, 6)
     balls = [digits for digits, _, _ in _ball_search(poly, 4)]
-    assert balls and poly.reduced_roots
+    hits = resfield._root_set.cache_info().hits
+    assert [digits for digits, _, _ in _ball_search(poly, 4)] == balls
+    assert balls and resfield._root_set.cache_info().hits > hits
     reads = []
     read_cap = homlift.enumeration_cap
     monkeypatch.setattr(homlift, "enumeration_cap", lambda: reads.append(1) or read_cap())
@@ -1410,6 +1412,27 @@ def test_ball_search_applies_the_cap_to_cached_root_sets(monkeypatch):
     with pytest.raises(InvalidSetting, match="RAMLIFT_ENUM_CAP"):
         list(_ball_search(poly, 4))
     assert len(reads) == 3
+
+
+def test_root_sets_cached_by_roots_are_refused_past_the_cap_by_the_ball_search(monkeypatch):
+    # x^2 + 1 over W(F9)[x]/(x^2 - 3) reduces to x^2 + 1 at the ball 0 + m^0;
+    # its root set, cached by resfield.roots under the default cap, is a
+    # cache hit for the ball search and refused by both under a cap of 2
+    R = make_dvr(F9, [-3, 0, 1])
+    poly = _materialize_poly(_normalize_poly([1, 0, 1], F9), R, 6)
+    found = resfield.roots([1, 0, 1], F9)
+    assert [b for b, _ in found] == [F9.generator(), -F9.generator()]
+    hits = resfield._root_set.cache_info().hits
+    assert [digits[0] for digits, _, _ in _ball_search(poly, 1)] == [b for b, _ in found]
+    assert resfield._root_set.cache_info().hits > hits
+    monkeypatch.setenv("RAMLIFT_ENUM_CAP", "2")
+    with pytest.raises(TooLarge, match="enumeration cap 2"):
+        resfield.roots([1, 0, 1], F9)
+    with pytest.raises(TooLarge, match="enumeration cap 2"):
+        list(_ball_search(poly, 1))
+    # a search whose reductions are all linear still answers past the cap
+    poly = _materialize_poly(_normalize_poly([-1, 1], F9), R, 6)
+    assert [digits for digits, _, _ in _ball_search(poly, 3)] == [(F9.one(), F9.zero(), F9.zero())]
 
 
 _CHECKS_SCRIPT = """

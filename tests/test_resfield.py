@@ -200,7 +200,7 @@ def test_embeddings_cached_as_fresh_lists():
     first = embeddings(F9, F9)
     first.append(None)
     assert len(embeddings(F9, F9)) == 2
-    assert embeddings(F9, F9)[0] is embeddings(F9, F9)[0]
+    assert embeddings(F9, F9) == embeddings(F9, F9)
 
 
 def test_arith_examples():
@@ -478,9 +478,15 @@ def test_roots_past_the_cap(monkeypatch):
         roots([1, 0, 1], F9)
 
 
+def test_roots_refuse_coefficients_from_another_field():
+    for poly in ([F3.one(), F3.one()], [F9.one(), F3.one(), F9.one()], [1, F3.one()]):
+        with pytest.raises(FieldMismatch):
+            roots(poly, F9)
+
+
 def test_embeddings_apply_the_cap_read_by_each_call(monkeypatch):
-    # the cached automorphisms of F9 are handed back only while 9 is within
-    # the cap; the cap is read once per call, hit or miss
+    # the cached root set behind the automorphisms of F9 is handed back only
+    # while 9 is within the cap; the cap is read once per call, hit or miss
     from ramlift import resfield
 
     reads = []
