@@ -32,16 +32,19 @@ Lifting runs the search down to a certification depth t.  A simple root of
 gbar isolates exactly one root of F in the child ball, which Newton's
 iteration refines (each step doubles the depth, and inverts F' only to the
 depth of the current error); a ball that reaches radius t unseparated is
-taken as it is.  One rule, _certify, accepts a refined
-root, a ball of radius t or a composed image x exactly when nu(F(x)) >= t +
-nu(F'(x)) with t > nu(F'(x)), which pins a unique root agreeing with x to
-depth t; one loop, _escalate, doubles the working margin while a readout is
-capped, up to 4*(t + ESCALATION_CAP).  Each search certifies only the
-roots its answer needs: lifting searches only the ball of the roots within
-Krasner distance of beta (radius _krasner_radius), and the one root
-certified there is the lift; has_root stops at the first root it certifies,
-and doubles its depth at most up to 2*nu_R(disc F) + 2, where every search
-decides.
+taken as it is.  One rule, _certify, refuses x when t <= nu(F'(x)), and
+otherwise accepts a refined root, a ball of radius t or a composed image x
+exactly when nu(F(x)) >= t + nu(F'(x)), which pins a unique root agreeing
+with x to depth t, and drops it below that line.  Every search runs once,
+on F materialized at the working precision t + min((m - 1)*t, Delta), m =
+deg F, where Delta bounds nu(F') at the roots of F and is read off the
+polynomial: the scaled different of R1 for F = f^psi, nu_R(disc F) for
+has_root, none for roots_in_dvr (_roots shows that this precision decides
+every readout).  Each search certifies only the roots its answer needs:
+lifting searches only the ball of the roots within Krasner distance of
+beta (radius _krasner_radius), and the one root certified there is the
+lift; has_root stops at the first root it certifies, and doubles its depth
+at most up to 2*nu_R(disc F) + 2, where every search decides.
 
 All polynomial evaluation (search balls, Newton steps, certification, beta
 admissibility) runs on the flat vectors of one dvr context: F and its Hasse
@@ -105,7 +108,6 @@ from .errors import (
     TooLarge,
 )
 from .ramification import (
-    deriv_val_at_uniformizer,
     different_val,
     krasner_bound,
     lift_precision_bound,
@@ -120,11 +122,10 @@ from .resfield import (
     _squarefree_part,
     embeddings,
     enumeration_cap,
+    eval_poly,
     identity_embedding,
 )
 from .witt import WittMap, _vp_int
-
-ESCALATION_CAP = 64  # nu-units: _escalate's margin stops at 4*(t + cap)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +264,11 @@ def _ball_search(poly: _Poly, depth: int, start: tuple = (), refine: bool = Fals
     m^(r+1), and F' has valuation delta = c - r on all of that ball; it is
     yielded with its delta.  A ball reaching radius depth on which F
     vanishes mod m^depth is yielded with delta None.  Root finding reads
-    valuations to the working precision of the context and raises
-    _NeedMargin when c reaches it; it starts only above the depth (a start
-    of radius >= depth raises InvalidArgument), because a ball at the depth
-    off every branch of the whole search would be yielded although it holds
-    no root."""
+    valuations to the working precision of the context, which _roots sets
+    above every content (InconsistentResult when c reaches it); it starts
+    only above the depth (a start of radius >= depth raises
+    InvalidArgument), because a ball at the depth off every branch of the
+    whole search would be yielded although it holds no root."""
     if refine and len(start) >= depth:
         raise InvalidArgument(f"root finding to depth {depth} cannot start from {_ball_text(start)}")
     ctx = poly.ctx
@@ -289,7 +290,8 @@ def _ball_search(poly: _Poly, depth: int, start: tuple = (), refine: bool = Fals
         c, gbar = _reduce_at(poly, x, r, limit, vals)
         if gbar is None:
             if refine:
-                raise _NeedMargin(_ball_text(digits))
+                raise InconsistentResult(
+                    f"the content at {_ball_text(digits)} reaches the working precision {limit}")
             yield digits, x, None
             continue
         children = []
@@ -315,10 +317,11 @@ def _newton(poly: _Poly, x, delta: int, t: int) -> tuple:
     F(x)/F'(x) has valuation a, so an inverse known mod m^a moves it only
     in m^(2a), and the step still leaves an error of depth at least 2a - r
     on a ball of radius r < a, as an exact step does.  _unit_inv stops at
-    that depth.  Raises _NeedMargin below the working precision t + delta."""
+    that depth.  Raises InconsistentResult when the working precision is
+    below t + delta, which _roots rules out."""
     ctx = poly.ctx
     if t + delta > ctx.n:
-        raise _NeedMargin
+        raise InconsistentResult(f"working precision {ctx.n} is below t + delta = {t + delta}")
     for _ in range(t.bit_length() + 1):
         fx = poly.hasse_value(0, x)
         nu, exact = _raw_val(ctx, fx, t + delta)
@@ -341,10 +344,6 @@ class CertifiedRoot(Record):
     _fields = ("elem", "t", "deriv_val")
 
 
-class _NeedMargin(Exception):
-    """The working precision cannot decide; args may name the ball."""
-
-
 def roots_in_dvr(F, R: DvrSpec, prec: int):
     """All roots in R of the monic polynomial F, given by its full ascending
     coefficient list (NotMonic unless it ends in 1), refined to depth >= prec
@@ -353,9 +352,10 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
     The ball search isolates each simple root of the reduced polynomial,
     Newton's iteration refines it to depth prec, and _certify accepts it.
     Raises PrecisionTooLow, naming the ball, when a ball of radius prec can
-    be neither certified nor excluded at the working precision cap, or
-    when prec does not exceed the derivative valuation of an isolated root
-    (multiple roots, or prec too small to separate).
+    be neither certified nor excluded, because prec does not exceed the
+    derivative valuation there, or when prec does not exceed the derivative
+    valuation of an isolated root (multiple roots, or prec too small to
+    separate).
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
@@ -365,82 +365,68 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
     return _roots(F, R, prec)
 
 
-def _roots(F: tuple, R: DvrSpec, prec: int, ball: tuple = (), first: bool = False):
+def _working_poly(F: tuple, R: DvrSpec, t: int, deriv_bound: int | None) -> _Poly:
+    """F = (coeffs, psi) materialized at the working precision N = t +
+    min((m - 1)*t, deriv_bound), m = deg F, deriv_bound a bound on
+    nu(F'(alpha)) over the roots alpha of F (None: N = m*t); see _roots."""
+    spread = (len(F[0]) - 1) * t
+    return _materialize_poly(F, R, t + (spread if deriv_bound is None else min(spread, deriv_bound)))
+
+
+def _roots(F: tuple, R: DvrSpec, prec: int, ball: tuple = (), first: bool = False,
+           deriv_bound: int | None = None):
     """roots_in_dvr for the pair F = (coeffs, psi) of _materialize_poly,
     restricted to the roots in the ball given by its digits.  With first,
     the search stops at the first certified root, the lexicographically
-    first one, and never visits the balls after it."""
+    first one, and never visits the balls after it.
 
-    def search(poly):
-        roots = []
-        for found, x, delta in _ball_search(poly, prec, ball, refine=True):
-            if delta is not None and delta >= prec:
-                raise PrecisionTooLow(
-                    f"depth {prec} does not separate the root in {_ball_text(found)}: "
-                    f"its derivative valuation is {delta}"
-                )
-            try:
-                digits = found
-                if len(found) < prec:  # an isolated root: refine it
-                    digits = _digits(poly.ctx, _newton(poly, x, delta, prec), prec)
-                cert = _certify(poly, digits, prec)
-            except _NeedMargin:
-                raise _NeedMargin(_ball_text(found)) from None
-            except PrecisionTooLow as exc:
-                raise PrecisionTooLow(f"{exc}, in {_ball_text(found)}") from None
-            if cert is not None:
-                roots.append(cert)
-                if first:
-                    break
-        return roots
-
-    return _escalate(F, R, prec, search)
-
-
-@lru_cache(maxsize=1024)
-def _base_margin(coeffs: tuple, R: DvrSpec) -> int:
-    """The first margin of _escalate for F = (coeffs, psi) in R: the
-    derivative valuation at a uniformizer, read off the p-adic valuations
-    of coeffs, which W(psi) preserves, plus guard digits."""
-    vals = [c.p_val() for c in coeffs]
-    return deriv_val_at_uniformizer(vals, R.e, R.p) + R.e * GUARD_DIGITS + 2
-
-
-def _escalate(F: tuple, R: DvrSpec, t: int, search):
-    """search(F materialized at t + margin), F = (coeffs, psi) as for
-    _materialize_poly, doubling the margin from _base_margin while the
-    search raises _NeedMargin, up to 4*(t + ESCALATION_CAP)."""
-    margin = _base_margin(F[0], R)
-    while True:
-        try:
-            return search(_materialize_poly(F, R, t + margin))
-        except _NeedMargin as exc:
-            margin *= 2
-            if margin > 4 * (t + ESCALATION_CAP):
-                where = exc.args[0] if exc.args else "a root branch"
-                raise PrecisionTooLow(f"cannot certify or exclude {where} at depth {t}") from None
+    One search runs, on F materialized once at the working precision N of
+    _working_poly, and N decides every readout it takes.  Let alpha_j be
+    the m roots of F, with multiplicity, and deriv_bound >= nu(F'(alpha_j)):
+    - at a ball a + m^r with r < prec, the content c of F(a + pi^r T) is
+      sum_j min(nu(a - alpha_j), r), so c <= m*r, and c <= r +
+      nu(F'(alpha)) for the root alpha nearest a; hence c < N;
+    - Newton's iteration and _certify run only once nu(F') < prec, and then
+      need only prec + nu(F') <= N; a capped readout of nu(F'(x)) is at
+      least N >= prec, which is a refusal."""
+    poly = _working_poly(F, R, prec, deriv_bound)
+    roots = []
+    for found, x, delta in _ball_search(poly, prec, ball, refine=True):
+        if delta is not None and delta >= prec:
+            raise PrecisionTooLow(
+                f"depth {prec} does not separate the root in {_ball_text(found)}: "
+                f"its derivative valuation is {delta}"
+            )
+        digits = found
+        if len(found) < prec:  # an isolated root: refine it
+            digits = _digits(poly.ctx, _newton(poly, x, delta, prec), prec)
+        cert = _certify(poly, digits, prec)
+        if cert is not None:
+            roots.append(cert)
+            if first:
+                break
+    return roots
 
 
 def _certify(poly: _Poly, digits, t: int) -> CertifiedRoot | None:
     """The acceptance test on the branch x with these t digits: certified
     when nu(F(x)) >= t + nu(F'(x)) with t > nu(F'(x)); None when the readout
     of F(x) is exact below that line, so no root agrees with x to depth t.
-    Raises _NeedMargin when the working precision cannot tell, and
-    PrecisionTooLow when t does not exceed nu(F'(x))."""
+    Raises PrecisionTooLow, naming the ball, when t does not exceed
+    nu(F'(x)): no exclusion is sound there, since with h = root - x and
+    nu(h) >= t the terms F_i(x) h^i, i >= 2, stay above t + nu(F'(x)) only
+    when t > nu(F'(x)).  A readout of F(x) capped below the line would
+    break the bound behind the working precision (InconsistentResult)."""
     ctx = poly.ctx
     x = _lift(ctx, digits)
-    delta, exact = _raw_val(ctx, poly.hasse_value(1, x), ctx.n)
-    if not exact:
-        raise _NeedMargin
+    delta = _raw_val(ctx, poly.hasse_value(1, x), ctx.n)[0]
+    if t <= delta:  # a capped readout is ctx.n >= t
+        raise PrecisionTooLow(f"cannot certify or exclude {_ball_text(digits)} at depth {t}")
     fv, exact = _raw_val(ctx, poly.hasse_value(0, x), ctx.n)
     if fv < t + delta:
         if exact:
             return None
-        raise _NeedMargin  # readout capped below the acceptance line
-    if t <= delta:
-        raise PrecisionTooLow(
-            f"depth {t} does not separate a root with derivative valuation {delta}"
-        )
+        raise InconsistentResult(f"F at {_ball_text(digits)} reads capped below depth {t + delta}")
     return CertifiedRoot(from_pi_digits(digits, ctx.ring, t), t, delta)
 
 
@@ -491,15 +477,25 @@ class ResidueHom(Record):
 def residue_hom(
     source: ResidueRingSpec, target: ResidueRingSpec, psi: FieldEmbedding, beta: ResidueElt
 ) -> ResidueHom:
-    """Validate (psi, beta) and build the homomorphism: the mapped Eisenstein
-    polynomial must kill beta and beta^n1 must vanish."""
+    """Validate (psi, beta) and build the homomorphism: psi must send the
+    generator of k1 to a root of its defining polynomial, the mapped
+    Eisenstein polynomial must kill beta and beta^n1 must vanish."""
     if psi.source != source.ring.k or psi.target != target.ring.k:
         raise ValueError("embedding endpoints do not match the ring pair")
+    if not _is_field_hom(psi):
+        raise ValueError("psi image is not a root of the source defining polynomial")
     if beta.rspec != target:
         raise ValueError("beta does not live in the target ring")
     if not _beta_admissible(source, target, psi, beta):
         raise ValueError("(psi, beta) does not define a homomorphism")
     return ResidueHom(source, target, psi, beta)
+
+
+@lru_cache(maxsize=1024)
+def _is_field_hom(psi: FieldEmbedding) -> bool:
+    """psi sends the generator of k1 to a root of its defining polynomial;
+    cached, as residue compose_homs checks a composed psi on every call."""
+    return eval_poly(psi.source.defining_poly, psi.image_of_generator).is_zero()
 
 
 def _beta_admissible(source, target, psi, beta) -> bool:
@@ -636,6 +632,12 @@ def same_hom(a: DvrHom, b: DvrHom) -> bool:
     return pi_digits(a.rho, depth) == pi_digits(b.rho, depth)
 
 
+def _image_deriv_bound(R1: DvrSpec, R2: DvrSpec) -> int:
+    """nu(F'(rho)) in R2's nu-units at every root rho of F = f1^psi, the
+    different of R1 scaled by e2/e1 (rounded up), as _roots takes it."""
+    return -(-R2.e * different_val(R1) // R1.e)
+
+
 def _krasner_radius(M1: Fraction, e2: int) -> int:
     """r0 = floor(M1*e2) + 1: for x in a ring with ramification index e2,
     nu-tilde(x) = nu(x)/e2 > M1 exactly when the integer nu(x) >= r0."""
@@ -667,14 +669,15 @@ def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
         )
     if R2.e % R1.e != 0:
         raise IncompatibleLengths("target ramification must be a multiple of the source's")
-    prec = n2 + 2 * -(-R2.e * different_val(R1) // R1.e) + GUARD_DIGITS
+    deriv_bound = _image_deriv_bound(R1, R2)
+    prec = n2 + 2 * deriv_bound + GUARD_DIGITS
     # the root must be certified beyond its valuation e2/e1 for the exact
     # readout checked below
     prec = max(prec, R2.e // R1.e + 1)
     if min_prec is not None:
         prec = max(prec, min_prec)
     ball = phi.beta.digits[:_krasner_radius(M1, R2.e)]
-    roots = _roots((R1.coeffs, phi.psi), R2, prec, ball)
+    roots = _roots((R1.coeffs, phi.psi), R2, prec, ball, deriv_bound=deriv_bound)
     if not roots:
         raise NoRoot("no root within Krasner distance of beta: inconsistent input")
     if len(roots) > 1:
@@ -718,17 +721,17 @@ def compose_homs(f2, f1):
             raise NotComposable("rings do not chain")
         psi = f2.psi.compose(f1.psi)
         rho = f2.apply(f1.rho)
-        cert = _certify_at((f1.source.coeffs, psi), f2.target, rho)
+        cert = _certify_at((f1.source.coeffs, psi), f2.target, rho,
+                           _image_deriv_bound(f1.source, f2.target))
         return DvrHom(f1.source, f2.target, psi, cert.elem, (cert.t, cert.deriv_val))
     raise NotComposable("homomorphisms from different categories")
 
 
-def _certify_at(F: tuple, R: DvrSpec, approx: DvrElem) -> CertifiedRoot:
+def _certify_at(F: tuple, R: DvrSpec, approx: DvrElem, deriv_bound: int | None = None) -> CertifiedRoot:
     """Re-certify a composed root approximation of F = (coeffs, psi) at its
-    own precision."""
+    own precision, on F materialized once as _roots does."""
     t = approx.n
-    digits = pi_digits(approx, t)
-    cert = _escalate(F, R, t, lambda poly: _certify(poly, digits, t))
+    cert = _certify(_working_poly(F, R, t, deriv_bound), pi_digits(approx, t), t)
     if cert is None:
         raise InconsistentResult("composed image is not a root to its depth")
     return cert
@@ -747,7 +750,7 @@ def dvr_isos(R1: DvrSpec, R2: DvrSpec):
     prec = max(2 * s + 2, 4)
     out = []
     for psi in embeddings(R1.k, R2.k):
-        for root in _roots((R1.coeffs, psi), R2, prec):
+        for root in _roots((R1.coeffs, psi), R2, prec, deriv_bound=_image_deriv_bound(R1, R2)):
             out.append(DvrHom(R1, R2, psi, root.elem, (root.t, root.deriv_val)))
     return out
 
@@ -770,19 +773,15 @@ class HasRootResult(Record):
 
 
 @lru_cache(maxsize=1024)
-def _squarefree_cached(coeffs: tuple, k) -> tuple:
+def _squarefree_cached(coeffs: tuple, R: DvrSpec) -> tuple:
     """has_root's polynomial for the monic integer coefficients coeffs: its
-    squarefree part (same root set) as the pair (coeffs, identity embedding
-    of k) of _materialize_poly; computed once per (coeffs, k)."""
-    return _normalize_poly(_squarefree_part(coeffs), k)
-
-
-def _disc_val(coeffs, R: DvrSpec) -> int:
-    """nu_R(disc F) = e * v_p(disc F) for the squarefree part F of the monic
-    integer polynomial coeffs: disc F = +-Res(F, F') is a nonzero integer,
-    computed exactly."""
+    squarefree part f (same root set) as the pair (coeffs, identity
+    embedding of k) of _materialize_poly, and nu_R(disc f) = e * v_p(disc
+    f), with disc f = +-Res(f, f') a nonzero integer computed exactly (0
+    for the constant 1); computed once per (coeffs, R)."""
     f = _squarefree_part(coeffs)
-    return R.e * _vp_int(int(_resultant(f, [i * f[i] for i in range(1, len(f))])), R.p)
+    disc = _resultant(f, [i * f[i] for i in range(1, len(f))]) if len(f) > 1 else 1
+    return _normalize_poly(f, R.k), R.e * _vp_int(int(disc), R.p)
 
 
 def has_root(R: DvrSpec, F) -> HasRootResult:
@@ -791,13 +790,14 @@ def has_root(R: DvrSpec, F) -> HasRootResult:
     doubles from max(4, e + nu(e) + 1) while the search raises
     PrecisionTooLow.
 
-    The doubling stops at the first precision >= B = 2*nu_R(disc F) + 2,
-    worked out when a search first raises.  disc F = +-prod F'(rho) over
-    the roots rho of F, each factor integral, so nu(F'(rho)) <= nu_R(disc
-    F); and disc F lies in the ideal (F, F') of Z[x], so nu(F'(x)) <=
-    nu_R(disc F) wherever nu(F(x)) > nu_R(disc F).  A search at depth B or
-    above therefore separates and certifies every root it meets (Hensel's
-    lemma), and a PrecisionTooLow there raises InconsistentResult.
+    The doubling stops at the first precision >= B = 2*nu_R(disc F) + 2.
+    disc F = +-prod F'(rho) over the roots rho of F, each factor integral,
+    so nu(F'(rho)) <= nu_R(disc F), the bound each search's working
+    precision is read off; and disc F lies in the ideal (F, F') of Z[x], so
+    nu(F'(x)) <= nu_R(disc F) wherever nu(F(x)) > nu_R(disc F).  A search at
+    depth B or above therefore separates and certifies every root it meets
+    (Hensel's lemma), and a PrecisionTooLow there raises
+    InconsistentResult.
 
     "yes" carries the first certified root in lexicographic order of
     digits, and the search stops there: the balls after it are never
@@ -808,16 +808,15 @@ def has_root(R: DvrSpec, F) -> HasRootResult:
     coeffs = [int(c) for c in F]
     if not coeffs or coeffs[-1] != 1:
         raise NotMonic("polynomial must be monic")
-    F = _squarefree_cached(tuple(coeffs), R.k)
+    F, disc_val = _squarefree_cached(tuple(coeffs), R)
     prec = max(4, R.e + nu_of_e(R.p, R.e) + 1)
     if not F[0]:
         return HasRootResult("no", None, prec)  # the constant 1 has no root
-    ceiling = None
+    ceiling = 2 * disc_val + 2
     while True:
         try:
-            roots = _roots(F, R, prec, first=True)
+            roots = _roots(F, R, prec, first=True, deriv_bound=disc_val)
         except PrecisionTooLow as exc:
-            ceiling = ceiling or 2 * _disc_val(coeffs, R) + 2
             if prec >= ceiling:
                 raise InconsistentResult(
                     f"the root search for {coeffs} at depth {prec}, at or above the "

@@ -129,16 +129,11 @@ def krasner_bound(R: DvrSpec) -> Fraction:
     return newton_polygon([None if v is None else Fraction(v, e) for v in shifted]).max_slope()
 
 
-def deriv_val_at_uniformizer(a_vals, e: int, p: int) -> int:
-    """The least term valuation of F'(x) at a uniformizer x: the T^1 entry
-    of _shifted_coeff_vals, exact for deg F = e."""
-    return _shifted_coeff_vals(a_vals, e, p)[0]
-
-
 @lru_cache(maxsize=1024)
 def different_val(R: DvrSpec) -> int:
-    """nu(f'(pi)) in nu-units; the different of R over W(k) is (f'(pi))."""
-    return deriv_val_at_uniformizer(_spec_coeff_vals(R), R.e, R.p)
+    """nu(f'(pi)) in nu-units, the T^1 entry of _shifted_coeff_vals (exact,
+    as deg f = e); the different of R over W(k) is (f'(pi))."""
+    return _shifted_coeff_vals(_spec_coeff_vals(R), R.e, R.p)[0]
 
 
 def discriminant_val(R: DvrSpec) -> int:

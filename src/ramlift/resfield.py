@@ -8,14 +8,15 @@ polynomial is solved directly, and one of degree >= 2 tries every element,
 refused before the cache is read when q exceeds the enumeration cap.
 Building a field never enumerates it: primality (deterministic
 Miller-Rabin) and irreducibility (Ben-Or's test) cost modular powers and
-gcds only, so a huge p is accepted.  _convolve and _reduce_monic are the
-one product of coefficient lists and the one reduction by a monic
-polynomial: F_q products and Ben-Or's test reduce by the defining
-polynomial mod p, witt by its lift mod p^M, and dvr by f (d = 1) and by g.  Every polynomial division
-is by a monic divisor: Euclid's algorithm over F_p makes each divisor monic
-and reduces by _reduce_monic, and _divmod_monic, the one division over Q,
-serves the Euclid steps, the quotient of _squarefree_part and the
-resultant (_resultant).
+gcds only, so a huge p is accepted.  _reduce_monic is the one reduction
+by a monic polynomial: F_q products and Ben-Or's test reduce by the
+defining polynomial mod p, witt by its lift mod p^M, and dvr by f (d = 1)
+and by g.  _convolve is the product of coefficient lists of F_q, witt and
+d = 1 dvr; d > 1 dvr products keep their own row loops.  Every polynomial
+division is by a monic divisor: Euclid's algorithm over F_p makes each
+divisor monic and reduces by _reduce_monic, and _divmod_monic, the one
+division over Q, serves the Euclid steps, the quotient of _squarefree_part
+and the resultant (_resultant).
 """
 
 from __future__ import annotations
@@ -406,8 +407,8 @@ def _residues(k: FieldSpec) -> tuple:
 def roots(poly, k: FieldSpec) -> tuple:
     """The roots in k, in lexicographic order and each with whether it is
     simple, of an ascending polynomial with coefficients in k (FieldMismatch
-    for another field's) or integers, not all zero.  The enumeration cap is
-    read on every call (see _capped_roots)."""
+    for another field's) or integers, not all zero (InvalidArgument).  The
+    enumeration cap is read on every call (see _capped_roots)."""
     if any(isinstance(c, FqElem) and c.field != k for c in poly):
         raise FieldMismatch("coefficients belong to another field")
     pad = (0,) * (k.d - 1)
@@ -419,11 +420,15 @@ def _capped_roots(coords, k: FieldSpec, cap: int) -> tuple:
     """roots of the polynomial given by the coordinate tuples of its
     coefficients, under a cap the caller has read: the one cap check, in
     front of the one cache of root sets.  Zero leading coefficients are
-    trimmed; a degree >= 2 is refused (TooLarge) when q exceeds the cap,
-    before the cache is read, so no cached root set is handed back past it."""
+    trimmed, and the zero polynomial, which every element solves, is refused
+    (InvalidArgument); a degree >= 2 is refused (TooLarge) when q exceeds
+    the cap, before the cache is read, so no cached root set is handed back
+    past it."""
     end = len(coords)
-    while not any(coords[end - 1]):
+    while end and not any(coords[end - 1]):
         end -= 1
+    if not end:
+        raise InvalidArgument("the zero polynomial has every element as a root")
     if end > 2 and k.q > cap:
         raise TooLarge(f"root search over F({k.p}^{k.d}) exceeds the enumeration cap {cap}")
     return _root_set(tuple(coords[:end]), k)
@@ -450,11 +455,7 @@ class FieldEmbedding(Record):
     def __call__(self, a: FqElem) -> FqElem:
         if a.field is not self.source and a.field != self.source:
             raise FieldMismatch("element not in the source field")
-        images = self.__dict__.setdefault("_images", {})  # coordinates -> image
-        b = images.get(a.coeffs)
-        if b is None:
-            b = images[a.coeffs] = eval_poly(a.coeffs, self.image_of_generator)
-        return b
+        return eval_poly(a.coeffs, self.image_of_generator)
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.image_of_generator == self.source.generator()

@@ -52,9 +52,9 @@ from ramlift.homlift import (
     ResidueHom,
     _beta_admissible,
     _certify,
-    _escalate,
     _materialize_poly,
     _normalize_poly,
+    _working_poly,
 )
 from ramlift.ramification import _shifted_coeff_vals, newton_polygon
 from ramlift.resfield import embeddings
@@ -173,14 +173,10 @@ def scan_truncated_roots(F, R, depth: int):
 def scan_certified_roots(F, R, t: int):
     """The certified roots of F at depth t without the search: every
     truncated root mod m^t that scan_truncated_roots finds goes through the
-    acceptance test _certify, under the margin doubling of _escalate."""
-    survivors = scan_truncated_roots(F, R, t)
-
-    def certify_all(poly):
-        certs = (_certify(poly, digits, t) for digits in survivors)
-        return [c for c in certs if c is not None]
-
-    return _escalate(_normalize_poly(F, R.k), R, t, certify_all)
+    acceptance test _certify, on F at the working precision of roots_in_dvr."""
+    poly = _working_poly(_normalize_poly(F, R.k), R, t, None)
+    certs = (_certify(poly, digits, t) for digits in scan_truncated_roots(F, R, t))
+    return [c for c in certs if c is not None]
 
 
 def digit_route_op(rn: ResidueRingSpec, op: str, x, y=None):

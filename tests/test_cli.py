@@ -183,6 +183,13 @@ def test_hasroot(capsys):
     # the constant 1 has no root; it is not read as x + 1
     rc, out, _ = run(capsys, "hasroot", S3, "1")
     assert rc == 0 and json.loads(out) == {"answer": "no", "precision": 4}
+    # two close roots: a ball of radius t that t cannot separate is
+    # refused, never dropped, so a deeper search finds one of them
+    for ring, poly in ((SM3, "x^2-243x+13122"),  # (x - 81)(x - 162)
+                       (W10, "x^2+12x-28"),  # (x - 2)(x + 14)
+                       ('{"p":2,"eisenstein":[-2,1]}', "x^2+44x+228")):  # (x + 6)(x + 38)
+        rc, out, _ = run(capsys, "hasroot", ring, poly)
+        assert rc == 0 and json.loads(out)["answer"] == "yes", poly
 
 
 @pytest.mark.parametrize("poly, rc", [("-3+x^2", 0), ("-x+1", 2)])
@@ -714,6 +721,14 @@ def test_ring_spec_missing_field_exit_2(capsys, spec, key):
     rc, _, err = run(capsys, "ring", spec)
     _one_line_exit_2(rc, err)
     assert f'the ring spec is missing "{key}"' in err
+
+
+def test_lift_psi_off_the_defining_polynomial_exit_2(capsys):
+    # psi must send the generator of F3 = F_3[x]/(x) to 0, the one root of x
+    hom = '{"psi":{"image_of_generator":[1]},"beta":"pi:0,1,0","n1":3,"n2":3}'
+    rc, out, err = run(capsys, "lift", S3, S3, hom, "6")
+    _one_line_exit_2(rc, err)
+    assert out == "" and "psi image is not a root of the source defining polynomial" in err
 
 
 def test_lift_hom_json_needs_integers(capsys):

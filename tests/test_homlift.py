@@ -366,6 +366,36 @@ def test_double_roots_refused_by_both_entry_points():
         homlift._certify_at(_normalize_poly(F, F3), Z3_SQRT3, Z3_SQRT3.uniformizer(8))
 
 
+def test_each_search_materializes_F_once(monkeypatch):
+    # the working precision is read off the polynomial before the search,
+    # so every _roots and _certify_at call, answer or refusal, materializes
+    # F once; has_root materializes once per depth it tries
+    calls, searches = [], []
+    materialize, search = homlift._materialize_poly, homlift._roots
+    monkeypatch.setattr(homlift, "_materialize_poly", lambda *args: calls.append(args) or materialize(*args))
+    monkeypatch.setattr(homlift, "_roots", lambda *args, **kw: searches.append(args) or search(*args, **kw))
+    pi = Z3_SQRT3.uniformizer(8)
+    phi = enumerate_isos(residue_ring(Z3_SQRT3, 4), residue_ring(Z3_SQRT3, 4))[0]
+    runs = [
+        lambda: roots_in_dvr([-3, 0, 1], Z3_SQRT3, 6),
+        lambda: roots_in_dvr([9, 0, -6, 0, 1], Z3_SQRT3, 4),  # refused
+        lambda: lift_hom(phi),
+        lambda: homlift._certify_at(_normalize_poly([-3, 0, 1], F3), Z3_SQRT3, pi),
+        lambda: homlift._certify_at(_normalize_poly([9, 0, -6, 0, 1], F3), Z3_SQRT3, pi),  # refused
+    ]
+    for run in runs:
+        calls.clear()
+        try:
+            run()
+        except PrecisionTooLow:
+            pass
+        assert len(calls) == 1
+    calls.clear()
+    searches.clear()
+    assert has_root(Z3_SQRT3, [-7 * 3 ** 300, 0, 1]).kind == "yes"
+    assert len(searches) > 1 and len(calls) == len(searches)
+
+
 def test_enumerate_homs_too_large(monkeypatch):
     monkeypatch.setenv("RAMLIFT_ENUM_CAP", "10")
     src = residue_ring(Z3_SQRT3, 4)
@@ -405,6 +435,16 @@ def test_residue_hom_factory_rejects_bad_beta():
     beta = project(Z3_SQRTM3.uniformizer(3), 3)
     with pytest.raises(ValueError):
         residue_hom(src, tgt, identity_embedding(F3), beta)
+
+
+def test_residue_hom_factory_rejects_a_psi_off_the_defining_polynomial():
+    # psi must send k1's generator to a root of its defining polynomial, or
+    # apply is no ring map: F3 = F_3[x]/(x) with image 1, and F9 =
+    # F_3[x]/(x^2 + 1) with image 1 + x, where phi(y*y) != phi(y)*phi(y)
+    for R, image in ((Z3_SQRT3, F3.one()), (W9, F9.from_coeffs([1, 1]))):
+        s = residue_ring(R, 3)
+        with pytest.raises(ValueError, match="not a root of the source defining polynomial"):
+            residue_hom(s, s, FieldEmbedding(R.k, R.k, image), project(R.uniformizer(3), 3))
 
 
 # -- kernels and Teichmuller preservation ---------------------------------------
@@ -802,7 +842,7 @@ def _has_root_by_every_root(R, F):
     prec = max(4, R.e + nu_of_e(R.p, R.e) + 1)
     if len(coeffs) == 1:
         return "no", None, prec
-    ceiling = 2 * homlift._disc_val(F, R) + 2
+    ceiling = 2 * homlift._squarefree_cached(tuple(F), R)[1] + 2
     while True:
         try:
             roots = roots_in_dvr(coeffs, R, prec)
@@ -856,6 +896,34 @@ def test_has_root_agrees_with_the_search_over_every_root(ring):
     assert kinds == {"yes", "no"}
 
 
+CLOSE_ROOT_RINGS = dict(HAS_ROOT_RINGS, **{"F3:x2+3": Z3_SQRTM3, "F2:x2-10": Z2_SQRT10})
+
+
+@pytest.mark.parametrize("ring", list(CLOSE_ROOT_RINGS))
+def test_close_integer_roots_are_never_dropped(ring):
+    # (x - a)(x - b) with b - a = u*p^k, k <= 6: a ball of radius t where
+    # t <= nu(F') can be neither certified nor excluded, so has_root finds
+    # a or b, and roots_in_dvr lists both or refuses.  The answers are
+    # checked against the known roots, not against another search
+    R = CLOSE_ROOT_RINGS[ring]
+    p = R.p
+    units = [u for u in (1, -1, 2, 3) if u % p]
+    for a in (0, 1, -2, p, -(p ** 2), 2 * p ** 4):
+        for u, k in itertools.product(units, range(7)):
+            b = a + u * p ** k
+            F = [a * b, -(a + b), 1]
+            res = has_root(R, F)
+            assert res.kind == "yes", F
+            t = res.precision
+            assert pi_digits(res.root, t) in (pi_digits(R.from_int(c, t)) for c in (a, b)), F
+            for t in (4, 8):
+                try:
+                    got = {pi_digits(r.elem, t) for r in roots_in_dvr(F, R, t)}
+                except PrecisionTooLow:
+                    continue
+                assert got == {pi_digits(R.from_int(c, t)) for c in (a, b)}, (F, t)
+
+
 @pytest.mark.parametrize("ring", list(HAS_ROOT_RINGS))
 def test_disc_val_matches_sympy_oracle(ring):
     # nu_R(disc F) = e * v_p(disc F) on seeded squarefree F, some of them
@@ -881,7 +949,7 @@ def test_disc_val_matches_sympy_oracle(ring):
         while disc % R.p == 0:
             disc //= R.p
             v += 1
-        assert homlift._disc_val(F, R) == R.e * v, F
+        assert homlift._squarefree_cached(tuple(F), R)[1] == R.e * v, F
         checked += 1
 
 
@@ -1360,9 +1428,8 @@ def test_ball_search_from_a_ball_yields_the_balls_under_it(pair, refine):
     zero_prefix = (R2.k.zero(),) * -(-n2 // n1)
 
     def search(F, start):
-        def balls(poly):
-            return [(digits, delta) for digits, _, delta in _ball_search(poly, n2, start, refine)]
-        return homlift._escalate(F, R2, n2, balls)
+        poly = homlift._working_poly(F, R2, n2, homlift._image_deriv_bound(R1, R2))
+        return [(digits, delta) for digits, _, delta in _ball_search(poly, n2, start, refine)]
 
     for psi in embeddings(R1.k, R2.k):
         F = (R1.coeffs, psi)

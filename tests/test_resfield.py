@@ -8,6 +8,7 @@ from ramlift.errors import (
     CharMismatch,
     DivisionByZero,
     FieldMismatch,
+    InvalidArgument,
     InvalidSetting,
     NotPrime,
     Reducible,
@@ -462,6 +463,9 @@ def test_roots_of_constants_and_linear_polynomials():
     k = make_field(2, 24)  # linear polynomials are solved at any q
     assert roots([k.generator(), 1], k) == ((k.generator(), True),)
     assert roots([1, 0, 1], F9) == ((F9.generator(), True), (-F9.generator(), True))
+    for zero in ([0, 0], []):  # every element solves the zero polynomial
+        with pytest.raises(InvalidArgument, match="zero polynomial"):
+            roots(zero, F3)
 
 
 def test_roots_past_the_cap(monkeypatch):
