@@ -30,20 +30,17 @@ and f(pi) = 0 with a_0 = p*w gives p/pi^e = eps mod m for eps the residue of
 -w^-1.  Hence a_r = (c_j/p^k mod p) * eps^k, read off one coefficient block
 mod p^(k+1).
 
-Digits are read in chunks of w blocks, w the largest w <= e with
-q^w <= BLOCK_KEYS (at least 1).  Write x^e = p*u(x): f is Eisenstein, so u
-has integer coefficients, and teichmuller(a) pi^(e*k+j') = p^k
-teichmuller(a) x^j' u(x)^k.  Modulo p the ring is k[x]/(x^e), where x^j'
-times anything has no term below degree j'; so subtracting that term
-leaves every block below j' unchanged mod p^(k+1), and the blocks that
-earlier digits cleared stay cleared.  Hence the digits e*k + j0, ...,
-e*k + j0 + J - 1 of z in m^(e*k+j0) are a function of the blocks j0, ...,
-j0 + J - 1 of z mod p^(k+1), and so is their Teichmuller sum.  Each context
-has one list of chunks, up to its n, with one table per chunk from those
-blocks to both, filled on first use by reading the key digit by digit; a
-readout costs one lookup and one subtraction per chunk, stops at the
-chunk that holds its last digit, and its digits are shared FqElem values,
-each of which renders its text once.  No fraction-field arithmetic is exposed.
+Digits are read and lifted in chunks [r0, r1) of J digits, J the largest
+with q^J <= BLOCK_KEYS (at least 1), the last one cut at n.  The digits r0,
+..., r1 - 1 of z in m^r0 are those of z mod m^r1, and the canonical vector
+mod m^r1 (see _canon) is a complete invariant of that class; m^r0 falls
+into q^(r1-r0) such classes.  Each chunk has one table from that vector to the
+chunk's digits and their Teichmuller sum, filled on first use by reading
+the key digit by digit, and one from the digits' coordinates to the sum.  A
+readout costs one lookup and one subtraction per chunk and stops at the
+chunk that holds its last digit; a lift costs one lookup and one addition
+per chunk.  The digits are shared FqElem values, each of which renders its
+text once.  No fraction-field arithmetic is exposed.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add, mul, sub
+from operator import mod, mul, sub
 
 from .errors import (
     InsufficientPrecision,
@@ -66,7 +63,7 @@ from .resfield import FieldSpec, FqElem, _convolve, _reduce_monic, enumeration_c
 from .witt import WittElem, WittRingSpec, _vp_int, from_digits, make_witt, teichmuller
 
 GUARD_DIGITS = 2
-BLOCK_KEYS = 1024  # the most keys a digit chunk table may hold (q^w <= this)
+BLOCK_KEYS = 1024  # the most keys a digit chunk table may hold (q^J <= this)
 
 
 # ---------------------------------------------------------------------------
@@ -280,46 +277,61 @@ def _digit_table(scale: FqElem, pk: int) -> _DigitTable:
 
 
 class _BlockTable(dict):
-    """The digits r0, ..., r0 + J - 1 of one chunk, r0 = e*k + j0 and
-    j0 + J <= e: keyed by the coordinates of the x^j0 ... x^(j0+J-1) blocks
-    reduced mod p^(k+1), the pair (the J digits, the flat vector of
-    sum teichmuller(a_r) pi^r over them).  The sum is None when every digit
-    is 0, and when the chunk ends at ctx.n, where no digit follows it.
-    A miss reads the key digit by digit with _digit_at, so a key outside
-    m^r0 raises NotDivisible and is never stored."""
+    """The digits r0, ..., r1 - 1 of one chunk: keyed by the canonical vector
+    mod m^r1 (see _canon) of a z in m^r0, the pair (the digits, the flat
+    vector of sum teichmuller(a_r) pi^r over them, shared with sums).  The
+    sum is None when every digit is 0, and when r1 = ctx.n, where no digit
+    follows.  A miss reads the key digit by digit with _digit_at, which
+    checks each block it reads; a chunk shorter than e reads no digit off
+    some blocks, so the miss first checks that the key lies in m^r0.  A key
+    outside it raises NotDivisible and is never stored."""
 
-    def __init__(self, ctx: "_Context", r0: int, width: int):
+    def __init__(self, ctx: "_Context", r0: int, r1: int, lows: tuple, sums: "_SumTable"):
         super().__init__()
-        self.ctx, self.r0, self.width = ctx, r0, width
+        self.ctx, self.r0, self.r1, self.lows, self.sums = ctx, r0, r1, lows, sums
 
     def __missing__(self, key):
-        ctx, r0, n = self.ctx, self.r0, self.ctx.n
-        end = r0 + self.width
-        lo = r0 % ctx.e * ctx.d
-        start = [0] * ctx.size
-        start[lo:lo + len(key)] = key
-        v, digits = start, []
-        for r in range(r0, end):
+        ctx, r0, r1 = self.ctx, self.r0, self.r1
+        if any(map(mod, key, self.lows)):
+            raise NotDivisible(f"the vector does not lie in m^{r0}")
+        v, digits = key, []
+        for r in range(r0, r1):
             a = _digit_at(ctx, v, r)
             digits.append(a)
-            if r + 1 < n and any(a.coeffs):
+            if r + 1 < r1 and any(a.coeffs):
                 v = list(map(sub, v, ctx.terms[r][a.coeffs]))
-        term = None
-        if end < n and v is not start:
-            mod = ctx.mod
-            term = tuple([(x - y) % mod for x, y in zip(start, v)])
+        term = None if r1 == ctx.n else self.sums[tuple([a.coeffs for a in digits])]
         entry = self[key] = (tuple(digits), term)
         return entry
 
 
-def _block_width(q: int, e: int) -> int:
-    """The chunk width w: the largest w <= e with q^w <= BLOCK_KEYS, at least
-    1.  A chunk has q^w valid keys, so a table never holds more than
+class _SumTable(dict):
+    """The flat vectors of sum teichmuller(a_r) pi^r over the digits r0,
+    r0 + 1, ... of one chunk, keyed by the tuple of the digits' coordinate
+    tuples and computed on first use from the term tables; None when every
+    digit is 0.  _lift pads the key of a chunk that its digits end inside
+    with zeros, so a table has q^J keys at most."""
+
+    def __init__(self, ctx: "_Context", r0: int):
+        super().__init__()
+        self.ctx, self.r0 = ctx, r0
+
+    def __missing__(self, key):
+        ctx, r0 = self.ctx, self.r0
+        vs = [terms[c] for terms, c in zip(ctx.terms[r0:r0 + len(key)], key) if any(c)]
+        mod = ctx.mod
+        acc = self[key] = tuple([sum(c) % mod for c in zip(*vs)]) if vs else None
+        return acc
+
+
+def _block_width(q: int) -> int:
+    """The chunk width J in digits: the largest J with q^J <= BLOCK_KEYS, at
+    least 1.  A chunk has q^J valid keys, so a table never holds more than
     BLOCK_KEYS of them, or q when q exceeds it."""
-    w = 1
-    while w < e and q ** (w + 1) <= BLOCK_KEYS:
-        w += 1
-    return w
+    J = 1
+    while q ** (J + 1) <= BLOCK_KEYS:
+        J += 1
+    return J
 
 
 class _TermTable(dict):
@@ -349,9 +361,10 @@ class _Context:
     r < n, the tables of teichmuller(a) * pi^r, for each r < n how digit r
     is read: its x^j block, the reduction mod p^(k+1) and the table of
     digits u * eps^k, eps the residue of -w^-1 for the unit w with
-    a_0 = p*w (see _digit_at), and the chunks of _digits: the blocks j < e
-    of each k, cut into runs of _block_width blocks and at n, as
-    (lo, hi, c -> c mod p^(k+1), _BlockTable)."""
+    a_0 = p*w (see _digit_at), and the chunks [r0, r1) of _digits and
+    _lift: the digits cut into runs of _block_width digits and at n, as
+    (r0, r1, the moduli of the canonical vector mod m^r1, _BlockTable,
+    _SumTable)."""
 
     __slots__ = ("ring", "n", "wspec", "M", "mod", "p", "d", "e", "size", "g", "f",
                  "supported", "pi", "pi_powers", "terms", "reads", "chunks", "res_mods")
@@ -367,16 +380,13 @@ class _Context:
         # digit r = e*k + j is read off the x^j block mod p^(k+1) (_digit_at);
         # (p^(k+1)).__rmod__ maps c to c % p^(k+1)
         d, e, p = self.d, self.e, self.p
+        pows = [p ** i for i in range(-(-n // e) + 1)]
         w = FqElem(ring.k, [c // p for c in self.f[:d]])  # a_0 = p*w, Mc >= 2
         eps = -w.inverse()  # the residue of p/pi^e
-        width = _block_width(ring.q, e)
-        self.reads, self.chunks, scale = [], [], ring.k.one()  # scale = eps^k
+        self.reads, scale = [], ring.k.one()  # scale = eps^k
         for k in range(-(-n // e)):
-            rem, table, top = (p ** (k + 1)).__rmod__, _digit_table(scale, p ** k), min(e, n - e * k)
-            self.reads += [(j * d, (j + 1) * d, rem, table) for j in range(top)]
-            for j in range(0, top, width):
-                J = min(width, top - j)
-                self.chunks.append((j * d, (j + J) * d, rem, _BlockTable(self, e * k + j, J)))
+            rem, table = pows[k + 1].__rmod__, _digit_table(scale, pows[k])
+            self.reads += [(j * d, (j + 1) * d, rem, table) for j in range(min(e, n - e * k))]
             scale = scale * eps
         # pi^r = x * pi^(r-1): the blocks of pi^(r-1) shifted up one, reduced
         # by f (for d > 1 as rows of 2d-1 coordinates); pi = -a_0 when e = 1
@@ -389,9 +399,15 @@ class _Context:
             powers.append(_reduce_mod_f(self, rows))
         self.pi, self.pi_powers = powers[1], powers[:n]
         self.terms = [_TermTable(self, r) for r in range(n)]
-        # m^n = sum of p^ceil((n-j)/e) W(k) x^j over j < e (see _canon)
-        self.res_mods = tuple(p ** -(-(n - j) // e) if j < n else 1
-                              for j in range(e) for _ in range(d))
+        # m^r = sum of p^ceil((r-j)/e) W(k) x^j over j < e (see _canon)
+        bounds = [*range(0, n, _block_width(ring.q)), n]
+        mods = [tuple([pows[-(-(r - j) // e)] if j < r else 1 for j in range(e) for _ in range(d)])
+                for r in bounds]
+        self.chunks = []
+        for r0, r1, lows, top in zip(bounds, bounds[1:], mods, mods[1:]):
+            sums = _SumTable(self, r0)
+            self.chunks.append((r0, r1, top, _BlockTable(self, r0, r1, lows, sums), sums))
+        self.res_mods = mods[-1]
 
 
 @lru_cache(maxsize=4096)
@@ -519,12 +535,13 @@ def _digit_at(ctx: _Context, v, r: int) -> FqElem:
 
 def _digits(ctx: _Context, v, n: int) -> tuple:
     """The first n <= ctx.n pi-adic Teichmuller digits of a flat vector, a
-    chunk at a time: look up the chunk's digits and their Teichmuller sum by
-    its blocks mod p^(k+1) and subtract the sum, until n digits are read.
-    The differences are not reduced: the keys are read mod p^(k+1) exactly."""
+    chunk [r0, r1) at a time: look up the chunk's digits and their
+    Teichmuller sum by the canonical vector mod m^r1 and subtract the sum,
+    until n digits are read.  The differences are not reduced: the keys are
+    reduced by moduli that divide p^Mc."""
     out = []
-    for lo, hi, rem, table in ctx.chunks:
-        digits, term = table[tuple(map(rem, v[lo:hi]))]
+    for _, _, mods, table, _ in ctx.chunks:
+        digits, term = table[tuple(map(mod, v, mods))]
         out += digits
         if len(out) >= n:
             break
@@ -546,25 +563,31 @@ def _canon(ctx: _Context, v) -> tuple:
     return tuple([c % m for c, m in zip(v, ctx.res_mods)])
 
 
-def _check_digit(ctx: _Context, a: FqElem) -> None:
+def _check_digit(ctx: _Context, a: FqElem) -> tuple:
+    """The coordinates of a digit of the residue field of ctx's ring."""
     if a.field is not ctx.ring.k and a.field != ctx.ring.k:
         raise RingMismatch("element not in the residue field of this ring")
+    return a.coeffs
 
 
 def _lift(ctx: _Context, digits) -> tuple:
-    """Flat vector of sum teichmuller(a_r) pi^r over the given digits."""
-    if len(digits) > ctx.n:
-        raise InvalidArgument(f"{len(digits)} digits exceed the precision {ctx.n}")
-    k = ctx.ring.k
-    acc = [0] * ctx.size
-    for a, terms in zip(digits, ctx.terms):
-        key = a.coeffs
-        if any(key):
-            if a.field is not k:
-                _check_digit(ctx, a)
-            acc = list(map(add, acc, terms[key]))
-    mod = ctx.mod
-    return tuple([c % mod for c in acc])
+    """Flat vector of sum teichmuller(a_r) pi^r over the given digits, a
+    chunk at a time: each chunk's sum is looked up by the coordinates of
+    its digits, those past the last digit read as 0."""
+    n = len(digits)
+    if n > ctx.n:
+        raise InvalidArgument(f"{n} digits exceed the precision {ctx.n}")
+    k, acc = ctx.ring.k, None
+    for r0, r1, _, _, sums in ctx.chunks:
+        if r0 >= n:
+            break
+        key = [a.coeffs if a.field is k else _check_digit(ctx, a) for a in digits[r0:r1]]
+        if r1 > n:
+            key += [(0,) * ctx.d] * (r1 - n)
+        term = sums[tuple(key)]
+        if term is not None:
+            acc = term if acc is None else _add(ctx, acc, term)
+    return (0,) * ctx.size if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

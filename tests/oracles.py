@@ -20,7 +20,7 @@ The division oracle reads pi-adic digits by dividing by the uniformizer, in
 WittElem arithmetic, instead of reading them off one coefficient each.  The
 digit-by-digit oracle reads them off one coefficient block each, as the
 chunk tables of the library do, but one digit at a time and with no table
-of chunks.
+of chunks; its lift counterpart adds one Teichmuller term per digit.
 
 The uniformizer oracle recomputes M(R) from the minimal polynomial of
 another uniformizer, solved in WittElem arithmetic at working precision,
@@ -221,6 +221,16 @@ def digit_by_digit_digits(ctx, v, n: int):
         if r < n - 1 and any(a.coeffs):
             v = list(map(sub, v, ctx.terms[r][a.coeffs]))
     return tuple(out)
+
+
+def digit_by_digit_lift(ctx, digits) -> tuple:
+    """The flat vector of sum teichmuller(a_r) pi^r over the digits, one term
+    of ctx.terms per nonzero digit and no table of chunks, reduced mod p^Mc."""
+    acc = [0] * ctx.size
+    for r, a in enumerate(digits):
+        if any(a.coeffs):
+            acc = [x + y for x, y in zip(acc, ctx.terms[r][a.coeffs])]
+    return tuple(c % ctx.mod for c in acc)
 
 
 def divide_by_pi_digits(ring, v, n: int):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     digit_by_digit_digits,
+    digit_by_digit_lift,
+    digit_route_apply,
     digit_route_op,
     divide_by_pi_digits,
     element,
@@ -28,7 +30,14 @@ from ramlift.dvr import (
     residue_ring,
     ring_spec_to_json,
 )
-from ramlift.errors import InsufficientPrecision, InvalidArgument, NotEisenstein, RingMismatch, TooLarge
+from ramlift.errors import (
+    InsufficientPrecision,
+    InvalidArgument,
+    NotDivisible,
+    NotEisenstein,
+    RingMismatch,
+    TooLarge,
+)
 from ramlift.homlift import ResidueHom, enumerate_isos
 from ramlift.resfield import make_field
 from ramlift.witt import make_witt, teich_digits
@@ -576,10 +585,99 @@ def test_chunk_tables_stay_bounded_on_fresh_vectors(spec, n):
     for _ in range(2000):
         v = [rng.randrange(ctx.mod) for _ in range(ctx.size)]
         assert dvr._digits(ctx, v, n) == digit_by_digit_digits(ctx, v, n)
+        digits = [spec.k.from_int(rng.randrange(spec.q)) for _ in range(rng.randint(0, n))]
+        assert dvr._lift(ctx, digits) == digit_by_digit_lift(ctx, digits)
     bound = max(dvr.BLOCK_KEYS, spec.q)
-    tables = [table for *_, table in ctx.chunks]
-    assert tables and all(len(t) <= bound for t in tables)
-    assert max(len(t) for t in tables) > (dvr.BLOCK_KEYS // 2 if spec.q < bound else 1000)
+    for tables in zip(*[chunk[3:] for chunk in ctx.chunks]):  # readout, then lift
+        assert all(len(t) <= bound for t in tables)
+        assert max(len(t) for t in tables) > (dvr.BLOCK_KEYS // 2 if spec.q < bound else 1000)
+
+
+# Rings whose chunks of J digits, q^J <= 1024, cross p-adic levels (J > e),
+# at an n that leaves a short last chunk: three chunks or more each.
+CROSS_LEVEL = [
+    (make_dvr(F2, [-2, 0, 1]), 21),  # J = 10
+    (Z3_SQRT3, 13),  # J = 6
+    (make_dvr(F3, [-3, 0, 0, 0, 1]), 13),  # x^4 - 3, J = 6
+    (make_dvr(make_field(2, 2), [[-2, 0], [0, 0], 1]), 11),  # F4 x^2 - 2, J = 5
+]
+
+
+@pytest.mark.parametrize("spec, n", CROSS_LEVEL)
+def test_cross_level_chunks_match_the_digit_by_digit_oracle(spec, n):
+    ctx = dvr._context(spec, n)
+    assert len(ctx.chunks) >= 3 and ctx.chunks[0][1] > spec.e
+    rng = random.Random(n)
+    rn = residue_ring(spec, n)
+    k_elems = sorted(spec.k.elements(), key=lambda a: a.coeffs)
+    for _ in range(40):
+        x = rn.from_digits(rng.choices(k_elems, k=n))
+        raw = [rng.randrange(ctx.mod) for _ in range(ctx.size)]  # not canonical
+        for v in (x.v, raw):
+            want = digit_by_digit_digits(ctx, v, n)
+            # another representative: add elements of m^n and of p^Mc
+            shifted = [c + rng.randrange(ctx.mod // m) * m + rng.randint(-3, 3) * ctx.mod
+                       for c, m in zip(v, ctx.res_mods)]
+            for w in (v, shifted):
+                for m in range(n + 1):  # prefixes end mid-chunk and on its edges
+                    assert dvr._digits(ctx, w, m) == want[:m]
+        assert x.digits == digit_by_digit_digits(ctx, x.v, n)
+
+
+@pytest.mark.parametrize("spec, n", CROSS_LEVEL)
+def test_chunked_lift_matches_the_per_digit_sums(spec, n):
+    ctx = dvr._context(spec, n)
+    rng = random.Random(n)
+    k = spec.k
+    zero, units = k.zero(), [a for a in k.elements() if not a.is_zero()]
+    pi = spec.uniformizer(n)
+    last = ctx.chunks[-1][0]
+    cases = [(zero,) * m for m in range(n + 1)]  # all zero, every length
+    cases += [(zero,) * r + (rng.choice(units),) + (zero,) * (n - r - 1) for r in range(last, n)]
+    for m in range(n + 1):  # shorter than n, ending mid-chunk or on its edges
+        cases += [tuple(rng.choice([zero, *units]) for _ in range(m)) for _ in range(4)]
+    for digits in cases:
+        got = dvr._lift(ctx, digits)
+        assert got == digit_by_digit_lift(ctx, digits), digits
+        assert dvr.DvrElem(ctx, got) == digit_route_apply(lambda a: a, digits, pi)
+
+
+def test_block_table_refuses_keys_outside_its_chunk():
+    # F3 x^2 - 3 at n = 13: the last chunk [12, 13) reads digit 12 off c_0
+    # alone, but m^12 also needs 3^6 | c_1, and its key holds c_1 mod 3^6
+    ctx = dvr._context(Z3_SQRT3, 13)
+    r0, r1, _, table, _ = ctx.chunks[2]
+    assert (r0, r1) == (12, 13)
+    bad = (0, 9)
+    with pytest.raises(NotDivisible):
+        table[bad]
+    assert bad not in table
+    # a wrong sum for the chunk [6, 12) leaves c_1 off by 9
+    v = dvr._lift(ctx, [F3.one()] * 13)
+    v6 = dvr._sub(ctx, v, dvr._lift(ctx, [F3.one()] * 6))
+    _, _, mods, middle, _ = ctx.chunks[1]
+    key = tuple(c % m for c, m in zip(v6, mods))
+    digits, term = middle[key]
+    middle[key] = (digits, dvr._add(ctx, term, (0, 9)))
+    try:
+        with pytest.raises(NotDivisible):
+            dvr._digits(ctx, v, 13)
+    finally:
+        middle[key] = (digits, term)
+    assert dvr._digits(ctx, v, 13) == (F3.one(),) * 13
+
+
+@pytest.mark.parametrize("r", [0, 15, 20])  # the first, a middle and the last chunk
+def test_lift_refuses_a_digit_of_another_field(r):
+    spec = make_dvr(F2, [-2, 0, 1])
+    ctx = dvr._context(spec, 21)
+    assert [chunk[:2] for chunk in ctx.chunks] == [(0, 10), (10, 20), (20, 21)]
+    digits = [F2.one()] * 21
+    digits[r] = F3.one()  # the same coordinates (1,) in another field
+    with pytest.raises(RingMismatch):
+        dvr._lift(ctx, digits)
+    with pytest.raises(RingMismatch):
+        dvr._lift(ctx, digits[:r + 1])
 
 
 def test_dvr_elem_equality_is_digit_equality():
