@@ -32,7 +32,6 @@ import sys
 from types import SimpleNamespace
 
 from .dvr import (
-    _json_int,
     _json_list,
     ResidueElt,
     dvr_elem_text,
@@ -50,7 +49,7 @@ from .homlift import (
     residue_hom,
 )
 from .ramification import generic_bounds, lift_precision_bound, ramification_report
-from .resfield import FieldEmbedding, enumeration_cap
+from .resfield import FieldEmbedding, _int_arg, enumeration_cap
 
 
 class InputError(Exception):
@@ -202,12 +201,12 @@ def _parse_hom(src_ring, tgt_ring, obj):
         n2 = obj["n2"] if "n2" in obj else _hom_field(obj.get("target") or {}, dict, "target").get("n")
         if n1 is None or n2 is None:
             raise InputError("homomorphism JSON must carry n1/n2 lengths")
-        _json_int(n1, "n1")
-        _json_int(n2, "n2")
+        _int_arg(n1, "n1")
+        _int_arg(n2, "n2")
         coords = _json_list(_hom_field(obj["psi"], dict, "psi")["image_of_generator"],
                             "psi.image_of_generator")
         for c in coords:
-            _json_int(c, "a psi.image_of_generator entry")
+            _int_arg(c, "a psi.image_of_generator entry")
         psi = FieldEmbedding(src_ring.k, tgt_ring.k, tgt_ring.k.from_coeffs(coords))
         digits = parse_pi_digits(tgt_ring.k, _hom_field(obj["beta"], str, "beta"))
         if len(digits) < n2:

@@ -59,7 +59,16 @@ from .errors import (
     TooLarge,
 )
 from .record import Record
-from .resfield import FieldSpec, FqElem, _convolve, _reduce_monic, enumeration_cap, make_field, power
+from .resfield import (
+    FieldSpec,
+    FqElem,
+    _convolve,
+    _int_arg,
+    _reduce_monic,
+    enumeration_cap,
+    make_field,
+    power,
+)
 from .witt import WittElem, WittRingSpec, _vp_int, from_digits, make_witt, teichmuller
 
 GUARD_DIGITS = 2
@@ -383,11 +392,10 @@ class _Context:
         pows = [p ** i for i in range(-(-n // e) + 1)]
         w = FqElem(ring.k, [c // p for c in self.f[:d]])  # a_0 = p*w, Mc >= 2
         eps = -w.inverse()  # the residue of p/pi^e
-        self.reads, scale = [], ring.k.one()  # scale = eps^k
+        self.reads = []
         for k in range(-(-n // e)):
-            rem, table = pows[k + 1].__rmod__, _digit_table(scale, pows[k])
+            rem, table = pows[k + 1].__rmod__, _digit_table(eps ** k, pows[k])
             self.reads += [(j * d, (j + 1) * d, rem, table) for j in range(min(e, n - e * k))]
-            scale = scale * eps
         # pi^r = x * pi^(r-1): the blocks of pi^(r-1) shifted up one, reduced
         # by f (for d > 1 as rows of 2d-1 coordinates); pi = -a_0 when e = 1
         pad = [0] * (d - 1)
@@ -781,9 +789,11 @@ class ResidueRingSpec(Record):
         return ResidueElt(self, None, _canon(ctx, (c,) + (0,) * (ctx.size - 1)))
 
     def from_digits(self, digits) -> "ResidueElt":
-        digits = tuple(digits)
+        digits, k = tuple(digits), self.ring.k
         if len(digits) != self.n:
             raise InvalidArgument(f"expected {self.n} digits, got {len(digits)}")
+        if any(not isinstance(a, FqElem) or a.field is not k and a.field != k for a in digits):
+            raise RingMismatch("a digit is not in the residue field of this ring")
         return ResidueElt(self, digits)
 
     def lift(self, x: "ResidueElt") -> DvrElem:
@@ -919,14 +929,6 @@ def ring_spec_to_json(R: DvrSpec) -> dict:
     }
 
 
-def _json_int(value, what: str) -> int:
-    """An integer read from JSON; floats and booleans are refused, so that
-    none reaches the output."""
-    if type(value) is not int:
-        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _json_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise InvalidArgument(f"{what} must be a list, got {value!r}")
@@ -942,18 +944,18 @@ def _ring_spec_field(obj: dict, key: str):
 def parse_ring_spec(obj: dict) -> DvrSpec:
     if not isinstance(obj, dict):
         raise InvalidArgument("a ring spec must be a JSON object")
-    p = _json_int(_ring_spec_field(obj, "p"), "p")
+    p = _int_arg(_ring_spec_field(obj, "p"), "p")
     res = obj.get("residue", {"d": 1, "poly": None})
     if not isinstance(res, dict):
         raise InvalidArgument(f"residue must be a JSON object, got {res!r}")
-    d = _json_int(res.get("d", 1), "residue.d")
+    d = _int_arg(res.get("d", 1), "residue.d")
     poly = res.get("poly")
     if poly is not None:
         for c in _json_list(poly, "residue.poly"):
-            _json_int(c, "a residue.poly entry")
+            _int_arg(c, "a residue.poly entry")
     f = _json_list(_ring_spec_field(obj, "eisenstein"), "eisenstein")
     for c in f:
         if not isinstance(c, str):  # "t:..." digit strings are parsed by make_dvr
             for x in c if isinstance(c, list) else [c]:
-                _json_int(x, "an eisenstein coefficient")
+                _int_arg(x, "an eisenstein coefficient")
     return make_dvr(make_field(p, d, poly), f)

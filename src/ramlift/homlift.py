@@ -4,9 +4,11 @@ A homomorphism R_{1,n1} -> R_{2,n2} is stored as a residue-field embedding
 psi together with the image beta of the uniformizer class: under the
 presentation W(k1)[x]/(f, x^n1) those two values determine the map, and the
 exhaustive-function oracle in the test suite guards this structural
-shortcut.  The admissible betas are the truncated roots of F = f^psi: F(beta)
-= 0 mod m2^n2 and beta^n1 = 0.  Applying a homomorphism (residue or lifted)
-reads no digits: each x^j coefficient block of the argument's flat vector
+shortcut.  residue_hom checks psi on every call, by evaluating k1's
+defining polynomial at psi's image (resfield.eval_poly, on coordinates).
+The admissible betas are the truncated roots of F = f^psi: F(beta) = 0 mod
+m2^n2 and beta^n1 = 0.  Applying a homomorphism (residue or lifted) reads
+no digits: each x^j coefficient block of the argument's flat vector
 goes through the linear map W(psi) (witt.WittMap), and _horner sums the
 images against the powers of beta.
 
@@ -94,6 +96,7 @@ from .dvr import (
     ring_spec_to_json,
 )
 from .errors import (
+    FieldMismatch,
     IncompatibleLengths,
     InconsistentResult,
     InsufficientPrecision,
@@ -117,6 +120,7 @@ from .record import Record
 from .resfield import (
     FieldEmbedding,
     _capped_roots,
+    _int_arg,
     _residues,
     _resultant,
     _squarefree_part,
@@ -478,24 +482,20 @@ def residue_hom(
     source: ResidueRingSpec, target: ResidueRingSpec, psi: FieldEmbedding, beta: ResidueElt
 ) -> ResidueHom:
     """Validate (psi, beta) and build the homomorphism: psi must send the
-    generator of k1 to a root of its defining polynomial, the mapped
+    generator of k1 into k2 (FieldMismatch otherwise) and to a root of its
+    defining polynomial, which is evaluated on every call, the mapped
     Eisenstein polynomial must kill beta and beta^n1 must vanish."""
     if psi.source != source.ring.k or psi.target != target.ring.k:
         raise ValueError("embedding endpoints do not match the ring pair")
-    if not _is_field_hom(psi):
+    if psi.image_of_generator.field != psi.target:
+        raise FieldMismatch("psi's image of the generator is not in its target field")
+    if not eval_poly(psi.source.defining_poly, psi.image_of_generator).is_zero():
         raise ValueError("psi image is not a root of the source defining polynomial")
     if beta.rspec != target:
         raise ValueError("beta does not live in the target ring")
     if not _beta_admissible(source, target, psi, beta):
         raise ValueError("(psi, beta) does not define a homomorphism")
     return ResidueHom(source, target, psi, beta)
-
-
-@lru_cache(maxsize=1024)
-def _is_field_hom(psi: FieldEmbedding) -> bool:
-    """psi sends the generator of k1 to a root of its defining polynomial;
-    cached, as residue compose_homs checks a composed psi on every call."""
-    return eval_poly(psi.source.defining_poly, psi.image_of_generator).is_zero()
 
 
 def _beta_admissible(source, target, psi, beta) -> bool:
@@ -805,7 +805,7 @@ def has_root(R: DvrSpec, F) -> HasRootResult:
     the first precision at which the balls before it die and it is
     certified.  "no" is a search whose balls all die, a proof of
     nonexistence, at the precision it ran at."""
-    coeffs = [int(c) for c in F]
+    coeffs = [_int_arg(c, f"the coefficient of x^{i}") for i, c in enumerate(F)]
     if not coeffs or coeffs[-1] != 1:
         raise NotMonic("polynomial must be monic")
     F, disc_val = _squarefree_cached(tuple(coeffs), R)

@@ -1,22 +1,26 @@
 """Exact arithmetic in finite fields F_{p^d}.
 
-Fields are described by a monic irreducible defining polynomial over F_p and
-elements by their coordinate vectors in the power basis.  Root sets come
-from one cap check, _capped_roots, in front of one cache, _root_set, shared
-by the embeddings (through roots) and homlift's ball search: a linear
-polynomial is solved directly, and one of degree >= 2 tries every element,
-refused before the cache is read when q exceeds the enumeration cap.
-Building a field never enumerates it: primality (deterministic
-Miller-Rabin) and irreducibility (Ben-Or's test) cost modular powers and
-gcds only, so a huge p is accepted.  _reduce_monic is the one reduction
-by a monic polynomial: F_q products and Ben-Or's test reduce by the
-defining polynomial mod p, witt by its lift mod p^M, and dvr by f (d = 1)
-and by g.  _convolve is the product of coefficient lists of F_q, witt and
-d = 1 dvr; d > 1 dvr products keep their own row loops.  Every polynomial
-division is by a monic divisor: Euclid's algorithm over F_p makes each
-divisor monic and reduces by _reduce_monic, and _divmod_monic, the one
-division over Q, serves the Euclid steps, the quotient of _squarefree_part
-and the resultant (_resultant).
+Fields are described by a monic irreducible defining polynomial g over F_p
+and elements by their coordinate tuples in the power basis.  Arithmetic
+runs on those tuples, and an FqElem is built only for a value returned:
+eval_poly, the one Horner loop over k, and _root_set evaluate on
+coordinates, and FqElem powers (inverses, frobenius, pth_root) are
+_poly_powmod_p, the square-and-multiply mod (g, p) of Ben-Or's test.  Root
+sets come from one cap check, _capped_roots, in front of one cache,
+_root_set, shared by the embeddings (through roots) and homlift's ball
+search: a linear polynomial is solved directly, and one of degree >= 2
+tries every element, refused before the cache is read when q exceeds the
+enumeration cap.  Building a field never enumerates it: primality
+(deterministic Miller-Rabin) and irreducibility (Ben-Or's test) cost
+modular powers and gcds only, so a huge p is accepted.  _reduce_monic is
+the one reduction by a monic polynomial: F_q and Ben-Or's test reduce by g
+mod p, witt by its lift mod p^M, and dvr by f (d = 1) and by g.  _convolve
+is the product of coefficient lists of F_q, witt and d = 1 dvr; d > 1 dvr
+products keep their own row loops.  Every polynomial division is by a
+monic divisor: Euclid's algorithm over F_p makes each divisor monic and
+reduces by _reduce_monic, and _divmod_monic, the one division over Q,
+serves the Euclid steps, the quotient of _squarefree_part and the
+resultant (_resultant).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .errors import (
     CharMismatch,
@@ -58,6 +61,14 @@ def enumeration_cap() -> int:
     if cap < 0:
         raise InvalidSetting(f"RAMLIFT_ENUM_CAP must not be negative, got {value!r}")
     return cap
+
+
+def _int_arg(value, what: str) -> int:
+    """An integer argument or JSON value; floats and booleans are refused
+    (InvalidArgument naming the value), so that none is truncated."""
+    if type(value) is not int:
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound
@@ -144,8 +155,11 @@ def power(x, k: int, one, times):
 
 
 def _poly_powmod_p(base, k, mod, p):
-    """base^k mod (mod, p), for a monic mod."""
-    return power(_reduce_monic(list(base), mod, p), k, [1],
+    """base^k mod (mod, p), for a monic mod of degree d >= 1: d coordinates
+    (by the builtin pow when d = 1, where base is one coordinate)."""
+    if len(mod) == 2:
+        return [pow(base[0], k, p)]
+    return power(_reduce_monic(list(base), mod, p), k, [1] + [0] * (len(mod) - 2),
                  lambda a, b: _reduce_monic(_convolve(a, b), mod, p))
 
 
@@ -251,21 +265,18 @@ class FieldSpec(Record):
         return self.from_int(1)
 
     def from_int(self, c: int) -> "FqElem":
-        return FqElem(self, (c % self.p,) + (0,) * (self.d - 1))
+        return FqElem(self, (_int_arg(c, "from_int's argument") % self.p,) + (0,) * (self.d - 1))
 
     def from_coeffs(self, coeffs) -> "FqElem":
-        coeffs = [c % self.p for c in coeffs]
+        coeffs = tuple(coeffs)
         if len(coeffs) > self.d:
             raise ValueError("too many coordinates")
-        coeffs += [0] * (self.d - len(coeffs))
-        return FqElem(self, tuple(coeffs))
+        return FqElem(self, coeffs + (0,) * (self.d - len(coeffs)))  # reduced mod p there
 
     def generator(self) -> "FqElem":
-        """The class of x: the root of defining_poly the power basis is built
-        on (-c in a prime field, where defining_poly is x + c)."""
-        if self.d == 1:
-            return self.from_int(-self.defining_poly[0])
-        return FqElem(self, (0, 1) + (0,) * (self.d - 2))
+        """x mod (defining_poly, p): the root of defining_poly the power basis
+        is built on (-c in a prime field, where defining_poly is x + c)."""
+        return self.from_coeffs(_reduce_monic([0, 1], self.defining_poly, self.p))
 
     def elements(self):
         """All q elements in lexicographic order of their coordinate vectors."""
@@ -373,9 +384,11 @@ class FqElem:
         return self * other.inverse()
 
     def __pow__(self, n: int):
+        """self^n by _poly_powmod_p on coordinates: one FqElem, the result."""
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self, n, self.field.one(), mul)
+        k = self.field
+        return FqElem(k, _poly_powmod_p(self.coeffs, n, k.defining_poly, k.p))
 
 
 def frobenius(a: FqElem) -> FqElem:
@@ -387,15 +400,27 @@ def pth_root(a: FqElem) -> FqElem:
     return a ** (a.field.p ** (a.field.d - 1))
 
 
+def _coords(poly, k: FieldSpec) -> list:
+    """The coordinate tuples of coefficients in k (FieldMismatch otherwise) or Z."""
+    if any(isinstance(c, FqElem) and c.field is not k and c.field != k for c in poly):
+        raise FieldMismatch("coefficients belong to another field")
+    return [c.coeffs if isinstance(c, FqElem) else (c % k.p,) + (0,) * (k.d - 1) for c in poly]
+
+
+def _horner_coords(coords, x, k: FieldSpec) -> list:
+    """Horner's rule over k at x, on the coordinate tuples of both."""
+    g, p = k.defining_poly, k.p
+    acc = list(coords[-1]) if coords else [0] * k.d
+    for c in reversed(coords[:-1]):
+        acc = [(a + b) % p for a, b in zip(_reduce_monic(_convolve(acc, x), g, p), c)]
+    return acc
+
+
 def eval_poly(poly, x: FqElem) -> FqElem:
     """Horner's rule at x, the one evaluation over a field, for an ascending
-    polynomial with coefficients in the field of x or integers."""
-    k = x.field
-    acc = k.zero()
-    for c in reversed(poly):
-        c = c if isinstance(c, FqElem) else k.from_int(c)
-        acc = acc * x + c if any(acc.coeffs) else c
-    return acc
+    polynomial with coefficients in the field of x (FieldMismatch for another
+    field's) or integers, on coordinates: one FqElem, the value."""
+    return FqElem(x.field, _horner_coords(_coords(poly, x.field), x.coeffs, x.field))
 
 
 @lru_cache(maxsize=256)
@@ -409,21 +434,17 @@ def roots(poly, k: FieldSpec) -> tuple:
     simple, of an ascending polynomial with coefficients in k (FieldMismatch
     for another field's) or integers, not all zero (InvalidArgument).  The
     enumeration cap is read on every call (see _capped_roots)."""
-    if any(isinstance(c, FqElem) and c.field != k for c in poly):
-        raise FieldMismatch("coefficients belong to another field")
-    pad = (0,) * (k.d - 1)
-    coords = [c.coeffs if isinstance(c, FqElem) else (c % k.p,) + pad for c in poly]
-    return _capped_roots(coords, k, enumeration_cap())
+    return _capped_roots(_coords(poly, k), k, enumeration_cap())
 
 
 def _capped_roots(coords, k: FieldSpec, cap: int) -> tuple:
     """roots of the polynomial given by the coordinate tuples of its
     coefficients, under a cap the caller has read: the one cap check, in
     front of the one cache of root sets.  Zero leading coefficients are
-    trimmed, and the zero polynomial, which every element solves, is refused
-    (InvalidArgument); a degree >= 2 is refused (TooLarge) when q exceeds
-    the cap, before the cache is read, so no cached root set is handed back
-    past it."""
+    trimmed, the zero polynomial, which every element solves, is refused
+    (InvalidArgument), a nonzero constant has no root, and a degree >= 2 is
+    refused (TooLarge) when q exceeds the cap, before the cache is read, so
+    no cached root set is handed back past it."""
     end = len(coords)
     while end and not any(coords[end - 1]):
         end -= 1
@@ -431,20 +452,20 @@ def _capped_roots(coords, k: FieldSpec, cap: int) -> tuple:
         raise InvalidArgument("the zero polynomial has every element as a root")
     if end > 2 and k.q > cap:
         raise TooLarge(f"root search over F({k.p}^{k.d}) exceeds the enumeration cap {cap}")
-    return _root_set(tuple(coords[:end]), k)
+    return _root_set(tuple(coords[:end]), k) if end > 1 else ()
 
 
 @lru_cache(maxsize=1024)
 def _root_set(coords: tuple, k: FieldSpec) -> tuple:
-    """The roots of a trimmed polynomial, by its coordinate tuples, shared by
-    every caller of _capped_roots: a linear one is solved directly, a degree
-    >= 2 tries every element of k."""
-    g = [FqElem(k, c) for c in coords]
-    if len(g) <= 2:
-        return ((-(g[0] / g[1]), True),) if len(g) == 2 else ()
-    dg = [k.from_int(i) * g[i] for i in range(1, len(g))]
-    return tuple((b, not eval_poly(dg, b).is_zero()) for b in _residues(k)
-                 if eval_poly(g, b).is_zero())
+    """The roots of a trimmed polynomial of degree >= 1 by its coordinate
+    tuples, for every caller of _capped_roots: a linear one is solved directly,
+    one of degree >= 2 and its derivative are evaluated at every element."""
+    if len(coords) == 2:  # the root -c0/c1 = -c0*c1^(q-2)
+        quot = _convolve(coords[0], _poly_powmod_p(coords[1], k.q - 2, k.defining_poly, k.p))
+        return ((FqElem(k, [-c for c in _reduce_monic(quot, k.defining_poly, k.p)]), True),)
+    dg = [tuple(i * c % k.p for c in coords[i]) for i in range(1, len(coords))]
+    return tuple((b, any(_horner_coords(dg, b.coeffs, k))) for b in _residues(k)
+                 if not any(_horner_coords(coords, b.coeffs, k)))
 
 
 class FieldEmbedding(Record):

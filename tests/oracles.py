@@ -22,6 +22,12 @@ digit-by-digit oracle reads them off one coefficient block each, as the
 chunk tables of the library do, but one digit at a time and with no table
 of chunks; its lift counterpart adds one Teichmuller term per digit.
 
+The residue-field oracles redo F_q arithmetic on FqElem objects, one new
+element per step: Horner's rule with a product and a sum per coefficient,
+square-and-multiply with FqElem products, and the root set by evaluating
+g and g' that way at every element.  The library runs all three on
+coordinate tuples and builds an FqElem only for a value it returns.
+
 The uniformizer oracle recomputes M(R) from the minimal polynomial of
 another uniformizer, solved in WittElem arithmetic at working precision,
 whose coefficient valuations are only lower bounds where the solution
@@ -32,7 +38,7 @@ the library never does.
 
 import itertools
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 import sympy
 
@@ -57,8 +63,36 @@ from ramlift.homlift import (
     _working_poly,
 )
 from ramlift.ramification import _shifted_coeff_vals, newton_polygon
-from ramlift.resfield import embeddings
+from ramlift.resfield import FqElem, embeddings, power
 from ramlift.witt import make_witt, teich_digits, teichmuller, witt_unit_inv
+
+
+def horner_by_objects(poly, x):
+    """An ascending polynomial with coefficients in the field of x or
+    integers, at x, by Horner's rule on FqElem objects."""
+    k = x.field
+    acc = k.zero()
+    for c in reversed(poly):
+        acc = acc * x + (c if isinstance(c, FqElem) else k.from_int(c))
+    return acc
+
+
+def power_by_objects(x, n: int):
+    """x^n by square-and-multiply on FqElem products, through the inverse
+    x^(q-2) for a negative n."""
+    k = x.field
+    if n < 0:
+        return power_by_objects(power_by_objects(x, k.q - 2), -n)
+    return power(x, n, k.one(), mul)
+
+
+def root_set_by_objects(g, k):
+    """(root, simple) for each root in k of the polynomial g, given by its
+    elements of k with a nonzero lead, in the order of k.elements(): g and
+    g' evaluated by horner_by_objects at every element."""
+    dg = [k.from_int(i) * c for i, c in enumerate(g)][1:]
+    return [(b, not horner_by_objects(dg, b).is_zero()) for b in k.elements()
+            if horner_by_objects(g, b).is_zero()]
 
 
 def from_witt(R, w, n: int) -> DvrElem:

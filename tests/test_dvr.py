@@ -193,6 +193,16 @@ def test_equality_is_digit_canonical():
     assert element(Z3_SQRT3, [[5 + bump], [7]], n) == x
 
 
+def test_from_digits_refuses_digits_of_another_field():
+    # checked at construction, not at the first add or hash: the element
+    # would print, answer is_zero and val_units before failing there
+    rn = residue_ring(Z3_SQRT3, 2)
+    for digits in ((F9.one(), F9.zero()), (F3.one(), F9.zero()), (1, 0)):
+        with pytest.raises(RingMismatch, match="residue field"):
+            rn.from_digits(digits)
+    assert rn.from_digits((F3.one(), F3.zero())) == rn.one()
+
+
 def test_residue_ring_cardinality():
     assert residue_ring(Z3_SQRT3, 4).cardinality == 81
     spec9 = make_dvr(F9, [[-3, 0], [0, 0], 1])

@@ -12,6 +12,7 @@ from oracles import (
     exhaustive_homs_as_tables,
     from_witt,
     hom_as_table,
+    horner_by_objects,
     scan_certified_roots,
     scan_homs,
     scan_truncated_roots,
@@ -29,6 +30,7 @@ from ramlift.dvr import (
     residue_ring,
 )
 from ramlift.errors import (
+    FieldMismatch,
     IncompatibleLengths,
     InconsistentResult,
     InvalidArgument,
@@ -447,6 +449,44 @@ def test_residue_hom_factory_rejects_a_psi_off_the_defining_polynomial():
             residue_hom(s, s, FieldEmbedding(R.k, R.k, image), project(R.uniformizer(3), 3))
 
 
+def test_residue_hom_refuses_an_image_of_the_generator_outside_the_target():
+    # 0 in F3 is a root of F3's defining polynomial x, but it is not an
+    # element of F9: the map would print a one-coordinate image for F9
+    s, t = residue_ring(Z3_SQRT3, 2), residue_ring(W9, 2)
+    psi = FieldEmbedding(F3, F9, F3.from_int(0))
+    with pytest.raises(FieldMismatch, match="target field"):
+        residue_hom(s, t, psi, project(W9.uniformizer(2), 2))
+
+
+@pytest.mark.parametrize("p,d1,d2", [(2, 2, 4), (3, 2, 4)], ids=["F4-F16", "F9-F81"])
+def test_residue_hom_accepts_exactly_the_roots_of_the_defining_polynomial(p, d1, d2):
+    # every image y in k2 of k1's generator, each psi checked twice (the same
+    # object, then an equal one built apart): residue_hom accepts exactly
+    # the y that the per-step Horner oracle finds to be roots
+    k1, k2 = make_field(p, d1), make_field(p, d2)
+    src = residue_ring(make_dvr(k1, [-p, 0, 1]), 1)
+    tgt = residue_ring(make_dvr(k2, [-p, 0, 1]), 1)
+
+    def accepts(psi):
+        try:
+            residue_hom(src, tgt, psi, tgt.zero())
+        except ValueError as exc:
+            assert "not a root of the source defining polynomial" in str(exc)
+            return False
+        return True
+
+    accepted = []
+    for y in k2.elements():
+        psi = FieldEmbedding(k1, k2, y)
+        answers = {accepts(psi), accepts(psi), accepts(FieldEmbedding(k1, k2, k2.from_coeffs(y.coeffs)))}
+        assert len(answers) == 1, y
+        if answers.pop():
+            accepted.append(y)
+    expected = [y for y in k2.elements() if horner_by_objects(k1.defining_poly, y).is_zero()]
+    assert accepted == expected == [psi.image_of_generator for psi in embeddings(k1, k2)]
+    assert len(accepted) == d1
+
+
 # -- kernels and Teichmuller preservation ---------------------------------------
 
 def _kernel_exponent(phi):
@@ -686,6 +726,16 @@ def test_has_root_examples():
     assert has_root(Z3_SQRT3, [-3, 0, 1]).kind == "yes"
     assert has_root(Z3_SQRTM3, [-3, 0, 1]).kind == "no"
     assert has_root(Z2_SQRT10, [-2, 0, 1]).kind == "no"
+
+
+@pytest.mark.parametrize("F", [[-3.9, 0, 1], [-2.5, 0, 1], [-3, 0.0, 1], [-3, False, 1], [-3, 0, 1.0]],
+                         ids=["-3.9", "-2.5", "zero-float", "false", "float-lead"])
+def test_has_root_refuses_a_coefficient_that_is_not_an_int(F):
+    # int() would truncate -3.9 to -3 and answer for x^2 - 3 (and -2.5 for
+    # x^2 - 2); the refusal names the coefficient and its value
+    bad = next(i for i, c in enumerate(F) if type(c) is not int)
+    with pytest.raises(InvalidArgument, match=rf"coefficient of x\^{bad} must be an integer, got {F[bad]!r}"):
+        has_root(Z3_SQRT3, F)
 
 
 def test_constant_polynomial_has_no_root():

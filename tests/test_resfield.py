@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import horner_by_objects, power_by_objects, root_set_by_objects
 from ramlift.errors import (
     CharMismatch,
     DivisionByZero,
@@ -16,6 +17,7 @@ from ramlift.errors import (
 )
 from ramlift.resfield import (
     embeddings,
+    eval_poly,
     frobenius,
     identity_embedding,
     make_field,
@@ -229,6 +231,14 @@ def test_prime_field_inverse_of_a_large_prime():
         inv = a.inverse()
         assert a * inv == k.one()
         assert inv == a ** (p - 2)
+
+
+def test_from_int_refuses_a_non_integer():
+    # a float would become a coordinate 1.5 that no arithmetic reduces
+    for k, c in ((F3, 1.5), (F9, 2.0), (F3, None), (F3, True)):
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            k.from_int(c)
+    assert F3.from_int(-1) == F3.from_int(2)
 
 
 def test_division_by_zero():
@@ -512,3 +522,100 @@ def test_embeddings_apply_the_cap_read_by_each_call(monkeypatch):
         embeddings(F3, F9)
     monkeypatch.delenv("RAMLIFT_ENUM_CAP")
     assert len(embeddings(F9, F9)) == 2
+
+
+# -- coordinate arithmetic against the FqElem-per-step oracles --------------------
+
+COORD_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (2, 8), (999999999989, 1)]
+COORD_IDS = ["F4", "F8", "F9", "F25", "F256", "Fbig"]
+
+
+def _points(rng, k, count):
+    """Zero, one, the generator and count random elements of k."""
+    return [k.zero(), k.one(), k.generator()] + [
+        k.from_coeffs([rng.randrange(k.p) for _ in range(k.d)]) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,d", COORD_FIELDS, ids=COORD_IDS)
+def test_eval_poly_matches_the_per_step_horner(p, d):
+    # mixed FqElem and integer coefficients (negative and above p among
+    # them), zero and constant polynomials included, at zero and elsewhere
+    k = make_field(p, d)
+    rng = random.Random(3000 + p ** d)
+    points = _points(rng, k, 12)
+
+    def coeff():
+        if rng.random() < 0.5:
+            return rng.randrange(-2 * p, 2 * p)
+        return rng.choice(points)
+
+    polys = [[], [0], [k.zero()], [0, 0, 0], [7], [k.generator()], [0, 1], list(k.defining_poly)]
+    polys += [[coeff() for _ in range(rng.randint(1, 7))] for _ in range(40)]
+    for poly in polys:
+        for x in points:
+            got = eval_poly(poly, x)
+            assert got == horner_by_objects(poly, x), (poly, x)
+            assert len(got.coeffs) == d and all(0 <= c < p for c in got.coeffs)
+
+
+def test_eval_poly_refuses_coefficients_from_another_field():
+    for poly in ([F3.one()], [F9.one(), F3.one()], [1, F3.one(), F9.one()]):
+        with pytest.raises(FieldMismatch):
+            eval_poly(poly, F9.one())
+
+
+@pytest.mark.parametrize("p,d", COORD_FIELDS, ids=COORD_IDS)
+def test_powers_and_inverses_match_object_level_power(p, d):
+    k = make_field(p, d)
+    q = k.q
+    rng = random.Random(4000 + q)
+    exponents = [0, 1, 2, 3, p, q - 2, q - 1, q, q + 1, 3 * q + 5, rng.randrange(q ** 2)]
+    for x in _points(rng, k, 8):
+        for n in exponents:
+            got = x ** n
+            assert got == power_by_objects(x, n), (x, n)
+            assert len(got.coeffs) == d
+        if x.is_zero():
+            continue
+        assert x.inverse() == power_by_objects(x, q - 2) == power_by_objects(x, -1)
+        assert x * x.inverse() == k.one()
+        for n in (-1, -2, -q):
+            assert x ** n == power_by_objects(x, n), (x, n)
+        assert pth_root(frobenius(x)) == x
+
+
+def _trimmed(g):
+    g = list(g)
+    while g and g[-1].is_zero():
+        g.pop()
+    return g
+
+
+@pytest.mark.parametrize("p,d", COORD_FIELDS[:-1], ids=COORD_IDS[:-1])
+def test_root_set_matches_the_object_level_search(p, d):
+    # repeated linear factors give multiple roots (flag False), and
+    # constants and linear polynomials are included
+    k = make_field(p, d)
+    rng = random.Random(5000 + k.q)
+    points = _points(rng, k, 6)
+    leads = [a for a in points if not a.is_zero()]
+    polys = [[a] for a in leads] + [[a, b] for a in points for b in leads]
+    polys += [_random_poly(rng, k) for _ in range(25 if k.q > 100 else 80)]
+    flags = set()
+    for g in polys:
+        got = roots(g, k)  # through _capped_roots, which trims g, to _root_set
+        assert list(got) == root_set_by_objects(_trimmed(g), k), g
+        flags |= {simple for _, simple in got}
+    assert flags == {True, False}
+
+
+def test_root_set_of_linear_polynomials_over_a_prime_near_10_to_the_12():
+    # too many elements to try: a constant has no root and c0 + c1*x has the
+    # one simple root -c0/c1, which the per-step Horner confirms
+    k = make_field(999999999989, 1)
+    rng = random.Random(6000)
+    assert roots([5, 0], k) == ()
+    for _ in range(20):
+        c0, c1 = rng.randrange(k.p), rng.randrange(1, k.p)
+        (root, simple), = roots([c0, c1, 0], k)
+        assert simple and horner_by_objects([c0, c1], root).is_zero()

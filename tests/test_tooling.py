@@ -7,7 +7,8 @@ statement, which python -O would strip, and it reads the environment in one
 place; no root answer is "undecided", and no code but record.py reaches
 into an instance's __dict__.  Only the CLI entry point ends the process with
 os._exit, and no module leaves work for the interpreter's teardown.  src/
-defines no function or class that ramlift itself never runs.  Git tracks no
+defines no function or class that ramlift itself never runs, and its
+lru_caches are a pinned set of names.  Git tracks no
 file that .gitignore lists.  The README's library quick start
 runs and prints the values its comments state."""
 
@@ -134,6 +135,39 @@ def test_record_classes_keep_the_one_hash_rule():
     found = _record_classes()
     assert len(found) >= 13
     assert [(module, name) for module, name, own in found if "__hash__" in own] == []
+
+
+LRU_CACHED = {
+    "_digit_table", "_context", "residue_ring", "teichmuller", "_residues", "_root_set",
+    "krasner_bound", "different_val", "lift_precision_bound", "_witt_map",
+    "_materialize_poly", "_squarefree_cached",
+}
+
+
+def test_lru_caches_are_the_pinned_set():
+    """Every lru_cache in src/ wraps a module-level def or is bound by a
+    module-level assignment, and the names are LRU_CACHED, so a cache added
+    or removed is a change to this set, made together with the traffic it
+    serves.  Any other use of lru_cache is reported by its line."""
+    found = set()
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        placed = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                for dec in stmt.decorator_list:
+                    placed |= {id(n) for n in ast.walk(dec)}
+                    found |= {stmt.name for n in ast.walk(dec) if _is_lru(n)}
+            elif isinstance(stmt, ast.Assign) and any(_is_lru(n) for n in ast.walk(stmt.value)):
+                placed |= {id(n) for n in ast.walk(stmt.value)}
+                found |= {t.id for t in stmt.targets}
+        found |= {f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_lru(n) and id(n) not in placed}
+    assert found == LRU_CACHED
+
+
+def _is_lru(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "lru_cache"
+            or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
 
 
 def test_record_fields_are_declared_once():
