@@ -30,17 +30,17 @@ and f(pi) = 0 with a_0 = p*w gives p/pi^e = eps mod m for eps the residue of
 -w^-1.  Hence a_r = (c_j/p^k mod p) * eps^k, read off one coefficient block
 mod p^(k+1).
 
-Digits are read and lifted in chunks [r0, r1) of J digits, J the largest
-with q^J <= BLOCK_KEYS (at least 1), the last one cut at n.  The digits r0,
-..., r1 - 1 of z in m^r0 are those of z mod m^r1, and the canonical vector
-mod m^r1 (see _canon) is a complete invariant of that class; m^r0 falls
-into q^(r1-r0) such classes.  Each chunk has one table from that vector to the
+Digits are read in chunks [r0, r1) of J digits, J the largest with q^J <=
+BLOCK_KEYS (at least 1), the last one cut at n.  The digits r0, ..., r1 - 1
+of z in m^r0 are those of z mod m^r1, and the canonical vector mod m^r1
+(see _canon) is a complete invariant of that class; m^r0 falls into
+q^(r1-r0) such classes.  Each chunk has one table from that vector to the
 chunk's digits and their Teichmuller sum, filled on first use by reading
-the key digit by digit, and one from the digits' coordinates to the sum.  A
-readout costs one lookup and one subtraction per chunk and stops at the
-chunk that holds its last digit; a lift costs one lookup and one addition
-per chunk.  The digits are shared FqElem values, each of which renders its
-text once.  No fraction-field arithmetic is exposed.
+the key digit by digit.  A readout costs one lookup and one subtraction per
+chunk and stops at the chunk that holds its last digit.  A lift adds one
+term teichmuller(a_r) pi^r per nonzero digit and reduces once.  The digits
+are shared FqElem values, each of which renders its text once.  No
+fraction-field arithmetic is exposed.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class DvrSpec(Record):
 
     def from_int(self, c: int, n: int) -> "DvrElem":
         ctx = _context(self, n)
-        return DvrElem(ctx, (c % ctx.mod,) + (0,) * (ctx.size - 1))
+        return DvrElem(ctx, (_int_arg(c, "from_int's argument") % ctx.mod,) + (0,) * (ctx.size - 1))
 
     def uniformizer(self, n: int) -> "DvrElem":
         ctx = _context(self, n)
@@ -288,16 +288,17 @@ def _digit_table(scale: FqElem, pk: int) -> _DigitTable:
 class _BlockTable(dict):
     """The digits r0, ..., r1 - 1 of one chunk: keyed by the canonical vector
     mod m^r1 (see _canon) of a z in m^r0, the pair (the digits, the flat
-    vector of sum teichmuller(a_r) pi^r over them, shared with sums).  The
-    sum is None when every digit is 0, and when r1 = ctx.n, where no digit
-    follows.  A miss reads the key digit by digit with _digit_at, which
-    checks each block it reads; a chunk shorter than e reads no digit off
-    some blocks, so the miss first checks that the key lies in m^r0.  A key
-    outside it raises NotDivisible and is never stored."""
+    vector of sum teichmuller(a_r) pi^r over them).  The sum is None when
+    every digit is 0, and when r1 = ctx.n, where no digit follows.  A miss
+    reads the key digit by digit with _digit_at, which checks each block it
+    reads, peeling off each digit's term; the sum is the key minus what the
+    peel leaves.  A chunk shorter than e reads no digit off some blocks, so
+    the miss first checks that the key lies in m^r0.  A key outside it
+    raises NotDivisible and is never stored."""
 
-    def __init__(self, ctx: "_Context", r0: int, r1: int, lows: tuple, sums: "_SumTable"):
+    def __init__(self, ctx: "_Context", r0: int, r1: int, lows: tuple):
         super().__init__()
-        self.ctx, self.r0, self.r1, self.lows, self.sums = ctx, r0, r1, lows, sums
+        self.ctx, self.r0, self.r1, self.lows = ctx, r0, r1, lows
 
     def __missing__(self, key):
         ctx, r0, r1 = self.ctx, self.r0, self.r1
@@ -307,30 +308,12 @@ class _BlockTable(dict):
         for r in range(r0, r1):
             a = _digit_at(ctx, v, r)
             digits.append(a)
-            if r + 1 < r1 and any(a.coeffs):
+            if any(a.coeffs):
                 v = list(map(sub, v, ctx.terms[r][a.coeffs]))
-        term = None if r1 == ctx.n else self.sums[tuple([a.coeffs for a in digits])]
+        m = ctx.mod
+        term = None if v is key or r1 == ctx.n else tuple([(x - y) % m for x, y in zip(key, v)])
         entry = self[key] = (tuple(digits), term)
         return entry
-
-
-class _SumTable(dict):
-    """The flat vectors of sum teichmuller(a_r) pi^r over the digits r0,
-    r0 + 1, ... of one chunk, keyed by the tuple of the digits' coordinate
-    tuples and computed on first use from the term tables; None when every
-    digit is 0.  _lift pads the key of a chunk that its digits end inside
-    with zeros, so a table has q^J keys at most."""
-
-    def __init__(self, ctx: "_Context", r0: int):
-        super().__init__()
-        self.ctx, self.r0 = ctx, r0
-
-    def __missing__(self, key):
-        ctx, r0 = self.ctx, self.r0
-        vs = [terms[c] for terms, c in zip(ctx.terms[r0:r0 + len(key)], key) if any(c)]
-        mod = ctx.mod
-        acc = self[key] = tuple([sum(c) % mod for c in zip(*vs)]) if vs else None
-        return acc
 
 
 def _block_width(q: int) -> int:
@@ -370,10 +353,9 @@ class _Context:
     r < n, the tables of teichmuller(a) * pi^r, for each r < n how digit r
     is read: its x^j block, the reduction mod p^(k+1) and the table of
     digits u * eps^k, eps the residue of -w^-1 for the unit w with
-    a_0 = p*w (see _digit_at), and the chunks [r0, r1) of _digits and
-    _lift: the digits cut into runs of _block_width digits and at n, as
-    (r0, r1, the moduli of the canonical vector mod m^r1, _BlockTable,
-    _SumTable)."""
+    a_0 = p*w (see _digit_at), and the chunks [r0, r1) of _digits: the
+    digits cut into runs of _block_width digits and at n, as (r0, r1, the
+    moduli of the canonical vector mod m^r1, _BlockTable)."""
 
     __slots__ = ("ring", "n", "wspec", "M", "mod", "p", "d", "e", "size", "g", "f",
                  "supported", "pi", "pi_powers", "terms", "reads", "chunks", "res_mods")
@@ -413,8 +395,7 @@ class _Context:
                 for r in bounds]
         self.chunks = []
         for r0, r1, lows, top in zip(bounds, bounds[1:], mods, mods[1:]):
-            sums = _SumTable(self, r0)
-            self.chunks.append((r0, r1, top, _BlockTable(self, r0, r1, lows, sums), sums))
+            self.chunks.append((r0, r1, top, _BlockTable(self, r0, r1, lows)))
         self.res_mods = mods[-1]
 
 
@@ -548,7 +529,7 @@ def _digits(ctx: _Context, v, n: int) -> tuple:
     until n digits are read.  The differences are not reduced: the keys are
     reduced by moduli that divide p^Mc."""
     out = []
-    for _, _, mods, table, _ in ctx.chunks:
+    for _, _, mods, table in ctx.chunks:
         digits, term = table[tuple(map(mod, v, mods))]
         out += digits
         if len(out) >= n:
@@ -571,31 +552,21 @@ def _canon(ctx: _Context, v) -> tuple:
     return tuple([c % m for c, m in zip(v, ctx.res_mods)])
 
 
-def _check_digit(ctx: _Context, a: FqElem) -> tuple:
-    """The coordinates of a digit of the residue field of ctx's ring."""
-    if a.field is not ctx.ring.k and a.field != ctx.ring.k:
-        raise RingMismatch("element not in the residue field of this ring")
-    return a.coeffs
-
-
 def _lift(ctx: _Context, digits) -> tuple:
-    """Flat vector of sum teichmuller(a_r) pi^r over the given digits, a
-    chunk at a time: each chunk's sum is looked up by the coordinates of
-    its digits, those past the last digit read as 0."""
+    """Flat vector of sum teichmuller(a_r) pi^r over the given digits: one
+    term of ctx.terms per nonzero digit, reduced once mod p^Mc.  Every
+    digit, zeros included, must lie in the residue field of ctx's ring."""
     n = len(digits)
     if n > ctx.n:
         raise InvalidArgument(f"{n} digits exceed the precision {ctx.n}")
-    k, acc = ctx.ring.k, None
-    for r0, r1, _, _, sums in ctx.chunks:
-        if r0 >= n:
-            break
-        key = [a.coeffs if a.field is k else _check_digit(ctx, a) for a in digits[r0:r1]]
-        if r1 > n:
-            key += [(0,) * ctx.d] * (r1 - n)
-        term = sums[tuple(key)]
-        if term is not None:
-            acc = term if acc is None else _add(ctx, acc, term)
-    return (0,) * ctx.size if acc is None else acc
+    k, vs = ctx.ring.k, []
+    for terms, a in zip(ctx.terms, digits):
+        if a.field is not k and a.field != k:
+            raise RingMismatch("element not in the residue field of this ring")
+        if any(a.coeffs):
+            vs.append(terms[a.coeffs])
+    m = ctx.mod
+    return tuple([sum(c) % m for c in zip(*vs)]) if vs else (0,) * ctx.size
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +756,7 @@ class ResidueRingSpec(Record):
         return self.from_int(1)
 
     def from_int(self, c: int) -> "ResidueElt":
-        ctx = self._ctx
+        ctx, c = self._ctx, _int_arg(c, "from_int's argument")
         return ResidueElt(self, None, _canon(ctx, (c,) + (0,) * (ctx.size - 1)))
 
     def from_digits(self, digits) -> "ResidueElt":

@@ -37,7 +37,11 @@ depth of the current error); a ball that reaches radius t unseparated is
 taken as it is.  One rule, _certify, refuses x when t <= nu(F'(x)), and
 otherwise accepts a refined root, a ball of radius t or a composed image x
 exactly when nu(F(x)) >= t + nu(F'(x)), which pins a unique root agreeing
-with x to depth t, and drops it below that line.  Every search runs once,
+with x to depth t, and drops it below that line.  It tests the flat vector
+it is handed, and the certified root is that vector reduced to precision
+t: the verdict depends only on x mod m^t, so no root is read out to digits
+and lifted back.  Digits are read for text and JSON, for the search's digit
+order and for the wording of a refusal.  Every search runs once,
 on F materialized at the working precision t + min((m - 1)*t, Delta), m =
 deg F, where Delta bounds nu(F') at the roots of F and is read off the
 polynomial: the scaled different of R1 for F = f^psi, nu_R(disc F) for
@@ -87,7 +91,6 @@ from .dvr import (
     ResidueElt,
     ResidueRingSpec,
     dvr_elem_text,
-    from_pi_digits,
     parse_coeff,
     pi_digits,
     project,
@@ -342,8 +345,9 @@ def _newton(poly: _Poly, x, delta: int, t: int) -> tuple:
 
 
 class CertifiedRoot(Record):
-    """A root approximation exact mod m^t: the acceptance inequality
-    nu(F(x)) >= t + deriv_val forces a unique exact root in that ball."""
+    """A root approximation exact mod m^t: elem is the tested vector x
+    reduced to precision t, and the acceptance inequality nu(F(x)) >= t +
+    deriv_val forces a unique exact root in its class mod m^t."""
 
     _fields = ("elem", "t", "deriv_val")
 
@@ -361,7 +365,7 @@ def roots_in_dvr(F, R: DvrSpec, prec: int):
     valuation of an isolated root (multiple roots, or prec too small to
     separate).
     """
-    if prec < 1:
+    if _int_arg(prec, "prec") < 1:
         raise ValueError("prec must be >= 1")
     F = _normalize_poly(F, R.k)
     if not F[0]:
@@ -382,7 +386,9 @@ def _roots(F: tuple, R: DvrSpec, prec: int, ball: tuple = (), first: bool = Fals
     """roots_in_dvr for the pair F = (coeffs, psi) of _materialize_poly,
     restricted to the roots in the ball given by its digits.  With first,
     the search stops at the first certified root, the lexicographically
-    first one, and never visits the balls after it.
+    first one, and never visits the balls after it.  _certify tests
+    Newton's output for an isolated root and the centre the search yields
+    for a ball of radius prec, as flat vectors.
 
     One search runs, on F materialized once at the working precision N of
     _working_poly, and N decides every readout it takes.  Let alpha_j be
@@ -401,10 +407,9 @@ def _roots(F: tuple, R: DvrSpec, prec: int, ball: tuple = (), first: bool = Fals
                 f"depth {prec} does not separate the root in {_ball_text(found)}: "
                 f"its derivative valuation is {delta}"
             )
-        digits = found
         if len(found) < prec:  # an isolated root: refine it
-            digits = _digits(poly.ctx, _newton(poly, x, delta, prec), prec)
-        cert = _certify(poly, digits, prec)
+            x = _newton(poly, x, delta, prec)
+        cert = _certify(poly, x, prec)
         if cert is not None:
             roots.append(cert)
             if first:
@@ -412,26 +417,35 @@ def _roots(F: tuple, R: DvrSpec, prec: int, ball: tuple = (), first: bool = Fals
     return roots
 
 
-def _certify(poly: _Poly, digits, t: int) -> CertifiedRoot | None:
-    """The acceptance test on the branch x with these t digits: certified
-    when nu(F(x)) >= t + nu(F'(x)) with t > nu(F'(x)); None when the readout
-    of F(x) is exact below that line, so no root agrees with x to depth t.
-    Raises PrecisionTooLow, naming the ball, when t does not exceed
+def _certify(poly: _Poly, x, t: int) -> CertifiedRoot | None:
+    """The acceptance test on the flat vector x of poly's context: certified
+    when nu(F(x)) >= t + nu(F'(x)) with t > nu(F'(x)), the root being x
+    reduced to precision t; None when the readout of F(x) is exact below
+    that line, so no root agrees with x to depth t.  Raises PrecisionTooLow,
+    naming the ball of x's first t digits, when t does not exceed
     nu(F'(x)): no exclusion is sound there, since with h = root - x and
     nu(h) >= t the terms F_i(x) h^i, i >= 2, stay above t + nu(F'(x)) only
     when t > nu(F'(x)).  A readout of F(x) capped below the line would
-    break the bound behind the working precision (InconsistentResult)."""
+    break the bound behind the working precision (InconsistentResult).
+
+    The answer depends only on x mod m^t, so any representative may be
+    tested.  Adding h in m^t moves F'(x) by a multiple of h, in m^t, which
+    keeps every readout of nu(F'(x)) below t and every one at or above t;
+    and when t > nu(F'(x)) it moves F(x) by F'(x) h + F_2(x) h^2 + ..., of
+    valuation at least t + nu(F'(x)), which keeps the verdict and any
+    valuation of F(x) below that line.  So the verdict, t and deriv_val
+    do not depend on the representative, and the root is its class."""
     ctx = poly.ctx
-    x = _lift(ctx, digits)
     delta = _raw_val(ctx, poly.hasse_value(1, x), ctx.n)[0]
     if t <= delta:  # a capped readout is ctx.n >= t
-        raise PrecisionTooLow(f"cannot certify or exclude {_ball_text(digits)} at depth {t}")
+        raise PrecisionTooLow(f"cannot certify or exclude {_ball_text(_digits(ctx, x, t))} at depth {t}")
     fv, exact = _raw_val(ctx, poly.hasse_value(0, x), ctx.n)
     if fv < t + delta:
         if exact:
             return None
-        raise InconsistentResult(f"F at {_ball_text(digits)} reads capped below depth {t + delta}")
-    return CertifiedRoot(from_pi_digits(digits, ctx.ring, t), t, delta)
+        raise InconsistentResult(
+            f"F at {_ball_text(_digits(ctx, x, t))} reads capped below depth {t + delta}")
+    return CertifiedRoot(DvrElem(ctx, x).reduce_to(t), t, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +643,7 @@ def same_hom(a: DvrHom, b: DvrHom) -> bool:
     depth = min(a.rho.n, b.rho.n)
     if depth <= max(a.deriv_val, b.deriv_val):
         raise PrecisionTooLow("certificates too shallow to compare")
-    return pi_digits(a.rho, depth) == pi_digits(b.rho, depth)
+    return a.rho.reduce_to(depth) == b.rho.reduce_to(depth)
 
 
 def _image_deriv_bound(R1: DvrSpec, R2: DvrSpec) -> int:
@@ -675,7 +689,7 @@ def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
     # readout checked below
     prec = max(prec, R2.e // R1.e + 1)
     if min_prec is not None:
-        prec = max(prec, min_prec)
+        prec = max(prec, _int_arg(min_prec, "min_prec"))
     ball = phi.beta.digits[:_krasner_radius(M1, R2.e)]
     roots = _roots((R1.coeffs, phi.psi), R2, prec, ball, deriv_bound=deriv_bound)
     if not roots:
@@ -731,7 +745,7 @@ def _certify_at(F: tuple, R: DvrSpec, approx: DvrElem, deriv_bound: int | None =
     """Re-certify a composed root approximation of F = (coeffs, psi) at its
     own precision, on F materialized once as _roots does."""
     t = approx.n
-    cert = _certify(_working_poly(F, R, t, deriv_bound), pi_digits(approx, t), t)
+    cert = _certify(_working_poly(F, R, t, deriv_bound), approx.v, t)
     if cert is None:
         raise InconsistentResult("composed image is not a root to its depth")
     return cert

@@ -268,7 +268,7 @@ class FieldSpec(Record):
         return FqElem(self, (_int_arg(c, "from_int's argument") % self.p,) + (0,) * (self.d - 1))
 
     def from_coeffs(self, coeffs) -> "FqElem":
-        coeffs = tuple(coeffs)
+        coeffs = tuple([_int_arg(c, "a from_coeffs coordinate") for c in coeffs])
         if len(coeffs) > self.d:
             raise ValueError("too many coordinates")
         return FqElem(self, coeffs + (0,) * (self.d - len(coeffs)))  # reduced mod p there
@@ -404,7 +404,8 @@ def _coords(poly, k: FieldSpec) -> list:
     """The coordinate tuples of coefficients in k (FieldMismatch otherwise) or Z."""
     if any(isinstance(c, FqElem) and c.field is not k and c.field != k for c in poly):
         raise FieldMismatch("coefficients belong to another field")
-    return [c.coeffs if isinstance(c, FqElem) else (c % k.p,) + (0,) * (k.d - 1) for c in poly]
+    return [c.coeffs if isinstance(c, FqElem) else (_int_arg(c, "a coefficient") % k.p,) + (0,) * (k.d - 1)
+            for c in poly]
 
 
 def _horner_coords(coords, x, k: FieldSpec) -> list:

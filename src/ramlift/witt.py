@@ -22,7 +22,7 @@ from operator import mul
 
 from .errors import InvalidArgument, NotAUnit, NotDivisible, RingMismatch
 from .record import Record
-from .resfield import FieldSpec, FieldEmbedding, FqElem, _convolve, _reduce_monic, power
+from .resfield import FieldSpec, FieldEmbedding, FqElem, _convolve, _int_arg, _reduce_monic, power
 
 
 class WittRingSpec(Record):
@@ -50,7 +50,7 @@ class WittRingSpec(Record):
         return self.from_int(1)
 
     def from_int(self, c: int) -> "WittElem":
-        return WittElem(self, (c % self.modulus,) + (0,) * (self.d - 1))
+        return WittElem(self, (_int_arg(c, "from_int's argument") % self.modulus,) + (0,) * (self.d - 1))
 
     def from_coeffs(self, coeffs) -> "WittElem":
         coeffs = [c % self.modulus for c in coeffs]

@@ -20,7 +20,7 @@ The division oracle reads pi-adic digits by dividing by the uniformizer, in
 WittElem arithmetic, instead of reading them off one coefficient each.  The
 digit-by-digit oracle reads them off one coefficient block each, as the
 chunk tables of the library do, but one digit at a time and with no table
-of chunks; its lift counterpart adds one Teichmuller term per digit.
+of chunks.
 
 The residue-field oracles redo F_q arithmetic on FqElem objects, one new
 element per step: Horner's rule with a product and a sum per coefficient,
@@ -45,6 +45,7 @@ import sympy
 from ramlift.dvr import (
     _context,
     _digit_at,
+    _lift,
     DvrElem,
     ResidueRingSpec,
     ValInfo,
@@ -209,7 +210,7 @@ def scan_certified_roots(F, R, t: int):
     truncated root mod m^t that scan_truncated_roots finds goes through the
     acceptance test _certify, on F at the working precision of roots_in_dvr."""
     poly = _working_poly(_normalize_poly(F, R.k), R, t, None)
-    certs = (_certify(poly, digits, t) for digits in scan_truncated_roots(F, R, t))
+    certs = (_certify(poly, _lift(poly.ctx, digits), t) for digits in scan_truncated_roots(F, R, t))
     return [c for c in certs if c is not None]
 
 
@@ -255,16 +256,6 @@ def digit_by_digit_digits(ctx, v, n: int):
         if r < n - 1 and any(a.coeffs):
             v = list(map(sub, v, ctx.terms[r][a.coeffs]))
     return tuple(out)
-
-
-def digit_by_digit_lift(ctx, digits) -> tuple:
-    """The flat vector of sum teichmuller(a_r) pi^r over the digits, one term
-    of ctx.terms per nonzero digit and no table of chunks, reduced mod p^Mc."""
-    acc = [0] * ctx.size
-    for r, a in enumerate(digits):
-        if any(a.coeffs):
-            acc = [x + y for x, y in zip(acc, ctx.terms[r][a.coeffs])]
-    return tuple(c % ctx.mod for c in acc)
 
 
 def divide_by_pi_digits(ring, v, n: int):

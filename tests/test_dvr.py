@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import (
     digit_by_digit_digits,
-    digit_by_digit_lift,
     digit_route_apply,
     digit_route_op,
     divide_by_pi_digits,
@@ -595,12 +594,10 @@ def test_chunk_tables_stay_bounded_on_fresh_vectors(spec, n):
     for _ in range(2000):
         v = [rng.randrange(ctx.mod) for _ in range(ctx.size)]
         assert dvr._digits(ctx, v, n) == digit_by_digit_digits(ctx, v, n)
-        digits = [spec.k.from_int(rng.randrange(spec.q)) for _ in range(rng.randint(0, n))]
-        assert dvr._lift(ctx, digits) == digit_by_digit_lift(ctx, digits)
     bound = max(dvr.BLOCK_KEYS, spec.q)
-    for tables in zip(*[chunk[3:] for chunk in ctx.chunks]):  # readout, then lift
-        assert all(len(t) <= bound for t in tables)
-        assert max(len(t) for t in tables) > (dvr.BLOCK_KEYS // 2 if spec.q < bound else 1000)
+    tables = [table for _, _, _, table in ctx.chunks]
+    assert all(len(t) <= bound for t in tables)
+    assert max(len(t) for t in tables) > (dvr.BLOCK_KEYS // 2 if spec.q < bound else 1000)
 
 
 # Rings whose chunks of J digits, q^J <= 1024, cross p-adic levels (J > e),
@@ -636,6 +633,9 @@ def test_cross_level_chunks_match_the_digit_by_digit_oracle(spec, n):
 
 @pytest.mark.parametrize("spec, n", CROSS_LEVEL)
 def test_chunked_lift_matches_the_per_digit_sums(spec, n):
+    # the oracle builds each teichmuller(a_r) in W(k)/p^M and multiplies it
+    # by pi^r in DvrElem arithmetic, with no term table: the flat vectors
+    # agree exactly mod p^Mc, not only as classes mod m^n
     ctx = dvr._context(spec, n)
     rng = random.Random(n)
     k = spec.k
@@ -647,16 +647,36 @@ def test_chunked_lift_matches_the_per_digit_sums(spec, n):
     for m in range(n + 1):  # shorter than n, ending mid-chunk or on its edges
         cases += [tuple(rng.choice([zero, *units]) for _ in range(m)) for _ in range(4)]
     for digits in cases:
-        got = dvr._lift(ctx, digits)
-        assert got == digit_by_digit_lift(ctx, digits), digits
-        assert dvr.DvrElem(ctx, got) == digit_route_apply(lambda a: a, digits, pi)
+        assert dvr._lift(ctx, digits) == digit_route_apply(lambda a: a, digits, pi).v, digits
+
+
+@pytest.mark.parametrize("spec, n", CROSS_LEVEL)
+def test_block_table_sums_match_the_teichmuller_sum_in_dvr_arithmetic(spec, n):
+    # each readout entry (digits, sum) of the chunk [r0, r1) holds sum
+    # teichmuller(a_r) pi^r over r0 <= r < r1, by the oracle of the lift
+    # test; None when every digit is 0 and in the last chunk
+    ctx = dvr._context(spec, n)
+    rng = random.Random(n)
+    pi, zero = spec.uniformizer(n), spec.k.zero()
+    for _ in range(40):
+        dvr._digits(ctx, [rng.randrange(ctx.mod) for _ in range(ctx.size)], n)
+    checked = 0
+    for r0, r1, _, table in ctx.chunks:
+        assert table
+        for digits, term in table.values():
+            if r1 == n or all(a.is_zero() for a in digits):
+                assert term is None
+            else:
+                assert term == digit_route_apply(lambda a: a, (zero,) * r0 + digits, pi).v, digits
+                checked += 1
+    assert checked >= 40
 
 
 def test_block_table_refuses_keys_outside_its_chunk():
     # F3 x^2 - 3 at n = 13: the last chunk [12, 13) reads digit 12 off c_0
     # alone, but m^12 also needs 3^6 | c_1, and its key holds c_1 mod 3^6
     ctx = dvr._context(Z3_SQRT3, 13)
-    r0, r1, _, table, _ = ctx.chunks[2]
+    r0, r1, _, table = ctx.chunks[2]
     assert (r0, r1) == (12, 13)
     bad = (0, 9)
     with pytest.raises(NotDivisible):
@@ -665,7 +685,7 @@ def test_block_table_refuses_keys_outside_its_chunk():
     # a wrong sum for the chunk [6, 12) leaves c_1 off by 9
     v = dvr._lift(ctx, [F3.one()] * 13)
     v6 = dvr._sub(ctx, v, dvr._lift(ctx, [F3.one()] * 6))
-    _, _, mods, middle, _ = ctx.chunks[1]
+    _, _, mods, middle = ctx.chunks[1]
     key = tuple(c % m for c, m in zip(v6, mods))
     digits, term = middle[key]
     middle[key] = (digits, dvr._add(ctx, term, (0, 9)))
@@ -677,17 +697,29 @@ def test_block_table_refuses_keys_outside_its_chunk():
     assert dvr._digits(ctx, v, 13) == (F3.one(),) * 13
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda: Z3_SQRT3.from_int(1.5, 4), 1.5),  # would hold the float 1.5
+    (lambda: Z3_SQRT3.from_int(False, 4), False),
+    (lambda: residue_ring(Z3_SQRT3, 2).from_int(1.5), 1.5),  # would fail only in text()
+    (lambda: residue_ring(Z3_SQRT3, 2).from_int(True), True),  # would print π:1,0
+], ids=["dvr-float", "dvr-bool", "residue-float", "residue-bool"])
+def test_from_int_refuses_a_non_integer(call, value):
+    with pytest.raises(InvalidArgument, match=rf"from_int's argument must be an integer, got {value!r}$"):
+        call()
+
+
 @pytest.mark.parametrize("r", [0, 15, 20])  # the first, a middle and the last chunk
 def test_lift_refuses_a_digit_of_another_field(r):
     spec = make_dvr(F2, [-2, 0, 1])
     ctx = dvr._context(spec, 21)
     assert [chunk[:2] for chunk in ctx.chunks] == [(0, 10), (10, 20), (20, 21)]
-    digits = [F2.one()] * 21
-    digits[r] = F3.one()  # the same coordinates (1,) in another field
-    with pytest.raises(RingMismatch):
-        dvr._lift(ctx, digits)
-    with pytest.raises(RingMismatch):
-        dvr._lift(ctx, digits[:r + 1])
+    for bad in (F3.one(), F3.zero()):  # the same coordinates in another field
+        digits = [F2.one()] * 21
+        digits[r] = bad
+        with pytest.raises(RingMismatch):
+            dvr._lift(ctx, digits)
+        with pytest.raises(RingMismatch):
+            dvr._lift(ctx, digits[:r + 1])
 
 
 def test_dvr_elem_equality_is_digit_equality():

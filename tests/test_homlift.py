@@ -17,7 +17,7 @@ from oracles import (
     scan_homs,
     scan_truncated_roots,
 )
-from ramlift import homlift, resfield
+from ramlift import dvr, homlift, resfield
 from ramlift.dvr import (
     DvrElem,
     dvr_elem_text,
@@ -738,6 +738,20 @@ def test_has_root_refuses_a_coefficient_that_is_not_an_int(F):
         has_root(Z3_SQRT3, F)
 
 
+def test_precisions_are_checked_not_coerced():
+    # both raised a bare TypeError
+    phi = _homs_to_lift(Z3_SQRT3, Z3_QUARTIC)[0]
+    for call, what, value in (
+        (lambda: lift_hom(phi, 20.5), "min_prec", 20.5),
+        (lambda: lift_hom(phi, True), "min_prec", True),
+        (lambda: roots_in_dvr([-3, 0, 1], Z3_SQRT3, 2.5), "prec", 2.5),
+        (lambda: roots_in_dvr([-3, 0, 1], Z3_SQRT3, True), "prec", True),
+    ):
+        with pytest.raises(InvalidArgument, match=rf"^{what} must be an integer, got {value!r}$"):
+            call()
+    assert lift_hom(phi, 20).t >= 20
+
+
 def test_constant_polynomial_has_no_root():
     # [1] is the constant 1, not x + 1, whose root is -1
     res = has_root(Z3_SQRT3, [1])
@@ -1364,8 +1378,8 @@ def _count_certified(monkeypatch) -> list:
     accepted = []
     certify = homlift._certify
 
-    def counted(poly, digits, t):
-        cert = certify(poly, digits, t)
+    def counted(poly, x, t):
+        cert = certify(poly, x, t)
         if cert is not None:
             accepted.append(cert)
         return cert
@@ -1400,6 +1414,64 @@ def test_lift_searches_one_ball_and_selects_the_same_root(pair, monkeypatch):
         assert same_hom(g, _as_hom(phi, chosen))
     assert len(accepted) == sum(counts)
     assert R1.e != 2 or set(counts) == {2}
+
+
+def _certify_three_ways(monkeypatch) -> list:
+    """Run _certify, at each call, on the flat vector x it is handed, on x +
+    pi^t z for a random flat vector z, and on the lift of x's first t digits
+    (the route through digits), and record the three outcomes: a
+    CertifiedRoot, None, or the text of a PrecisionTooLow."""
+    outcomes = []
+    certify = homlift._certify
+    rng = random.Random(33)
+
+    def outcome(poly, x, t):
+        try:
+            return certify(poly, x, t)
+        except PrecisionTooLow as exc:
+            return str(exc)
+
+    def three_ways(poly, x, t):
+        ctx = poly.ctx
+        pi_t = ctx.pi_powers[t] if t < ctx.n else dvr._mul(ctx, ctx.pi_powers[t - 1], ctx.pi)
+        z = [rng.randrange(ctx.mod) for _ in range(ctx.size)]
+        shifted = dvr._add(ctx, x, dvr._mul(ctx, pi_t, z))
+        digit_route = dvr._lift(ctx, dvr._digits(ctx, x, t))
+        outcomes.append([outcome(poly, y, t) for y in (x, shifted, digit_route)])
+        return certify(poly, x, t)
+
+    monkeypatch.setattr(homlift, "_certify", three_ways)
+    return outcomes
+
+
+def test_certify_depends_only_on_the_class_mod_m_t(monkeypatch):
+    # for t > nu(F'(x)), adding h in m^t moves F(x) by at least t + nu(F'(x))
+    # and F'(x) by at least t: the verdict, t, deriv_val and the root's class
+    # are those of any representative, the digit route's lift included, and
+    # a refusal names the same t-digit ball
+    outcomes = _certify_three_ways(monkeypatch)
+    roots_in_dvr([-3, 0, 1], Z3_SQRT3, 9)
+    roots_in_dvr([4, -5, 1], Z3_SQRT3, 7)  # (x - 1)(x - 4): roots 3 apart
+    with pytest.raises(PrecisionTooLow):
+        roots_in_dvr([4, -5, 1], Z3_SQRT3, 2)
+    roots_in_dvr([-1, 0, 0, 1], make_dvr(F2, [-2, 0, 1]), 12)  # x^3 - 1
+    assert has_root(Z3_SQRT3, [-729, 0, 1]).kind == "yes"  # refused at depth 4
+    assert has_root(Z3_SQRT3, [-2, 0, 1]).kind == "no"
+    lifts = [lift_hom(phi) for phi in _homs_to_lift(Z3_SQRT3, Z3_QUARTIC)[:6]]
+    isos = [lift_hom(phi) for phi in enumerate_isos(residue_ring(Z3_SQRT3, 6), residue_ring(Z3_SQRT3, 6))]
+    for g in isos:
+        compose_homs(lifts[0], g)
+    # the truncated roots of x^2 - 3 mod m^5, as the scan oracle finds them:
+    # all but two are excluded
+    poly = homlift._working_poly(_normalize_poly([-3, 0, 1], F3), Z3_SQRT3, 5, None)
+    for digits in scan_truncated_roots([-3, 0, 1], Z3_SQRT3, 5):
+        homlift._certify(poly, dvr._lift(poly.ctx, digits), 5)
+    kinds = [type(a).__name__ for a, _, _ in outcomes]
+    assert {"CertifiedRoot", "NoneType", "str"} <= set(kinds)
+    for a, b, c in outcomes:
+        assert a == b == c
+        if isinstance(a, homlift.CertifiedRoot):
+            assert a.elem.n == a.t
 
 
 def test_krasner_radius_at_an_integral_boundary():

@@ -241,6 +241,19 @@ def test_from_int_refuses_a_non_integer():
     assert F3.from_int(-1) == F3.from_int(2)
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda: roots([0.5, 1], F3), 0.5),  # would return the "root" 2.5
+    (lambda: roots([1, True], F3), True),
+    (lambda: eval_poly([1.5, 1], F3.one()), 1.5),  # would return 2.5
+    (lambda: eval_poly([1, F9.one(), 2.0], F9.generator()), 2.0),
+    (lambda: F9.from_coeffs([1.5, 2]), 1.5),  # would build the element (1.5, 2)
+    (lambda: F9.from_coeffs([1, False]), False),
+], ids=["roots-float", "roots-bool", "eval-float", "eval-float-F9", "from_coeffs-float", "from_coeffs-bool"])
+def test_integer_inputs_are_checked_not_coerced(call, value):
+    with pytest.raises(InvalidArgument, match=rf"must be an integer, got {value!r}$"):
+        call()
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         F3.one() / F3.zero()

@@ -165,6 +165,25 @@ def test_lru_caches_are_the_pinned_set():
     assert found == LRU_CACHED
 
 
+MEMO_TABLES = {"_DigitTable", "_TermTable", "_BlockTable"}
+
+
+def test_memo_tables_are_the_pinned_set():
+    """A memo table is a dict subclass that fills itself in __missing__.  The
+    classes of src/ that define __missing__ are MEMO_TABLES, so a table added
+    or removed is a change to this set, made together with the traffic it
+    serves; a __missing__ in a class not based on dict alone is reported by
+    its file and name."""
+    found = set()
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name == "__missing__" for f in node.body):
+                only_dict = [ast.unparse(b) for b in node.bases] == ["dict"]
+                found.add(node.name if only_dict else f"{path.name}:{node.name}")
+    assert found == MEMO_TABLES
+
+
 def _is_lru(node) -> bool:
     return (isinstance(node, ast.Name) and node.id == "lru_cache"
             or isinstance(node, ast.Attribute) and node.attr == "lru_cache")

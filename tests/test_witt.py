@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import witt_elem_text
-from ramlift.errors import NotAUnit, RingMismatch
+from ramlift.errors import InvalidArgument, NotAUnit, RingMismatch
 from ramlift.resfield import embeddings, frobenius, identity_embedding, make_field, pth_root
 from ramlift.witt import (
     WittMap,
@@ -30,6 +30,13 @@ def test_make_witt_prime_field_is_z_mod_p_to_m():
     a = Z27.from_int(13)
     b = Z27.from_int(14)
     assert (a + b).is_zero()
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+def test_from_int_refuses_a_non_integer(value):
+    # a float would be held as the coordinate 1.5
+    with pytest.raises(InvalidArgument, match=rf"from_int's argument must be an integer, got {value!r}$"):
+        Z27.from_int(value)
 
 
 def test_make_witt_canonical_lift():
