@@ -4,10 +4,11 @@ An element known mod m^n is one flat tuple of e*d integers mod p^Mc, an
 element of (Z/p^Mc)[y,x]/(g(y), f(x,y)): g is the lifted defining polynomial
 of k, so (Z/p^Mc)[y]/(g) = W(k)/p^Mc, and Mc = ceil(n/e) plus two guard
 digits.  Each (ring, n) has one cached context holding the modulus, f as
-flat integers, which only _reduce_mod_f reads, the residue of -w^-1 for the
-unit w with a_0 = p*w, the powers of pi and the Teichmuller lifts of the
-digits; d = 1 is the plain integer case.  Every product, pi and its powers
-included, is reduced by f in _reduce_mod_f alone.
+flat integers, which only _reduce_mod_f reads, the product table, the
+residue of -w^-1 for the unit w with a_0 = p*w, the powers of pi and the
+Teichmuller lifts of the digits; d = 1 is the plain integer case.
+_reduce_mod_f, the one reduction by f, reduces pi and its powers and the
+monomials y^s x^j behind the table; every other product reads the table.
 WittElem values appear only as the value of ExactWittCoeff.materialize,
 the one way an exact coefficient becomes integers mod p^M (a "t:" digit
 list through witt's Teichmuller sum, from_digits), and as the Teichmuller
@@ -48,7 +49,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mod, mul, sub
+from operator import itemgetter, mod, mul, sub
 
 from .errors import (
     InsufficientPrecision,
@@ -62,7 +63,6 @@ from .record import Record
 from .resfield import (
     FieldSpec,
     FqElem,
-    _convolve,
     _int_arg,
     _reduce_monic,
     enumeration_cap,
@@ -350,7 +350,10 @@ class _Context:
     """Arithmetic data of R at precision n, shared by all its elements: the
     modulus p^Mc, f as flat integers (coordinate i of a_j at index j*d + i,
     the lead a_e = 1 last; read by _reduce_mod_f), the powers pi^r for
-    r < n, the tables of teichmuller(a) * pi^r, for each r < n how digit r
+    r < n, the product table of _mul (for each output coordinate, an
+    itemgetter over the indices u*size + v of the pairwise products a_u * b_v
+    with a nonzero structure constant, and those constants, None when all are
+    1), the tables of teichmuller(a) * pi^r, for each r < n how digit r
     is read: its x^j block, the reduction mod p^(k+1) and the table of
     digits u * eps^k, eps the residue of -w^-1 for the unit w with
     a_0 = p*w (see _digit_at), and the chunks [r0, r1) of _digits: the
@@ -358,7 +361,7 @@ class _Context:
     moduli of the canonical vector mod m^r1, _BlockTable)."""
 
     __slots__ = ("ring", "n", "wspec", "M", "mod", "p", "d", "e", "size", "g", "f",
-                 "supported", "pi", "pi_powers", "terms", "reads", "chunks", "res_mods")
+                 "supported", "table", "pi", "pi_powers", "terms", "reads", "chunks", "res_mods")
 
     def __init__(self, ring: DvrSpec, n: int):
         wspec = ring.wspec(n)
@@ -378,6 +381,24 @@ class _Context:
         for k in range(-(-n // e)):
             rem, table = pows[k + 1].__rmod__, _digit_table(eps ** k, pows[k])
             self.reads += [(j * d, (j + 1) * d, rem, table) for j in range(min(e, n - e * k))]
+        # the structure constants: y^s x^j (s < 2d - 1, j < 2e - 1) reduced by
+        # f, coordinates taken in (-mod/2, mod/2], so integer f and g give small ones
+        size, m = self.size, self.mod
+        mono = {}
+        for j, s in itertools.product(range(2 * e - 1), range(2 * d - 1)):
+            rows = [[int(i == j and t == s) for t in range(2 * d - 1)] for i in range(2 * e - 1)]
+            mono[j, s] = _reduce_mod_f(self, [r[0] for r in rows] if d == 1 else rows)
+        picks, weights = [[] for _ in range(size)], [[] for _ in range(size)]
+        for u, v in itertools.product(range(size), repeat=2):
+            for k, c in enumerate(mono[u // d + v // d, u % d + v % d]):
+                if c:
+                    picks[k].append(u * size + v)
+                    weights[k].append(c - m if 2 * c > m else c)
+        self.table = []
+        for ix, ws in zip(picks, weights):
+            if len(ix) == 1:  # itemgetter of one index returns the item, not a tuple
+                ix, ws = ix * 2, ws + [0]
+            self.table.append((itemgetter(*ix), None if set(ws) == {1} else tuple(ws)))
         # pi^r = x * pi^(r-1): the blocks of pi^(r-1) shifted up one, reduced
         # by f (for d > 1 as rows of 2d-1 coordinates); pi = -a_0 when e = 1
         pad = [0] * (d - 1)
@@ -399,9 +420,9 @@ class _Context:
         self.res_mods = mods[-1]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)  # typed: 2.0 and True miss the entries of 2 and 1
 def _context(ring: DvrSpec, n: int) -> _Context:
-    if n < 1:
+    if _int_arg(n, "the precision") < 1:
         raise InvalidArgument(f"precision must be at least 1, got {n}")
     return _Context(ring, n)
 
@@ -470,23 +491,15 @@ def _raw_val(ctx: _Context, v, cap: int):
 
 
 def _mul(ctx: _Context, a, b) -> tuple:
-    """Product of two flat vectors, reduced modulo (g, f, p^Mc) of ctx."""
-    e, d = ctx.e, ctx.d
-    if d == 1:
-        prod = _convolve(a, b)
-    else:
-        width = 2 * d - 1
-        prod = [[0] * width for _ in range(2 * e - 1)]
-        for i in range(e):
-            ai = a[i * d:(i + 1) * d]
-            if any(ai):
-                for j in range(e):
-                    row, bj = prod[i + j], b[j * d:(j + 1) * d]
-                    for s, x in enumerate(ai):
-                        if x:
-                            for t, y in enumerate(bj):
-                                row[s + t] += x * y
-    return _reduce_mod_f(ctx, prod)
+    """Product of two flat vectors, reduced modulo (g, f, p^Mc) of ctx: the
+    pairwise products a_u * b_v of their coordinates, gathered into each
+    output coordinate by ctx.table.  Reduction mod (g, f, p^Mc) is Z-linear
+    and g and f are monic, so the product of any integer representatives,
+    negative and unreduced ones included, gives the canonical vector."""
+    prods = [x * y for x in a for y in b]
+    m = ctx.mod
+    return tuple([(sum(pick(prods)) if weights is None else sum(map(mul, pick(prods), weights))) % m
+                  for pick, weights in ctx.table])
 
 
 def _reduce_mod_f(ctx: _Context, prod) -> tuple:
@@ -604,7 +617,7 @@ class DvrElem:
 
     def reduce_to(self, n: int) -> "DvrElem":
         """Forget precision down to mod m^n."""
-        if n > self.n:
+        if _int_arg(n, "the precision") > self.n:
             raise InsufficientPrecision(f"element known mod m^{self.n}, requested m^{n}")
         ctx = _context(self.ring, n)
         mod = ctx.mod
@@ -676,8 +689,7 @@ class DvrElem:
 def pi_digits(x: DvrElem, n: int | None = None):
     """Canonical expansion x = sum teichmuller(a_r) pi^r mod m^n: a prefix
     of the n = x.n digits, which are read once per element."""
-    if n is None:
-        n = x.n
+    n = x.n if n is None else _int_arg(n, "the number of digits")
     if n < 0:
         raise InvalidArgument(f"the number of digits must not be negative, got {n}")
     if n > x.n:
@@ -690,8 +702,7 @@ def pi_digits(x: DvrElem, n: int | None = None):
 def from_pi_digits(digits, ring: DvrSpec, n: int | None = None) -> DvrElem:
     """Reassemble sum teichmuller(a_r) pi^r from a digit vector."""
     digits = tuple(digits)
-    if n is None:
-        n = len(digits)
+    n = len(digits) if n is None else _int_arg(n, "the precision")
     if len(digits) > n:
         raise ValueError("more digits than the requested precision")
     ctx = _context(ring, n)
@@ -857,25 +868,25 @@ class ResidueElt:
         return f"ResidueElt({self.text()})"
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)  # typed: 2.0 and True miss the entries of 2 and 1
 def residue_ring(R: DvrSpec, n: int) -> ResidueRingSpec:
     """The one spec of R/m^n per (R, n), so its context is looked up once."""
-    if n < 1:
+    if _int_arg(n, "the length") < 1:
         raise ValueError("n must be >= 1")
     return ResidueRingSpec(R, n)
 
 
 def project(x: DvrElem, n: int) -> ResidueElt:
+    rspec = residue_ring(x.ring, n)  # refuses a length that is not an int
     if n > x.n:
         raise InsufficientPrecision(f"element known mod m^{x.n} cannot project to length {n}")
-    rspec = residue_ring(x.ring, n)
     return ResidueElt(rspec, pi_digits(x, n), _canon(rspec._ctx, x.v))
 
 
 def project_between(x: ResidueElt, n: int) -> ResidueElt:
+    rspec = residue_ring(x.rspec.ring, n)  # refuses a length that is not an int
     if n > x.rspec.n:
         raise InsufficientPrecision("cannot project to a longer residue ring")
-    rspec = residue_ring(x.rspec.ring, n)
     digits = None if x._digits is None else x._digits[:n]
     v = None if x._v is None else _canon(rspec._ctx, x._v)
     return ResidueElt(rspec, digits, v)

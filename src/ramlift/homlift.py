@@ -709,7 +709,7 @@ def lift_hom(phi: ResidueHom, min_prec: int | None = None) -> DvrHom:
 
 def project_hom(g: DvrHom, n1: int, n2: int) -> ResidueHom:
     """The residue-ring homomorphism induced by g at lengths (n1, n2)."""
-    if n2 * g.source.e > n1 * g.target.e:
+    if _int_arg(n2, "n2") * g.source.e > _int_arg(n1, "n1") * g.target.e:
         raise IncompatibleLengths(
             f"need n2*e1/e2 <= n1: {n2}*{g.source.e}/{g.target.e} > {n1}"
         )

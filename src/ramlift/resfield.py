@@ -15,8 +15,8 @@ enumeration cap.  Building a field never enumerates it: primality
 modular powers and gcds only, so a huge p is accepted.  _reduce_monic is
 the one reduction by a monic polynomial: F_q and Ben-Or's test reduce by g
 mod p, witt by its lift mod p^M, and dvr by f (d = 1) and by g.  _convolve
-is the product of coefficient lists of F_q, witt and d = 1 dvr; d > 1 dvr
-products keep their own row loops.  Every polynomial division is by a
+is the product of coefficient lists of F_q and witt; dvr products gather
+pairwise coordinate products by a table.  Every polynomial division is by a
 monic divisor: Euclid's algorithm over F_p makes each divisor monic and
 reduces by _reduce_monic, and _divmod_monic, the one division over Q,
 serves the Euclid steps, the quotient of _squarefree_part and the
@@ -142,7 +142,7 @@ def _reduce_monic(c: list, g, m: int) -> list:
 def power(x, k: int, one, times):
     """x^k by square-and-multiply in the ring given by its one and its
     product times; the one square-and-multiply loop of the package."""
-    if k < 0:
+    if _int_arg(k, "the exponent") < 0:
         raise InvalidArgument("negative exponent")
     result = one
     while k:
@@ -385,7 +385,7 @@ class FqElem:
 
     def __pow__(self, n: int):
         """self^n by _poly_powmod_p on coordinates: one FqElem, the result."""
-        if n < 0:
+        if _int_arg(n, "the exponent") < 0:
             return self.inverse() ** (-n)
         k = self.field
         return FqElem(k, _poly_powmod_p(self.coeffs, n, k.defining_poly, k.p))

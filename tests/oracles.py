@@ -10,7 +10,11 @@ search: it tests every beta in the target ring with the validator of
 truncated root and certifies each one that passes.
 
 The flat-ring oracle redoes the arithmetic of R/p^M, that is
-(Z/p^M)[y,x]/(g(y), f(x,y)), with sympy polynomial remainders.
+(Z/p^M)[y,x]/(g(y), f(x,y)), with sympy polynomial remainders.  The
+schoolbook product multiplies two flat vectors as polynomials in x with
+coefficients in W(k), row by row, and reduces the result by f on each
+call; the library gathers the pairwise coordinate products by a table of
+structure constants built once per context.
 
 The digit-route oracle redoes residue-ring arithmetic without canonical
 vectors: lift the digit vectors to R, compute there, read the digits back.
@@ -46,6 +50,7 @@ from ramlift.dvr import (
     _context,
     _digit_at,
     _lift,
+    _reduce_mod_f,
     DvrElem,
     ResidueRingSpec,
     ValInfo,
@@ -64,7 +69,7 @@ from ramlift.homlift import (
     _working_poly,
 )
 from ramlift.ramification import _shifted_coeff_vals, newton_polygon
-from ramlift.resfield import FqElem, embeddings, power
+from ramlift.resfield import FqElem, _convolve, embeddings, power
 from ramlift.witt import make_witt, teich_digits, teichmuller, witt_unit_inv
 
 
@@ -279,6 +284,24 @@ def divide_by_pi_digits(ring, v, n: int):
         top = (z[0] - teichmuller(a, wspec)).divide_exact_by_p() * neg_w_inv
         z = [z[j] + top * f[j] for j in range(1, e)] + [top]
     return tuple(digits)
+
+
+def schoolbook_mul(ctx, a, b) -> tuple:
+    """The product of two flat vectors of ctx by schoolbook multiplication:
+    for d = 1 the convolution of the two coefficient lists, otherwise rows
+    of 2d - 1 coordinates, one per power of x, each the product of two
+    coefficient blocks; then one reduction by f and g."""
+    e, d = ctx.e, ctx.d
+    if d == 1:
+        return _reduce_mod_f(ctx, _convolve(a, b))
+    prod = [[0] * (2 * d - 1) for _ in range(2 * e - 1)]
+    for i in range(e):
+        for j in range(e):
+            row = prod[i + j]
+            for s, x in enumerate(a[i * d:(i + 1) * d]):
+                for t, y in enumerate(b[j * d:(j + 1) * d]):
+                    row[s + t] += x * y
+    return _reduce_mod_f(ctx, prod)
 
 
 _X, _Y = sympy.symbols("x y")

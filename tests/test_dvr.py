@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     element,
     flat_ring_op,
     minimal_polynomial,
+    schoolbook_mul,
 )
 from ramlift import dvr
 from ramlift.dvr import (
@@ -37,7 +39,7 @@ from ramlift.errors import (
     RingMismatch,
     TooLarge,
 )
-from ramlift.homlift import ResidueHom, enumerate_isos
+from ramlift.homlift import ResidueHom, enumerate_homs, enumerate_isos
 from ramlift.resfield import make_field
 from ramlift.witt import make_witt, teich_digits
 
@@ -378,6 +380,76 @@ def test_pi_powers_match_the_sympy_oracle(spec):
     assert ctx.pi == ctx.pi_powers[1]
 
 
+# -- the product table against the schoolbook product ----------------------------
+
+F4 = make_field(2, 2)
+PRODUCT_RINGS = {
+    "F2:x-2": make_dvr(F2, [-2, 1]),  # e = d = 1: a single pairwise product
+    "F3:x2-3": Z3_SQRT3,
+    "F5:x3+5x+10": make_dvr(make_field(5, 1), [10, 5, 0, 1]),
+    "F2:x6+2x5+4x3+6": make_dvr(F2, [6, 0, 0, 4, 0, 2, 1]),  # wild, e = 6
+    "F3:x5+tx2+t": make_dvr(F3, ["t:0,2", 0, "t:0,1,2", 0, 0, 1]),
+    "F4:x2+2x+2y": make_dvr(F4, [[0, 2], 2, 1]),  # wild, d = 2
+    "F9:x2+(3+3y)x+t": make_dvr(F9, ["t:0,(1,1)", [3, 3], 1]),
+    "F25:x-5": make_dvr(make_field(5, 2), [-5, 1]),  # e = 1, d = 2
+    "F8:x3-2": make_dvr(make_field(2, 3), [-2, 0, 0, 1]),
+    "F27:x4-3+t": make_dvr(make_field(3, 3), ["t:0,(1,0,2)", 0, [3, 0, 6], 0, 1]),
+    "F16:x2-2": make_dvr(make_field(2, 4), [-2, 0, 1]),  # d = 4
+    "F81:x3+3y": make_dvr(make_field(3, 4), [[0, 3, 0, 3], 0, 0, 1]),
+    "F625:x-5+t": make_dvr(make_field(5, 4), ["t:0,(1,2,3,4)", 1]),
+}
+
+
+def _product_inputs(ctx, rng):
+    """Pairs of flat vectors of ctx: canonical, unreduced (up to 3 p^Mc)
+    and negative coordinates, and the mixes of each with a canonical one."""
+    m, size = ctx.mod, ctx.size
+    canon = lambda: tuple(rng.randrange(m) for _ in range(size))
+    unreduced = lambda: tuple(rng.randrange(m, 3 * m) for _ in range(size))
+    negative = lambda: tuple(-rng.randrange(3 * m) for _ in range(size))
+    for make in (canon, unreduced, negative):
+        for _ in range(4):
+            yield make(), make()
+            yield canon(), make()
+
+
+@pytest.mark.parametrize("ring", list(PRODUCT_RINGS))
+def test_mul_matches_the_schoolbook_product(ring):
+    spec = PRODUCT_RINGS[ring]
+    rng = random.Random(f"mul:{ring}")
+    for n in (1, 2 * spec.e, 200, 1000):
+        ctx = dvr._context(spec, n)
+        one = ctx.pi_powers[0]
+        for a, b in _product_inputs(ctx, rng):
+            assert dvr._mul(ctx, a, b) == schoolbook_mul(ctx, a, b), (n, a, b)
+        assert dvr._mul(ctx, a, one) == schoolbook_mul(ctx, a, one) == tuple(c % ctx.mod for c in a)
+
+
+@pytest.mark.parametrize("ring", list(PRODUCT_RINGS))
+def test_mul_of_two_basis_vectors_is_their_reduced_monomial(ring):
+    # y^s x^j * y^t x^i = y^(s+t) x^(j+i), reduced by _reduce_mod_f: the
+    # structure constants the table gathers with
+    spec = PRODUCT_RINGS[ring]
+    ctx = dvr._context(spec, 2 * spec.e)
+    e, d, size = spec.e, spec.d, ctx.size
+    basis = [tuple(int(k == u) for k in range(size)) for u in range(size)]
+    for u, v in itertools.product(range(size), repeat=2):
+        rows = [[0] * (2 * d - 1) for _ in range(2 * e - 1)]
+        rows[u // d + v // d][u % d + v % d] = 1
+        monomial = dvr._reduce_mod_f(ctx, [r[0] for r in rows] if d == 1 else rows)
+        assert dvr._mul(ctx, basis[u], basis[v]) == monomial, (u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_cases(dims=(1, 2, 3)), st.randoms(use_true_random=False))
+def test_mul_matches_the_schoolbook_product_on_any_representatives(case, rng):
+    spec, a, b = case
+    ctx = a.ctx
+    shift = lambda v: tuple(c + rng.randrange(-3, 4) * ctx.mod for c in v)
+    for x, y in ((a.v, b.v), (shift(a.v), shift(b.v))):
+        assert dvr._mul(ctx, x, y) == schoolbook_mul(ctx, x, y)
+
+
 @settings(max_examples=120, deadline=None)
 @given(flat_cases(dims=(1, 2, 3)), st.integers(0, 9))
 def test_unit_inverse_and_division_by_pi_powers(case, delta):
@@ -706,6 +778,45 @@ def test_block_table_refuses_keys_outside_its_chunk():
 def test_from_int_refuses_a_non_integer(call, value):
     with pytest.raises(InvalidArgument, match=rf"from_int's argument must be an integer, got {value!r}$"):
         call()
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: residue_ring(Z3_SQRT3, 2.0), 2.0),  # would build a ring of length 2.0
+    (lambda: residue_ring(Z3_SQRT3, True), True),
+    (lambda: dvr._context(Z3_SQRT3, 2.0), 2.0),
+    (lambda: Z3_SQRT3.one(True), True),  # would build a context at precision True
+    (lambda: Z3_SQRT3.one(4).reduce_to(2.0), 2.0),
+    (lambda: pi_digits(Z3_SQRT3.one(4), 2.0), 2.0),  # would raise a bare TypeError
+    (lambda: from_pi_digits([F3.one()], Z3_SQRT3, 1.0), 1.0),
+    (lambda: project(Z3_SQRT3.one(4), True), True),
+    (lambda: project_between(residue_ring(Z3_SQRT3, 3).one(), 2.0), 2.0),
+    (lambda: residue_ring(Z3_SQRT3, 3).pow(residue_ring(Z3_SQRT3, 3).one(), True), True),  # would return x
+    (lambda: residue_ring(Z3_SQRT3, 3).pow(residue_ring(Z3_SQRT3, 3).one(), 2.5), 2.5),
+    (lambda: Z3_SQRT3.one(4) ** 2.5, 2.5),
+], ids=["residue_ring-float", "residue_ring-bool", "context-float", "one-bool", "reduce_to-float",
+        "pi_digits-float", "from_pi_digits-float", "project-bool", "project_between-float",
+        "residue-pow-bool", "residue-pow-float", "dvr-pow-float"])
+def test_lengths_and_exponents_are_checked_not_coerced(call, value):
+    with pytest.raises(InvalidArgument, match=rf"must be an integer, got {value!r}$"):
+        call()
+
+
+def test_a_refused_length_leaves_the_caches_clean():
+    # 2.0 == 2 and True == 1 hash alike, so an lru_cache entry made for one
+    # would be handed back for the other; the ring is used by no other test
+    R = make_dvr(make_field(5, 1), [-10, 0, 0, 1])
+    x = residue_ring(R, 3).one()
+    refused = (lambda: residue_ring(R, 2.0), lambda: project_between(x, 2.0), lambda: R.one(True),
+               lambda: residue_ring(R, True))
+    for call in refused:
+        with pytest.raises(InvalidArgument):
+            call()
+    rs = residue_ring(R, 2)
+    assert type(rs.n) is int and rs.n == 2
+    assert type(dvr._context(R, 1).n) is int
+    assert json.dumps(residue_ring(R, 1)._json).endswith('"n": 1}')
+    homs = enumerate_homs(rs, rs)
+    assert any(h.is_identity() for h in homs)
 
 
 @pytest.mark.parametrize("r", [0, 15, 20])  # the first, a middle and the last chunk

@@ -683,6 +683,13 @@ def test_project_incompatible_lengths():
         project_hom(g, 2, 4)
 
 
+@pytest.mark.parametrize("n1, n2", [(4.0, 4), (4, True)])
+def test_project_hom_refuses_a_non_integer_length(n1, n2):
+    g = dvr_isos(Z3_SQRT3, Z3_SQRT3)[0]
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        project_hom(g, n1, n2)
+
+
 def test_compose_with_identity():
     src = residue_ring(Z3_SQRT3, 4)
     ident = [h for h in enumerate_isos(src, src) if h.is_identity()][0]

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -21,6 +22,7 @@ from ramlift.resfield import (
     frobenius,
     identity_embedding,
     make_field,
+    power,
     pth_root,
     roots,
 )
@@ -251,6 +253,17 @@ def test_from_int_refuses_a_non_integer():
 ], ids=["roots-float", "roots-bool", "eval-float", "eval-float-F9", "from_coeffs-float", "from_coeffs-bool"])
 def test_integer_inputs_are_checked_not_coerced(call, value):
     with pytest.raises(InvalidArgument, match=rf"must be an integer, got {value!r}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: F3.one() ** True, True),  # the builtin pow of d = 1 would return the base
+    (lambda: F9.generator() ** 2.0, 2.0),
+    (lambda: power(2, 2.5, 1, mul), 2.5),  # would raise a bare TypeError
+    (lambda: power(2, True, 1, mul), True),  # would return 2
+], ids=["fq-bool", "fq-float", "power-float", "power-bool"])
+def test_exponents_are_checked_not_coerced(call, value):
+    with pytest.raises(InvalidArgument, match=rf"the exponent must be an integer, got {value!r}$"):
         call()
 
 

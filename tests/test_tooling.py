@@ -10,7 +10,9 @@ os._exit, and no module leaves work for the interpreter's teardown.  src/
 defines no function or class that ramlift itself never runs, and its
 lru_caches are a pinned set of names.  Git tracks no
 file that .gitignore lists.  The README's library quick start
-runs and prints the values its comments state."""
+runs and prints the values its comments state.  Every file of src/ and
+tests/ parses with the grammar of the oldest Python that pyproject.toml
+accepts."""
 
 import ast
 import importlib.util
@@ -108,6 +110,20 @@ def test_no_assert_statements_in_src():
     ]
     assert len(list(SRC_DIR.glob("*.py"))) > 5
     assert found == []
+
+
+def test_src_parses_at_the_python_floor():
+    """pyproject.toml accepts Python >= 3.10.7, whose grammar lacks except*,
+    type aliases and generic classes; parsing each file at that feature
+    version keeps newer syntax from slipping in under a newer interpreter."""
+    root = SRC_DIR.parent.parent
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)\.\d+"$', text, re.M)
+    assert floor and floor.group(0) == 'requires-python = ">=3.10.7"'
+    files = sorted(SRC_DIR.glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(int(floor[1]), int(floor[2])))
 
 
 def _record_classes():
