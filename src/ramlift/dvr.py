@@ -376,10 +376,12 @@ class _Context:
         d, e, p = self.d, self.e, self.p
         pows = [p ** i for i in range(-(-n // e) + 1)]
         w = FqElem(ring.k, [c // p for c in self.f[:d]])  # a_0 = p*w, Mc >= 2
-        eps = -w.inverse()  # the residue of p/pi^e
+        eps, scale = -w.inverse(), ring.k.one()  # eps is the residue of p/pi^e; scale = eps^k
         self.reads = []
         for k in range(-(-n // e)):
-            rem, table = pows[k + 1].__rmod__, _digit_table(eps ** k, pows[k])
+            if k:
+                scale = scale * eps
+            rem, table = pows[k + 1].__rmod__, _digit_table(scale, pows[k])
             self.reads += [(j * d, (j + 1) * d, rem, table) for j in range(min(e, n - e * k))]
         # the structure constants: y^s x^j (s < 2d - 1, j < 2e - 1) reduced by
         # f, coordinates taken in (-mod/2, mod/2], so integer f and g give small ones

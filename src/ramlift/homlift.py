@@ -8,9 +8,11 @@ shortcut.  residue_hom checks psi on every call, by evaluating k1's
 defining polynomial at psi's image (resfield.eval_poly, on coordinates).
 The admissible betas are the truncated roots of F = f^psi: F(beta) = 0 mod
 m2^n2 and beta^n1 = 0.  Applying a homomorphism (residue or lifted) reads
-no digits: each x^j coefficient block of the argument's flat vector
-goes through the linear map W(psi) (witt.WittMap), and _horner sums the
-images against the powers of beta.
+no digits: it is W(psi)-semilinear and W(psi) (witt.WittMap) is Z-linear,
+so it is Z-linear on flat vectors and is applied as its matrix, whose
+column j*d1 + i is W(psi)(y^i) beta^j (_hom_matrix), and each image is one
+integer matrix-vector product, reduced.  A residue homomorphism keeps its
+matrix after the first apply; a lifted one builds it per apply.
 
 One ball search serves enumeration, counting and lifting.  A ball a + m^r
 holds the elements whose first r pi-adic digits are those of a.  At a ball,
@@ -68,12 +70,12 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
+from operator import mul
 
 from .dvr import (
     _add,
-    _canon,
     _Context,
     _context,
     _digit_at,
@@ -452,29 +454,47 @@ def _certify(poly: _Poly, x, t: int) -> CertifiedRoot | None:
 # residue-ring homomorphisms
 
 
-def _image(psi: FieldEmbedding, v, ctx: _Context, beta) -> tuple:
-    """The image of the source flat vector v under the homomorphism (psi,
-    beta), as a flat vector of the target context ctx: sum_j W(psi)(c_j)
-    beta^j over the x^j coefficient blocks c_j of v, by _horner.  Any
-    representatives of v and of the flat vector beta give the image to the
-    precision the homomorphism is defined to."""
-    w_psi = _witt_map(psi, ctx.M)
-    d1 = w_psi.source.d
+def _hom_matrix(psi: FieldEmbedding, ctx: _Context, beta, e1: int) -> tuple:
+    """The rows of the matrix of the homomorphism (psi, beta) from a ring of
+    ramification index e1 into ctx's flat vectors: column j*d1 + i is the
+    flat vector W(psi)(y^i) * beta^j.  The homomorphism is W(psi)-semilinear
+    and W(psi) is Z-linear, so it is Z-linear on flat vectors, and the
+    product of a row with any integer representative of a source vector is
+    the corresponding coordinate of its image, to the precision the
+    homomorphism is defined to.  Any representative of beta may be given;
+    W(psi)(1) = 1, so column j*d1 is beta^j itself."""
     pad = (0,) * (ctx.size - ctx.d)
-    blocks = [w_psi.map_coords(v[j:j + d1]) + pad for j in range(0, len(v), d1)]
-    return _horner(ctx, blocks, beta, 0)
+    images = [image + pad for image in _witt_map(psi, ctx.M).images[1:]]
+    powers = [ctx.pi_powers[0], beta][:e1]
+    while len(powers) < e1:
+        powers.append(_mul(ctx, powers[-1], beta))
+    cols = []
+    for power in powers:
+        cols += [power] + [_mul(ctx, image, power) for image in images]
+    return tuple(zip(*cols))
 
 
 class ResidueHom(Record):
-    """Homomorphism R_{1,n1} -> R_{2,n2} as (psi, beta)."""
+    """Homomorphism R_{1,n1} -> R_{2,n2} as (psi, beta), applied as its
+    matrix (_hom_matrix in the target's context, built on the first apply):
+    row k times the source vector, reduced mod the k-th canonical modulus
+    of R2/m^n2 (see dvr._canon), is coordinate k of the image's canonical
+    vector."""
 
     _fields = ("source", "target", "psi", "beta")
+
+    @cached_property
+    def _matrix(self) -> tuple:
+        ctx = self.target._ctx
+        rows = _hom_matrix(self.psi, ctx, self.beta.v, self.source.ring.e)
+        return tuple([tuple([c % m for c in row]) for row, m in zip(rows, ctx.res_mods)])
 
     def apply(self, x: ResidueElt) -> ResidueElt:
         if x.rspec != self.source:
             raise NotComposable("element not in the source ring")
-        ctx = self.target._ctx
-        return ResidueElt(self.target, None, _canon(ctx, _image(self.psi, x.v, ctx, self.beta.v)))
+        v = x.v
+        terms = zip(self._matrix, self.target._ctx.res_mods)
+        return ResidueElt(self.target, None, tuple([sum(map(mul, v, row)) % m for row, m in terms]))
 
     def is_identity(self) -> bool:
         return (
@@ -601,7 +621,12 @@ def enumerate_isos(src: ResidueRingSpec, tgt: ResidueRingSpec) -> list:
 
 class DvrHom(Record):
     """Homomorphism R1 -> R2: psi plus rho, the certified image of the
-    uniformizer; certificate is the pair (t, deriv_val) of its CertifiedRoot."""
+    uniformizer; certificate is the pair (t, deriv_val) of its CertifiedRoot.
+    apply knows the image of x mod m^n', n' = min(x.n*e2/e1, rho.n): it
+    builds the matrix (_hom_matrix) in the context of that precision, from
+    rho's vector, and reduces each row times x's vector mod p^Mc there.  A
+    lifted homomorphism is applied about once (compose_homs), so the matrix
+    is not kept."""
 
     _fields = ("source", "target", "psi", "rho", "certificate")
 
@@ -609,7 +634,9 @@ class DvrHom(Record):
         if x.ring != self.source:
             raise NotComposable("element not in the source ring")
         ctx = _context(self.target, min(x.n * self.target.e // self.source.e, self.rho.n))
-        return DvrElem(ctx, _image(self.psi, x.v, ctx, self.rho.v))
+        v, m = x.v, ctx.mod
+        rows = _hom_matrix(self.psi, ctx, self.rho.v, self.source.e)
+        return DvrElem(ctx, tuple([sum(map(mul, v, row)) % m for row in rows]))
 
     @property
     def t(self) -> int:

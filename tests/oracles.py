@@ -18,7 +18,10 @@ structure constants built once per context.
 
 The digit-route oracle redoes residue-ring arithmetic without canonical
 vectors: lift the digit vectors to R, compute there, read the digits back.
-Its homomorphism counterpart applies (psi, beta) digit by digit.
+Its homomorphism counterpart applies (psi, beta) digit by digit.  The
+Horner image applies (psi, beta) to a flat vector block by block: W(psi) on
+each x^j coefficient block, summed against the powers of beta by Horner's
+rule; the library applies a homomorphism as one matrix-vector product.
 
 The division oracle reads pi-adic digits by dividing by the uniformizer, in
 WittElem arithmetic, instead of reading them off one coefficient each.  The
@@ -64,8 +67,10 @@ from ramlift.homlift import (
     ResidueHom,
     _beta_admissible,
     _certify,
+    _horner,
     _materialize_poly,
     _normalize_poly,
+    _witt_map,
     _working_poly,
 )
 from ramlift.ramification import _shifted_coeff_vals, newton_polygon
@@ -247,6 +252,19 @@ def digit_route_apply(psi, digits, beta: DvrElem) -> DvrElem:
         acc = acc + from_witt(R, teichmuller(psi(a), wspec), n) * power
         power = power * beta
     return acc
+
+
+def horner_image(psi, v, ctx, beta) -> tuple:
+    """The image of the source flat vector v under the homomorphism (psi,
+    beta), as a flat vector of the target context ctx: sum_j W(psi)(c_j)
+    beta^j over the x^j coefficient blocks c_j of v, by Horner's rule in
+    beta.  Any representatives of v and of the flat vector beta give the
+    image to the precision the homomorphism is defined to."""
+    w_psi = _witt_map(psi, ctx.M)
+    d1 = w_psi.source.d
+    pad = (0,) * (ctx.size - ctx.d)
+    blocks = [w_psi.map_coords(v[j:j + d1]) + pad for j in range(0, len(v), d1)]
+    return _horner(ctx, blocks, beta, 0)
 
 
 def digit_by_digit_digits(ctx, v, n: int):

@@ -40,7 +40,7 @@ from ramlift.errors import (
     TooLarge,
 )
 from ramlift.homlift import ResidueHom, enumerate_homs, enumerate_isos
-from ramlift.resfield import make_field
+from ramlift.resfield import FqElem, make_field
 from ramlift.witt import make_witt, teich_digits
 
 F2 = make_field(2, 1)
@@ -438,6 +438,25 @@ def test_mul_of_two_basis_vectors_is_their_reduced_monomial(ring):
         rows[u // d + v // d][u % d + v % d] = 1
         monomial = dvr._reduce_mod_f(ctx, [r[0] for r in rows] if d == 1 else rows)
         assert dvr._mul(ctx, basis[u], basis[v]) == monomial, (u, v)
+
+
+@pytest.mark.parametrize("ring", list(PRODUCT_RINGS))
+def test_digit_tables_scale_by_the_powers_of_eps(ring):
+    # digit e*k + j is read off block j by the table of eps^k, eps = -w^-1
+    # for a_0 = p*w: the context carries eps^k across k, and each table is
+    # the one _digit_table of (eps ** k, p^k)
+    spec = PRODUCT_RINGS[ring]
+    p, d, e = spec.p, spec.d, spec.e
+    for n in (1, 2 * e + 1, 200):
+        a0 = spec.coeffs[0].materialize(spec.wspec(n)).coeffs
+        eps = -FqElem(spec.k, [c // p for c in a0]).inverse()
+        ctx = dvr._Context(spec, n)  # a fresh build: its tables are the latest cached
+        assert len(ctx.reads) == n
+        for r, (lo, hi, _, table) in enumerate(ctx.reads):
+            k, j = divmod(r, e)
+            assert (lo, hi) == (j * d, (j + 1) * d)
+            assert table is dvr._digit_table(eps ** k, p ** k), (n, r)
+            assert (table.scale, table.pk) == (eps ** k, p ** k)
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,6 +13,7 @@ from oracles import (
     from_witt,
     hom_as_table,
     horner_by_objects,
+    horner_image,
     scan_certified_roots,
     scan_homs,
     scan_truncated_roots,
@@ -1131,6 +1132,85 @@ def test_dvr_hom_apply_matches_digit_route(case):
                 for z in (x, x * x + x):  # the second vector is not built from digits
                     img = g.apply(z)
                     assert img == digit_route_apply(g.psi, pi_digits(z), g.rho.reduce_to(img.n))
+
+
+# (source, target) pairs for the matrix of apply against the Horner image:
+# d1 = 1 into d2 = 2 and 3, x^2 - 3 into x^4 - 3, e1 = 1 into e2 = 2, d = 2
+# rings with one and two embeddings, "t:" coefficients over F3 and F9, wild
+# rings over F2, F3 and F4, and p = 5
+HOM_MATRIX_CASES = {
+    "F3-F3": (Z3_SQRT3, Z3_SQRT3),
+    "F3-F9": (Z3_SQRT3, Z9_SQRT3),
+    "x2-3-into-x4-3": (Z3_SQRT3, Z3_QUARTIC),
+    "Z3-into-x2-3": (Z3_FLAT, Z3_SQRT3),
+    "Z3-into-F27": (Z3_FLAT, make_dvr(make_field(3, 3), [-3, 1])),
+    "F9-frobenius": (Z9_SQRT3, Z9_SQRT3),
+    "F9-y2+2y+2": (Z9B_RING, Z9B_RING),
+    "F4-x4+2+2y": (Z4_WILD, Z4_WILD),
+    "F9-t-coefficients": (_R9T, _R9T),
+    "F3-t-coefficients": (make_dvr(F3, ["t:0,1,2", "t:0,0,1", 0, 1]),) * 2,
+    "F3-x3-3": (make_dvr(F3, [-3, 0, 0, 1]),) * 2,
+    "F3-x2+3": (Z3_SQRTM3, Z3_SQRTM3),
+    "F2-x2-2": (Z2_SQRT2, Z2_SQRT2),
+    "F5-x2-5": (make_dvr(make_field(5, 1), [-5, 0, 1]),) * 2,
+}
+
+
+def _representatives(rng, mods, modulus) -> list:
+    """A canonical vector for the moduli mods, an unreduced one (coordinates
+    up to 3 * modulus) and a negative one."""
+    return [
+        tuple([rng.randrange(m) for m in mods]),
+        tuple([rng.randrange(3 * modulus) for _ in mods]),
+        tuple([-rng.randrange(3 * modulus) for _ in mods]),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(HOM_MATRIX_CASES))
+def test_residue_hom_apply_is_the_horner_image(case):
+    # the matrix-vector product against W(psi) on each block and Horner's
+    # rule in beta, on canonical, unreduced and negative source vectors
+    R1, R2 = HOM_MATRIX_CASES[case]
+    tgt = residue_ring(R2, 4)
+    src = residue_ring(R1, -(-4 * R1.e // R2.e))
+    homs = _per_psi(enumerate_homs(src, tgt), 3)
+    assert homs
+    rng = random.Random(case)
+    ctx1, ctx2 = src._ctx, tgt._ctx
+    for h in homs:
+        for _ in range(4):
+            for v in _representatives(rng, ctx1.res_mods, ctx1.mod):
+                img = h.apply(dvr.ResidueElt(src, None, v)).v
+                assert img == dvr._canon(ctx2, horner_image(h.psi, v, ctx2, h.beta.v))
+                assert img == h.apply(dvr.ResidueElt(src, None, dvr._canon(ctx1, v))).v
+
+
+def _matrix_lifts(R1, R2) -> list:
+    """The isomorphisms of a ring to itself, or the lifts of the first
+    homomorphism of each embedding at the lifting bound."""
+    if R1 is R2:
+        return dvr_isos(R1, R2)
+    n2 = lift_precision_bound(R1, R2.e)
+    src, tgt = residue_ring(R1, -(-n2 * R1.e // R2.e)), residue_ring(R2, n2)
+    return [lift_hom(h) for h in _per_psi(enumerate_homs(src, tgt), 1)]
+
+
+@pytest.mark.parametrize("case", sorted(HOM_MATRIX_CASES))
+def test_dvr_hom_apply_is_the_horner_image(case):
+    # the same at every source precision from 1 to rho.n, so at every
+    # precision of the image up to rho.n that e2/e1 reaches
+    R1, R2 = HOM_MATRIX_CASES[case]
+    homs = _matrix_lifts(R1, R2)
+    assert homs
+    rng = random.Random(case)
+    for g in homs:
+        for n in range(1, g.rho.n + 1):
+            ctx1 = dvr._context(R1, n)
+            ctx2 = dvr._context(R2, min(n * R2.e // R1.e, g.rho.n))
+            for v in _representatives(rng, (ctx1.mod,) * ctx1.size, ctx1.mod):
+                img = g.apply(DvrElem(ctx1, v))
+                assert img.ctx is ctx2
+                assert img.v == horner_image(g.psi, v, ctx2, g.rho.v)
 
 
 def test_hom_tables_match_oracle_random_rings():

@@ -8,7 +8,7 @@ place; no root answer is "undecided", and no code but record.py reaches
 into an instance's __dict__.  Only the CLI entry point ends the process with
 os._exit, and no module leaves work for the interpreter's teardown.  src/
 defines no function or class that ramlift itself never runs, and its
-lru_caches are a pinned set of names.  Git tracks no
+lru_caches and cached properties are pinned sets of names.  Git tracks no
 file that .gitignore lists.  The README's library quick start
 runs and prints the values its comments state.  Every file of src/ and
 tests/ parses with the grammar of the oldest Python that pyproject.toml
@@ -179,6 +179,36 @@ def test_lru_caches_are_the_pinned_set():
                 found |= {t.id for t in stmt.targets}
         found |= {f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_lru(n) and id(n) not in placed}
     assert found == LRU_CACHED
+
+
+CACHED_PROPERTIES = {"ResidueRingSpec._ctx", "ResidueRingSpec._json", "ResidueHom._matrix"}
+
+
+def test_cached_properties_are_the_pinned_set():
+    """Every cached_property in src/ decorates a method of a module-level
+    class, and the names Class.method are CACHED_PROPERTIES, so a value
+    kept on an instance after first use is a change to this set, made
+    together with the traffic it serves.  Any other use of cached_property
+    is reported by its line."""
+    found = set()
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        placed = set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        for dec in stmt.decorator_list:
+                            placed |= {id(n) for n in ast.walk(dec)}
+                            found |= {f"{cls.name}.{stmt.name}" for n in ast.walk(dec) if _is_cached(n)}
+        found |= {f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if _is_cached(n) and id(n) not in placed}
+    assert found == CACHED_PROPERTIES
+
+
+def _is_cached(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "cached_property"
+            or isinstance(node, ast.Attribute) and node.attr == "cached_property")
 
 
 MEMO_TABLES = {"_DigitTable", "_TermTable", "_BlockTable"}
