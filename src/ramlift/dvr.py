@@ -890,8 +890,7 @@ def project_between(x: ResidueElt, n: int) -> ResidueElt:
     if n > x.rspec.n:
         raise InsufficientPrecision("cannot project to a longer residue ring")
     digits = None if x._digits is None else x._digits[:n]
-    v = None if x._v is None else _canon(rspec._ctx, x._v)
-    return ResidueElt(rspec, digits, v)
+    return ResidueElt(rspec, digits, _canon(rspec._ctx, x.v))
 
 
 def enumerate_elements(Rn: ResidueRingSpec):

@@ -17,42 +17,48 @@ matrix after the first apply; a lifted one builds it per apply.
 One ball search serves enumeration, counting and lifting.  A ball a + m^r
 holds the elements whose first r pi-adic digits are those of a.  At a ball,
 G(T) = F(a + pi^r T) = sum_i F_i(a) pi^(ir) T^i (F_i the Hasse
-derivatives) has a content c, and gbar = G/pi^c mod m is a polynomial over
-the residue field k:
+derivatives) has a content c, read to the precision N of F, and gbar =
+G/pi^c mod m is a polynomial over the residue field k:
 
 - an element a + pi^r T can satisfy nu(F) > c only when the first digit of
   T is a root of gbar in k, so the search branches on those roots alone, at
   most deg F of them, and a nonzero constant gbar ends the branch;
-- when c >= n2, F vanishes mod m^n2 on the whole ball: enumeration expands
-  the ball lexicographically, and counting adds q^(n2 - r);
-- beta^n1 = 0 mod m^n2 holds exactly when the first ceil(n2/n1) digits
-  vanish, so enumeration starts from the ball 0 + m^ceil(n2/n1).
+- when c >= N, F vanishes mod m^N on the whole ball;
+- a simple root of gbar isolates one root alpha of F in the child ball,
+  where nu(F') = delta = c - r, and the search stops there.
+
+Enumeration and counting search F at N = n2.  An isolated root alpha gives
+the one ball alpha + m^(n2 - delta) of betas, as nu(F(alpha + h)) = delta +
+nu(h) on its child ball, found by Newton's iteration (below) in O(log n2)
+steps.  beta^n1 = 0 mod m^n2 exactly when the first ceil(n2/n1) digits
+vanish, so enumeration starts from 0 + m^ceil(n2/n1).
 
 A HomSet keeps the homomorphisms as these balls, a root set as a union of
 balls (Berthomieu, Lecerf and Quintin), and lists, counts, tests membership
 and restricts to the isomorphisms (digit 1 nonzero) on the balls alone.
 
-Lifting runs the search down to a certification depth t.  A simple root of
-gbar isolates exactly one root of F in the child ball, which Newton's
-iteration refines (each step doubles the depth, and inverts F' only to the
-depth of the current error); a ball that reaches radius t unseparated is
-taken as it is.  One rule, _certify, refuses x when t <= nu(F'(x)), and
-otherwise accepts a refined root, a ball of radius t or a composed image x
-exactly when nu(F(x)) >= t + nu(F'(x)), which pins a unique root agreeing
-with x to depth t, and drops it below that line.  It tests the flat vector
-it is handed, and the certified root is that vector reduced to precision
-t: the verdict depends only on x mod m^t, so no root is read out to digits
-and lifted back.  Digits are read for text and JSON, for the search's digit
-order and for the wording of a refusal.  Every search runs once,
-on F materialized at the working precision t + min((m - 1)*t, Delta), m =
-deg F, where Delta bounds nu(F') at the roots of F and is read off the
-polynomial: the scaled different of R1 for F = f^psi, nu_R(disc F) for
-has_root, none for roots_in_dvr (_roots shows that this precision decides
-every readout).  Each search certifies only the roots its answer needs:
-lifting searches only the ball of the roots within Krasner distance of
-beta (radius _krasner_radius), and the one root certified there is the
-lift; has_root stops at the first root it certifies, and doubles its depth
-at most up to 2*nu_R(disc F) + 2, where every search decides.
+Lifting runs the same search to a certification depth t, on F at a working
+precision above every content it meets, so it finds no whole ball.
+Newton's iteration refines each isolated root (each step doubles the
+depth, and inverts F' only to the depth of the current error); a ball that
+reaches radius t unseparated is taken as it is.  One rule, _certify,
+refuses x when t <= nu(F'(x)), and otherwise accepts a refined root, a
+ball of radius t or a composed image x exactly when nu(F(x)) >= t +
+nu(F'(x)), which pins a unique root agreeing with x to depth t, and drops
+it below that line.  It tests the flat vector it is handed, and the
+certified root is that vector reduced to precision t: the verdict depends
+only on x mod m^t, so no root is read out to digits and lifted back.
+Digits are read for text and JSON, for the search's digit order and for
+the wording of a refusal.  Every search runs once, on F materialized at the
+working precision t + min((m - 1)*t, Delta), m = deg F, where Delta bounds
+nu(F') at the roots of F and is read off the polynomial: the scaled
+different of R1 for F = f^psi, nu_R(disc F) for has_root, none for
+roots_in_dvr (_roots shows that this precision decides every readout).
+Each search certifies only the roots its answer needs: lifting searches
+only the ball of the roots within Krasner distance of beta (radius
+_krasner_radius), and the one root certified there is the lift; has_root
+stops at the first root it certifies, and doubles its depth at most up to
+2*nu_R(disc F) + 2, where every search decides.
 
 All polynomial evaluation (search balls, Newton steps, certification, beta
 admissibility) runs on the flat vectors of one dvr context: F and its Hasse
@@ -217,13 +223,13 @@ def _ball_text(digits) -> str:
     return f"the ball {_digits_text(digits)} + m^{len(digits)}"
 
 
-def _reduce_at(poly: _Poly, x, r: int, cap: int, vals: dict):
+def _reduce_at(poly: _Poly, x, r: int, vals: dict):
     """The content c and the reduction of G(T) = F(x + pi^r T) =
     sum_i F_i(x) pi^(ir) T^i.  Returns (c, gbar) with gbar the coordinate
-    tuples of the coefficients in k of G/pi^c mod m, by degree, or
-    (cap, None) when c >= cap.  vals caches the values F_i(x) by i; a term
-    whose i*r already exceeds the least valuation found is not evaluated."""
-    ctx, m = poly.ctx, poly.m
+    tuples of the coefficients in k of G/pi^c mod m, by degree, or (N, None)
+    when c >= N = ctx.n.  vals caches the values F_i(x) by i; a term whose
+    i*r already exceeds the least valuation found is not evaluated."""
+    ctx, m, cap = poly.ctx, poly.m, poly.ctx.n
     best = min(cap, m * r)  # the lead term is pi^(mr)
     level = []  # the terms (i, F_i(x)) of valuation best
     for i in range(m):
@@ -251,39 +257,18 @@ def _reduce_at(poly: _Poly, x, r: int, cap: int, vals: dict):
     return best, tuple(gbar)
 
 
-def _ball_search(poly: _Poly, depth: int, start: tuple = (), refine: bool = False):
-    """Depth-first search over the balls a + m^r (a given by its r digits)
-    that can hold roots of F mod m^depth, inside the ball start + m^len(start)
-    (start a tuple of digits, the centre its lift), in lexicographic order
-    of the digits.  Yields (digits, x, delta), x the flat vector of the
-    centre.
-
-    At a ball, G(T) = F(a + pi^r T) has content c; gbar = G/pi^c mod m.
-    x = a + pi^r T can satisfy nu(F(x)) > c only when the first digit of T
-    is a root of gbar in k, so the search branches on those roots alone
-    (at most deg F); a nonzero constant gbar ends the branch.  The cap is
-    read once per search, and resfield._capped_roots checks every gbar
-    against it before its shared cache of root sets is read, so a gbar of
-    degree >= 2 is refused past the cap whoever cached its root set.
-
-    Enumeration (refine false) yields each ball with c >= depth, on which F
-    vanishes mod m^depth everywhere; delta is None.  Root finding (refine
-    true) descends below those: a simple root b of gbar isolates exactly
-    one root of F, which lies in R, in the ball a + teichmuller(b) pi^r +
-    m^(r+1), and F' has valuation delta = c - r on all of that ball; it is
-    yielded with its delta.  A ball reaching radius depth on which F
-    vanishes mod m^depth is yielded with delta None.  Root finding reads
-    valuations to the working precision of the context, which _roots sets
-    above every content (InconsistentResult when c reaches it); it starts
-    only above the depth (a start of radius >= depth raises
-    InvalidArgument), because a ball at the depth off every branch of the
-    whole search would be yielded although it holds no root."""
-    if refine and len(start) >= depth:
-        raise InvalidArgument(f"root finding to depth {depth} cannot start from {_ball_text(start)}")
-    ctx = poly.ctx
-    k = ctx.ring.k
-    cap = enumeration_cap()
-    limit = ctx.n if refine else depth
+def _ball_search(poly: _Poly, depth: int, start: tuple = ()):
+    """Depth-first search, in lexicographic order of the digits, over the
+    balls a + m^r (a given by its r digits) that can hold roots of F mod
+    m^depth inside start + m^len(start); see the module docstring.  Yields
+    (digits, x, delta), x the flat vector of the centre, for a whole ball
+    (c >= poly.ctx.n) and a ball of radius depth where F = 0 mod m^depth,
+    delta None, and for the child ball of a simple root of gbar, which holds
+    one root of F, in R, with nu(F') = delta = c - r on all of it, searched
+    no further.  The cap is read once per search, and _capped_roots checks
+    every gbar against it before its shared cache of root sets is read, so a
+    gbar of degree >= 2 is refused past the cap whoever cached its root set."""
+    ctx, cap = poly.ctx, enumeration_cap()
     stack = [(start, _lift(ctx, start), {}, None)]
     while stack:
         digits, x, vals, delta = stack.pop()
@@ -291,26 +276,37 @@ def _ball_search(poly: _Poly, depth: int, start: tuple = (), refine: bool = Fals
         if delta is not None:
             yield digits, x, delta
             continue
-        if refine and r == depth:
+        if r == depth:
             fx = vals[0] if 0 in vals else poly.hasse_value(0, x)
             if not _raw_val(ctx, fx, depth)[1]:
                 yield digits, x, None
             continue
-        c, gbar = _reduce_at(poly, x, r, limit, vals)
+        c, gbar = _reduce_at(poly, x, r, vals)
         if gbar is None:
-            if refine:
-                raise InconsistentResult(
-                    f"the content at {_ball_text(digits)} reaches the working precision {limit}")
             yield digits, x, None
             continue
         children = []
-        for b, simple in _capped_roots(gbar, k, cap):
+        for b, simple in _capped_roots(gbar, ctx.ring.k, cap):
             if any(b.coeffs):
                 child = (_add(ctx, x, ctx.terms[r][b.coeffs]), {})
             else:
                 child = (x, vals)  # same centre, same values
-            children.append((digits + (b,),) + child + (c - r if refine and simple else None,))
+            children.append((digits + (b,),) + child + (c - r if simple else None,))
         stack.extend(reversed(children))
+
+
+def _hom_balls(poly: _Poly, start: tuple = ()):
+    """The balls (digits) of the elements of start + m^len(start) that F
+    sends into m^n, n = poly.ctx.n, in lexicographic order.  An isolated
+    root alpha gives the ball alpha + m^(n - delta), or its isolated ball if
+    that is deeper: nu(F(alpha + h)) = delta + nu(h) there, and Newton's
+    iteration to depth n - delta needs precision n.  That ball is the one a
+    descent digit by digit reaches, in its subtree's place in the order."""
+    n = poly.ctx.n
+    for digits, x, delta in _ball_search(poly, n, start):
+        if delta is not None and n - delta > len(digits):
+            digits = _digits(poly.ctx, _newton(poly, x, delta, n - delta), n - delta)
+        yield digits
 
 
 def _newton(poly: _Poly, x, delta: int, t: int) -> tuple:
@@ -397,20 +393,26 @@ def _roots(F: tuple, R: DvrSpec, prec: int, ball: tuple = (), first: bool = Fals
     the m roots of F, with multiplicity, and deriv_bound >= nu(F'(alpha_j)):
     - at a ball a + m^r with r < prec, the content c of F(a + pi^r T) is
       sum_j min(nu(a - alpha_j), r), so c <= m*r, and c <= r +
-      nu(F'(alpha)) for the root alpha nearest a; hence c < N;
+      nu(F'(alpha)) for the root alpha nearest a; hence c < N (a whole ball
+      raises InconsistentResult);
     - Newton's iteration and _certify run only once nu(F') < prec, and then
       need only prec + nu(F') <= N; a capped readout of nu(F'(x)) is at
-      least N >= prec, which is a refusal."""
+      least N >= prec, which is a refusal.
+    A ball of radius >= prec raises InvalidArgument: off every branch, it
+    would be yielded whenever F vanished at its centre mod m^prec."""
+    if len(ball) >= prec:
+        raise InvalidArgument(f"root finding to depth {prec} cannot start from {_ball_text(ball)}")
     poly = _working_poly(F, R, prec, deriv_bound)
     roots = []
-    for found, x, delta in _ball_search(poly, prec, ball, refine=True):
+    for found, x, delta in _ball_search(poly, prec, ball):
         if delta is not None and delta >= prec:
-            raise PrecisionTooLow(
-                f"depth {prec} does not separate the root in {_ball_text(found)}: "
-                f"its derivative valuation is {delta}"
-            )
-        if len(found) < prec:  # an isolated root: refine it
-            x = _newton(poly, x, delta, prec)
+            raise PrecisionTooLow(f"depth {prec} does not separate the root in {_ball_text(found)}: "
+                                  f"its derivative valuation is {delta}")
+        if len(found) < prec:
+            if delta is None:
+                raise InconsistentResult(
+                    f"the content at {_ball_text(found)} reaches the working precision {poly.ctx.n}")
+            x = _newton(poly, x, delta, prec)  # an isolated root: refine it
         cert = _certify(poly, x, prec)
         if cert is not None:
             roots.append(cert)
@@ -564,12 +566,10 @@ class HomSet:
 
     def _balls(self):
         src, tgt, k = self.src, self.tgt, self.tgt.ring.k
-        # beta^n1 = 0 mod m^n2 exactly when the first ceil(n2/n1) digits
-        # vanish, so the search starts from the ball 0 + m^ceil(n2/n1)
         zero_prefix = (k.zero(),) * -(-tgt.n // src.n)
         for psi in embeddings(src.ring.k, k):
             poly = _materialize_poly((src.ring.coeffs, psi), tgt.ring, tgt.n)
-            for digits, _, _ in _ball_search(poly, tgt.n, zero_prefix):
+            for digits in _hom_balls(poly, zero_prefix):
                 if not self._isos or tgt.n == 1 or len(digits) > 1 and any(digits[1].coeffs):
                     yield psi, digits
                 elif len(digits) == 1:  # the children whose digit 1 is a unit

@@ -35,6 +35,12 @@ square-and-multiply with FqElem products, and the root set by evaluating
 g and g' that way at every element.  The library runs all three on
 coordinate tuples and builds an FqElem only for a value it returns.
 
+The descent oracle lists the balls of a hom set by the ball search without
+its Newton jump: it reads every content only up to the depth and descends
+one digit per level, an isolated root included, until a ball's content
+reaches the depth.  The library jumps from an isolated root straight to its
+ball by Newton's iteration.
+
 The uniformizer oracle recomputes M(R) from the minimal polynomial of
 another uniformizer, solved in WittElem arithmetic at working precision,
 whose coefficient valuations are only lower bounds where the solution
@@ -50,6 +56,7 @@ from operator import mul, sub
 import sympy
 
 from ramlift.dvr import (
+    _add,
     _context,
     _digit_at,
     _lift,
@@ -70,11 +77,20 @@ from ramlift.homlift import (
     _horner,
     _materialize_poly,
     _normalize_poly,
+    _reduce_at,
     _witt_map,
     _working_poly,
 )
 from ramlift.ramification import _shifted_coeff_vals, newton_polygon
-from ramlift.resfield import FqElem, _convolve, embeddings, power
+from ramlift.resfield import (
+    FqElem,
+    _capped_roots,
+    _convolve,
+    _residues,
+    embeddings,
+    enumeration_cap,
+    power,
+)
 from ramlift.witt import make_witt, teich_digits, teichmuller, witt_unit_inv
 
 
@@ -201,6 +217,41 @@ def scan_homs(src: ResidueRingSpec, tgt: ResidueRingSpec):
         for beta in enumerate_elements(tgt)
         if _beta_admissible(src, tgt, psi, beta)
     ]
+
+
+def descended_balls(src: ResidueRingSpec, tgt: ResidueRingSpec, isos: bool = False):
+    """(psi, digits) for each ball of HomSet(src, tgt)._balls(), or of its
+    isos() with isos, in the same order, by a search that descends one digit
+    per level from the ball 0 + m^ceil(n2/n1): a ball is kept once its
+    content, read up to the depth n2, reaches n2, so an isolated root is
+    followed digit by digit.  With isos, a ball 0 + m^1 is split into its
+    children whose digit 1 is a unit."""
+    k, n2 = tgt.ring.k, tgt.n
+    zero_prefix = (k.zero(),) * -(-n2 // src.n)
+    cap = enumeration_cap()
+    out = []
+    for psi in embeddings(src.ring.k, k):
+        poly = _materialize_poly((src.ring.coeffs, psi), tgt.ring, n2)
+        ctx = poly.ctx
+        stack = [(zero_prefix, _lift(ctx, zero_prefix), {})]
+        while stack:
+            digits, x, vals = stack.pop()
+            r = len(digits)
+            _, gbar = _reduce_at(poly, x, r, vals)
+            if gbar is None:
+                if not isos or n2 == 1 or r > 1 and any(digits[1].coeffs):
+                    out.append((psi, digits))
+                elif r == 1:
+                    out += [(psi, digits + (b,)) for b in _residues(k) if any(b.coeffs)]
+                continue
+            children = []
+            for b, _ in _capped_roots(gbar, k, cap):
+                if any(b.coeffs):
+                    children.append((digits + (b,), _add(ctx, x, ctx.terms[r][b.coeffs]), {}))
+                else:
+                    children.append((digits + (b,), x, vals))
+            stack.extend(reversed(children))
+    return out
 
 
 def scan_truncated_roots(F, R, depth: int):

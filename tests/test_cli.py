@@ -93,6 +93,13 @@ def test_homs_count_is_not_capped(capsys):
     assert (rc, json.loads(out), err) == (0, {"count": 256}, "")
 
 
+def test_homs_count_deep_in_the_ring(capsys):
+    # Z2[sqrt 2] at n = 1024: the 16 betas mod m^1024 lie in the balls of
+    # the two lifts +-pi, each reached by one Newton jump
+    rc, out, err = run(capsys, "homs", W2, W2, "1024", "1024", "--count")
+    assert (rc, json.loads(out), err) == (0, {"count": 16}, "")
+
+
 def test_homs_listing_shape(capsys):
     rc, out, _ = run(capsys, "homs", S3, SM3, "2", "2", "--iso")
     assert rc == 0

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    descended_balls,
     digit_route_apply,
     element,
     exhaustive_homs_as_tables,
@@ -48,6 +49,7 @@ from ramlift.homlift import (
     HomSet,
     ResidueHom,
     _ball_search,
+    _hom_balls,
     _materialize_poly,
     _normalize_poly,
     compose_homs,
@@ -158,9 +160,9 @@ def test_enumerate_homs_matches_scan(src, tgt):
 
 
 def _expand(balls, R, depth):
-    """The digit vectors of length depth in the balls (digits, x, delta)."""
+    """The digit vectors of length depth in the balls, given by their digits."""
     residues = sorted(R.k.elements(), key=lambda a: a.coeffs)
-    return [digits + tail for digits, _, _ in balls
+    return [digits + tail for digits in balls
             for tail in itertools.product(residues, repeat=depth - len(digits))]
 
 
@@ -177,10 +179,8 @@ def test_root_search_matches_scan(F, answer):
     assert has_root(Z3_SQRT3, F).kind == answer
     providers = _normalize_poly(F, F3)
     for depth in (1, 2, 4):
-        expected = scan_truncated_roots(F, Z3_SQRT3, depth)
-        for n_eval in (depth, depth + 3):
-            poly = _materialize_poly(providers, Z3_SQRT3, n_eval)
-            assert _expand(_ball_search(poly, depth), Z3_SQRT3, depth) == expected
+        poly = _materialize_poly(providers, Z3_SQRT3, depth)
+        assert _expand(_hom_balls(poly), Z3_SQRT3, depth) == scan_truncated_roots(F, Z3_SQRT3, depth)
 
 
 def _roots_or_refusal(search, F, R, t):
@@ -697,6 +697,20 @@ def test_compose_with_identity():
     for phi in enumerate_isos(src, src):
         assert compose_homs(phi, ident) == phi
         assert compose_homs(ident, phi) == phi
+
+
+def test_residue_compose_lifts_the_first_beta_once(monkeypatch):
+    # a listed beta has digits only; projecting it keeps the vector it is
+    # lifted to, on f1's beta too, so a second compose reads that vector
+    rn = residue_ring(W9, 4)
+    f1, f2 = enumerate_isos(rn, rn)[:2]
+    assert f1.beta._v is None and f1.beta.digits != f2.beta.digits
+    lifted = []
+    lift = dvr._lift
+    monkeypatch.setattr(dvr, "_lift", lambda ctx, digits: lifted.append(tuple(digits)) or lift(ctx, digits))
+    composed = compose_homs(f2, f1)
+    assert compose_homs(f2, f1) == composed
+    assert lifted.count(f1.beta.digits) == 1
 
 
 def test_apply_hom_moves_uniformizer():
@@ -1622,23 +1636,29 @@ HOMS_SCAN_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("refine", [False, True], ids=["enumerate", "refine"])
+@pytest.mark.parametrize("context", ["enumerate", "refine"])
 @pytest.mark.parametrize("pair", list(HOMS_SCAN_PAIRS))
-def test_ball_search_from_a_ball_yields_the_balls_under_it(pair, refine):
+def test_ball_search_from_a_ball_yields_the_balls_under_it(pair, context):
     # a search from a + m^r yields the balls of the whole search that have
-    # prefix a, with the same derivative valuations.  a runs over each
-    # proper prefix of a ball, each one-digit extension of one (inside a
-    # ball or off every branch), and each ball except an isolated one, which
-    # a search from the ball itself splits further.  Root finding starts
-    # only above the depth (lift_hom's ball has radius at most n2 < prec),
-    # and a start at the depth is yielded whenever F vanishes there mod
-    # m^depth, also off every branch, so refine starts stop above it
+    # prefix a, with the same derivative valuations, on F at the depth n2
+    # (the context HomSet enumerates on) and on F at the working precision
+    # of root finding (the context _roots refines isolated roots on).  a
+    # runs over each proper prefix of a ball, each one-digit extension of
+    # one (inside a ball or off every branch), and each ball except an
+    # isolated one, which a search from the ball itself splits further.
+    # Root finding starts only above the depth (lift_hom's ball has radius
+    # at most n2 < prec), and a start at the depth is yielded whenever F
+    # vanishes there mod m^depth, also off every branch, so starts stop
+    # above it
     R1, R2, n1, n2 = HOMS_SCAN_PAIRS[pair]
     zero_prefix = (R2.k.zero(),) * -(-n2 // n1)
 
     def search(F, start):
-        poly = homlift._working_poly(F, R2, n2, homlift._image_deriv_bound(R1, R2))
-        return [(digits, delta) for digits, _, delta in _ball_search(poly, n2, start, refine)]
+        if context == "enumerate":
+            poly = _materialize_poly(F, R2, n2)
+        else:
+            poly = homlift._working_poly(F, R2, n2, homlift._image_deriv_bound(R1, R2))
+        return [(digits, delta) for digits, _, delta in _ball_search(poly, n2, start)]
 
     for psi in embeddings(R1.k, R2.k):
         F = (R1.coeffs, psi)
@@ -1646,10 +1666,88 @@ def test_ball_search_from_a_ball_yields_the_balls_under_it(pair, refine):
         prefixes = {b[:r] for b, _ in whole for r in range(len(zero_prefix), len(b))}
         starts = prefixes | {a + (x,) for a in prefixes for x in R2.k.elements()}
         starts -= {b for b, delta in whole if delta is not None}
-        if refine:
-            starts = {a for a in starts if len(a) < n2}
+        starts = {a for a in starts if len(a) < n2}
         for a in starts:
             assert search(F, a) == [(b, delta) for b, delta in whole if b[:len(a)] == a], a
+
+
+# the 11 rings of the count identity at the lifting bound
+BASELINE_RINGS = {
+    "Z3:x2-3": Z3_SQRT3,
+    "Z3:x2+3": Z3_SQRTM3,
+    "Z3:x3-3": LIFT_PAIRS["F3:x3-3"][0],
+    "Z3:x4-3": Z3_QUARTIC,
+    "Z2:x2-2": Z2_SQRT2,
+    "Z2:x2-10": Z2_SQRT10,
+    "Z2:x2+2x+2": make_dvr(F2, [2, 2, 1]),
+    "Z2:x4-2": Z2_ROOT4,
+    "Z2:x4+2x+2": make_dvr(F2, [2, 2, 0, 0, 1]),
+    "F4:x2-2": LIFT_PAIRS["F4:x2-2"][0],
+    "F9:x3+3": W9_CUBIC,
+}
+SAME_P_PAIRS = [(a, b) for a, R1 in BASELINE_RINGS.items() for b, R2 in BASELINE_RINGS.items()
+                if R1.p == R2.p]
+
+
+@pytest.mark.parametrize("isos", [False, True], ids=["homs", "isos"])
+@pytest.mark.parametrize("pair", list(HOMS_SCAN_PAIRS))
+def test_hom_balls_match_the_descent_on_the_scan_pairs(pair, isos):
+    # each isolated root jumps to the ball its one-digit descent reaches
+    R1, R2, n1, n2 = HOMS_SCAN_PAIRS[pair]
+    homs = HomSet(residue_ring(R1, n1), residue_ring(R2, n2))
+    homs = homs.isos() if isos else homs
+    assert list(homs._balls()) == descended_balls(homs.src, homs.tgt, isos)
+
+
+@pytest.mark.parametrize("pair", SAME_P_PAIRS, ids="-to-".join)
+def test_hom_balls_match_the_descent_on_the_baseline_rings(pair):
+    R1, R2 = (BASELINE_RINGS[name] for name in pair)
+    for n2 in range(1, 9):
+        for n1 in sorted({n2, -(-n2 * R1.e // R2.e)}):
+            homs = HomSet(residue_ring(R1, n1), residue_ring(R2, n2))
+            for hom_set, isos in ((homs, False), (homs.isos(), True)):
+                assert list(hom_set._balls()) == descended_balls(homs.src, homs.tgt, isos), (n1, n2)
+
+
+@pytest.mark.parametrize("name, count", [("Z2:x2-2", 16), ("Z3:x2-3", 6), ("Z3:x3-3", 243),
+                                         ("F4:x2-2", 256)])
+def test_deep_counts_are_the_counts_at_the_bound(name, count):
+    # at or above the lifting bound every beta truncates a lift, so the
+    # count is fixed; every beta of a self-hom there has valuation one
+    R = BASELINE_RINGS[name]
+    for n in (lift_precision_bound(R, R.e), 64, 256, 1024, 4096):
+        rn = residue_ring(R, n)
+        assert HomSet(rn, rn).count() == HomSet(rn, rn).isos().count() == count, n
+
+
+def _bound_pairs():
+    """The ordered pairs of baseline rings with e1 | e2 and d1 | d2."""
+    return [(a, b) for a, b in SAME_P_PAIRS
+            if BASELINE_RINGS[b].e % BASELINE_RINGS[a].e == 0
+            and BASELINE_RINGS[b].d % BASELINE_RINGS[a].d == 0]
+
+
+def test_count_at_the_bound_is_a_sum_over_the_lifts():
+    # the lifting theorem: at n2 = the bound each ball of betas lifts to one
+    # ring homomorphism G, distinct balls to distinct G, and the ball of G
+    # holds the q2^deriv_val(G) betas beta with nu(F(beta)) >= n2
+    pairs = _bound_pairs()
+    assert len(pairs) == 33
+    nonempty = 0
+    for a, b in pairs:
+        R1, R2 = BASELINE_RINGS[a], BASELINE_RINGS[b]
+        n2 = lift_precision_bound(R1, R2.e)
+        src, tgt = residue_ring(R1, -(-n2 * R1.e // R2.e)), residue_ring(R2, n2)
+        homs = HomSet(src, tgt)
+        zeros = (R2.k.zero(),) * n2
+        balls = list(homs._balls())
+        lifts = [lift_hom(ResidueHom(src, tgt, psi, tgt.from_digits((digits + zeros)[:n2])))
+                 for psi, digits in balls]
+        assert homs.count() == sum(R2.q ** g.deriv_val for g in lifts), (a, b)
+        assert [n2 - len(digits) for _, digits in balls] == [g.deriv_val for g in lifts], (a, b)
+        assert not any(same_hom(g, h) for g, h in itertools.combinations(lifts, 2)), (a, b)
+        nonempty += bool(lifts)
+    assert nonempty == 16
 
 
 def test_root_finding_refuses_a_start_at_the_depth():
@@ -1658,12 +1756,12 @@ def test_root_finding_refuses_a_start_at_the_depth():
     R = make_dvr(make_field(2, 2), [-2, 0, 1])
     k = R.k
     start = (k.zero(), k.one(), k.zero(), k.from_coeffs([0, 1]))
-    poly = _materialize_poly(_normalize_poly([-2, 0, 1], k), R, 12)
+    F = _normalize_poly([-2, 0, 1], k)
     for depth in (3, 4):
         with pytest.raises(InvalidArgument, match=f"depth {depth}"):
-            list(_ball_search(poly, depth, start, refine=True))
-    assert [b for b, _, _ in _ball_search(poly, 4, start)] == [start]  # enumeration takes it
-    assert list(_ball_search(poly, 5, start, refine=True)) == []
+            homlift._roots(F, R, depth, start)
+    assert list(_hom_balls(_materialize_poly(F, R, 4), start)) == [start]  # enumeration takes it
+    assert homlift._roots(F, R, 5, start) == []
 
 
 def test_ball_search_applies_the_cap_to_cached_root_sets(monkeypatch):
@@ -1671,22 +1769,22 @@ def test_ball_search_applies_the_cap_to_cached_root_sets(monkeypatch):
     # reduction, which a repeated search reads from the shared cache, is
     # not handed back past a cap set later, and a malformed cap is
     # reported.  The cap is read once per search
-    poly = _materialize_poly(_normalize_poly([-3, 0, 1], F3), Z3_SQRT3, 6)
-    balls = [digits for digits, _, _ in _ball_search(poly, 4)]
+    poly = _materialize_poly(_normalize_poly([-3, 0, 1], F3), Z3_SQRT3, 4)
+    balls = list(_hom_balls(poly))
     hits = resfield._root_set.cache_info().hits
-    assert [digits for digits, _, _ in _ball_search(poly, 4)] == balls
+    assert list(_hom_balls(poly)) == balls
     assert balls and resfield._root_set.cache_info().hits > hits
     reads = []
     read_cap = homlift.enumeration_cap
     monkeypatch.setattr(homlift, "enumeration_cap", lambda: reads.append(1) or read_cap())
-    assert [digits for digits, _, _ in _ball_search(poly, 4)] == balls
+    assert list(_hom_balls(poly)) == balls
     assert len(reads) == 1
     monkeypatch.setenv("RAMLIFT_ENUM_CAP", "2")
     with pytest.raises(TooLarge, match="enumeration cap 2"):
-        list(_ball_search(poly, 4))
+        list(_hom_balls(poly))
     monkeypatch.setenv("RAMLIFT_ENUM_CAP", "abc")
     with pytest.raises(InvalidSetting, match="RAMLIFT_ENUM_CAP"):
-        list(_ball_search(poly, 4))
+        list(_hom_balls(poly))
     assert len(reads) == 3
 
 
@@ -1695,20 +1793,20 @@ def test_root_sets_cached_by_roots_are_refused_past_the_cap_by_the_ball_search(m
     # its root set, cached by resfield.roots under the default cap, is a
     # cache hit for the ball search and refused by both under a cap of 2
     R = make_dvr(F9, [-3, 0, 1])
-    poly = _materialize_poly(_normalize_poly([1, 0, 1], F9), R, 6)
+    poly = _materialize_poly(_normalize_poly([1, 0, 1], F9), R, 1)
     found = resfield.roots([1, 0, 1], F9)
     assert [b for b, _ in found] == [F9.generator(), -F9.generator()]
     hits = resfield._root_set.cache_info().hits
-    assert [digits[0] for digits, _, _ in _ball_search(poly, 1)] == [b for b, _ in found]
+    assert [digits[0] for digits in _hom_balls(poly)] == [b for b, _ in found]
     assert resfield._root_set.cache_info().hits > hits
     monkeypatch.setenv("RAMLIFT_ENUM_CAP", "2")
     with pytest.raises(TooLarge, match="enumeration cap 2"):
         resfield.roots([1, 0, 1], F9)
     with pytest.raises(TooLarge, match="enumeration cap 2"):
-        list(_ball_search(poly, 1))
+        list(_hom_balls(poly))
     # a search whose reductions are all linear still answers past the cap
-    poly = _materialize_poly(_normalize_poly([-1, 1], F9), R, 6)
-    assert [digits for digits, _, _ in _ball_search(poly, 3)] == [(F9.one(), F9.zero(), F9.zero())]
+    poly = _materialize_poly(_normalize_poly([-1, 1], F9), R, 3)
+    assert list(_hom_balls(poly)) == [(F9.one(), F9.zero(), F9.zero())]
 
 
 _CHECKS_SCRIPT = """
@@ -1790,8 +1888,7 @@ cases = {
     # an embedding F3 -> F9 cannot map f into a ring over F3
     "_materialize_poly": lambda: h._materialize_poly((R.coeffs, embeddings(F3, F9)[0]), R, 4),
     # root finding to depth 2 from a ball of radius 2
-    "_ball_search_refine_start": lambda: list(h._ball_search(
-        h._materialize_poly(h._normalize_poly([-3, 0, 1], F3), R, 8), 2, (F3.zero(),) * 2, True)),
+    "_roots_start_at_the_depth": lambda: h._roots(h._normalize_poly([-3, 0, 1], F3), R, 2, (F3.zero(),) * 2),
 }
 for name, run in cases.items():
     try:
@@ -1833,5 +1930,5 @@ def test_correctness_checks_survive_python_O():
         "_ball_search": "TooLarge",
         "embeddings": "TooLarge",
         "_materialize_poly": "RingMismatch",
-        "_ball_search_refine_start": "InvalidArgument",
+        "_roots_start_at_the_depth": "InvalidArgument",
     }
